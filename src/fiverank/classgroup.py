@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import is_semistable
-from .errors import OutOfBudgetError
+from .errors import IdentityCheckError, OutOfBudgetError
 from .exact import (
     factor_completely,
     is_probable_prime,
@@ -221,7 +221,9 @@ def group_structure(D: int, disc_bound: int = DEFAULT_DISC_BOUND) -> ClassGroupS
                 d *= q ** exps[i]
         factors.append(d)
     factors.sort()
-    assert math.prod(factors) == h
+    if math.prod(factors) != h:
+        raise IdentityCheckError(
+            f"invariant factors {factors} do not multiply to h = {h}")
     return ClassGroupStructure(D, h, tuple(factors))
 
 
@@ -369,7 +371,7 @@ def oracle_scan(count: int, trial_bound: int = 10**6,
 
     Deterministic scan over small parameters and small abscissas; skips
     are yielded too so callers can report them, but only pass/fail counts
-    toward the target.
+    toward the target.  A count <= 0 yields nothing.
     """
     if u_candidates is None:
         # parameters whose quotient model has unit leading coefficient at
@@ -381,6 +383,8 @@ def oracle_scan(count: int, trial_bound: int = 10**6,
         u_candidates += [Fraction(v) for v in
                          (4, -4, 6, -6, 9, -9, 11, -11, 14, -14, 16, -16, 19,
                           21, -21, 24, -24, 26, -26, 29)]
+    if count <= 0:
+        return
     decided = 0
     for u in u_candidates:
         try:

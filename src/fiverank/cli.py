@@ -389,6 +389,10 @@ def _merge_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    # certificates at |z| ~ 1e1000 carry radicands of ~12,000 digits, over
+    # CPython's default 4,300-digit limit on int <-> str conversion
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.z is None and args.batch is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import NoSingularPointError, UnsupportedReductionError
+from .errors import IdentityCheckError, NoSingularPointError, UnsupportedReductionError
 from .exact import (
     Poly,
     factor_completely,
@@ -340,7 +340,8 @@ def minimal_model(E: WeierstrassCurve,
                 if have < need:
                     m *= p ** (need - have)
     Eint = Transform(Fraction(1, m), Fraction(0), Fraction(0), Fraction(0)).apply(E)
-    assert Eint.is_integral()
+    if not Eint.is_integral():
+        raise IdentityCheckError(f"scaling by 1/{m} leaves a non-integral model")
     c4, c6 = (int(c) for c in Eint.c_invariants())
 
     # a scaling prime p needs p^4 | c4 and p^6 | c6, hence p^4 | gcd

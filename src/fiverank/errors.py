@@ -66,6 +66,10 @@ class ProtocolViolationError(FiverankError):
     """A factorization profile that the Galois structure rules out appeared."""
 
 
+class IdentityCheckError(FiverankError):
+    """An exact identity that the computation relies on does not hold."""
+
+
 class InvalidCertificateError(FiverankError):
     """A splitting pattern violates its structural invariants."""
 

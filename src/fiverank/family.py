@@ -26,6 +26,8 @@ from .curves import WeierstrassCurve, CurvePoint, point_add
 from .errors import (
     DegenerateParameterError,
     FieldCollapseError,
+    IdentityCheckError,
+    InvalidKernelError,
     PoleError,
 )
 from .exact import Poly, RatFunc, is_square, rational_sqrt
@@ -349,7 +351,7 @@ class Specialization:
         points = ((x, y1), (x, y2), (x, y3))
         for (xi, yi), model in zip(points, self.F_models):
             if yi.square() != model.rhs(xi):
-                raise AssertionError("ordinate does not satisfy its quotient model")
+                raise IdentityCheckError("ordinate does not satisfy its quotient model")
         return points
 
     # -- identity suite --------------------------------------------------------
@@ -486,11 +488,11 @@ def symbolic_family_kernel() -> Poly:
     E = symbolic_family_curve()
     psi5 = five_division_polynomial(E)
     if not (psi5 % kernel).is_zero():
-        raise AssertionError("interpolated kernel does not divide psi_5 over Q(u)")
+        raise InvalidKernelError("interpolated kernel does not divide psi_5 over Q(u)")
     dup = duplication_map(E)
     lifted = dup.num * dup.num + dup.num * dup.den * A + dup.den * dup.den * B
     if not (lifted % kernel).is_zero():
-        raise AssertionError("interpolated kernel is not duplication-stable")
+        raise InvalidKernelError("interpolated kernel is not duplication-stable")
     return kernel
 
 
@@ -528,10 +530,10 @@ def symbolic_order10_abscissa() -> RatFunc:
     dup = duplication_map(E)
     doubled = dup.num(x0) / dup.den(x0)
     if kernel(doubled) != 0:
-        raise AssertionError("doubled abscissa misses the 5-torsion kernel")
+        raise IdentityCheckError("doubled abscissa misses the 5-torsion kernel")
     cubic = Poly([E.a6, E.a4, E.a2, Fraction(1)])
     if cubic(x0) == 0:
-        raise AssertionError("order-10 abscissa degenerates to 2-torsion")
+        raise IdentityCheckError("order-10 abscissa degenerates to 2-torsion")
     if five_division_polynomial(E)(x0) == 0:
-        raise AssertionError("order-10 abscissa degenerates to 5-torsion")
+        raise IdentityCheckError("order-10 abscissa degenerates to 5-torsion")
     return x0

@@ -62,22 +62,26 @@ def admissible_z(start: int = 0, count: int | None = None, sign: str = "both"):
     """Admissible z in increasing |z|, starting at |z| >= start.
 
     sign is "pos", "neg" or "both"; both signs interleave by absolute
-    value.  A count of None streams forever.
+    value.  A count of None streams forever; a count <= 0 yields nothing.
     """
     if sign not in ("pos", "neg", "both"):
         raise ValueError(f"bad sign {sign!r}")
+    if count is not None and count <= 0:
+        return
     cls = _congruence_class()
     M = cls.modulus
     z0 = cls.residue            # in (0, M); z0 != 0 since z = 1 mod m2
 
     def positives():
-        z = z0
+        # least z0 + kM >= start, k >= 0
+        z = z0 + M * max(0, -(-(start - z0) // M))
         while True:
             yield z
             z += M
 
     def negatives():
-        z = z0 - M
+        # greatest z0 - kM <= -start, k >= 1
+        z = z0 - M * max(1, -(-(start + z0) // M))
         while True:
             yield z
             z -= M
@@ -101,7 +105,7 @@ def admissible_z(start: int = 0, count: int | None = None, sign: str = "both"):
 
     emitted = 0
     for z in stream:
-        if abs(z) < start or _excluded_mod_419(z):
+        if _excluded_mod_419(z):
             continue
         yield z
         emitted += 1
@@ -272,11 +276,18 @@ class SieveReport:
         }
 
 
-def check_z(z: int, sp: Specialization | None = None) -> SieveReport:
-    """Evaluate every extension condition for one z."""
+def check_z(z: int, sp: Specialization | None = None, *,
+            x: Fraction | None = None,
+            radicand: Fraction | None = None) -> SieveReport:
+    """Evaluate every extension condition for one z.
+
+    x and radicand, when given, must be x(z) and f(x(z)); they save the
+    caller's second evaluation.
+    """
     sp = sp or specialize()
-    x = sp.x_of_z(Fraction(z))
-    r = sp.radicand(z)
+    if x is None:
+        x = sp.x_of_z(Fraction(z))
+    r = sp.radicand(z) if radicand is None else radicand
     records = []
     for data in sieve_data():
         records.extend(extension_check(data, x))

@@ -11,12 +11,28 @@ order in the cyclic quotient; no arithmetic over K itself is ever
 needed.  The certificate asserts the class-group consequence only when
 the sieve conditions, the full splitting pattern and the independence
 test all hold.
+
+The verdict at l depends on z only through the image of the long-form
+abscissa X = a/b (lowest terms) in P^1(F_l): the residue a/b mod l, or
+infinity when l | b.  Write the x-map of the isogeny as N0/D0 with
+jointly primitive integer polynomials, deg N0 = 5 and deg D0 = 4.  The
+primitive integer form of the preimage quintic is +-(b N0 - a D0)/g
+with g its content, so mod l it is a unit times (b N0 - a D0) whenever
+l does not divide g.  That holds when l does not divide lc(N0) and D0 is
+not 0 mod l: g divides the leading coefficient b lc(N0), and when l | b
+the reduction is -a D0 with a a unit.  Under that precondition, checked
+once per curve and prime, the verdict on any abscissa equals the
+verdict on a small representative of its class (the residue itself, or
+1/l for infinity), so each of the at most 3 (l + 1) verdicts per prime
+is computed once and reused for every z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BadReductionError,
@@ -50,12 +66,17 @@ def prime_split_in_K(l: int, radicand: Fraction) -> str:
     radicand = Fraction(radicand)
     if radicand == 0:
         raise ValueError("zero radicand")
-    m = radicand.numerator * radicand.denominator
-    while m % (l * l) == 0:
-        m //= l * l
-    if m % l == 0:
+    # v_l and the unit part mod l of numerator and denominator, taken
+    # apart instead of on their (possibly huge) product
+    v, unit = 0, 1
+    for n in (radicand.numerator, radicand.denominator):
+        while n % l == 0:
+            n //= l
+            v += 1
+        unit = unit * (n % l) % l
+    if v % 2:
         return RAMIFIED
-    return SPLIT if jacobi(m, l) == 1 else INERT
+    return SPLIT if jacobi(unit, l) == 1 else INERT
 
 
 def frobenius_order_in_L(quintic: Poly, l: int) -> str:
@@ -174,23 +195,72 @@ class FieldCertificate:
         }
 
 
-def splitting_pattern(z: int, sp: Specialization | None = None) -> SplittingPattern:
-    """Compute the full 3x3 pattern for one z."""
+def _projective_residue(q: Fraction, l: int) -> int | None:
+    """Image of q in P^1(F_l): its residue mod l, or None for infinity."""
+    if q.denominator % l == 0:
+        return None
+    return q.numerator * pow(q.denominator, -1, l) % l
+
+
+@lru_cache(maxsize=None)
+def _check_residue_precondition(j: int, l: int) -> None:
+    """Refuse l unless curve j's verdict at l is a function of x mod l.
+
+    See the module docstring: the x-map N0/D0 must keep degree 5 mod l
+    (l does not divide lc(N0)) and D0 must not vanish mod l.
+    """
+    x_map = specialize().isogenies[j].x_map
+    coeffs = [Fraction(c) for c in x_map.num.c + x_map.den.c]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = math.gcd(*ints)
+    n0 = [c // content for c in ints[:len(x_map.num.c)]]
+    d0 = [c // content for c in ints[len(x_map.num.c):]]
+    if n0[-1] % l == 0:
+        raise BadReductionError(
+            f"{l} divides the leading coefficient of the x-map numerator of curve {j + 1}")
+    if all(c % l == 0 for c in d0):
+        raise BadReductionError(
+            f"the x-map denominator of curve {j + 1} vanishes mod {l}")
+
+
+@lru_cache(maxsize=None)
+def _frobenius_verdict(j: int, l: int, point: int | None) -> str:
+    """frobenius_order_in_L for every abscissa of curve j over `point`.
+
+    `point` is the image of the long-form abscissa in P^1(F_l) (None is
+    infinity); the verdict is computed once, on a small representative
+    of that class.  Errors are not cached.
+    """
+    _check_residue_precondition(j, l)
+    rep = Fraction(1, l) if point is None else Fraction(point)
+    return frobenius_order_in_L(preimage_quintic(specialize().isogenies[j], rep), l)
+
+
+def splitting_pattern(z: int, sp: Specialization | None = None, *,
+                      x: Fraction | None = None,
+                      radicand: Fraction | None = None) -> SplittingPattern:
+    """Compute the full 3x3 pattern for one z.
+
+    x and radicand, when given, must be x(z) and f(x(z)); they save the
+    caller's second evaluation.  The L_j verdicts come from the isogenies
+    of the distinguished specialization, cached per residue class.
+    """
     from .errors import FieldCollapseError
     from .exact import is_square
 
     sp = sp or specialize()
     primes = CONSTANTS["z_one_mod"]
-    r = sp.radicand(z)
+    r = sp.radicand(z) if radicand is None else radicand
     if is_square(r):
         raise FieldCollapseError(f"radicand at z={z} is a rational square")
     k_verdicts = tuple(prime_split_in_K(l, r) for l in primes)
-    x = sp.x_of_z(Fraction(z))
-    quintics = []
-    for model, phi in zip(sp.F_models, sp.isogenies):
-        quintics.append(preimage_quintic(phi, model.to_long_x(x)))
+    if x is None:
+        x = sp.x_of_z(Fraction(z))
+    x_long = [model.to_long_x(x) for model in sp.F_models]
     entries = tuple(
-        tuple(frobenius_order_in_L(quintics[j], l) for j in range(3))
+        tuple(_frobenius_verdict(j, l, _projective_residue(x_long[j], l))
+              for j in range(3))
         for l in primes)
     return SplittingPattern(primes, entries, k_verdicts)
 
@@ -203,14 +273,15 @@ def verify_instance(z: int, sp: Specialization | None = None) -> FieldCertificat
     """
     sp = sp or specialize()
     failures = []
-    report = check_z(z, sp)
-    r = sp.radicand(z)
+    x = sp.x_of_z(Fraction(z))
+    r = sp.f_model(x)                  # the radicand f(x(z)), computed once
+    report = check_z(z, sp, x=x, radicand=r)
     if not report.passed:
         failures.append("sieve conditions failed")
     pattern = None
     independence = False
     try:
-        pattern = splitting_pattern(z, sp)
+        pattern = splitting_pattern(z, sp, x=x, radicand=r)
         pattern.validate()
         independence = independence_certificate(pattern)
         if not independence:

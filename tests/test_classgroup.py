@@ -219,6 +219,10 @@ def test_oracle_json_shape():
     assert isinstance(data["class_number"], str)
 
 
+def test_oracle_scan_count_zero_yields_nothing():
+    assert list(oracle_scan(0)) == []
+
+
 def test_oracle_scan_deterministic():
     first = [o.to_json() for o in oracle_scan(3)]
     second = [o.to_json() for o in oracle_scan(3)]

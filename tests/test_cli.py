@@ -98,6 +98,27 @@ def test_cmd_classgroup(capsys):
     assert rec["p_ranks"]["3"] == 1
 
 
+def test_cmd_count_zero_prints_nothing(capsys):
+    for command in ("sieve", "oracle"):
+        code, records = run_cli([command, "--count", "0"], capsys)
+        assert code == 0 and records == [], command
+
+
+def test_cmd_verify_huge_z(capsys):
+    # the radicand has ~12,000 digits, over CPython's default int->str limit
+    limit = sys.get_int_max_str_digits()
+    z = 10 ** 1000 + 7
+    try:
+        code, records = run_cli(["verify", "--z", str(z)], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(records) == 1
+    cert = records[0]
+    assert cert["record"] == "field-certificate" and cert["z"] == str(z)
+    assert len(cert["radicand"]) > 4300
+    assert code == (0 if cert["conclusion"] else 1)
+
+
 def test_cmd_classgroup_invalid(capsys):
     code, records = run_cli(["classgroup", "--disc", "5"], capsys)
     assert code == 1

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -38,6 +39,30 @@ def test_admissible_stream_start_offset():
     first = next(iter(admissible_z(sign="pos")))
     later = list(admissible_z(start=first + 1, count=3, sign="pos"))
     assert all(abs(z) > first for z in later)
+
+
+def test_admissible_count_zero_yields_nothing():
+    for sign in ("pos", "neg", "both"):
+        assert list(admissible_z(count=0, sign=sign)) == []
+        assert list(admissible_z(start=10 ** 12, count=-1, sign=sign)) == []
+
+
+def test_admissible_large_start_jumps_to_the_class():
+    # independent CRT: z = 0 mod 11*19*29 and z = 1 mod 163*701*1277
+    modulus = M1 * M2
+    residue = M1 * pow(M1, -1, M2) % modulus
+    start = 10 ** 20
+    pos = [start + (residue - start) % modulus + k * modulus for k in range(12)]
+    neg = [-start - (-start - residue) % modulus - k * modulus for k in range(12)]
+    expected = sorted((z for z in pos + neg if z % 419 not in (86, 333)), key=abs)[:10]
+    began = time.perf_counter()
+    got = list(admissible_z(start=start, count=10, sign="both"))
+    assert time.perf_counter() - began < 1.0
+    assert got == expected
+    assert list(admissible_z(start=start, count=3, sign="pos")) == \
+        [z for z in expected if z > 0][:3]
+    assert list(admissible_z(start=start, count=3, sign="neg")) == \
+        [z for z in expected if z < 0][:3]
 
 
 def test_admissible_filters_419():

@@ -1,14 +1,22 @@
+import dataclasses
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from fiverank import sieve, splitting
 from fiverank.errors import (
+    BadReductionError,
+    FieldCollapseError,
+    FiverankError,
     InvalidCertificateError,
     ProtocolViolationError,
     RamifiedPrimeError,
 )
-from fiverank.exact import Poly
+from fiverank.exact import Poly, RatFunc, is_square
 from fiverank.family import specialize
+from fiverank.isogeny import preimage_quintic
 from fiverank.sieve import admissible_z
 from fiverank.splitting import (
     EXPECTED_PATTERN,
@@ -31,6 +39,9 @@ def test_prime_split_in_K_examples():
     # square part mod l^2 is cleared before deciding
     assert prime_split_in_K(7, F(-3 * 49)) == "split"
     assert prime_split_in_K(7, F(-3, 49)) == "split"
+    # an odd power of l in the denominator or the numerator ramifies
+    assert prime_split_in_K(7, F(-3, 7)) == "ramified"
+    assert prime_split_in_K(7, F(5 * 7 ** 3)) == "ramified"
 
 
 def test_prime_split_rejects_bad_inputs():
@@ -136,3 +147,130 @@ def test_fields_distinct():
     rads = [sp.radicand(z) for z in zs]
     assert fields_distinct(rads[0], rads[1])
     assert fields_distinct(rads[0], rads[2])
+
+
+# ------------------------------------------------- residue-keyed fast path
+#
+# The reference is the exact per-z route: the preimage quintic of the
+# exact long-form abscissa x(z), factored mod l, and an Euler-criterion
+# verdict for l in K on the product of the radicand's numerator and
+# denominator.  The fast path must agree with it on every outcome,
+# errors included (type and message).
+
+ZERO_MOD = 11 * 19 * 29
+ONE_MOD = 163 * 701 * 1277
+CLASS_MOD = ZERO_MOD * ONE_MOD
+CLASS_RESIDUE = ZERO_MOD * pow(ZERO_MOD, -1, ONE_MOD)
+
+
+def _k_verdict_reference(l, radicand):
+    m = radicand.numerator * radicand.denominator
+    while m % (l * l) == 0:
+        m //= l * l
+    if m % l == 0:
+        return "ramified"
+    return "split" if pow(m, (l - 1) // 2, l) == 1 else "inert"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FiverankError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _exact_entry(sp, j, l, x):
+    quintic = preimage_quintic(sp.isogenies[j], sp.F_models[j].to_long_x(x))
+    return frobenius_order_in_L(quintic, l)
+
+
+def _exact_pattern(z, sp=None, **_):
+    """splitting_pattern's contract, computed per z on the exact x(z)."""
+    sp = sp or specialize()
+    r, x = sp.radicand(z), sp.x_of_z(F(z))
+    if is_square(r):
+        raise FieldCollapseError(f"radicand at z={z} is a rational square")
+    primes = (163, 701, 1277)
+    k_verdicts = tuple(_k_verdict_reference(l, r) for l in primes)
+    entries = tuple(tuple(_exact_entry(sp, j, l, x) for j in range(3))
+                    for l in primes)
+    return SplittingPattern(primes, entries, k_verdicts)
+
+
+def _sample_z(seed):
+    """Seeded admissible and arbitrary z at |z| ~ 1e3, 1e12, 1e100, 1e1000."""
+    rng = random.Random(seed)
+    zs = []
+    for digits in (3, 12, 100, 1000):
+        for _ in range(2):
+            target = rng.choice((1, -1)) * rng.randrange(10 ** digits, 10 ** (digits + 1))
+            zs.append(target)
+            admissible = target + (CLASS_RESIDUE - target) % CLASS_MOD
+            while admissible % 419 in (86, 333):
+                admissible += CLASS_MOD
+            zs.append(admissible)
+    return zs
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Radicands at |z| ~ 1e1000 exceed CPython's 4,300-digit str limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_fast_path_matches_exact_route_at_every_size(monkeypatch, unlimited_int_str):
+    sp = specialize()
+    zs = _sample_z(20261018)
+    fast = {z: (_outcome(splitting_pattern, z), verify_instance(z).to_json())
+            for z in zs}
+    monkeypatch.setattr(splitting, "splitting_pattern", _exact_pattern)
+    monkeypatch.setattr(splitting, "check_z", lambda z, sp=None, **_: sieve.check_z(z, sp))
+    for z in zs:
+        pattern, cert = fast[z]
+        assert pattern == _outcome(_exact_pattern, z), z
+        assert cert == verify_instance(z).to_json(), z
+        assert F(cert["radicand"]) == sp.radicand(z)
+    assert sum(c["conclusion"] for _, c in fast.values()) >= 6     # admissible z certify
+
+
+def test_fast_path_matches_exact_route_on_every_residue_class():
+    # z = r runs over every class mod l (z = l for r = 0, which sends x(z)
+    # to infinity mod l); each l's row of the pattern is compared entry by
+    # entry, so the rows that raise on other primes are still covered
+    sp = specialize()
+    seen = set()
+    for l in (163, 701, 1277):
+        for z in range(1, l + 1):
+            x = sp.x_of_z(F(z))
+            for j in range(3):
+                x_long = sp.F_models[j].to_long_x(x)
+                fast = _outcome(splitting._frobenius_verdict, j, l,
+                                splitting._projective_residue(x_long, l))
+                assert fast == _outcome(_exact_entry, sp, j, l, x), (l, z, j)
+                seen.add(fast if isinstance(fast, str) else fast[0])
+    assert seen == {"split", "inert", "RamifiedPrimeError", "ProtocolViolationError"}
+
+
+def test_residue_precondition_is_a_typed_error(monkeypatch):
+    sp = specialize()
+    phi = sp.isogenies[0]
+    # scaling the numerator by 163 makes 163 divide lc(N0)
+    bad = dataclasses.replace(phi, x_map=RatFunc(163 * phi.x_map.num, phi.x_map.den))
+    bad_sp = dataclasses.replace(sp, isogenies=(bad,) + sp.isogenies[1:])
+    monkeypatch.setattr(splitting, "specialize", lambda: bad_sp)
+    caches = (splitting._check_residue_precondition, splitting._frobenius_verdict)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        z = next(iter(admissible_z(sign="pos")))
+        with pytest.raises(BadReductionError, match="163 divides the leading coefficient"):
+            splitting_pattern(z)
+        cert = verify_instance(z)
+        assert not cert.conclusion
+        assert cert.failures[-1].startswith("BadReductionError: 163 divides")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
