@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import is_semistable
-from .errors import IdentityCheckError, OutOfBudgetError
+from .errors import FiverankError, IdentityCheckError, OutOfBudgetError
 from .exact import (
     factor_completely,
     is_probable_prime,
@@ -391,7 +391,7 @@ def oracle_scan(count: int, trial_bound: int = 10**6,
             if Fraction(u).denominator % 5 == 0 or rational_mod(u, 5) not in (1, 4):
                 continue
             _single_curve_setup(Fraction(u))
-        except Exception:
+        except FiverankError:           # singular or unsupported curve pair
             continue
         for num in range(-x_range, x_range + 1):
             for den in (1, 2, 3):

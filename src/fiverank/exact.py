@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BadReductionError,
@@ -191,25 +192,37 @@ def squarefree_part(n: int, trial_bound: int = 10**6) -> tuple[int, bool]:
     return s * cofactor, False
 
 
+def int_valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n.
+
+    The plain-integer core of every valuation in the package; p >= 2 is
+    the caller's to guarantee (it is not tested for primality here).
+    """
+    if n == 0:
+        raise ValueError("the valuation of 0 is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@lru_cache(maxsize=1024)
+def _is_prime_modulus(p: int) -> bool:
+    return p >= 2 and is_probable_prime(p)
+
+
 def valuation(r, p: int):
     """p-adic valuation of a rational; +inf for zero.
 
-    Raises ValueError when p is not prime.
+    Raises ValueError when p is not prime (checked once per p).
     """
-    if p < 2 or not is_probable_prime(p):
+    if not _is_prime_modulus(p):
         raise ValueError(f"{p} is not prime")
     r = Fraction(r)
     if r == 0:
         return INF
-
-    def _ival(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return _ival(abs(r.numerator)) - _ival(r.denominator)
+    return int_valuation(r.numerator, p) - int_valuation(r.denominator, p)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -513,6 +526,17 @@ class Poly:
     @classmethod
     def from_json(cls, data):
         return cls([rational_from_string(s) for s in data])
+
+
+def integer_coefficients(*polys: Poly) -> list[list[int]]:
+    """Coefficients of the polynomials times their least common denominator.
+
+    One positive scale serves all of them, so ratios such as num/den of a
+    rational function are unchanged.
+    """
+    coeffs = [[Fraction(a) for a in f.c] for f in polys]
+    scale = math.lcm(*(a.denominator for cs in coeffs for a in cs))
+    return [[int(a * scale) for a in cs] for cs in coeffs]
 
 
 def _int_pseudo_rem(A: list[int], B: list[int]) -> list[int]:

@@ -26,6 +26,7 @@ from .curves import WeierstrassCurve, CurvePoint, point_add
 from .errors import (
     DegenerateParameterError,
     FieldCollapseError,
+    FiverankError,
     IdentityCheckError,
     InvalidKernelError,
     PoleError,
@@ -466,7 +467,7 @@ def _kernel_sample_values(count: int):
         try:
             E = kubert_curve(u0).curve()
             k = five_division_kernel(E)
-        except Exception:
+        except FiverankError:           # singular curve or no rational kernel
             continue
         samples_A.append((u0, k[1]))
         samples_B.append((u0, k[0]))
@@ -521,7 +522,7 @@ def symbolic_order10_abscissa() -> RatFunc:
             two_tors_x = [r for r in rational_roots(Poly([E.a6, E.a4, E.a2, Fraction(1)]))]
             T2 = CurvePoint(two_tors_x[0], Fraction(0))
             P0 = point_add(E, T, T2)
-        except Exception:
+        except (FiverankError, ValueError):     # ValueError: no rational ordinate
             continue
         samples.append((u0, P0.x))
     x0 = interpolate_ratfunc(samples)

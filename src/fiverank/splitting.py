@@ -43,6 +43,7 @@ from .errors import (
 )
 from .exact import (
     Poly,
+    integer_coefficients,
     is_probable_prime,
     jacobi,
     pm_derivative,
@@ -210,12 +211,10 @@ def _check_residue_precondition(j: int, l: int) -> None:
     (l does not divide lc(N0)) and D0 must not vanish mod l.
     """
     x_map = specialize().isogenies[j].x_map
-    coeffs = [Fraction(c) for c in x_map.num.c + x_map.den.c]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = math.gcd(*ints)
-    n0 = [c // content for c in ints[:len(x_map.num.c)]]
-    d0 = [c // content for c in ints[len(x_map.num.c):]]
+    num, den = integer_coefficients(x_map.num, x_map.den)
+    content = math.gcd(*num, *den)
+    n0 = [c // content for c in num]
+    d0 = [c // content for c in den]
     if n0[-1] % l == 0:
         raise BadReductionError(
             f"{l} divides the leading coefficient of the x-map numerator of curve {j + 1}")
@@ -275,7 +274,7 @@ def verify_instance(z: int, sp: Specialization | None = None) -> FieldCertificat
     failures = []
     x = sp.x_of_z(Fraction(z))
     r = sp.f_model(x)                  # the radicand f(x(z)), computed once
-    report = check_z(z, sp, x=x, radicand=r)
+    report = check_z(z, x=x, radicand=r)
     if not report.passed:
         failures.append("sieve conditions failed")
     pattern = None

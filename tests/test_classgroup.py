@@ -227,3 +227,15 @@ def test_oracle_scan_deterministic():
     first = [o.to_json() for o in oracle_scan(3)]
     second = [o.to_json() for o in oracle_scan(3)]
     assert first == second
+
+
+def test_oracle_scan_lets_programming_errors_through(monkeypatch):
+    # only FiverankError from the curve setup means "skip this u"
+    from fiverank import classgroup
+
+    def broken(u):
+        raise TypeError("bug in the setup")
+
+    monkeypatch.setattr(classgroup, "_single_curve_setup", broken)
+    with pytest.raises(TypeError, match="bug in the setup"):
+        list(oracle_scan(1))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -181,3 +182,26 @@ def test_cmd_sieve_byte_identical_across_processes():
          "--sign", "both"],
         capture_output=True, check=True).stdout for _ in range(2)]
     assert runs[0] == runs[1] and runs[0]
+
+
+def test_cmd_sieve_records_pinned(capsys):
+    # SHA-256 of the stdout of the Fraction-arithmetic sieve that preceded
+    # the integer evaluation; any drift in sieve records fails here
+    golden = {
+        (str(10 ** 12), "200"):
+            "d1b7a7e63df309f01c5169a68336ff51eedf718a81e2a7a0c36a2262e556964b",
+        (str(10 ** 100), "20"):
+            "ad4aefa725b96baab07e32b825ea28a619eb3cf8e77e0231fd04c300d220aada",
+    }
+    for (start, count), digest in golden.items():
+        code = main(["sieve", "--start", start, "--count", count, "--sign", "both"])
+        out = capsys.readouterr().out
+        assert code in (0, 1) and len(out.splitlines()) == int(count)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, start
+
+
+def test_cmd_verify_pole_error_record(capsys):
+    code, records = run_cli(["verify", "--z", "0"], capsys)
+    assert code == 1
+    assert records == [{"record": "error", "schema": 1, "error": "PoleError",
+                        "message": "evaluation at pole z=0"}]

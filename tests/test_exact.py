@@ -12,6 +12,8 @@ from fiverank.exact import (
     ResidueClass,
     crt,
     factor_completely,
+    int_valuation,
+    integer_coefficients,
     integer_nth_root,
     is_probable_prime,
     is_square,
@@ -45,14 +47,32 @@ def test_valuation_examples():
 
 
 def test_valuation_rejects_composite():
-    with pytest.raises(ValueError):
-        valuation(F(1, 2), 10)
+    # the primality verdict is cached per p, a rejection included
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            valuation(F(1, 2), 10)
+        with pytest.raises(ValueError):
+            valuation(3, 1)
 
 
 @given(nonzero_rationals, nonzero_rationals, st.sampled_from([2, 3, 5, 7, 11, 13]))
 @settings(max_examples=200)
 def test_valuation_additive(a, b, p):
     assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)
+
+
+def test_int_valuation_examples():
+    assert int_valuation(242, 11) == 2
+    assert int_valuation(-29 ** 6 * 7, 29) == 6
+    assert int_valuation(13, 11) == 0
+    with pytest.raises(ValueError):
+        int_valuation(0, 7)
+
+
+def test_integer_coefficients_share_one_scale():
+    num, den = integer_coefficients(Poly([F(1, 2), F(2, 3)]), Poly([F(5, 4)]))
+    assert num == [6, 8] and den == [15]
+    assert integer_coefficients(Poly([3, -4])) == [[3, -4]]
 
 
 # ------------------------------------------------------------------- jacobi

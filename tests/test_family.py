@@ -264,3 +264,18 @@ def test_symbolic_j_invariant_agreement():
     target = quotient_cubic(u).curve()
     assert phi.codomain.j_invariant() == target.j_invariant()
     assert phi.verify_codomain_identity()
+
+
+def test_symbolic_sampling_lets_programming_errors_through(monkeypatch):
+    # only FiverankError (and ValueError for an irrational ordinate) means
+    # "skip this sample parameter"
+    from fiverank import family
+
+    def broken(*args):
+        raise TypeError("bug in the sampled curve")
+
+    monkeypatch.setattr(family, "five_division_kernel", broken)
+    with pytest.raises(TypeError, match="bug in the sampled curve"):
+        family._kernel_sample_values(1)
+    with pytest.raises(TypeError, match="bug in the sampled curve"):
+        family.symbolic_order10_abscissa.__wrapped__()

@@ -272,3 +272,17 @@ def test_interpolate_ratfunc():
         u0 += 1
     got = interpolate_ratfunc(samples)
     assert got == target
+
+
+def test_dual_kernel_lets_programming_errors_through(monkeypatch):
+    # only NoIsomorphismError means "try the next candidate kernel"
+    from fiverank import isogeny
+
+    phi = velu_quotient(E4, five_division_kernel(E4))
+
+    def broken(E, F):
+        raise TypeError("bug in transform_between")
+
+    monkeypatch.setattr(isogeny, "transform_between", broken)
+    with pytest.raises(TypeError, match="bug in transform_between"):
+        dual_kernel(phi)

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 
@@ -118,9 +119,8 @@ def test_minimal_discriminants_supported_on_small_primes():
 # --------------------------------------------------------- extension checks
 
 def test_extension_check_passes_first_admissible():
-    sp = specialize()
     for z in admissible_z(count=4, sign="both"):
-        report = check_z(z, sp)
+        report = check_z(z)
         assert report.passed, [r for r in report.records if not r.passed]
         assert report.verbatim_passed() and report.general_rule_passed()
 
@@ -130,9 +130,8 @@ def test_extension_failures_exactly_the_cancellation_class():
     # cancels in the numerator of x(z): v_29(z) = 1 with z/29 = 6 or 10
     # mod 29; deeper 29-divisibility separates the term valuations again
     from fiverank.exact import valuation
-    sp = specialize()
     for z in admissible_z(count=120, sign="both"):
-        report = check_z(z, sp)
+        report = check_z(z)
         predicted = (valuation(F(z), 29) == 1 and (z // 29) % 29 in (6, 10))
         assert report.passed == (not predicted), z
         assert report.verbatim_passed() == report.general_rule_passed()
@@ -161,8 +160,8 @@ def test_report_sign_matches_radicand():
     sp = specialize()
     zp = next(iter(admissible_z(sign="pos")))
     zn = next(iter(admissible_z(sign="neg")))
-    assert check_z(zp, sp).radicand_sign == (1 if sp.radicand(zp) > 0 else -1)
-    assert check_z(zn, sp).radicand_sign == (1 if sp.radicand(zn) > 0 else -1)
+    assert check_z(zp).radicand_sign == (1 if sp.radicand(zp) > 0 else -1)
+    assert check_z(zn).radicand_sign == (1 if sp.radicand(zn) > 0 else -1)
 
 
 def test_report_json_shape():
@@ -172,3 +171,125 @@ def test_report_json_shape():
     assert isinstance(data["z"], str)
     assert len(data["conditions"]) == sum(
         2 + 1 + len(d.five_primes) for d in sieve_data())
+
+
+# ------------------------------------- integer evaluation vs Fraction reference
+
+def _reference_records(data, x):
+    """Extension records in the Fraction formulation: exact.valuation,
+    rational_mod and the minimal model's new_x applied to the long form."""
+    from fiverank.exact import rational_mod
+
+    def record(kind, p, required, observed, passed):
+        return {"curve": data.index, "kind": kind, "prime": str(p),
+                "required": required, "observed": observed, "pass": passed}
+
+    out = []
+    for p in data.valuation_primes:
+        v = valuation(x, p)
+        out.append(record("valuation", p, "v <= -2", f"v = {v}", v <= -2))
+    if data.congruence_prime is not None:
+        p, a = data.congruence_prime, data.excluded_residue
+        hit = valuation(x, p) >= 0 and rational_mod(x, p) == a % p
+        out.append(record("congruence", p, f"x != {a} mod {p}",
+                          "congruent" if hit else "not congruent", not hit))
+    x_min = data.to_minimal.new_x(data.model.to_long_x(x))
+    for p in data.five_primes:
+        if valuation(x_min, p) < 0:
+            out.append(record("singular-avoidance", p, "reduction != node",
+                              "reduces to infinity", True))
+            continue
+        res = rational_mod(x_min, p)
+        hit = res == data.reductions[p].singular_x
+        out.append(record("singular-avoidance", p, "reduction != node",
+                          "node" if hit else f"x = {res} mod {p}", not hit))
+    return out
+
+
+def _reference_report(z):
+    sp = specialize()
+    x = sp.x_of_z(F(z))
+    r = sp.radicand(z)
+    conditions = [c for d in sieve_data() for c in _reference_records(d, x)]
+    return {"record": "sieve-report", "schema": 1, "z": str(z),
+            "radicand_sign": 1 if r > 0 else (-1 if r < 0 else 0),
+            "pass": all(c["pass"] for c in conditions), "conditions": conditions}
+
+
+def _differential_z():
+    rng = random.Random(20261018)
+    zs = []
+    for scale, admissible, arbitrary in ((10 ** 3, 4, 100), (10 ** 12, 300, 100),
+                                         (10 ** 100, 30, 30), (10 ** 1000, 6, 6)):
+        zs += list(admissible_z(start=rng.randrange(scale, 10 * scale),
+                                count=admissible, sign="both"))
+        zs += [rng.choice((1, -1)) * rng.randrange(1, 10 * scale)
+               for _ in range(arbitrary)]
+    # the 29-adic exception class, admissible members and bare multiples
+    zs += [z for z in admissible_z(count=120, sign="both")
+           if z % 29 == 0 and (z // 29) % 29 in (6, 10)]
+    zs += [s * 29 * (29 * k + r) for s in (1, -1) for k in range(3) for r in (6, 10)]
+    # deep valuations at the criterion primes
+    for p in (11, 19, 29):
+        for k in range(1, 7):
+            zs += [p ** k, -p ** k, p ** k * rng.randrange(2, 10 ** 6),
+                   -p ** k * rng.randrange(2, 10 ** 12)]
+    return zs
+
+
+def test_check_z_matches_fraction_reference():
+    zs = _differential_z()
+    assert len(zs) > 600
+    seen = set()
+    for z in zs:
+        got = check_z(z).to_json()
+        assert got == _reference_report(z), z
+        seen.update(c["observed"].split(" =")[0] for c in got["conditions"])
+    # every branch of the three condition kinds was exercised
+    assert {"v", "congruent", "not congruent", "node", "reduces to infinity",
+            "x"} <= seen
+
+
+def test_check_z_with_x_matches_fraction_reference():
+    sp = specialize()
+    for z in _differential_z()[::7]:
+        x = sp.x_of_z(F(z))
+        got = check_z(z, x=x).to_json()
+        assert got == _reference_report(z), z
+        assert check_z(z, x=x, radicand=sp.radicand(z)).to_json() == got, z
+
+
+def test_extension_check_matches_fraction_reference_on_rational_x():
+    from fiverank.classgroup import _single_curve_setup
+    from fiverank.sieve import singular_avoidance_passes
+
+    rng = random.Random(5)
+    curves = list(sieve_data()) + [_single_curve_setup(F(2, 3))[2],
+                                   _single_curve_setup(F(4))[2]]
+    for data in curves:
+        xs = [F(0), F(1, 2), F(-7, 3)]
+        xs += [F(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 6))
+               for _ in range(30)]
+        for p in data.five_primes + data.valuation_primes:
+            for k in range(1, 5):
+                xs += [F(rng.randrange(1, 10 ** 6), p ** k),
+                       F(p ** k * rng.randrange(1, 10 ** 6), rng.randrange(1, 50))]
+            # abscissas over the node and near it, pulled back from the minimal model
+            t = data.to_minimal
+            for x_min in (F(data.reductions[p].singular_x + p * k, 1 + p * k)
+                          for k in range(3)):
+                xs.append(data.model.from_long_x(t.old_x(x_min)))
+        observed = set()
+        for x in xs:
+            expected = _reference_records(data, x)
+            assert [r.to_json() for r in extension_check(data, x)] == expected, x
+            general = [r for r in expected if r["kind"] == "singular-avoidance"]
+            assert singular_avoidance_passes(data, x) == all(r["pass"] for r in general), x
+            observed.update(r["observed"] for r in general)
+        assert "node" in observed and "reduces to infinity" in observed
+
+
+def test_check_z_pole_is_a_typed_error():
+    from fiverank.errors import PoleError
+    with pytest.raises(PoleError, match=r"^evaluation at pole z=0$"):
+        check_z(0)

@@ -227,7 +227,7 @@ def test_fast_path_matches_exact_route_at_every_size(monkeypatch, unlimited_int_
     fast = {z: (_outcome(splitting_pattern, z), verify_instance(z).to_json())
             for z in zs}
     monkeypatch.setattr(splitting, "splitting_pattern", _exact_pattern)
-    monkeypatch.setattr(splitting, "check_z", lambda z, sp=None, **_: sieve.check_z(z, sp))
+    monkeypatch.setattr(splitting, "check_z", lambda z, sp=None, **_: sieve.check_z(z))
     for z in zs:
         pattern, cert = fast[z]
         assert pattern == _outcome(_exact_pattern, z), z
