@@ -53,12 +53,6 @@ class BinaryQuadraticForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (-a < b <= a <= c):
-            return False
-        return b >= 0 if (b == a or a == c) else True
-
     def inverse(self) -> "BinaryQuadraticForm":
         return reduce_form(BinaryQuadraticForm(self.a, -self.b, self.c))
 

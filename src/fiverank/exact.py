@@ -735,12 +735,6 @@ def pm_from_poly(f: Poly, p: int) -> list[int]:
     return pm_trim(out)
 
 
-def pm_add(f, g, p):
-    n = max(len(f), len(g))
-    return pm_trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-                    for i in range(n)])
-
-
 def pm_sub(f, g, p):
     n = max(len(f), len(g))
     return pm_trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
@@ -759,13 +753,19 @@ def pm_mul(f, g, p):
 
 
 def pm_divmod(f, g, p):
+    """Quotient and remainder of f by g mod p, both reduced into [0, p).
+
+    The one mod-p polynomial division of the package: f and g may carry
+    unreduced integer coefficients, and g need not be monic (its leading
+    coefficient must be a unit mod p).
+    """
     if not g:
         raise ZeroDivisionError("mod-p polynomial division by zero")
     f = list(f)
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
     if len(f) <= dg:
-        return [], pm_trim(f)
+        return [], pm_trim([c % p for c in f])
     q = [0] * (len(f) - dg)
     for i in range(len(f) - dg - 1, -1, -1):
         c = f[i + dg] * inv % p
@@ -773,7 +773,7 @@ def pm_divmod(f, g, p):
             q[i] = c
             for j, b in enumerate(g):
                 f[i + j] = (f[i + j] - c * b) % p
-    return pm_trim(q), pm_trim(f[:dg])
+    return pm_trim(q), pm_trim([c % p for c in f[:dg]])
 
 
 def pm_mod(f, g, p):
@@ -901,24 +901,6 @@ def pm_factor(f, p, seed: int = 1) -> list[tuple[list[int], int]]:
     return out
 
 
-def pm_resultant(f, g, p) -> int:
-    a, b = list(f), list(g)
-    if not a or not b:
-        return 0
-    acc = 1
-    sign = 1
-    while True:
-        if len(b) == 1:
-            return acc * sign * pow(b[0], len(a) - 1, p) % p
-        r = pm_mod(a, b, p)
-        if not r:
-            return 0
-        if ((len(a) - 1) * (len(b) - 1)) % 2:
-            sign = -sign
-        acc = acc * pow(b[-1], (len(a) - 1) - (len(r) - 1), p) % p
-        a, b = b, r
-
-
 def splitting_profile(f: Poly, p: int) -> list[int]:
     """Degrees of the irreducible factors of f mod p, sorted.
 
@@ -939,40 +921,3 @@ def splitting_profile(f: Poly, p: int) -> list[int]:
         for d, prod in pm_distinct_degree(g, p):
             profile.extend([d] * (((len(prod) - 1) // d) * mult))
     return sorted(profile)
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra (used for rational-function interpolation)
-# ---------------------------------------------------------------------------
-
-def nullspace_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """One nonzero rational kernel vector of the matrix, or None."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    mat = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    sol = [Fraction(0)] * ncols
-    sol[free[0]] = Fraction(1)
-    for row, col in zip(mat, pivots):
-        sol[col] = -row[free[0]]
-    return sol

@@ -9,11 +9,12 @@ fails the suite.
 The order-10 point of the family is handled with care: the abscissa one
 might copy for it from the classical parametrization literature turns
 out to be a root of the linear factor of the cubic, i.e. a 2-torsion
-abscissa.  Nothing here depends on that value: the kernel of the
-canonical 5-isogeny is recovered from the 5-division polynomial, and the
-correct order-10 abscissa is re-derived symbolically (sampled and
-interpolated, then verified over the function field) by
-`symbolic_order10_abscissa`.
+abscissa.  Over the function field Q(u) the package instead uses the
+closed form -4u^4 - 4u^3 + 12u^2 + 4u (long coordinates) and the kernel
+(X - x(2P))(X - x(4P)) built from it by the duplication map, and
+certifies both symbolically (`symbolic_family_kernel`,
+`symbolic_order10_abscissa`).  Numeric curves get their kernel from the
+5-division polynomial (`five_division_kernel`).
 """
 
 from __future__ import annotations
@@ -22,23 +23,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .curves import WeierstrassCurve, CurvePoint, point_add
+from .curves import WeierstrassCurve
 from .errors import (
     DegenerateParameterError,
     FieldCollapseError,
-    FiverankError,
     IdentityCheckError,
     InvalidKernelError,
     PoleError,
 )
-from .exact import Poly, RatFunc, is_square, rational_sqrt
+from .exact import Poly, RatFunc, is_square, ratfunc_substitute, rational_sqrt
 from .isogeny import (
     IsogenyMap,
     duplication_map,
+    duplication_stable,
     five_division_kernel,
     five_division_polynomial,
-    interpolate_ratfunc,
-    rational_roots,
     velu_onto_model,
 )
 
@@ -228,9 +227,6 @@ class CubicModel:
     def from_long_x(self, X):
         return X / self.lead
 
-    def to_long_point(self, x, y) -> CurvePoint:
-        return CurvePoint(self.lead * x, self.lead * y)
-
     def rhs(self, x):
         return self.poly(x)
 
@@ -374,9 +370,9 @@ class Specialization:
             and 6061 == 11 * 19 * 29 and 9261 == 21 ** 3)
 
         gs = [quotient_model(ui) for ui in self.u]
-        h1_of_x = _compose(gs[0][1], self.x_of_z)
-        h2_of_x = _compose(gs[1][1], self.x_of_z)
-        h3_of_x = _compose(gs[2][1], self.x_of_z)
+        h1_of_x = ratfunc_substitute(gs[0][1], self.x_of_z)
+        h2_of_x = ratfunc_substitute(gs[1][1], self.x_of_z)
+        h3_of_x = ratfunc_substitute(gs[2][1], self.x_of_z)
         out["transfer-v"] = h1_of_x == self.v_of_z * self.v_of_z * h2_of_x
         out["transfer-w"] = h1_of_x == self.w_of_z * self.w_of_z * h3_of_x
 
@@ -397,10 +393,6 @@ class Specialization:
             out[f"velu-onto-quotient-{i}"] = (
                 phi.codomain == model.curve() and phi.verify_codomain_identity())
         return out
-
-
-def _compose(f: Poly, s: RatFunc) -> RatFunc:
-    return RatFunc(Poly([1])) * f(s)
 
 
 @lru_cache(maxsize=None)
@@ -459,82 +451,61 @@ def symbolic_family_curve() -> WeierstrassCurve:
     return kubert_curve(symbolic_parameter()).curve()
 
 
-def _kernel_sample_values(count: int):
-    samples_A, samples_B = [], []
-    u0 = Fraction(2)
-    while len(samples_A) < count:
-        u0 += 1
-        try:
-            E = kubert_curve(u0).curve()
-            k = five_division_kernel(E)
-        except FiverankError:           # singular curve or no rational kernel
-            continue
-        samples_A.append((u0, k[1]))
-        samples_B.append((u0, k[0]))
-    return samples_A, samples_B
+# Long-model abscissa of an order-10 point: -4u^4 - 4u^3 + 12u^2 + 4u.
+_ORDER10_ABSCISSA = (0, 4, 12, -4, -4)
+
+
+def check_family_kernel(E: WeierstrassCurve, kernel: Poly) -> Poly:
+    """Certify that ``kernel`` cuts out a cyclic 5-subgroup of E over Q(u).
+
+    It must divide psi_5 and be stable under the duplication map; raises
+    InvalidKernelError otherwise.
+    """
+    if not kernel.divides(five_division_polynomial(E)):
+        raise InvalidKernelError("kernel does not divide psi_5 over Q(u)")
+    if not duplication_stable(E, kernel):
+        raise InvalidKernelError("kernel is not duplication-stable")
+    return kernel
+
+
+def check_order10_abscissa(E: WeierstrassCurve, kernel: Poly, x0: RatFunc) -> RatFunc:
+    """Certify that ``x0`` is the abscissa of a point of order 10 on E.
+
+    It must be neither 2-torsion (a root of the cubic) nor 5-torsion (a
+    root of psi_5), and doubling it must land on ``kernel``; raises
+    IdentityCheckError otherwise.
+    """
+    if Poly([E.a6, E.a4, E.a2, Fraction(1)])(x0) == 0:
+        raise IdentityCheckError("order-10 abscissa degenerates to 2-torsion")
+    if five_division_polynomial(E)(x0) == 0:
+        raise IdentityCheckError("order-10 abscissa degenerates to 5-torsion")
+    if kernel(duplication_map(E)(x0)) != 0:
+        raise IdentityCheckError("doubled abscissa misses the 5-torsion kernel")
+    return x0
 
 
 @lru_cache(maxsize=1)
 def symbolic_family_kernel() -> Poly:
     """Kernel quadratic of the canonical 5-isogeny over Q(u).
 
-    Derived by exact interpolation from numeric specializations, then
-    verified symbolically: it divides the symbolic 5-division polynomial
-    and is stable under the symbolic duplication map.
+    The closed form (X - x(2P))(X - x(4P)), with both roots obtained from
+    the order-10 abscissa x(P) by the symbolic duplication map, certified
+    by `check_family_kernel`.
     """
-    sA, sB = _kernel_sample_values(34)
-    A = interpolate_ratfunc(sA)
-    B = interpolate_ratfunc(sB)
-    kernel = Poly([B, A, Fraction(1)])
     E = symbolic_family_curve()
-    psi5 = five_division_polynomial(E)
-    if not (psi5 % kernel).is_zero():
-        raise InvalidKernelError("interpolated kernel does not divide psi_5 over Q(u)")
     dup = duplication_map(E)
-    lifted = dup.num * dup.num + dup.num * dup.den * A + dup.den * dup.den * B
-    if not (lifted % kernel).is_zero():
-        raise InvalidKernelError("interpolated kernel is not duplication-stable")
-    return kernel
+    s1 = dup(RatFunc(Poly(_ORDER10_ABSCISSA)))
+    s2 = dup(s1)
+    return check_family_kernel(E, Poly([s1 * s2, -(s1 + s2), Fraction(1)]))
 
 
 @lru_cache(maxsize=1)
 def symbolic_order10_abscissa() -> RatFunc:
     """Long-model abscissa of an order-10 generator, as a function of u.
 
-    Certified symbolically: doubling it lands on the 5-torsion kernel,
-    while the abscissa itself is neither 2-torsion (not a root of the
-    cubic) nor 5-torsion (psi_5 does not vanish on it).  The derivation
-    yields -4u^4 - 4u^3 + 12u^2 + 4u on the long model, that is,
-    -(u^3 + u^2 - 3u - 1)/(2u) in the coordinates of the defining cubic.
+    The closed form -4u^4 - 4u^3 + 12u^2 + 4u on the long model, that is,
+    -(u^3 + u^2 - 3u - 1)/(2u) in the coordinates of the defining cubic,
+    certified against the symbolic kernel by `check_order10_abscissa`.
     """
-    samples = []
-    u0 = Fraction(2)
-    while len(samples) < 34:
-        u0 += 1
-        try:
-            model = kubert_curve(u0)
-            E = model.curve()
-            k = five_division_kernel(E)
-            s = rational_roots(k)[0]
-            Squartic = E.rhs_quartic()
-            y = rational_sqrt(Squartic(s)) / 2
-            T = CurvePoint(s, y)
-            two_tors_x = [r for r in rational_roots(Poly([E.a6, E.a4, E.a2, Fraction(1)]))]
-            T2 = CurvePoint(two_tors_x[0], Fraction(0))
-            P0 = point_add(E, T, T2)
-        except (FiverankError, ValueError):     # ValueError: no rational ordinate
-            continue
-        samples.append((u0, P0.x))
-    x0 = interpolate_ratfunc(samples)
-    E = symbolic_family_curve()
-    kernel = symbolic_family_kernel()
-    dup = duplication_map(E)
-    doubled = dup.num(x0) / dup.den(x0)
-    if kernel(doubled) != 0:
-        raise IdentityCheckError("doubled abscissa misses the 5-torsion kernel")
-    cubic = Poly([E.a6, E.a4, E.a2, Fraction(1)])
-    if cubic(x0) == 0:
-        raise IdentityCheckError("order-10 abscissa degenerates to 2-torsion")
-    if five_division_polynomial(E)(x0) == 0:
-        raise IdentityCheckError("order-10 abscissa degenerates to 5-torsion")
-    return x0
+    return check_order10_abscissa(symbolic_family_curve(), symbolic_family_kernel(),
+                                  RatFunc(Poly(_ORDER10_ABSCISSA)))

@@ -29,11 +29,13 @@ from .exact import (
     RatFunc,
     is_probable_prime,
     is_square,
-    nullspace_vector,
+    pm_derivative,
+    pm_divmod,
     pm_factor,
     pm_gcd,
     pm_mul,
-    pm_derivative,
+    pm_sub,
+    pm_trim,
 )
 
 
@@ -96,19 +98,6 @@ def multiplication_by_n_x(E: WeierstrassCurve, n: int) -> RatFunc:
 # rational factors of bounded degree via mod-p lifting
 # ---------------------------------------------------------------------------
 
-def _int_polmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _hensel_lift_pair(f: list[int], g: list[int], h: list[int],
                       p: int, target_exp: int) -> tuple[list[int], list[int]]:
     """Lift f = g*h (mod p) to mod p^target_exp.
@@ -116,39 +105,30 @@ def _hensel_lift_pair(f: list[int], g: list[int], h: list[int],
     f, g, h monic with g, h coprime mod p.  Linear lifting with the
     Bezout pair fixed mod p; corrections keep both factors monic.
     """
-    from .exact import pm_mul, pm_sub, pm_trim
-
-    # Bezout s*g + t*h = 1 mod p via extended Euclid
-    r0, r1 = pm_trim([c % p for c in g]), pm_trim([c % p for c in h])
-    s0, s1 = [1], []
+    # g and h mod p stay fixed while the lift adds multiples of p
+    gp, hp = pm_trim([c % p for c in g]), pm_trim([c % p for c in h])
+    # t with s*g + t*h = 1 mod p, by extended Euclid (s is not needed)
+    r0, r1 = gp, hp
     t0, t1 = [], [1]
     while r1:
-        q, r = _pm_divmod_any(r0, r1, p)
+        q, r = pm_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, pm_sub(s0, pm_mul(q, s1, p), p)
         t0, t1 = t1, pm_sub(t0, pm_mul(q, t1, p), p)
     if len(r0) != 1:
         raise ValueError("factors not coprime mod p")
     inv = pow(r0[0], -1, p)
-    s = [c * inv % p for c in s0]
     t = [c * inv % p for c in t0]
 
-    g = [c % p for c in g]
-    h = [c % p for c in h]
+    g, h = list(gp), list(hp)
     pk = p
     for _ in range(target_exp - 1):
-        # delta = (f - g*h) / p^k, a polynomial mod p of degree < deg f
-        prod = _int_polmul(g, h)
-        diff = [fi - pi for fi, pi in
-                zip(f, prod + [0] * (len(f) - len(prod)))]
-        delta = [(d // pk) % p for d in diff]
-        delta = pm_trim(delta)
+        # delta = (f - g*h) / p^k mod p, a polynomial of degree < deg f
+        pk1 = pk * p
+        delta = [c // pk for c in pm_sub(f, pm_mul(g, h, pk1), pk1)]
         if delta:
-            tdelta = pm_mul(t, delta, p)
-            _, G = _pm_divmod_any(tdelta, [c % p for c in g], p)
+            _, G = pm_divmod(pm_mul(t, delta, p), gp, p)
             # H = (delta - G*h) / g exactly mod p
-            numer = pm_sub(delta, pm_mul(G, [c % p for c in h], p), p)
-            H, rem = _pm_divmod_any(numer, [c % p for c in g], p)
+            H, rem = pm_divmod(pm_sub(delta, pm_mul(G, hp, p), p), gp, p)
             if rem:
                 raise ValueError("Hensel step inconsistency")
             for i, c in enumerate(G):
@@ -163,27 +143,8 @@ def _hensel_lift_pair(f: list[int], g: list[int], h: list[int],
                         h[i] += pk * c
                     else:
                         raise ValueError("degree overflow in Hensel correction")
-        pk *= p
+        pk = pk1
     return g, h
-
-
-def _pm_divmod_any(a: list[int], b: list[int], p: int):
-    a = [c % p for c in a]
-    db = len(b) - 1
-    invlead = pow(b[-1], -1, p)
-    if len(a) <= db:
-        return [], [c for c in a if True]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] * invlead % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    rem = a[:db]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem
 
 
 def _balanced(c: int, mod: int) -> int:
@@ -246,7 +207,7 @@ def rational_factors_of_degree(f: Poly, degree: int) -> list[Poly]:
         gm = [1]
         for piece in combo:
             gm = pm_mul(gm, piece, p)
-        hm, rem = _poly_divmod_int(monic, gm, p)
+        hm, rem = pm_divmod(monic, gm, p)
         if rem:
             continue
         glift, _ = _hensel_lift_pair(monic, gm, hm, p, target_exp)
@@ -275,25 +236,6 @@ def _degree_combinations(pieces: list[list[int]], degree: int):
                     yield [pieces[i] for i in combo]
 
 
-def _poly_divmod_int(a: list[int], b: list[int], p: int):
-    """Divide mod p, b monic; returns (quotient, remainder) as int lists."""
-    a = [c % p for c in a]
-    db = len(b) - 1
-    if len(a) <= db:
-        return [], [c for c in a if c]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    rem = a[:db]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem
-
-
 def rational_roots(f: Poly) -> list[Fraction]:
     return sorted(-g[0] for g in rational_factors_of_degree(f, 1))
 
@@ -302,7 +244,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
 # kernel search
 # ---------------------------------------------------------------------------
 
-def _dup_stable(E: WeierstrassCurve, k: Poly) -> bool:
+def duplication_stable(E: WeierstrassCurve, k: Poly) -> bool:
     """Whether doubling permutes the roots of k (kernel stability)."""
     dup = duplication_map(E)
     # numerator of k(dup(x)) modulo k(x); keep Poly on the left so that
@@ -335,11 +277,11 @@ def five_division_kernel(E: WeierstrassCurve) -> Poly:
             continue
         s2 = dup(s)
         k = Poly.from_roots([s, s2])
-        if k.divides(psi5) and _dup_stable(Emin, k):
+        if k.divides(psi5) and duplication_stable(Emin, k):
             kernels.append(k)
     if not kernels:
         for k in rational_factors_of_degree(psi5, 2):
-            if _dup_stable(Emin, k):
+            if duplication_stable(Emin, k):
                 kernels.append(k)
     uniq = {tuple(k.c): k for k in kernels}
     kernels = list(uniq.values())
@@ -520,7 +462,7 @@ def dual_kernel(phi: IsogenyMap) -> Poly:
     x = Poly.x()
     candidates = []
     for k in rational_factors_of_degree(psi5F, 2):
-        if _dup_stable(Fmin, k):
+        if duplication_stable(Fmin, k):
             k_orig = (((x - r) / u2) ** 2 + k[1] * ((x - r) / u2) + k[0]).monic()
             candidates.append(k_orig)
     mul5 = multiplication_by_n_x(phi.domain, 5)
@@ -539,42 +481,3 @@ def composed_x_map(phi: IsogenyMap, psi: IsogenyMap, back: Transform) -> RatFunc
     """x-coordinate of back(psi(phi(.))) as an exact rational function."""
     comp = psi.x_map(phi.x_map)
     return (comp - back.r) / back.u ** 2
-
-
-# ---------------------------------------------------------------------------
-# symbolic kernel over the function field of the family
-# ---------------------------------------------------------------------------
-
-def interpolate_ratfunc(samples: list[tuple[Fraction, Fraction]],
-                        max_degree: int = 12) -> RatFunc:
-    """Reconstruct a rational function from exact value samples.
-
-    Tries growing degree bounds and cross-validates on held-out samples;
-    callers must verify the result symbolically afterwards.
-    """
-    for d in range(max_degree + 1):
-        need = 2 * d + 2
-        if need + 2 > len(samples):
-            break
-        train = samples[:need + 1]
-        rows = []
-        for u0, val in train:
-            row = [u0 ** i for i in range(d + 1)]
-            row += [-val * u0 ** i for i in range(d + 1)]
-            rows.append(row)
-        vec = nullspace_vector(rows)
-        if vec is None:
-            continue
-        num = Poly(vec[:d + 1])
-        den = Poly(vec[d + 1:])
-        if den.is_zero():
-            continue
-        cand = RatFunc(num, den)
-        ok = True
-        for u0, val in samples[need + 1:]:
-            if cand.is_pole(u0) or cand(u0) != val:
-                ok = False
-                break
-        if ok:
-            return cand
-    raise ValueError("no rational function fits the samples within the degree bound")

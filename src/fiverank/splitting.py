@@ -43,6 +43,7 @@ from .errors import (
 )
 from .exact import (
     Poly,
+    int_valuation,
     integer_coefficients,
     is_probable_prime,
     jacobi,
@@ -71,9 +72,10 @@ def prime_split_in_K(l: int, radicand: Fraction) -> str:
     # apart instead of on their (possibly huge) product
     v, unit = 0, 1
     for n in (radicand.numerator, radicand.denominator):
-        while n % l == 0:
-            n //= l
-            v += 1
+        e = int_valuation(n, l)
+        if e:
+            n //= l ** e
+            v += e
         unit = unit * (n % l) % l
     if v % 2:
         return RAMIFIED

@@ -205,3 +205,40 @@ def test_cmd_verify_pole_error_record(capsys):
     assert code == 1
     assert records == [{"record": "error", "schema": 1, "error": "PoleError",
                         "message": "evaluation at pole z=0"}]
+
+
+def test_cmd_paper_check_and_derive_records_pinned(capsys, tmp_path):
+    # SHA-256 of the paper-check and derive stdout and of the derive --emit
+    # file, recorded before the symbolic kernel and abscissa became closed
+    # forms; any drift in these records fails here
+    code = main(["paper-check"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c79b1c5f8d44ddb4d34fc07519ec93cf909067290ead0059316e461037fc7820"
+    emit = tmp_path / "specialization.json"
+    for args in ([], ["--emit", str(emit)]):
+        code = main(["derive", *args])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "4359386858c81c31c90dcf825d4c658f886b831097ff13d6391fe28348c7f122"
+    assert hashlib.sha256(emit.read_bytes()).hexdigest() == \
+        "cac00b8aef14891da3da99f93f7fbd474482522abb58c325fa8d63156a13a5bb"
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips assert statements, so no check in the package may
+    # rest on one
+    import ast
+    import pathlib
+
+    import fiverank
+
+    package = pathlib.Path(fiverank.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)]
+    assert not offenders, offenders

@@ -18,11 +18,12 @@ from fiverank.exact import (
     is_probable_prime,
     is_square,
     jacobi,
-    nullspace_vector,
+    pm_divmod,
     pm_factor,
     pm_from_poly,
     pm_gcd,
     pm_mul,
+    pm_sub,
     pm_squarefree_decomposition,
     rational_from_string,
     rational_mod,
@@ -330,6 +331,21 @@ def test_splitting_profile_bad_reduction():
         splitting_profile(x + 1, 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 7, 163, 10007]),
+       st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=12),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6))
+def test_pm_divmod_unreduced_integers_non_monic_divisor(p, f, g):
+    # the Hensel path divides integer lists that are not reduced mod p
+    if g[-1] % p == 0:
+        g = g + [p + 1]                 # unreduced, non-monic unit leading term
+    q, r = pm_divmod(f, g, p)
+    assert len(r) < len(g)                       # deg r < deg g
+    assert all(0 <= c < p for c in q + r)
+    qg_plus_r = pm_sub(pm_mul(q, g, p), [-c for c in r], p)
+    assert pm_sub(f, qg_plus_r, p) == []         # f = q*g + r (mod p)
+
+
 def test_pm_factor_recovers_known_factorization():
     p = 13
     f1, f2 = [3, 1], [5, 6, 1]          # x+3, x^2+6x+5 = (x+1)(x+5)
@@ -372,13 +388,3 @@ def test_pm_from_poly_and_gcd():
     f = pm_from_poly((x * x - 1) * F(1, 3), 7)
     g = pm_from_poly(x - 1, 7)
     assert pm_gcd(f, g, 7) == [6, 1]
-
-
-# ------------------------------------------------------------ linear algebra
-
-def test_nullspace_vector():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    v = nullspace_vector(rows)
-    assert v is not None
-    assert all(sum(r * c for r, c in zip(row, v)) == 0 for row in rows)
-    assert nullspace_vector([[F(1), F(0)], [F(0), F(1)]]) is None

@@ -7,12 +7,16 @@ from fiverank.curves import is_semistable, transform_between
 from fiverank.errors import (
     DegenerateParameterError,
     FieldCollapseError,
+    IdentityCheckError,
+    InvalidKernelError,
     PoleError,
 )
 from fiverank.exact import Poly, RatFunc, rational_mod
 from fiverank.family import (
     SurdElement,
     c_parametrization,
+    check_family_kernel,
+    check_order10_abscissa,
     kubert_curve,
     model_poly,
     quotient_cubic,
@@ -266,16 +270,18 @@ def test_symbolic_j_invariant_agreement():
     assert phi.verify_codomain_identity()
 
 
-def test_symbolic_sampling_lets_programming_errors_through(monkeypatch):
-    # only FiverankError (and ValueError for an irrational ordinate) means
-    # "skip this sample parameter"
-    from fiverank import family
-
-    def broken(*args):
-        raise TypeError("bug in the sampled curve")
-
-    monkeypatch.setattr(family, "five_division_kernel", broken)
-    with pytest.raises(TypeError, match="bug in the sampled curve"):
-        family._kernel_sample_values(1)
-    with pytest.raises(TypeError, match="bug in the sampled curve"):
-        family.symbolic_order10_abscissa.__wrapped__()
+def test_symbolic_certificates_reject_wrong_closed_forms():
+    E = symbolic_family_curve()
+    kernel = symbolic_family_kernel()
+    x0 = symbolic_order10_abscissa()
+    u = RatFunc(Poly.x())
+    # the root of the cubic's linear factor, in long coordinates: a
+    # 2-torsion abscissa
+    two_torsion = -(u * u + 1) * (u ** 4 - 2 * u ** 3 - 6 * u * u + 2 * u + 1)
+    assert Poly([E.a6, E.a4, E.a2, F(1)])(two_torsion) == 0
+    with pytest.raises(IdentityCheckError, match="2-torsion"):
+        check_order10_abscissa(E, kernel, two_torsion)
+    with pytest.raises(IdentityCheckError, match="misses the 5-torsion kernel"):
+        check_order10_abscissa(E, kernel, x0 + 1)
+    with pytest.raises(InvalidKernelError, match="does not divide psi_5"):
+        check_family_kernel(E, kernel + 1)

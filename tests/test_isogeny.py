@@ -12,14 +12,14 @@ from fiverank.curves import (
     transform_between,
 )
 from fiverank.errors import InvalidKernelError, NoRationalKernelError
-from fiverank.exact import Poly, RatFunc, is_square, rational_sqrt
+from fiverank.exact import Poly, is_square, pm_gcd, pm_mul, rational_sqrt
 from fiverank.isogeny import (
+    _hensel_lift_pair,
     dual_kernel,
     duplication_map,
     five_division_kernel,
     five_division_polynomial,
     composed_x_map,
-    interpolate_ratfunc,
     multiplication_by_n_x,
     preimage_quintic,
     rational_factors_of_degree,
@@ -107,6 +107,28 @@ def test_rational_quadratic_factors_via_lifting():
     g = (x - 1) * (x + 4) * (x * x + x + 1)
     factors = rational_factors_of_degree(g, 2)
     assert Poly.from_roots([F(1), F(-4)]) in factors
+
+
+def test_hensel_lift_pair_random_monic_products():
+    rng = random.Random(20261018)
+    p = 10007
+    checked = 0
+    while checked < 100:
+        g = [rng.randrange(-10 ** 4, 10 ** 4) for _ in range(rng.randrange(1, 4))] + [1]
+        h = [rng.randrange(-10 ** 4, 10 ** 4) for _ in range(rng.randrange(1, 4))] + [1]
+        gm, hm = [c % p for c in g], [c % p for c in h]
+        if len(pm_gcd(gm, hm, p)) != 1:
+            continue                    # factors must be coprime mod p
+        f = [sum(g[i] * h[n - i] for i in range(len(g)) if 0 <= n - i < len(h))
+             for n in range(len(g) + len(h) - 1)]
+        k = rng.randrange(1, 6)
+        G, H = _hensel_lift_pair(f, gm, hm, p, k)
+        pk = p ** k
+        assert G[-1] == 1 and H[-1] == 1
+        assert pm_mul(G, H, pk) == [c % pk for c in f]
+        # the lift is unique, so it is the integer factor itself mod p^k
+        assert G == [c % pk for c in g] and H == [c % pk for c in h]
+        checked += 1
 
 
 def test_five_division_kernel_kubert4():
@@ -258,20 +280,6 @@ def test_preimage_quintic_generic_degree_and_disc():
     q = preimage_quintic(phi, F(123, 7))
     assert q.degree == 5
     assert q.discriminant() != 0
-
-
-# -------------------------------------------------------------- interpolation
-
-def test_interpolate_ratfunc():
-    target = RatFunc(Poly([1, 0, 3]), Poly([-2, 1]))     # (3u^2+1)/(u-2)
-    samples = []
-    u0 = F(3)
-    while len(samples) < 12:
-        if u0 != 2:
-            samples.append((u0, target(u0)))
-        u0 += 1
-    got = interpolate_ratfunc(samples)
-    assert got == target
 
 
 def test_dual_kernel_lets_programming_errors_through(monkeypatch):
