@@ -23,8 +23,8 @@ from .exact import (
     rational_mod,
     squarefree_part,
 )
-from .family import kubert_curve, quotient_cubic
-from .isogeny import five_division_kernel, preimage_quintic, velu_onto_model
+from .family import five_division_kernel, kubert_curve, quotient_cubic
+from .isogeny import preimage_quintic, velu_onto_model
 from .sieve import reduction_data_for_model, singular_avoidance_passes
 from .splitting import INERT, SPLIT, frobenius_order_in_L, prime_split_in_K
 from .errors import RamifiedPrimeError, ProtocolViolationError
@@ -290,8 +290,7 @@ def _single_curve_setup(u: Fraction):
     F_model = quotient_cubic(u)
     E = E_model.curve()
     data = reduction_data_for_model(F_model)
-    kernel = five_division_kernel(E)
-    phi = velu_onto_model(E, kernel, F_model.curve())
+    phi = velu_onto_model(E, five_division_kernel(u), F_model.curve())
     semistable = is_semistable(E) and is_semistable(F_model.curve())
     return E_model, F_model, data, phi, semistable
 

@@ -867,40 +867,6 @@ def pm_distinct_degree(f, p):
     return out
 
 
-def pm_equal_degree_split(f, d, p, rng) -> list[list[int]]:
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles (p odd)."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = pm_trim(a)
-        if len(a) <= 1:
-            continue
-        g = pm_gcd(a, f, p)
-        if 1 < len(g) < len(f):
-            pass
-        else:
-            b = pm_pow_mod(a, (p ** d - 1) // 2, f, p)
-            g = pm_gcd(pm_sub(b, [1], p), f, p)
-            if not (1 < len(g) < len(f)):
-                continue
-        rest = pm_divmod(f, g, p)[0]
-        return pm_equal_degree_split(g, d, p, rng) + pm_equal_degree_split(rest, d, p, rng)
-
-
-def pm_factor(f, p, seed: int = 1) -> list[tuple[list[int], int]]:
-    """Full factorization mod p: list of (monic irreducible, multiplicity)."""
-    rng = random.Random((seed, p, tuple(f)).__hash__() & 0x7FFFFFFF)
-    out = []
-    for mult, g in pm_squarefree_decomposition(f, p):
-        for d, prod in pm_distinct_degree(g, p):
-            for irr in pm_equal_degree_split(prod, d, p, rng):
-                out.append((pm_monic(irr, p), mult))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
-
-
 def splitting_profile(f: Poly, p: int) -> list[int]:
     """Degrees of the irreducible factors of f mod p, sorted.
 

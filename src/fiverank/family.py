@@ -9,12 +9,13 @@ fails the suite.
 The order-10 point of the family is handled with care: the abscissa one
 might copy for it from the classical parametrization literature turns
 out to be a root of the linear factor of the cubic, i.e. a 2-torsion
-abscissa.  Over the function field Q(u) the package instead uses the
-closed form -4u^4 - 4u^3 + 12u^2 + 4u (long coordinates) and the kernel
-(X - x(2P))(X - x(4P)) built from it by the duplication map, and
-certifies both symbolically (`symbolic_family_kernel`,
-`symbolic_order10_abscissa`).  Numeric curves get their kernel from the
-5-division polynomial (`five_division_kernel`).
+abscissa.  The package instead uses the closed form
+-4u^4 - 4u^3 + 12u^2 + 4u (long coordinates) and the kernel
+(X - x(2P))(X - x(4P)) built from it by the duplication map.  One
+function, `five_division_kernel(u)`, evaluates that closed form at a
+rational u or over the function field Q(u) and certifies it on the
+spot (`check_family_kernel`); the abscissa is certified over Q(u) by
+`check_order10_abscissa`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .isogeny import (
     IsogenyMap,
     duplication_map,
     duplication_stable,
-    five_division_kernel,
     five_division_polynomial,
     velu_onto_model,
 )
@@ -403,10 +403,8 @@ def specialize(t=None) -> Specialization:
     E_models = tuple(kubert_curve(ui) for ui in u)
     F_models = tuple(quotient_cubic(ui) for ui in u)
     isogenies = []
-    for Em, Fm in zip(E_models, F_models):
-        E = Em.curve()
-        kernel = five_division_kernel(E)
-        isogenies.append(velu_onto_model(E, kernel, Fm.curve()))
+    for ui, Em, Fm in zip(u, E_models, F_models):
+        isogenies.append(velu_onto_model(Em.curve(), five_division_kernel(ui), Fm.curve()))
     if t == CONSTANTS["t"]:
         x_of_z, v_of_z, w_of_z = c_parametrization()
         f = model_poly()
@@ -455,14 +453,31 @@ def symbolic_family_curve() -> WeierstrassCurve:
 _ORDER10_ABSCISSA = (0, 4, 12, -4, -4)
 
 
+@lru_cache(maxsize=512)
+def five_division_kernel(u) -> Poly:
+    """Kernel quadratic of the canonical 5-isogeny of the family curve at u.
+
+    The closed form (X - x(2P))(X - x(4P)), with both roots obtained from
+    the order-10 abscissa x(P) by the duplication map, certified by
+    `check_family_kernel`.  u is a rational or the function-field
+    generator `symbolic_parameter()`; raises DegenerateParameterError
+    where the family curve is singular (u = 0, 1, -1).
+    """
+    E = kubert_curve(u).curve()
+    dup = duplication_map(E)
+    s1 = dup(Poly(_ORDER10_ABSCISSA)(u))
+    s2 = dup(s1)
+    return check_family_kernel(E, Poly([s1 * s2, -(s1 + s2), Fraction(1)]))
+
+
 def check_family_kernel(E: WeierstrassCurve, kernel: Poly) -> Poly:
-    """Certify that ``kernel`` cuts out a cyclic 5-subgroup of E over Q(u).
+    """Certify that ``kernel`` cuts out a cyclic 5-subgroup of E.
 
     It must divide psi_5 and be stable under the duplication map; raises
     InvalidKernelError otherwise.
     """
     if not kernel.divides(five_division_polynomial(E)):
-        raise InvalidKernelError("kernel does not divide psi_5 over Q(u)")
+        raise InvalidKernelError("kernel does not divide psi_5")
     if not duplication_stable(E, kernel):
         raise InvalidKernelError("kernel is not duplication-stable")
     return kernel
@@ -485,21 +500,6 @@ def check_order10_abscissa(E: WeierstrassCurve, kernel: Poly, x0: RatFunc) -> Ra
 
 
 @lru_cache(maxsize=1)
-def symbolic_family_kernel() -> Poly:
-    """Kernel quadratic of the canonical 5-isogeny over Q(u).
-
-    The closed form (X - x(2P))(X - x(4P)), with both roots obtained from
-    the order-10 abscissa x(P) by the symbolic duplication map, certified
-    by `check_family_kernel`.
-    """
-    E = symbolic_family_curve()
-    dup = duplication_map(E)
-    s1 = dup(RatFunc(Poly(_ORDER10_ABSCISSA)))
-    s2 = dup(s1)
-    return check_family_kernel(E, Poly([s1 * s2, -(s1 + s2), Fraction(1)]))
-
-
-@lru_cache(maxsize=1)
 def symbolic_order10_abscissa() -> RatFunc:
     """Long-model abscissa of an order-10 generator, as a function of u.
 
@@ -507,5 +507,6 @@ def symbolic_order10_abscissa() -> RatFunc:
     -(u^3 + u^2 - 3u - 1)/(2u) in the coordinates of the defining cubic,
     certified against the symbolic kernel by `check_order10_abscissa`.
     """
-    return check_order10_abscissa(symbolic_family_curve(), symbolic_family_kernel(),
+    return check_order10_abscissa(symbolic_family_curve(),
+                                  five_division_kernel(symbolic_parameter()),
                                   RatFunc(Poly(_ORDER10_ABSCISSA)))

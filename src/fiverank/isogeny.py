@@ -2,41 +2,28 @@
 
 The kernel polynomial is the monic quadratic factor of the 5-division
 polynomial whose roots are the abscissas of a rational cyclic subgroup
-of order 5; it is found by factoring mod a good prime, Hensel lifting
-candidate quadratics, and verifying exactly over Q.  Velu's formulas
-then give the quotient curve and the isogeny, expressed through power
-sums of the kernel abscissas so that the same code runs over Q and over
-the function field of the one-parameter family.
+of order 5.  On the family curves it is a certified closed form in the
+parameter (`family.five_division_kernel`); this module checks a kernel
+(`duplication_stable`), applies Velu's formulas, and reads the dual
+kernel off Velu's x-map.  All of it is expressed through power sums and
+polynomial identities, so the same code runs over Q and over the
+function field of the one-parameter family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
-from .curves import Transform, WeierstrassCurve, minimal_model, transform_between
-from .errors import (
-    DegenerateAbscissaError,
-    InvalidKernelError,
-    NoIsomorphismError,
-    NoRationalKernelError,
+from .curves import (
+    Transform,
+    WeierstrassCurve,
+    minimal_model,  # noqa: F401  (the traced benchmark wraps this binding)
+    transform_between,
 )
-from .exact import (
-    Poly,
-    RatFunc,
-    is_probable_prime,
-    is_square,
-    pm_derivative,
-    pm_divmod,
-    pm_factor,
-    pm_gcd,
-    pm_mul,
-    pm_sub,
-    pm_trim,
-)
+from .errors import DegenerateAbscissaError, InvalidKernelError, NoRationalKernelError
+from .exact import Poly, RatFunc
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +58,7 @@ def stripped_division_polys(E: WeierstrassCurve, upto: int) -> tuple[list[Poly],
     return psit[:max(upto + 1, 5)], S
 
 
+@lru_cache(maxsize=512)
 def five_division_polynomial(E: WeierstrassCurve) -> Poly:
     psit, _ = stripped_division_polys(E, 5)
     return psit[5]
@@ -94,156 +82,6 @@ def multiplication_by_n_x(E: WeierstrassCurve, n: int) -> RatFunc:
                    psit[n] ** 2 * S)
 
 
-# ---------------------------------------------------------------------------
-# rational factors of bounded degree via mod-p lifting
-# ---------------------------------------------------------------------------
-
-def _hensel_lift_pair(f: list[int], g: list[int], h: list[int],
-                      p: int, target_exp: int) -> tuple[list[int], list[int]]:
-    """Lift f = g*h (mod p) to mod p^target_exp.
-
-    f, g, h monic with g, h coprime mod p.  Linear lifting with the
-    Bezout pair fixed mod p; corrections keep both factors monic.
-    """
-    # g and h mod p stay fixed while the lift adds multiples of p
-    gp, hp = pm_trim([c % p for c in g]), pm_trim([c % p for c in h])
-    # t with s*g + t*h = 1 mod p, by extended Euclid (s is not needed)
-    r0, r1 = gp, hp
-    t0, t1 = [], [1]
-    while r1:
-        q, r = pm_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, pm_sub(t0, pm_mul(q, t1, p), p)
-    if len(r0) != 1:
-        raise ValueError("factors not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    t = [c * inv % p for c in t0]
-
-    g, h = list(gp), list(hp)
-    pk = p
-    for _ in range(target_exp - 1):
-        # delta = (f - g*h) / p^k mod p, a polynomial of degree < deg f
-        pk1 = pk * p
-        delta = [c // pk for c in pm_sub(f, pm_mul(g, h, pk1), pk1)]
-        if delta:
-            _, G = pm_divmod(pm_mul(t, delta, p), gp, p)
-            # H = (delta - G*h) / g exactly mod p
-            H, rem = pm_divmod(pm_sub(delta, pm_mul(G, hp, p), p), gp, p)
-            if rem:
-                raise ValueError("Hensel step inconsistency")
-            for i, c in enumerate(G):
-                if c:
-                    if i < len(g):
-                        g[i] += pk * c
-                    else:
-                        raise ValueError("degree overflow in Hensel correction")
-            for i, c in enumerate(H):
-                if c:
-                    if i < len(h):
-                        h[i] += pk * c
-                    else:
-                        raise ValueError("degree overflow in Hensel correction")
-        pk = pk1
-    return g, h
-
-
-def _balanced(c: int, mod: int) -> int:
-    c %= mod
-    return c - mod if c > mod // 2 else c
-
-
-def rational_factors_of_degree(f: Poly, degree: int) -> list[Poly]:
-    """All monic rational factors of f with the given degree (1 or 2).
-
-    Clears denominators, monicizes by a variable scaling, factors mod a
-    good prime, Hensel lifts each candidate combination, reconstructs
-    candidate integer factors from balanced residues, and keeps the ones
-    that divide exactly.  Complete: a true rational factor reduces to a
-    factor combination mod every good prime.  Non-squarefree input is
-    reduced to its squarefree part (with repeated-root squares added back
-    for the quadratic case).
-    """
-    if f.degree < degree:
-        return []
-    rep = f.gcd(f.derivative())
-    if rep.degree > 0:
-        squarefree = f // rep
-        found = dict()
-        for g in rational_factors_of_degree(squarefree, degree):
-            if g.divides(f):
-                found[tuple(g.c)] = g
-        if degree == 2:
-            for root in rational_roots(rep):
-                g = Poly.from_roots([root, root])
-                if g.divides(f):
-                    found[tuple(g.c)] = g
-        return sorted(found.values(), key=lambda g: g.to_json())
-    ints = f.primitive_integer()
-    lead = ints[-1]
-    # monicize: F(Y) = lead^(n-1) f(Y / lead) has integer coefficients
-    n = len(ints) - 1
-    monic = [ints[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
-    # Mignotte-style bound for degree-<=2 monic factors of monic F
-    norm = math.isqrt(sum(c * c for c in monic)) + 1
-    bound = 4 * norm
-    p = 10007
-    while True:
-        if is_probable_prime(p) and monic[-1] % p:
-            fm = [c % p for c in monic]
-            if len(pm_gcd(fm, pm_derivative(fm, p), p)) == 1:
-                break
-        p += 2
-    # balanced residues recover any coefficient of size <= bound once the
-    # modulus exceeds twice the bound
-    target_exp = 1
-    while p ** target_exp <= 2 * bound:
-        target_exp += 1
-    factors_mod_p = pm_factor([c % p for c in monic], p)
-    pieces = []
-    for g, mult in factors_mod_p:
-        pieces.extend([g] * mult)
-    found: dict[tuple, Poly] = {}
-    for combo in _degree_combinations(pieces, degree):
-        gm = [1]
-        for piece in combo:
-            gm = pm_mul(gm, piece, p)
-        hm, rem = pm_divmod(monic, gm, p)
-        if rem:
-            continue
-        glift, _ = _hensel_lift_pair(monic, gm, hm, p, target_exp)
-        mod = p ** target_exp
-        cand = [_balanced(c, mod) for c in glift]
-        if any(abs(c) > bound for c in cand[:-1]):
-            continue
-        cand_poly = Poly(cand)
-        # undo monicization: roots of the monic form are lead * (roots of f),
-        # so substitute Y = lead * X and renormalize
-        descaled = Poly([c * lead ** i for i, c in enumerate(cand_poly.c)]).monic()
-        if descaled.degree == degree and descaled.divides(f):
-            found[tuple(descaled.c)] = descaled
-    return sorted(found.values(), key=lambda g: g.to_json())
-
-
-def _degree_combinations(pieces: list[list[int]], degree: int):
-    idx = list(range(len(pieces)))
-    seen = set()
-    for r in range(1, degree + 1):
-        for combo in combinations(idx, r):
-            if sum(len(pieces[i]) - 1 for i in combo) == degree:
-                key = tuple(sorted(tuple(pieces[i]) for i in combo))
-                if key not in seen:
-                    seen.add(key)
-                    yield [pieces[i] for i in combo]
-
-
-def rational_roots(f: Poly) -> list[Fraction]:
-    return sorted(-g[0] for g in rational_factors_of_degree(f, 1))
-
-
-# ---------------------------------------------------------------------------
-# kernel search
-# ---------------------------------------------------------------------------
-
 def duplication_stable(E: WeierstrassCurve, k: Poly) -> bool:
     """Whether doubling permutes the roots of k (kernel stability)."""
     dup = duplication_map(E)
@@ -252,57 +90,6 @@ def duplication_stable(E: WeierstrassCurve, k: Poly) -> bool:
     a, b = k[1], k[0]
     lifted = dup.num * dup.num + dup.num * dup.den * a + dup.den * dup.den * b
     return (lifted % k).is_zero()
-
-
-@lru_cache(maxsize=512)
-def five_division_kernel(E: WeierstrassCurve) -> Poly:
-    """Monic quadratic factor of psi_5 cutting out the rational 5-kernel.
-
-    Works on a minimal model internally and maps the factor back, which
-    keeps the lifting bounds small.  Split kernels are assembled cheaply
-    from rational roots paired by the duplication map; the full quadratic
-    search only runs when that route finds nothing.  Raises
-    NoRationalKernelError when no quadratic factor of psi_5 is stable
-    under doubling.
-    """
-    if not all(isinstance(a, Fraction) for a in E.a_invariants()):
-        raise TypeError("kernel search needs a curve over Q")
-    Emin, trans = minimal_model(E)
-    psi5 = five_division_polynomial(Emin)
-    kernels = []
-    roots = rational_roots(psi5)
-    dup = duplication_map(Emin)
-    for s in roots:
-        if dup.is_pole(s):
-            continue
-        s2 = dup(s)
-        k = Poly.from_roots([s, s2])
-        if k.divides(psi5) and duplication_stable(Emin, k):
-            kernels.append(k)
-    if not kernels:
-        for k in rational_factors_of_degree(psi5, 2):
-            if duplication_stable(Emin, k):
-                kernels.append(k)
-    uniq = {tuple(k.c): k for k in kernels}
-    kernels = list(uniq.values())
-    if not kernels:
-        raise NoRationalKernelError(f"no rational 5-isogeny kernel on {E!r}")
-    if len(kernels) > 1:
-        # prefer the kernel consisting of rational points
-        S = Emin.rhs_quartic()
-        rational_pt = [k for k in kernels
-                       if all(is_square(S(r)) for r in rational_roots(k))
-                       and len(rational_roots(k)) == 2]
-        if len(rational_pt) == 1:
-            kernels = rational_pt
-        else:
-            kernels.sort(key=lambda k: k.to_json())
-    k_min = kernels[0]
-    # map the roots back through the transform: x = u^2 x' + r
-    u2, r = trans.u ** 2, trans.r
-    x = Poly.x()
-    k_orig = ((x - r) / u2) ** 2 + k_min[1] * ((x - r) / u2) + k_min[0]
-    return k_orig.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -451,30 +238,28 @@ def preimage_quintic(iso: IsogenyMap, xQ) -> Poly:
 def dual_kernel(phi: IsogenyMap) -> Poly:
     """Kernel polynomial on the codomain of the dual isogeny.
 
-    The image of the full 5-torsion of the domain is the kernel of the
-    dual; its quadratic is picked out among the rational 5-kernels of the
-    codomain by the multiplication-by-5 composition test.
+    The x-map N/D sends the ten abscissas of 5-torsion outside ker phi,
+    the roots of psi_5/k, five to one onto the two roots of the dual
+    kernel X^2 + aX + b.  Hence N^2 + aND + bD^2 = c psi_5/k: c, a and b
+    are read off the coefficients of degree 10, 9 and 8, and the whole
+    identity is checked.  The result is certified by composing back to
+    multiplication by 5 on the domain; raises NoRationalKernelError when
+    either check fails.
     """
-    F = phi.codomain
-    Fmin, trans = minimal_model(F)
-    psi5F = five_division_polynomial(Fmin)
-    u2, r = trans.u ** 2, trans.r
-    x = Poly.x()
-    candidates = []
-    for k in rational_factors_of_degree(psi5F, 2):
-        if duplication_stable(Fmin, k):
-            k_orig = (((x - r) / u2) ** 2 + k[1] * ((x - r) / u2) + k[0]).monic()
-            candidates.append(k_orig)
-    mul5 = multiplication_by_n_x(phi.domain, 5)
-    for k in candidates:
-        psi = velu_quotient(F, k)
-        try:
-            back = transform_between(psi.codomain, phi.domain)
-        except NoIsomorphismError:
-            continue
-        if composed_x_map(phi, psi, back) == mul5:
-            return k
-    raise NoRationalKernelError("no dual kernel reproduces multiplication by 5")
+    N, D = phi.x_map.num, phi.x_map.den
+    rest = five_division_polynomial(phi.domain) // phi.kernel
+    N2, ND, D2 = N * N, N * D, D * D
+    c = N2[10] / rest[10]
+    a = (c * rest[9] - N2[9]) / ND[9]
+    b = (c * rest[8] - N2[8] - a * ND[8]) / D2[8]
+    if N2 + ND * a + D2 * b != rest * c:
+        raise NoRationalKernelError("Velu's x-map does not map psi_5/k onto a quadratic")
+    khat = Poly([b, a, Fraction(1)])
+    psi = velu_quotient(phi.codomain, khat)
+    back = transform_between(psi.codomain, phi.domain)
+    if composed_x_map(phi, psi, back) != multiplication_by_n_x(phi.domain, 5):
+        raise NoRationalKernelError("dual kernel does not reproduce multiplication by 5")
+    return khat
 
 
 def composed_x_map(phi: IsogenyMap, psi: IsogenyMap, back: Transform) -> RatFunc:

@@ -35,6 +35,7 @@ from fiverank.errors import DegenerateParameterError
 from fiverank.exact import Poly, RatFunc, rational_sqrt, ratfunc_substitute
 from fiverank.family import (
     CONSTANTS,
+    five_division_kernel,
     kubert_curve,
     quotient_cubic,
     quotient_model,
@@ -44,10 +45,8 @@ from fiverank.family import (
 from fiverank.isogeny import (
     composed_x_map,
     dual_kernel,
-    five_division_kernel,
     five_division_polynomial,
     multiplication_by_n_x,
-    rational_roots,
     velu_quotient,
 )
 from fiverank.sieve import admissible_z, check_z, sieve_data, singular_abscissa
@@ -113,7 +112,7 @@ def test_criterion_02_velu_kubert_agreement():
             target = quotient_cubic(u).curve()
         except DegenerateParameterError:
             continue
-        kernel = five_division_kernel(E)
+        kernel = five_division_kernel(u)
         phi = velu_quotient(E, kernel)
         assert phi.codomain.j_invariant() == target.j_invariant(), u
         trans = transform_between(phi.codomain, target)   # trivial twist
@@ -127,12 +126,15 @@ def test_criterion_02_velu_kubert_agreement():
 def test_criterion_03_kernel_and_dual():
     t0 = time.monotonic()
     sp = specialize()
-    for model in sp.E_models:
+    for u, model in zip(sp.u, sp.E_models):
         E = model.curve()
-        kernel = five_division_kernel(E)
+        kernel = five_division_kernel(u)
         assert kernel.divides(five_division_polynomial(E))
         quartic = E.rhs_quartic()
-        for root in rational_roots(kernel):
+        # both kernel abscissas are rational: the discriminant is a square
+        disc_root = rational_sqrt(kernel[1] ** 2 - 4 * kernel[0])
+        assert disc_root != 0
+        for root in ((-kernel[1] + disc_root) / 2, (-kernel[1] - disc_root) / 2):
             y = rational_sqrt(quartic(root)) / 2
             P = CurvePoint(root, y)
             assert P is not INFINITY                      # not annihilated by 1

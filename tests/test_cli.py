@@ -242,3 +242,27 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)]
     assert not offenders, offenders
+
+
+def test_package_imports_only_the_standard_library():
+    # the package runs on a bare interpreter: every absolute import names a
+    # standard-library module or the package itself
+    import ast
+    import pathlib
+
+    import fiverank
+
+    package = pathlib.Path(fiverank.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] not in sys.stdlib_module_names
+                          and name.split(".")[0] != "fiverank"]
+    assert not offenders, offenders

@@ -19,7 +19,6 @@ from fiverank.exact import (
     is_square,
     jacobi,
     pm_divmod,
-    pm_factor,
     pm_from_poly,
     pm_gcd,
     pm_mul,
@@ -336,7 +335,7 @@ def test_splitting_profile_bad_reduction():
        st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=12),
        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6))
 def test_pm_divmod_unreduced_integers_non_monic_divisor(p, f, g):
-    # the Hensel path divides integer lists that are not reduced mod p
+    # pm_divmod accepts integer lists that are not reduced mod p
     if g[-1] % p == 0:
         g = g + [p + 1]                 # unreduced, non-monic unit leading term
     q, r = pm_divmod(f, g, p)
@@ -344,24 +343,6 @@ def test_pm_divmod_unreduced_integers_non_monic_divisor(p, f, g):
     assert all(0 <= c < p for c in q + r)
     qg_plus_r = pm_sub(pm_mul(q, g, p), [-c for c in r], p)
     assert pm_sub(f, qg_plus_r, p) == []         # f = q*g + r (mod p)
-
-
-def test_pm_factor_recovers_known_factorization():
-    p = 13
-    f1, f2 = [3, 1], [5, 6, 1]          # x+3, x^2+6x+5 = (x+1)(x+5)
-    prod = pm_mul(f1, f2, p)
-    factors = pm_factor(prod, p)
-    assert sorted(len(g) - 1 for g, _ in factors) == [1, 1, 1]
-    rebuilt = [1]
-    for g, m in factors:
-        for _ in range(m):
-            rebuilt = pm_mul(rebuilt, g, p)
-    assert rebuilt == pm_monic_list(prod, p)
-
-
-def pm_monic_list(f, p):
-    inv = pow(f[-1], -1, p)
-    return [a * inv % p for a in f]
 
 
 def test_pm_squarefree_decomposition():

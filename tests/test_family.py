@@ -17,21 +17,18 @@ from fiverank.family import (
     c_parametrization,
     check_family_kernel,
     check_order10_abscissa,
+    five_division_kernel,
     kubert_curve,
     model_poly,
     quotient_cubic,
     quotient_model,
     specialize,
     symbolic_family_curve,
-    symbolic_family_kernel,
     symbolic_order10_abscissa,
+    symbolic_parameter,
     triple_u,
 )
-from fiverank.isogeny import (
-    five_division_kernel,
-    five_division_polynomial,
-    velu_quotient,
-)
+from fiverank.isogeny import five_division_polynomial, velu_quotient
 
 
 # ----------------------------------------------------------------- surds
@@ -66,6 +63,8 @@ def test_kubert_degenerate_parameters():
     for bad in (F(1), F(0), F(-1)):
         with pytest.raises(DegenerateParameterError):
             kubert_curve(bad)
+        with pytest.raises(DegenerateParameterError):
+            five_division_kernel(bad)
 
 
 def test_kubert_semistable_at_family_parameters():
@@ -218,7 +217,7 @@ def test_velu_matches_quotient_model_random_congruent_u():
             target = quotient_cubic(u).curve()
         except DegenerateParameterError:
             continue
-        k = five_division_kernel(E)
+        k = five_division_kernel(u)
         phi = velu_quotient(E, k)
         assert phi.codomain.j_invariant() == target.j_invariant()
         trans = transform_between(phi.codomain, target)
@@ -230,13 +229,13 @@ def test_velu_matches_quotient_model_random_congruent_u():
 
 def test_symbolic_family_curve_and_kernel():
     E = symbolic_family_curve()
-    kernel = symbolic_family_kernel()
+    kernel = five_division_kernel(symbolic_parameter())
     psi5 = five_division_polynomial(E)
     assert (psi5 % kernel).is_zero()
     # specializing the symbolic kernel reproduces the numeric kernels,
     # including at the three construction parameters
     for u in (F(4), F(19, 21), F(-29, 21), F(-11, 21)):
-        k_num = five_division_kernel(kubert_curve(u).curve())
+        k_num = five_division_kernel(u)
         at_u = Poly([c(u) if isinstance(c, RatFunc) else c for c in kernel.c])
         assert at_u.monic() == k_num, u
 
@@ -262,7 +261,7 @@ def test_symbolic_j_invariant_agreement():
     # quotient of the family curve has the j-invariant of y^2 = g_u(x), as
     # functions of u
     E = symbolic_family_curve()
-    kernel = symbolic_family_kernel()
+    kernel = five_division_kernel(symbolic_parameter())
     phi = velu_quotient(E, kernel)
     u = RatFunc(Poly.x())
     target = quotient_cubic(u).curve()
@@ -272,7 +271,7 @@ def test_symbolic_j_invariant_agreement():
 
 def test_symbolic_certificates_reject_wrong_closed_forms():
     E = symbolic_family_curve()
-    kernel = symbolic_family_kernel()
+    kernel = five_division_kernel(symbolic_parameter())
     x0 = symbolic_order10_abscissa()
     u = RatFunc(Poly.x())
     # the root of the cubic's linear factor, in long coordinates: a
@@ -285,3 +284,6 @@ def test_symbolic_certificates_reject_wrong_closed_forms():
         check_order10_abscissa(E, kernel, x0 + 1)
     with pytest.raises(InvalidKernelError, match="does not divide psi_5"):
         check_family_kernel(E, kernel + 1)
+    # the same certificate guards the numeric curves
+    with pytest.raises(InvalidKernelError, match="does not divide psi_5"):
+        check_family_kernel(kubert_curve(4).curve(), five_division_kernel(4) + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -12,18 +13,15 @@ from fiverank.curves import (
     transform_between,
 )
 from fiverank.errors import InvalidKernelError, NoRationalKernelError
-from fiverank.exact import Poly, is_square, pm_gcd, pm_mul, rational_sqrt
+from fiverank.exact import Poly, is_square, rational_sqrt
+from fiverank.family import five_division_kernel
 from fiverank.isogeny import (
-    _hensel_lift_pair,
     dual_kernel,
     duplication_map,
-    five_division_kernel,
     five_division_polynomial,
     composed_x_map,
     multiplication_by_n_x,
     preimage_quintic,
-    rational_factors_of_degree,
-    rational_roots,
     stripped_division_polys,
     velu_onto_model,
     velu_quotient,
@@ -89,69 +87,25 @@ def test_duplication_map_matches_group_law():
         assert dup(Q.x) == point_mul(E, 2 * n, P).x
 
 
-# ------------------------------------------------------------- factor finding
-
-def test_rational_roots_via_lifting():
-    x = Poly.x()
-    f = (x - 3) * (x + F(7, 2)) * (x * x + 1) * (3 * x - 1)
-    assert rational_roots(f) == sorted([F(3), F(-7, 2), F(1, 3)])
-
-
-def test_rational_quadratic_factors_via_lifting():
-    x = Poly.x()
-    k = x * x - 2                     # irreducible quadratic
-    f = k * (x ** 3 + x + 9)
-    factors = rational_factors_of_degree(f, 2)
-    assert k.monic() in factors
-    # split quadratics assembled from linear pairs appear too
-    g = (x - 1) * (x + 4) * (x * x + x + 1)
-    factors = rational_factors_of_degree(g, 2)
-    assert Poly.from_roots([F(1), F(-4)]) in factors
-
-
-def test_hensel_lift_pair_random_monic_products():
-    rng = random.Random(20261018)
-    p = 10007
-    checked = 0
-    while checked < 100:
-        g = [rng.randrange(-10 ** 4, 10 ** 4) for _ in range(rng.randrange(1, 4))] + [1]
-        h = [rng.randrange(-10 ** 4, 10 ** 4) for _ in range(rng.randrange(1, 4))] + [1]
-        gm, hm = [c % p for c in g], [c % p for c in h]
-        if len(pm_gcd(gm, hm, p)) != 1:
-            continue                    # factors must be coprime mod p
-        f = [sum(g[i] * h[n - i] for i in range(len(g)) if 0 <= n - i < len(h))
-             for n in range(len(g) + len(h) - 1)]
-        k = rng.randrange(1, 6)
-        G, H = _hensel_lift_pair(f, gm, hm, p, k)
-        pk = p ** k
-        assert G[-1] == 1 and H[-1] == 1
-        assert pm_mul(G, H, pk) == [c % pk for c in f]
-        # the lift is unique, so it is the integer factor itself mod p^k
-        assert G == [c % pk for c in g] and H == [c % pk for c in h]
-        checked += 1
-
+# -------------------------------------------------------------------- kernels
 
 def test_five_division_kernel_kubert4():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     assert k == Poly.from_roots([F(4928), F(1328)])
     assert k.divides(five_division_polynomial(E4))
-
-
-def test_five_division_kernel_no_kernel():
-    E = WeierstrassCurve(0, 0, 0, 0, 1)   # y^2 = x^3 + 1, no rational 5-isogeny
-    with pytest.raises(NoRationalKernelError):
-        five_division_kernel(E)
 
 
 @pytest.mark.parametrize("u", [F(19, 21), F(-29, 21), F(-11, 21), F(6), F(-4)])
 def test_five_division_kernel_family(u):
     E = kubert_long(u)
-    k = five_division_kernel(E)
+    k = five_division_kernel(u)
     psi5 = five_division_polynomial(E)
     assert k.degree == 2 and k.divides(psi5)
-    # kernel points are rational and of exact order 5
-    roots = rational_roots(k)
-    assert len(roots) == 2
+    # kernel points are rational and of exact order 5: the discriminant is
+    # a nonzero rational square
+    root = rational_sqrt(k[1] ** 2 - 4 * k[0])
+    assert root != 0
+    roots = [(-k[1] + root) / 2, (-k[1] - root) / 2]
     S = E.rhs_quartic()
     for r in roots:
         y = rational_sqrt(S(r)) / 2      # a1 = a3 = 0: y = sqrt(rhs)
@@ -168,7 +122,7 @@ def test_velu_rejects_bad_kernel():
 
 
 def test_velu_quotient_kubert4():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     phi = velu_quotient(E4, k)
     assert phi.x_map.num.degree == 5
     assert phi.x_map.den.degree == 4
@@ -181,14 +135,14 @@ def test_velu_quotient_kubert4():
 
 
 def test_velu_x_map_poles_exactly_kernel():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     phi = velu_quotient(E4, k)
     assert phi.x_map.den == (k * k).monic()
     assert phi.x_map.num.gcd(phi.x_map.den).degree == 0
 
 
 def test_velu_kernel_points_map_to_infinity_and_translation_invariance():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     phi = velu_quotient(E4, k)
     T = CurvePoint(F(4928), F(360000))
     # translation by a kernel point fixes the image abscissa
@@ -212,7 +166,7 @@ def test_velu_kernel_points_map_to_infinity_and_translation_invariance():
 
 
 def test_image_of_order10_generator_is_two_torsion():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     target = curve_from_cubic(*quotient_cubic(4))
     phi = velu_onto_model(E4, k, target)
     assert phi.codomain == target
@@ -226,7 +180,7 @@ def test_image_of_order10_generator_is_two_torsion():
 
 
 def test_velu_onto_model_identity():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     target = curve_from_cubic(*quotient_cubic(4))
     phi = velu_onto_model(E4, k, target)
     assert phi.verify_codomain_identity()
@@ -235,7 +189,7 @@ def test_velu_onto_model_identity():
 def test_codomain_identity_on_sampled_points():
     # numeric counterpart of the symbolic identity: (slope(x) y)^2 equals the
     # codomain cubic at X(x) whenever y^2 equals the domain cubic at x
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     phi = velu_quotient(E4, k)
     E, C = phi.domain, phi.codomain
     rng = random.Random(99)
@@ -253,19 +207,22 @@ def test_codomain_identity_on_sampled_points():
 
 
 def test_dual_composition_is_multiplication_by_5():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     phi = velu_quotient(E4, k)
     khat = dual_kernel(phi)
     assert khat.degree == 2
     psi = velu_quotient(phi.codomain, khat)
     back = transform_between(psi.codomain, E4)
     assert composed_x_map(phi, psi, back) == multiplication_by_n_x(E4, 5)
+    # an x-map that does not belong to the kernel has no dual to read off
+    with pytest.raises(NoRationalKernelError):
+        dual_kernel(dataclasses.replace(phi, kernel=Poly.from_roots([F(1), F(2)])))
 
 
 # ----------------------------------------------------------- preimage quintic
 
 def test_preimage_quintic_contains_constructed_root():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     phi = velu_quotient(E4, k)
     x0 = F(17, 5)
     xq = phi.x_map(x0)
@@ -275,7 +232,7 @@ def test_preimage_quintic_contains_constructed_root():
 
 
 def test_preimage_quintic_generic_degree_and_disc():
-    k = five_division_kernel(E4)
+    k = five_division_kernel(4)
     phi = velu_quotient(E4, k)
     q = preimage_quintic(phi, F(123, 7))
     assert q.degree == 5
@@ -283,10 +240,11 @@ def test_preimage_quintic_generic_degree_and_disc():
 
 
 def test_dual_kernel_lets_programming_errors_through(monkeypatch):
-    # only NoIsomorphismError means "try the next candidate kernel"
+    # a failure inside the [5] certificate surfaces as raised, never as a
+    # missing dual kernel
     from fiverank import isogeny
 
-    phi = velu_quotient(E4, five_division_kernel(E4))
+    phi = velu_quotient(E4, five_division_kernel(4))
 
     def broken(E, F):
         raise TypeError("bug in transform_between")
