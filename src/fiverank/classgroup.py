@@ -286,13 +286,17 @@ class OracleOutcome:
 
 @lru_cache(maxsize=64)
 def _single_curve_setup(u: Fraction):
-    E_model = kubert_curve(u)
+    """(F_model, reduction data of F, the isogeny E -> F, E semistable).
+
+    The reduction data already classifies every bad prime of F and raises
+    UnsupportedReductionError on additive reduction, so F is semistable
+    whenever this returns; only E still needs the check.
+    """
+    E = kubert_curve(u).curve()
     F_model = quotient_cubic(u)
-    E = E_model.curve()
     data = reduction_data_for_model(F_model)
     phi = velu_onto_model(E, five_division_kernel(u), F_model.curve())
-    semistable = is_semistable(E) and is_semistable(F_model.curve())
-    return E_model, F_model, data, phi, semistable
+    return F_model, data, phi, is_semistable(E)
 
 
 def small_instance_oracle(u, x, trial_bound: int = 10**6,
@@ -313,7 +317,7 @@ def small_instance_oracle(u, x, trial_bound: int = 10**6,
     x = Fraction(x)
     if u.denominator % 5 == 0 or rational_mod(u, 5) not in (1, 4):
         raise ValueError("u must be +-1 mod 5 for a semistable pair")
-    E_model, F_model, data, phi, semistable = _single_curve_setup(u)
+    F_model, data, phi, semistable = _single_curve_setup(u)
     if not semistable:
         return OracleOutcome("skip", "curve pair not semistable", u, x)
     if not singular_avoidance_passes(data, x):
@@ -333,13 +337,12 @@ def small_instance_oracle(u, x, trial_bound: int = 10**6,
     witness = _irreducibility_witness(quintic, r, witness_bound)
     if witness is None:
         return OracleOutcome("skip", "no quintic irreducibility witness", u, x, r, D)
-    h = class_number(D)
-    if h % 5 == 0:
-        rank5 = group_structure(D, disc_bound).p_rank(5)
-        return OracleOutcome("pass", "5 divides the class number", u, x, r, D,
-                             h, rank5, witness)
-    return OracleOutcome("fail", "5 does not divide the class number", u, x,
-                         r, D, h, 0, witness)
+    group = group_structure(D, disc_bound)
+    if group.class_number % 5:
+        return OracleOutcome("fail", "5 does not divide the class number", u, x,
+                             r, D, group.class_number, 0, witness)
+    return OracleOutcome("pass", "5 divides the class number", u, x, r, D,
+                         group.class_number, group.p_rank(5), witness)
 
 
 def _irreducibility_witness(quintic, radicand, bound: int) -> int | None:
@@ -390,12 +393,9 @@ def oracle_scan(count: int, trial_bound: int = 10**6,
             for den in (1, 2, 3):
                 if math.gcd(abs(num), den) != 1:
                     continue
-                x = Fraction(num, den)
-                try:
-                    outcome = small_instance_oracle(
-                        u, x, trial_bound=trial_bound, disc_bound=disc_bound)
-                except ValueError:
-                    break
+                outcome = small_instance_oracle(
+                    u, Fraction(num, den), trial_bound=trial_bound,
+                    disc_bound=disc_bound)
                 yield outcome
                 if outcome.status != "skip":
                     decided += 1

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .classgroup import group_structure, oracle_scan
@@ -54,15 +54,7 @@ class RunConfig:
         return self
 
 
-_CONFIG_KEYS = {
-    "trial_bound": int,
-    "disc_bound": int,
-    "sieve_count": int,
-    "sieve_sign": str,
-    "sieve_start": int,
-    "output": str,
-    "workers": int,
-}
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -97,10 +89,9 @@ def _emit(fh, record: dict) -> None:
     fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _error_record(fh, exc: Exception) -> int:
-    _emit(fh, {"record": "error", "schema": SCHEMA,
-               "error": type(exc).__name__, "message": str(exc)})
-    return 1
+def _error_record(exc: Exception) -> dict:
+    return {"record": "error", "schema": SCHEMA,
+            "error": type(exc).__name__, "message": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -138,117 +129,86 @@ def specialization_dump() -> dict:
     }
 
 
-def cmd_derive(args, cfg: RunConfig) -> int:
-    fh, close = _open_out(cfg.output)
-    try:
-        sp = specialize()
-        results = sp.verify_identities()
-        failures = [name for name, ok in results.items() if not ok]
-        for name in sorted(results):
-            _emit(fh, {"record": "identity", "schema": SCHEMA,
-                       "name": name, "pass": results[name]})
-        if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as out:
-                json.dump(specialization_dump(), out, indent=2, sort_keys=True)
-                out.write("\n")
-        if failures:
-            _emit(fh, {"record": "summary", "schema": SCHEMA, "pass": False,
-                       "failed": failures})
-            return 1
-        _emit(fh, {"record": "summary", "schema": SCHEMA, "pass": True})
-        return 0
-    except FiverankError as exc:
-        return _error_record(fh, exc)
-    finally:
-        if close:
-            fh.close()
+def cmd_derive(args, cfg: RunConfig):
+    sp = specialize()
+    results = sp.verify_identities()
+    failures = [name for name, ok in results.items() if not ok]
+    for name in sorted(results):
+        yield {"record": "identity", "schema": SCHEMA,
+               "name": name, "pass": results[name]}
+    if args.emit:
+        with open(args.emit, "w", encoding="utf-8") as out:
+            json.dump(specialization_dump(), out, indent=2, sort_keys=True)
+            out.write("\n")
+    if failures:
+        yield {"record": "summary", "schema": SCHEMA, "pass": False,
+               "failed": failures}
+        return 1
+    yield {"record": "summary", "schema": SCHEMA, "pass": True}
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # sieve / verify
 # ---------------------------------------------------------------------------
 
-def cmd_sieve(args, cfg: RunConfig) -> int:
-    fh, close = _open_out(cfg.output)
-    try:
-        ok = True
-        for z in admissible_z(start=cfg.sieve_start, count=cfg.sieve_count,
-                              sign=cfg.sieve_sign):
-            report = check_z(z)
-            ok = ok and report.passed
-            _emit(fh, report.to_json())
-        return 0 if ok else 1
-    except FiverankError as exc:
-        return _error_record(fh, exc)
-    finally:
-        if close:
-            fh.close()
+def cmd_sieve(args, cfg: RunConfig):
+    ok = True
+    for z in admissible_z(start=cfg.sieve_start, count=cfg.sieve_count,
+                          sign=cfg.sieve_sign):
+        report = check_z(z)
+        ok = ok and report.passed
+        yield report.to_json()
+    return 0 if ok else 1
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    fh, close = _open_out(cfg.output)
-    try:
-        if args.z is not None:
-            zs = [args.z]
-        else:
-            zs = list(admissible_z(start=cfg.sieve_start, count=args.batch,
-                                   sign=cfg.sieve_sign))
-        if cfg.workers > 1 and len(zs) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                certs = list(pool.map(verify_instance, zs))
-        else:
-            certs = [verify_instance(z) for z in zs]
-        ok = True
-        for cert in certs:
-            ok = ok and cert.conclusion
-            _emit(fh, cert.to_json())
-        return 0 if ok else 1
-    except FiverankError as exc:
-        return _error_record(fh, exc)
-    finally:
-        if close:
-            fh.close()
+def cmd_verify(args, cfg: RunConfig):
+    if args.z is not None:
+        zs = [args.z]
+    else:
+        zs = list(admissible_z(start=cfg.sieve_start, count=args.batch,
+                               sign=cfg.sieve_sign))
+    if cfg.workers > 1 and len(zs) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            certs = list(pool.map(verify_instance, zs))
+    else:
+        certs = [verify_instance(z) for z in zs]
+    ok = True
+    for cert in certs:
+        ok = ok and cert.conclusion
+        yield cert.to_json()
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # classgroup / oracle
 # ---------------------------------------------------------------------------
 
-def cmd_classgroup(args, cfg: RunConfig) -> int:
-    fh, close = _open_out(cfg.output)
+def cmd_classgroup(args, cfg: RunConfig):
     try:
         st = group_structure(args.disc, disc_bound=cfg.disc_bound)
-        record = st.to_json()
-        record.update({
-            "record": "classgroup",
-            "schema": SCHEMA,
-            "p_ranks": {str(p): st.p_rank(p) for p in (2, 3, 5, 7)},
-        })
-        _emit(fh, record)
-        return 0
-    except (FiverankError, ValueError) as exc:
-        return _error_record(fh, exc)
-    finally:
-        if close:
-            fh.close()
+    except ValueError as exc:           # not a negative discriminant
+        yield _error_record(exc)
+        return 1
+    record = st.to_json()
+    record.update({
+        "record": "classgroup",
+        "schema": SCHEMA,
+        "p_ranks": {str(p): st.p_rank(p) for p in (2, 3, 5, 7)},
+    })
+    yield record
+    return 0
 
 
-def cmd_oracle(args, cfg: RunConfig) -> int:
-    fh, close = _open_out(cfg.output)
-    try:
-        failed = False
-        for outcome in oracle_scan(args.count, trial_bound=min(cfg.trial_bound, 10**6),
-                                   disc_bound=cfg.disc_bound):
-            if outcome.status == "skip" and not args.include_skips:
-                continue
-            failed = failed or outcome.status == "fail"
-            _emit(fh, outcome.to_json())
-        return 1 if failed else 0
-    except FiverankError as exc:
-        return _error_record(fh, exc)
-    finally:
-        if close:
-            fh.close()
+def cmd_oracle(args, cfg: RunConfig):
+    failed = False
+    for outcome in oracle_scan(args.count, trial_bound=min(cfg.trial_bound, 10**6),
+                               disc_bound=cfg.disc_bound):
+        if outcome.status == "skip" and not args.include_skips:
+            continue
+        failed = failed or outcome.status == "fail"
+        yield outcome.to_json()
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +261,13 @@ def paper_check_records() -> list[dict]:
     return records
 
 
-def cmd_paper_check(args, cfg: RunConfig) -> int:
-    fh, close = _open_out(cfg.output)
-    try:
-        records = paper_check_records()
-        for record in records:
-            _emit(fh, record)
-        ok = all(r["pass"] for r in records)
-        _emit(fh, {"record": "summary", "schema": SCHEMA, "pass": ok,
-                   "checks": len(records)})
-        return 0 if ok else 1
-    except FiverankError as exc:
-        return _error_record(fh, exc)
-    finally:
-        if close:
-            fh.close()
+def cmd_paper_check(args, cfg: RunConfig):
+    records = paper_check_records()
+    yield from records
+    ok = all(r["pass"] for r in records)
+    yield {"record": "summary", "schema": SCHEMA, "pass": ok,
+           "checks": len(records)}
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +353,21 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    return args.func(args, cfg)
+    # each command yields its records and returns its exit code; a
+    # FiverankError ends the stream with an error record and exit code 1
+    fh, close = _open_out(cfg.output)
+    records = args.func(args, cfg)
+    try:
+        while True:
+            _emit(fh, next(records))
+    except StopIteration as done:
+        return done.value
+    except FiverankError as exc:
+        _emit(fh, _error_record(exc))
+        return 1
+    finally:
+        if close:
+            fh.close()
 
 
 if __name__ == "__main__":

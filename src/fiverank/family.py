@@ -396,25 +396,20 @@ class Specialization:
 
 
 @lru_cache(maxsize=None)
-def specialize(t=None) -> Specialization:
-    """Build (and cache) the full specialization at t (default 4)."""
-    t = CONSTANTS["t"] if t is None else Fraction(t)
+def specialize() -> Specialization:
+    """Build (and cache) the distinguished specialization t = 4."""
+    t = CONSTANTS["t"]
     u = triple_u(t)
     E_models = tuple(kubert_curve(ui) for ui in u)
     F_models = tuple(quotient_cubic(ui) for ui in u)
-    isogenies = []
-    for ui, Em, Fm in zip(u, E_models, F_models):
-        isogenies.append(velu_onto_model(Em.curve(), five_division_kernel(ui), Fm.curve()))
-    if t == CONSTANTS["t"]:
-        x_of_z, v_of_z, w_of_z = c_parametrization()
-        f = model_poly()
-        g1, _ = quotient_model(u[0])
-        ratio = _exact_poly_ratio(f, g1)
-        scale = rational_sqrt(ratio)
-    else:
-        raise DegenerateParameterError(
-            "only the distinguished specialization carries a parametrization")
-    return Specialization(t, u, E_models, F_models, tuple(isogenies),
+    isogenies = tuple(
+        velu_onto_model(Em.curve(), five_division_kernel(ui), Fm.curve())
+        for ui, Em, Fm in zip(u, E_models, F_models))
+    x_of_z, v_of_z, w_of_z = c_parametrization()
+    f = model_poly()
+    g1, _ = quotient_model(u[0])
+    scale = rational_sqrt(_exact_poly_ratio(f, g1))
+    return Specialization(t, u, E_models, F_models, isogenies,
                           x_of_z, v_of_z, w_of_z, f, scale)
 
 
@@ -423,16 +418,6 @@ def _exact_poly_ratio(f: Poly, g: Poly) -> Fraction:
     if not r.is_zero() or q.degree != 0:
         raise ValueError("polynomials are not proportional")
     return q[0]
-
-
-def radicand(z) -> Fraction:
-    """f(x(z)) for the distinguished specialization (module-level shorthand)."""
-    return specialize().radicand(z)
-
-
-def points_on_quotients(z):
-    """Quotient points at z for the distinguished specialization."""
-    return specialize().points_on_quotients(z)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .exact import (
     rational_to_string,
     splitting_profile,
 )
-from .family import CONSTANTS, Specialization, specialize
+from .family import CONSTANTS, specialize
 from .isogeny import preimage_quintic
 from .sieve import SieveReport, check_z
 
@@ -238,8 +238,7 @@ def _frobenius_verdict(j: int, l: int, point: int | None) -> str:
     return frobenius_order_in_L(preimage_quintic(specialize().isogenies[j], rep), l)
 
 
-def splitting_pattern(z: int, sp: Specialization | None = None, *,
-                      x: Fraction | None = None,
+def splitting_pattern(z: int, *, x: Fraction | None = None,
                       radicand: Fraction | None = None) -> SplittingPattern:
     """Compute the full 3x3 pattern for one z.
 
@@ -250,7 +249,7 @@ def splitting_pattern(z: int, sp: Specialization | None = None, *,
     from .errors import FieldCollapseError
     from .exact import is_square
 
-    sp = sp or specialize()
+    sp = specialize()
     primes = CONSTANTS["z_one_mod"]
     r = sp.radicand(z) if radicand is None else radicand
     if is_square(r):
@@ -266,13 +265,13 @@ def splitting_pattern(z: int, sp: Specialization | None = None, *,
     return SplittingPattern(primes, entries, k_verdicts)
 
 
-def verify_instance(z: int, sp: Specialization | None = None) -> FieldCertificate:
+def verify_instance(z: int) -> FieldCertificate:
     """Assemble the complete certificate for one z.
 
     All sub-errors are folded into a failed certificate with reasons;
     the conclusion flag is set only when everything holds.
     """
-    sp = sp or specialize()
+    sp = specialize()
     failures = []
     x = sp.x_of_z(Fraction(z))
     r = sp.f_model(x)                  # the radicand f(x(z)), computed once
@@ -282,7 +281,7 @@ def verify_instance(z: int, sp: Specialization | None = None) -> FieldCertificat
     pattern = None
     independence = False
     try:
-        pattern = splitting_pattern(z, sp, x=x, radicand=r)
+        pattern = splitting_pattern(z, x=x, radicand=r)
         pattern.validate()
         independence = independence_certificate(pattern)
         if not independence:

@@ -239,3 +239,43 @@ def test_oracle_scan_lets_programming_errors_through(monkeypatch):
     monkeypatch.setattr(classgroup, "_single_curve_setup", broken)
     with pytest.raises(TypeError, match="bug in the setup"):
         list(oracle_scan(1))
+
+
+def test_oracle_scan_lets_value_errors_through(monkeypatch):
+    # oracle_scan skips every u that is not +-1 mod 5 itself, so a
+    # ValueError from inside the oracle is a bug and must not end the scan
+    from fiverank import classgroup
+
+    def broken(data, x):
+        raise ValueError("bug in the oracle")
+
+    monkeypatch.setattr(classgroup, "singular_avoidance_passes", broken)
+    with pytest.raises(ValueError, match="bug in the oracle"):
+        list(oracle_scan(1))
+
+
+def test_oracle_scan_computes_each_fact_once(monkeypatch):
+    # one form enumeration per decided discriminant, and one semistability
+    # check (of the domain curve) per curve setup: the reduction data of
+    # the quotient curve already rules out additive reduction there
+    from fiverank import classgroup
+
+    calls = {"enumerate_reduced": 0, "is_semistable": 0}
+
+    def counted(name):
+        fn = getattr(classgroup, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classgroup, name, counted(name))
+    classgroup._single_curve_setup.cache_clear()
+    decided = [o for o in oracle_scan(20) if o.status != "skip"]
+    assert len(decided) == 20
+    assert calls["enumerate_reduced"] == len(decided)
+    for u in (F(-3, 2), F(4), F(6, 7), F(-11)):     # the scan needs one u
+        classgroup._single_curve_setup(u)
+    assert calls["is_semistable"] == classgroup._single_curve_setup.cache_info().currsize == 5

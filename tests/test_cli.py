@@ -200,6 +200,17 @@ def test_cmd_sieve_records_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, start
 
 
+def test_cmd_oracle_records_pinned(capsys):
+    # SHA-256 of the stdout recorded while the oracle still took h from
+    # class_number and the 5-rank from a second enumeration in
+    # group_structure; any drift in oracle records fails here
+    code = main(["oracle", "--count", "20", "--include-skips"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3d298d766ebc674714133affaafc534ce8fa3721a7841b97b23a72e1f990390d"
+
+
 def test_cmd_verify_pole_error_record(capsys):
     code, records = run_cli(["verify", "--z", "0"], capsys)
     assert code == 1

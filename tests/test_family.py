@@ -197,10 +197,9 @@ def test_points_on_quotients_field_collapse(monkeypatch):
 def test_splitting_pattern_field_collapse(monkeypatch):
     from fiverank.family import Specialization
     from fiverank.splitting import splitting_pattern
-    sp = specialize()
     monkeypatch.setattr(Specialization, "radicand", lambda self, z: F(4))
     with pytest.raises(FieldCollapseError):
-        splitting_pattern(874461709044, sp)
+        splitting_pattern(874461709044)
 
 
 def test_velu_matches_quotient_model_random_congruent_u():

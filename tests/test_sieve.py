@@ -264,8 +264,8 @@ def test_extension_check_matches_fraction_reference_on_rational_x():
     from fiverank.sieve import singular_avoidance_passes
 
     rng = random.Random(5)
-    curves = list(sieve_data()) + [_single_curve_setup(F(2, 3))[2],
-                                   _single_curve_setup(F(4))[2]]
+    curves = list(sieve_data()) + [_single_curve_setup(F(2, 3))[1],
+                                   _single_curve_setup(F(4))[1]]
     for data in curves:
         xs = [F(0), F(1, 2), F(-7, 3)]
         xs += [F(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 6))

@@ -103,9 +103,8 @@ def test_invalid_when_K_not_split():
 # --------------------------------------------------------------- end-to-end
 
 def test_pattern_first_admissible_z_matches_expected():
-    sp = specialize()
     for z in admissible_z(count=2, sign="both"):
-        pattern = splitting_pattern(z, sp)
+        pattern = splitting_pattern(z)
         assert pattern.entries == EXPECTED_PATTERN
         assert pattern.k_verdicts == (SPLIT, SPLIT, SPLIT)
         assert independence_certificate(pattern)
