@@ -3,9 +3,10 @@
 Serves as the independent oracle of the package: on small fundamental
 discriminants it recomputes class numbers and group structure by full
 enumeration and Gauss composition, then checks the 5-divisibility that
-the single-curve construction predicts.  Everything is exact; nothing
-here shares code with the isogeny side beyond the exact-arithmetic
-substrate.
+the single-curve construction predicts.  Everything is exact.  The form
+engine (reduction, composition, enumeration, invariant factors) uses
+only the exact-arithmetic substrate; the oracle that feeds it builds its
+instances from the family, isogeny, sieve, splitting and curve modules.
 """
 
 from __future__ import annotations
@@ -243,10 +244,6 @@ def _int_log(n: int, q: int) -> int:
     return k
 
 
-def p_rank(D: int, p: int, disc_bound: int = DEFAULT_DISC_BOUND) -> int:
-    return group_structure(D, disc_bound).p_rank(p)
-
-
 def fundamental_discriminant(s: int) -> int:
     """Fundamental discriminant of Q(sqrt(s)) for squarefree s."""
     return s if s % 4 == 1 else 4 * s
@@ -255,6 +252,23 @@ def fundamental_discriminant(s: int) -> int:
 # ---------------------------------------------------------------------------
 # the single-curve oracle
 # ---------------------------------------------------------------------------
+
+# the irreducibility witness is searched among the primes up to this bound
+WITNESS_BOUND = 500
+
+# oracle_scan's grid.  Parameters whose quotient model has unit leading
+# coefficient at the five-component primes come first: their
+# node-avoidance is a congruence, so small abscissas stay in the
+# discriminant budget.
+SCAN_U = tuple(
+    [Fraction(a, b) for a, b in
+     ((2, 3), (-3, 2), (-2, 3), (3, 2), (-1, 4), (1, 4),
+      (4, 3), (-4, 3), (6, 7), (-6, 7))]
+    + [Fraction(v) for v in
+       (4, -4, 6, -6, 9, -9, 11, -11, 14, -14, 16, -16, 19,
+        21, -21, 24, -24, 26, -26, 29)])
+SCAN_X_RANGE = 60
+
 
 @dataclass(frozen=True)
 class OracleOutcome:
@@ -300,8 +314,7 @@ def _single_curve_setup(u: Fraction):
 
 
 def small_instance_oracle(u, x, trial_bound: int = 10**6,
-                          disc_bound: int = DEFAULT_DISC_BOUND,
-                          witness_bound: int = 500) -> OracleOutcome:
+                          disc_bound: int = DEFAULT_DISC_BOUND) -> OracleOutcome:
     """Check 5 | h(K) for one single-curve instance.
 
     The instance is (u, x) with u = +-1 mod 5: the quotient-curve point
@@ -334,7 +347,7 @@ def small_instance_oracle(u, x, trial_bound: int = 10**6,
     if -D > disc_bound:
         return OracleOutcome("skip", f"|D| = {-D} over budget", u, x, r, D)
     quintic = preimage_quintic(phi, F_model.to_long_x(x))
-    witness = _irreducibility_witness(quintic, r, witness_bound)
+    witness = _irreducibility_witness(quintic, r)
     if witness is None:
         return OracleOutcome("skip", "no quintic irreducibility witness", u, x, r, D)
     group = group_structure(D, disc_bound)
@@ -345,10 +358,11 @@ def small_instance_oracle(u, x, trial_bound: int = 10**6,
                          group.class_number, group.p_rank(5), witness)
 
 
-def _irreducibility_witness(quintic, radicand, bound: int) -> int | None:
-    """A prime split in K where the quintic is irreducible mod l."""
+def _irreducibility_witness(quintic, radicand) -> int | None:
+    """A prime l <= WITNESS_BOUND split in K where the quintic is
+    irreducible mod l."""
     l = 3
-    while l <= bound:
+    while l <= WITNESS_BOUND:
         if is_probable_prime(l):
             try:
                 if prime_split_in_K(l, radicand) == SPLIT:
@@ -361,35 +375,25 @@ def _irreducibility_witness(quintic, radicand, bound: int) -> int | None:
 
 
 def oracle_scan(count: int, trial_bound: int = 10**6,
-                disc_bound: int = DEFAULT_DISC_BOUND,
-                u_candidates=None, x_range: int = 60):
+                disc_bound: int = DEFAULT_DISC_BOUND):
     """Yield oracle outcomes until `count` non-skip verdicts accumulate.
 
-    Deterministic scan over small parameters and small abscissas; skips
-    are yielded too so callers can report them, but only pass/fail counts
-    toward the target.  A count <= 0 yields nothing.
+    Deterministic scan over SCAN_U and the abscissas num/den with
+    |num| <= SCAN_X_RANGE, den in (1, 2, 3); skips are yielded too so
+    callers can report them, but only pass/fail counts toward the target.
+    A count <= 0 yields nothing.
     """
-    if u_candidates is None:
-        # parameters whose quotient model has unit leading coefficient at
-        # the five-component primes come first: their node-avoidance is a
-        # congruence, so small abscissas stay in the discriminant budget
-        u_candidates = [Fraction(a, b) for a, b in
-                        ((2, 3), (-3, 2), (-2, 3), (3, 2), (-1, 4), (1, 4),
-                         (4, 3), (-4, 3), (6, 7), (-6, 7))]
-        u_candidates += [Fraction(v) for v in
-                         (4, -4, 6, -6, 9, -9, 11, -11, 14, -14, 16, -16, 19,
-                          21, -21, 24, -24, 26, -26, 29)]
     if count <= 0:
         return
     decided = 0
-    for u in u_candidates:
+    for u in SCAN_U:
         try:
-            if Fraction(u).denominator % 5 == 0 or rational_mod(u, 5) not in (1, 4):
+            if u.denominator % 5 == 0 or rational_mod(u, 5) not in (1, 4):
                 continue
-            _single_curve_setup(Fraction(u))
+            _single_curve_setup(u)
         except FiverankError:           # singular or unsupported curve pair
             continue
-        for num in range(-x_range, x_range + 1):
+        for num in range(-SCAN_X_RANGE, SCAN_X_RANGE + 1):
             for den in (1, 2, 3):
                 if math.gcd(abs(num), den) != 1:
                     continue

@@ -36,7 +36,7 @@ SCHEMA = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    trial_bound: int = 10**7
+    trial_bound: int = 10**6
     disc_bound: int = 10**7
     sieve_count: int = 10
     sieve_sign: str = "both"
@@ -202,7 +202,7 @@ def cmd_classgroup(args, cfg: RunConfig):
 
 def cmd_oracle(args, cfg: RunConfig):
     failed = False
-    for outcome in oracle_scan(args.count, trial_bound=min(cfg.trial_bound, 10**6),
+    for outcome in oracle_scan(args.count, trial_bound=cfg.trial_bound,
                                disc_bound=cfg.disc_bound):
         if outcome.status == "skip" and not args.include_skips:
             continue

@@ -22,6 +22,7 @@ from .exact import (
     Poly,
     factor_completely,
     int_valuation,
+    jacobi,
     rational_from_string,
     rational_sqrt,
     rational_to_string,
@@ -322,15 +323,14 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
     return WeierstrassCurve(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3 * a3) // 4)
 
 
-def minimal_model(E: WeierstrassCurve,
-                  trial_bound: int = DEFAULT_TRIAL_BOUND) -> tuple[WeierstrassCurve, Transform]:
+def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
     """Globally minimal integral model and the transform reaching it."""
     # clear denominators first: u = 1/m makes a_i integral (a_i scales by m^i)
     m = 1
     for i, a in zip((1, 2, 3, 4, 6), E.a_invariants()):
         d = a.denominator
         if d > 1:
-            for p, e in factor_completely(d, trial_bound).items():
+            for p, e in factor_completely(d, DEFAULT_TRIAL_BOUND).items():
                 need = -(-e // i)
                 have = _vp(m, p)
                 if have < need:
@@ -348,7 +348,7 @@ def minimal_model(E: WeierstrassCurve,
     if base > 1:
         from .exact import integer_nth_root, trial_factor
         root_power = 6 if c4 == 0 else 4
-        bound = min(trial_bound, integer_nth_root(base, root_power) + 1)
+        bound = min(DEFAULT_TRIAL_BOUND, integer_nth_root(base, root_power) + 1)
         factors, _ = trial_factor(base, bound)
         for p in factors:
             e = min(_vp(c4, p) // 4, _vp(c6, p) // 6)
@@ -424,7 +424,7 @@ def _tangents_split(E: WeierstrassCurve, p: int, x0: int) -> bool:
         c = (-(3 * x0 + a2)) % 2
         return a1 % 2 == 1 and c == 0
     d = (a1 * a1 + 4 * (3 * x0 + a2)) % p
-    return pow(d, (p - 1) // 2, p) == 1
+    return jacobi(d, p) == 1
 
 
 def reduction_info(E: WeierstrassCurve, p: int) -> ReductionInfo:
@@ -454,10 +454,10 @@ def bad_primes(E_min: WeierstrassCurve, trial_bound: int = DEFAULT_TRIAL_BOUND) 
     return sorted(factor_completely(int(E_min.discriminant()), trial_bound))
 
 
-def is_semistable(E: WeierstrassCurve, trial_bound: int = DEFAULT_TRIAL_BOUND) -> bool:
+def is_semistable(E: WeierstrassCurve) -> bool:
     """True iff reduction is good or multiplicative at every bad prime."""
-    Emin, _ = minimal_model(E, trial_bound)
-    for p in bad_primes(Emin, trial_bound):
+    Emin, _ = minimal_model(E)
+    for p in bad_primes(Emin):
         try:
             reduction_info(Emin, p)
         except UnsupportedReductionError:
@@ -465,12 +465,11 @@ def is_semistable(E: WeierstrassCurve, trial_bound: int = DEFAULT_TRIAL_BOUND) -
     return True
 
 
-def five_component_primes(F: WeierstrassCurve,
-                          trial_bound: int = DEFAULT_TRIAL_BOUND) -> frozenset[int]:
+def five_component_primes(F: WeierstrassCurve) -> frozenset[int]:
     """Primes where the Neron special fiber has 5 | component count."""
-    Fmin, _ = minimal_model(F, trial_bound)
+    Fmin, _ = minimal_model(F)
     out = set()
-    for p in bad_primes(Fmin, trial_bound):
+    for p in bad_primes(Fmin):
         info = reduction_info(Fmin, p)
         if info.component_count % 5 == 0:
             out.add(p)

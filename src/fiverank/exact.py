@@ -475,32 +475,6 @@ class Poly:
                 b = b.monic()      # tame coefficient growth over towers
         return a.monic()
 
-    def resultant(self, other):
-        """Resultant via the Euclidean remainder sequence (field coefficients)."""
-        a, b = self, other
-        if a.is_zero() or b.is_zero():
-            return Fraction(0)
-        sign = 1
-        acc = Fraction(1) + a.c[0] * 0
-        while True:
-            if b.degree == 0:
-                return acc * sign * b.c[0] ** a.degree
-            r = a % b
-            if r.is_zero():
-                return acc * 0
-            if (a.degree * b.degree) % 2:
-                sign = -sign
-            acc = acc * b.leading() ** (a.degree - r.degree)
-            a, b = b, r
-
-    def discriminant(self):
-        n = self.degree
-        if n < 1:
-            raise ValueError("discriminant needs degree >= 1")
-        res = self.resultant(self.derivative())
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        return sign * res / self.leading()
-
     def clear_denominators(self) -> tuple[list[int], int]:
         """Return (integer coefficient list lowest-first, common denominator)."""
         den = 1
@@ -611,14 +585,6 @@ class RatFunc:
     def __bool__(self):
         return not self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def as_constant(self):
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        return self.num[0] / self.den[0] if self.num.c else Fraction(0)
-
     def __eq__(self, other):
         other = _as_ratfunc(other)
         if other is NotImplemented:
@@ -678,10 +644,6 @@ class RatFunc:
         return RatFunc(self.num ** n, self.den ** n)
 
     # -- analysis ----------------------------------------------------------------
-    def derivative(self):
-        return RatFunc(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                       self.den * self.den)
-
     def __call__(self, z):
         dz = self.den(z)
         if isinstance(dz, (int, Fraction)) and dz == 0:

@@ -27,12 +27,11 @@ from functools import lru_cache
 from .curves import WeierstrassCurve
 from .errors import (
     DegenerateParameterError,
-    FieldCollapseError,
     IdentityCheckError,
     InvalidKernelError,
     PoleError,
 )
-from .exact import Poly, RatFunc, is_square, ratfunc_substitute, rational_sqrt
+from .exact import Poly, RatFunc, ratfunc_substitute, rational_sqrt
 from .isogeny import (
     IsogenyMap,
     duplication_map,
@@ -78,118 +77,6 @@ CONSTANTS = {
     # expected Neron five-component primes per curve
     "five_component_primes": ((11, 29, 419), (11, 19, 709), (19, 29, 151)),
 }
-
-
-# ---------------------------------------------------------------------------
-# quadratic surds a + b sqrt(r)
-# ---------------------------------------------------------------------------
-
-class SurdElement:
-    """Element a + b*sqrt(r) of the quadratic field with fixed radicand r.
-
-    The radicand stays unfactored; two surds only combine when their
-    radicands are literally equal.  r must be a non-square nonzero
-    rational.
-    """
-
-    __slots__ = ("a", "b", "r")
-
-    def __init__(self, a, b, r):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.r = Fraction(r)
-        if self.r == 0 or is_square(self.r):
-            raise ValueError(f"radicand {self.r} does not define a quadratic field")
-
-    def _coerce(self, other):
-        if isinstance(other, SurdElement):
-            if other.r != self.r:
-                raise ValueError("mixed radicands")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SurdElement(other, 0, self.r)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SurdElement(self.a + o.a, self.b + o.b, self.r)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SurdElement(-self.a, -self.b, self.r)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SurdElement(self.a * o.a + self.b * o.b * self.r,
-                           self.a * o.b + self.b * o.a, self.r)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.a * o.a - o.b * o.b * self.r
-        if norm == 0:
-            raise ZeroDivisionError("division by zero surd")
-        conj = SurdElement(o.a, -o.b, self.r)
-        res = self * conj
-        return SurdElement(res.a / norm, res.b / norm, self.r)
-
-    def __rtruediv__(self, other):
-        return SurdElement(other, 0, self.r) / self
-
-    def __pow__(self, n: int):
-        out = SurdElement(1, 0, self.r)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, SurdElement):
-            return self.r == other.r and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.r))
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("surd has a nonzero irrational part")
-        return self.a
-
-    def square(self) -> Fraction:
-        sq = self * self
-        return sq.as_rational() if sq.is_rational() else sq
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.r}))"
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +217,6 @@ class Specialization:
         if self.x_of_z.is_pole(z):
             raise PoleError(f"z={z} is a pole of x(z)")
         return self.f_model(self.x_of_z(z))
-
-    def points_on_quotients(self, z):
-        """The three points (x(z), y_i) with y_i^2 = g_{u_i}(x(z)).
-
-        y_1 = sqrt(radicand)/scale and the others divide out v(z), w(z).
-        Raises FieldCollapseError when the radicand is a rational square.
-        """
-        z = Fraction(z) if isinstance(z, int) else z
-        r = self.radicand(z)
-        if is_square(r):
-            raise FieldCollapseError(f"radicand {r} is a square; field collapses")
-        x = self.x_of_z(z)
-        y1 = SurdElement(0, 1 / self.scale, r)
-        y2 = y1 / self.v_of_z(z)
-        y3 = y1 / self.w_of_z(z)
-        points = ((x, y1), (x, y2), (x, y3))
-        for (xi, yi), model in zip(points, self.F_models):
-            if yi.square() != model.rhs(xi):
-                raise IdentityCheckError("ordinate does not satisfy its quotient model")
-        return points
 
     # -- identity suite --------------------------------------------------------
     def verify_identities(self) -> dict[str, bool]:

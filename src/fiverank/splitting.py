@@ -116,9 +116,6 @@ class SplittingPattern:
     entries: tuple[tuple[str, str, str], ...]    # entries[i][j]
     k_verdicts: tuple[str, str, str]
 
-    def entry(self, i: int, j: int) -> str:
-        return self.entries[i - 1][j - 1]
-
     def validate(self) -> None:
         if any(v != SPLIT for v in self.k_verdicts):
             raise InvalidCertificateError(
@@ -127,13 +124,6 @@ class SplittingPattern:
             if not any(self.entries[i][j] == INERT for i in range(3)):
                 raise InvalidCertificateError(
                     f"no inert prime for extension {j + 1}")
-
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except InvalidCertificateError:
-            return False
-        return True
 
     def to_json(self):
         return {

@@ -13,7 +13,6 @@ from fiverank.classgroup import (
     group_structure,
     identity_form,
     oracle_scan,
-    p_rank,
     reduce_form,
     small_instance_oracle,
 )
@@ -98,8 +97,9 @@ def test_group_structure_golden():
     assert group_structure(-23).invariant_factors == (3,)
     assert group_structure(-47).invariant_factors == (5,)
     assert group_structure(-4).invariant_factors == ()
-    assert p_rank(-47, 5) == 1 and p_rank(-47, 3) == 0
-    assert p_rank(-4, 7) == 0
+    assert group_structure(-47).p_rank(5) == 1
+    assert group_structure(-47).p_rank(3) == 0
+    assert group_structure(-4).p_rank(7) == 0
 
 
 def test_group_structure_noncyclic():

@@ -36,6 +36,24 @@ def test_load_config_file(tmp_path, monkeypatch):
         load_config(str(bad))
 
 
+def test_config_trial_bound_reaches_oracle_scan(tmp_path, monkeypatch, capsys):
+    # the trial_bound key is passed to the oracle scan as written, not
+    # clamped to the default
+    from fiverank import cli
+
+    seen = {}
+
+    def fake_scan(count, trial_bound, disc_bound):
+        seen.update(count=count, trial_bound=trial_bound, disc_bound=disc_bound)
+        return iter(())
+
+    monkeypatch.setattr(cli, "oracle_scan", fake_scan)
+    path = tmp_path / "fiverank.conf"
+    path.write_text("trial_bound = 2000000\n")
+    assert main(["--config", str(path), "oracle", "--count", "1"]) == 0
+    assert seen == {"count": 1, "trial_bound": 2000000, "disc_bound": 10**7}
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])            # needs --z or --batch
@@ -209,6 +227,35 @@ def test_cmd_oracle_records_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "3d298d766ebc674714133affaafc534ce8fa3721a7841b97b23a72e1f990390d"
+
+
+def test_cmd_verify_records_pinned(capsys):
+    # SHA-256 and exit codes of the verify stdout; any drift in
+    # certificates fails here
+    limit = sys.get_int_max_str_digits()
+    try:
+        for args, digest in (
+                (["--batch", "50"],
+                 "ee93ccd80e9a132474914a96f2453a8e375f3c28f71ab24cd7024b98c1846e5c"),
+                (["--batch", "5", "--start", str(10 ** 1000)],
+                 "bca5f5f63e0c2b607263773cb5eb5445728a1b3ecccbd019f12b101b4165449e")):
+            code = main(["verify", *args])
+            out = capsys.readouterr().out
+            assert code == 1
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+        # arbitrary and tiny z.  Reporting "not all primes split in K" instead
+        # of a profile violation at inert primes will change this digest on
+        # purpose (ROADMAP item 4)
+        zs = [10 ** 15 + k for k in range(1141, 1147)] + [1, -7, 2, 10 ** 1000 + 7]
+        codes, out = [], ""
+        for z in zs:
+            codes.append(main(["verify", "--z", str(z)]))
+            out += capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "cc5dbef93202fc2b540af690f7314ec5d571668e49caf05069cc3f36937a553a"
 
 
 def test_cmd_verify_pole_error_record(capsys):

@@ -13,7 +13,6 @@ from fiverank.errors import (
 )
 from fiverank.exact import Poly, RatFunc, rational_mod
 from fiverank.family import (
-    SurdElement,
     c_parametrization,
     check_family_kernel,
     check_order10_abscissa,
@@ -29,27 +28,6 @@ from fiverank.family import (
     triple_u,
 )
 from fiverank.isogeny import five_division_polynomial, velu_quotient
-
-
-# ----------------------------------------------------------------- surds
-
-def test_surd_rejects_square_radicand():
-    with pytest.raises(ValueError):
-        SurdElement(0, 1, F(4))
-    with pytest.raises(ValueError):
-        SurdElement(0, 1, 0)
-
-
-def test_surd_arithmetic():
-    s = SurdElement(1, 2, 5)            # 1 + 2 sqrt5
-    t = SurdElement(0, 1, 5)
-    assert (s * t) == SurdElement(10, 1, 5)
-    assert (s - 1) / t == SurdElement(2, 0, 5)
-    assert (t * t).as_rational() == 5
-    assert (1 / t) * t == 1
-    assert (s ** 2) == SurdElement(21, 4, 5)
-    with pytest.raises(ValueError):
-        s + SurdElement(0, 1, 7)
 
 
 # ------------------------------------------------------------ family models
@@ -168,30 +146,6 @@ def test_radicand_pole():
     sp = specialize()
     with pytest.raises(PoleError):
         sp.radicand(F(29, 11))
-
-
-def test_points_on_quotients():
-    sp = specialize()
-    z = F(7)
-    pts = sp.points_on_quotients(z)
-    x = sp.x_of_z(z)
-    for (xi, yi), model in zip(pts, sp.F_models):
-        assert xi == x
-        assert yi.square() == model.rhs(x)
-    # transfer relations between the ordinates
-    assert pts[1][1] * sp.v_of_z(z) == pts[0][1]
-    assert pts[2][1] * sp.w_of_z(z) == pts[0][1]
-
-
-def test_points_on_quotients_field_collapse(monkeypatch):
-    # no small rational z produces a square radicand (the branch points of
-    # the cover are complex), so force one through the radicand hook and
-    # check the guard fires
-    from fiverank.family import Specialization
-    sp = specialize()
-    monkeypatch.setattr(Specialization, "radicand", lambda self, z: F(49))
-    with pytest.raises(FieldCollapseError):
-        sp.points_on_quotients(F(7))
 
 
 def test_splitting_pattern_field_collapse(monkeypatch):

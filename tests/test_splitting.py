@@ -78,7 +78,8 @@ def test_independence_all_split_invalid():
     allsplit = make_pattern(((SPLIT,) * 3,) * 3)
     with pytest.raises(InvalidCertificateError):
         independence_certificate(allsplit)
-    assert not allsplit.is_valid()
+    with pytest.raises(InvalidCertificateError):
+        allsplit.validate()
 
 
 def test_independence_duplicate_columns():
