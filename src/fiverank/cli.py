@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .classgroup import group_structure, oracle_scan
+from .curves import is_semistable
 from .errors import FiverankError
 from .exact import rational_to_string
 from .family import CONSTANTS, specialize
@@ -162,19 +163,23 @@ def cmd_sieve(args, cfg: RunConfig):
     return 0 if ok else 1
 
 
-def cmd_verify(args, cfg: RunConfig):
+def _certificates(args, cfg: RunConfig):
+    """Certificates in z order, each yielded as soon as it is ready."""
     if args.z is not None:
-        zs = [args.z]
-    else:
-        zs = list(admissible_z(start=cfg.sieve_start, count=args.batch,
-                               sign=cfg.sieve_sign))
-    if cfg.workers > 1 and len(zs) > 1:
+        yield verify_instance(args.z)
+        return
+    zs = admissible_z(start=cfg.sieve_start, count=args.batch,
+                      sign=cfg.sieve_sign)
+    if cfg.workers > 1 and args.batch > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            certs = list(pool.map(verify_instance, zs))
+            yield from pool.map(verify_instance, zs)
     else:
-        certs = [verify_instance(z) for z in zs]
+        yield from map(verify_instance, zs)
+
+
+def cmd_verify(args, cfg: RunConfig):
     ok = True
-    for cert in certs:
+    for cert in _certificates(args, cfg):
         ok = ok and cert.conclusion
         yield cert.to_json()
     return 0 if ok else 1
@@ -239,7 +244,6 @@ def paper_check_records() -> list[dict]:
             singular_abscissa(d, d.congruence_prime) == d.excluded_residue,
             f"x = {d.excluded_residue} mod {d.congruence_prime}")
 
-    from .curves import is_semistable
     for i, model in enumerate(sp.E_models + sp.F_models, 1):
         add(f"semistability/model-{i}", is_semistable(model.curve()))
 

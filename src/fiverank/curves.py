@@ -1,9 +1,8 @@
 """Elliptic curves over Q in long Weierstrass form.
 
 Covers the point group law, torsion orders, global minimal models
-(Laska-Kraus-Connell), reduction classification at primes of bad
-reduction, and the set of primes whose special fiber has a component
-count divisible by five.
+(Laska-Kraus-Connell) and reduction classification at primes of bad
+reduction.
 
 Component counts are those of the geometric special fiber of the Neron
 model: for multiplicative reduction the fiber is an n-gon with
@@ -17,15 +16,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import IdentityCheckError, NoSingularPointError, UnsupportedReductionError
+from .errors import (
+    IdentityCheckError,
+    NoIsomorphismError,
+    NoSingularPointError,
+    UnsupportedReductionError,
+)
 from .exact import (
     Poly,
     factor_completely,
     int_valuation,
+    integer_nth_root,
     jacobi,
+    pm_from_poly,
+    pm_gcd,
     rational_from_string,
     rational_sqrt,
     rational_to_string,
+    trial_factor,
     valuation,  # noqa: F401  (the traced benchmark wraps this binding)
 )
 
@@ -250,8 +258,6 @@ class Transform:
 
 def transform_between(E: WeierstrassCurve, F: WeierstrassCurve) -> Transform:
     """The substitution carrying E to F, when one exists over Q."""
-    from .errors import NoIsomorphismError
-
     c4e, c6e = E.c_invariants()
     c4f, c6f = F.c_invariants()
     candidates = []
@@ -266,15 +272,13 @@ def transform_between(E: WeierstrassCurve, F: WeierstrassCurve) -> Transform:
         except ValueError:
             pass
     else:  # c4 = 0
-        ratio = c6e / c6f
-        for u6 in (ratio,):
-            # u^2 is a rational cube root of c6e/c6f when it exists
-            num, den = u6.numerator, u6.denominator
-            from .exact import integer_nth_root
-            if num > 0:
-                rn, rd = integer_nth_root(num, 3), integer_nth_root(den, 3)
-                if rn ** 3 == num and rd ** 3 == den:
-                    candidates.append(Fraction(rn, rd))
+        # u^2 is a rational cube root of u^6 = c6e/c6f when it exists
+        u6 = c6e / c6f
+        num, den = u6.numerator, u6.denominator
+        if num > 0:
+            rn, rd = integer_nth_root(num, 3), integer_nth_root(den, 3)
+            if rn ** 3 == num and rd ** 3 == den:
+                candidates.append(Fraction(rn, rd))
     for u2 in candidates:
         if u2 <= 0:
             continue
@@ -346,7 +350,6 @@ def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
     base = math.gcd(abs(c4), abs(c6))
     u = 1
     if base > 1:
-        from .exact import integer_nth_root, trial_factor
         root_power = 6 if c4 == 0 else 4
         bound = min(DEFAULT_TRIAL_BOUND, integer_nth_root(base, root_power) + 1)
         factors, _ = trial_factor(base, bound)
@@ -404,9 +407,7 @@ def _singular_point_mod_p(E: WeierstrassCurve, p: int):
                 if eq == 0 and dx == 0 and dy == 0:
                     return x0, y0
         raise NoSingularPointError(f"no singular point mod {p}")
-    from .exact import pm_from_poly, pm_gcd
-    b2, b4, b6, _ = E.b_invariants()
-    quart = Poly([b6, 2 * b4, b2, 4])
+    quart = E.rhs_quartic()
     g = pm_gcd(pm_from_poly(quart, p), pm_from_poly(quart.derivative(), p), p)
     if len(g) != 2:
         raise NoSingularPointError(f"node not unique mod {p} (gcd degree {len(g)-1})")
@@ -463,14 +464,3 @@ def is_semistable(E: WeierstrassCurve) -> bool:
         except UnsupportedReductionError:
             return False
     return True
-
-
-def five_component_primes(F: WeierstrassCurve) -> frozenset[int]:
-    """Primes where the Neron special fiber has 5 | component count."""
-    Fmin, _ = minimal_model(F)
-    out = set()
-    for p in bad_primes(Fmin):
-        info = reduction_info(Fmin, p)
-        if info.component_count % 5 == 0:
-            out.add(p)
-    return frozenset(out)

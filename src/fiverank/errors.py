@@ -9,10 +9,6 @@ class BadReductionError(FiverankError):
     """A residue computation hit a denominator divisible by the modulus."""
 
 
-class NoSolutionError(FiverankError):
-    """A congruence system is inconsistent."""
-
-
 class PoleError(FiverankError):
     """A rational function was evaluated at a pole."""
 

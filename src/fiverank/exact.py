@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, polynomials, rational functions,
-residue classes, and the modular toolkit used by the rest of the package.
+p-adic residues, and the modular toolkit used by the rest of the package.
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
 denominator), re-exported here as ``Rational``.  Polynomials store their
@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
     BadReductionError,
     FactorizationIncompleteError,
-    NoSolutionError,
     PoleError,
 )
 
@@ -225,6 +223,26 @@ def valuation(r, p: int):
     return int_valuation(r.numerator, p) - int_valuation(r.denominator, p)
 
 
+def valuation_and_residue(n: int, d: int, p: int):
+    """v_p(n/d) (+inf for n = 0) and, when it is >= 0, n/d mod p (else None).
+
+    n/d need not be in lowest terms: v_p(n) - v_p(d) is exact either way,
+    and dividing p^v_p(d) out of both leaves a denominator prime to p.
+    The residue is the image of n/d in P^1(F_p), None standing for
+    infinity.
+    """
+    if n == 0:
+        return INF, 0
+    vd = int_valuation(d, p)
+    v = int_valuation(n, p) - vd
+    if v < 0:
+        return v, None
+    if vd:
+        q = p ** vd
+        n, d = n // q, d // q
+    return v, n % p * pow(d, -1, p) % p
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n."""
     if n <= 0 or n % 2 == 0:
@@ -249,50 +267,6 @@ def rational_mod(q, m: int) -> int:
     if math.gcd(q.denominator, m) != 1:
         raise BadReductionError(f"denominator of {q} not invertible mod {m}")
     return q.numerator * pow(q.denominator, -1, m) % m
-
-
-# ---------------------------------------------------------------------------
-# residue classes and CRT
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidueClass:
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if not 0 <= self.residue < self.modulus:
-            object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def contains(self, n: int) -> bool:
-        return n % self.modulus == self.residue
-
-    def __str__(self):
-        return f"{self.residue} mod {self.modulus}"
-
-
-def crt(constraints) -> ResidueClass:
-    """Merge congruence constraints into a single residue class.
-
-    Coprime moduli always merge; non-coprime moduli merge when consistent
-    and raise NoSolutionError otherwise.
-    """
-    constraints = list(constraints)
-    if not constraints:
-        raise ValueError("need at least one constraint")
-    r, m = constraints[0].residue, constraints[0].modulus
-    for cls in constraints[1:]:
-        r2, m2 = cls.residue, cls.modulus
-        g = math.gcd(m, m2)
-        if (r - r2) % g != 0:
-            raise NoSolutionError(f"{r} mod {m} and {r2} mod {m2} are incompatible")
-        lcm = m // g * m2
-        step = (r2 - r) // g * pow(m // g, -1, m2 // g) % (m2 // g)
-        r = (r + m * step) % lcm
-        m = lcm
-    return ResidueClass(r, m)
 
 
 # ---------------------------------------------------------------------------
@@ -767,51 +741,11 @@ def pm_derivative(f, p):
     return pm_trim([i * a % p for i, a in enumerate(f)][1:])
 
 
-def pm_monic(f, p):
-    if not f:
-        return f
-    inv = pow(f[-1], -1, p)
-    return [a * inv % p for a in f]
-
-
-def _pm_pth_root(f, p):
-    # f = g(X^p) over F_p; return g (Frobenius fixes prime-field coefficients)
-    return [f[i] for i in range(0, len(f), p)]
-
-
-def pm_squarefree_decomposition(f, p):
-    """Return a list of (multiplicity, squarefree factor product)."""
-    out = []
-    f = pm_monic(f, p)
-
-    def recurse(g, mult):
-        if len(g) <= 1:
-            return
-        d = pm_derivative(g, p)
-        if not d:
-            recurse(_pm_pth_root(g, p), mult * p)
-            return
-        c = pm_gcd(g, d, p)
-        w = pm_divmod(g, c, p)[0]
-        # w = product of squarefree factors with multiplicity not divisible by p
-        i = 1
-        while len(w) > 1:
-            y = pm_gcd(w, c, p)
-            z = pm_divmod(w, y, p)[0]
-            if len(z) > 1:
-                out.append((mult * i, z))
-            c = pm_divmod(c, y, p)[0]
-            w = y
-            i += 1
-        if len(c) > 1:
-            recurse(_pm_pth_root(c, p), mult * p)
-
-    recurse(f, 1)
-    return out
-
-
 def pm_distinct_degree(f, p):
-    """Distinct-degree split of a squarefree monic f: list of (d, product)."""
+    """Distinct-degree split of a squarefree f: list of (d, product).
+
+    The leading coefficient of f must be a unit mod p.
+    """
     out = []
     h = [0, 1]  # X
     g = list(f)
@@ -832,10 +766,10 @@ def pm_distinct_degree(f, p):
 def splitting_profile(f: Poly, p: int) -> list[int]:
     """Degrees of the irreducible factors of f mod p, sorted.
 
-    Distinct-degree factorization only; repeated factors are resolved
-    through the squarefree decomposition, so the degrees always sum to
-    deg f.  Requires p an odd prime not dividing the leading coefficient
-    or any coefficient denominator.
+    Distinct-degree factorization of the reduction of f, which must be
+    squarefree: a repeated factor mod p raises BadReductionError.
+    Requires p an odd prime not dividing the leading coefficient or any
+    coefficient denominator.
     """
     if p == 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -844,8 +778,7 @@ def splitting_profile(f: Poly, p: int) -> list[int]:
     if Fraction(f.leading()).numerator % p == 0:
         raise BadReductionError(f"leading coefficient vanishes mod {p}")
     fm = pm_from_poly(f, p)
-    profile = []
-    for mult, g in pm_squarefree_decomposition(fm, p):
-        for d, prod in pm_distinct_degree(g, p):
-            profile.extend([d] * (((len(prod) - 1) // d) * mult))
-    return sorted(profile)
+    if len(pm_gcd(fm, pm_derivative(fm, p), p)) > 1:
+        raise BadReductionError(f"repeated factor mod {p}")
+    return sorted(d for d, prod in pm_distinct_degree(fm, p)
+                  for _ in range((len(prod) - 1) // d))

@@ -37,7 +37,7 @@ def stripped_division_polys(E: WeierstrassCurve, upto: int) -> tuple[list[Poly],
     psi_n = psit[n] * psi_2 for even n, psit[n] for odd n.
     """
     b2, b4, b6, b8 = E.b_invariants()
-    S = Poly([b6, 2 * b4, b2, 4])
+    S = E.rhs_quartic()
     psit: list[Poly] = [Poly() for _ in range(max(upto + 1, 5))]
     psit[0] = Poly()
     psit[1] = Poly.const(1)
@@ -186,7 +186,7 @@ def velu_quotient(E: WeierstrassCurve, kernel: Poly) -> IsogenyMap:
     # x-map: X = x + sum over kernel abscissas s of v(s)/(x-s) + u(s)/(x-s)^2
     x = Poly.x()
     vpoly = Poly([b4, b2, 6])
-    upoly = Poly([b6, 2 * b4, b2, 4])
+    upoly = E.rhs_quartic()
 
     def reduced(poly):
         rem = poly % kernel

@@ -52,13 +52,10 @@ from .curves import (
 )
 from .errors import NoSingularPointError, PoleError
 from .exact import (
-    INF,
-    ResidueClass,
-    crt,
-    int_valuation,
     integer_coefficients,
     rational_mod,
     valuation,  # noqa: F401  (the traced benchmark wraps this binding)
+    valuation_and_residue,
 )
 from .family import CONSTANTS, CubicModel, specialize
 
@@ -67,70 +64,33 @@ from .family import CONSTANTS, CubicModel, specialize
 # admissible z stream
 # ---------------------------------------------------------------------------
 
-def _congruence_class() -> ResidueClass:
-    m1 = math.prod(CONSTANTS["z_zero_mod"])
-    m2 = math.prod(CONSTANTS["z_one_mod"])
-    return crt([ResidueClass(0, m1), ResidueClass(1, m2)])
-
-
-def _excluded_mod_419(z: int) -> bool:
-    p, a = CONSTANTS["z_exclusion"]
-    return z % p in (a % p, -a % p)
-
-
 def admissible_z(start: int = 0, count: int | None = None, sign: str = "both"):
     """Admissible z in increasing |z|, starting at |z| >= start.
 
     sign is "pos", "neg" or "both"; both signs interleave by absolute
-    value.  A count of None streams forever; a count <= 0 yields nothing.
+    value, the positive z first should |z| tie.  A negative start counts
+    as 0.  A count of None streams forever; a count <= 0 yields nothing.
     """
     if sign not in ("pos", "neg", "both"):
         raise ValueError(f"bad sign {sign!r}")
-    if count is not None and count <= 0:
-        return
-    cls = _congruence_class()
-    M = cls.modulus
-    z0 = cls.residue            # in (0, M); z0 != 0 since z = 1 mod m2
-
-    def positives():
-        # least z0 + kM >= start, k >= 0
-        z = z0 + M * max(0, -(-(start - z0) // M))
-        while True:
+    m1 = math.prod(CONSTANTS["z_zero_mod"])
+    m2 = math.prod(CONSTANTS["z_one_mod"])
+    M = m1 * m2
+    z0 = m1 * pow(m1, -1, m2)            # 0 mod m1 and 1 mod m2, in (0, M)
+    p, a = CONSTANTS["z_exclusion"]
+    excluded = (a % p, -a % p)
+    start = max(start, 0)
+    pos = start + (z0 - start) % M       # least z = z0 mod M with z >= start
+    neg = -start - (-start - z0) % M     # greatest z = z0 mod M with z <= -start
+    while count is None or count > 0:
+        if sign == "neg" or (sign == "both" and -neg < pos):
+            z, neg = neg, neg - M
+        else:
+            z, pos = pos, pos + M
+        if z % p not in excluded:
             yield z
-            z += M
-
-    def negatives():
-        # greatest z0 - kM <= -start, k >= 1
-        z = z0 - M * max(1, -(-(start + z0) // M))
-        while True:
-            yield z
-            z -= M
-
-    if sign == "pos":
-        stream = positives()
-    elif sign == "neg":
-        stream = negatives()
-    else:
-        def interleave():
-            pos, neg = positives(), negatives()
-            p, n = next(pos), next(neg)
-            while True:
-                if abs(p) <= abs(n):
-                    yield p
-                    p = next(pos)
-                else:
-                    yield n
-                    n = next(neg)
-        stream = interleave()
-
-    emitted = 0
-    for z in stream:
-        if _excluded_mod_419(z):
-            continue
-        yield z
-        emitted += 1
-        if count is not None and emitted >= count:
-            return
+            if count is not None:
+                count -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +186,6 @@ class ConditionRecord:
         }
 
 
-def _valuation_and_residue(n: int, d: int, p: int):
-    """v_p(n/d) (+inf for n = 0) and, when it is >= 0, n/d mod p (else None).
-
-    n/d need not be in lowest terms: v_p(n) - v_p(d) is exact either way,
-    and dividing p^v_p(d) out of both leaves a denominator prime to p.
-    """
-    if n == 0:
-        return INF, 0
-    vd = int_valuation(d, p)
-    v = int_valuation(n, p) - vd
-    if v < 0:
-        return v, None
-    if vd:
-        q = p ** vd
-        n, d = n // q, d // q
-    return v, n % p * pow(d, -1, p) % p
-
-
 def extension_check(data: CurveReductionData, x: Fraction) -> list[ConditionRecord]:
     """The verbatim per-curve criterion plus the general singular-point rule."""
     x = Fraction(x)
@@ -255,13 +197,13 @@ def _extension_records(data: CurveReductionData, n: int,
     """extension_check at x = n/d (d != 0)."""
     records = []
     for p in data.valuation_primes:
-        v, _ = _valuation_and_residue(n, d, p)
+        v, _ = valuation_and_residue(n, d, p)
         records.append(ConditionRecord(
             data.index, "valuation", p, "v <= -2", f"v = {v}", v <= -2))
     if data.congruence_prime is not None:
         p = data.congruence_prime
         # negative valuation counts as "not congruent"
-        _, res = _valuation_and_residue(n, d, p)
+        _, res = valuation_and_residue(n, d, p)
         hit = res is not None and res == data.excluded_residue % p
         records.append(ConditionRecord(
             data.index, "congruence", p,
@@ -284,7 +226,7 @@ def singular_avoidance_passes(data: CurveReductionData, x: Fraction) -> bool:
 def _singular_avoidance_record(data: CurveReductionData, n_min: int, d_min: int,
                                p: int) -> ConditionRecord:
     """Reduction of x_min = n_min/d_min on the minimal model misses the node."""
-    _, res = _valuation_and_residue(n_min, d_min, p)
+    _, res = valuation_and_residue(n_min, d_min, p)
     if res is None:
         return ConditionRecord(data.index, "singular-avoidance", p,
                                "reduction != node", "reduces to infinity", True)

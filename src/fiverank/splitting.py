@@ -36,6 +36,7 @@ from functools import lru_cache
 
 from .errors import (
     BadReductionError,
+    FieldCollapseError,
     FiverankError,
     InvalidCertificateError,
     ProtocolViolationError,
@@ -46,11 +47,13 @@ from .exact import (
     int_valuation,
     integer_coefficients,
     is_probable_prime,
+    is_square,
     jacobi,
     pm_derivative,
     pm_gcd,
     rational_to_string,
     splitting_profile,
+    valuation_and_residue,
 )
 from .family import CONSTANTS, specialize
 from .isogeny import preimage_quintic
@@ -188,13 +191,6 @@ class FieldCertificate:
         }
 
 
-def _projective_residue(q: Fraction, l: int) -> int | None:
-    """Image of q in P^1(F_l): its residue mod l, or None for infinity."""
-    if q.denominator % l == 0:
-        return None
-    return q.numerator * pow(q.denominator, -1, l) % l
-
-
 @lru_cache(maxsize=None)
 def _check_residue_precondition(j: int, l: int) -> None:
     """Refuse l unless curve j's verdict at l is a function of x mod l.
@@ -236,9 +232,6 @@ def splitting_pattern(z: int, *, x: Fraction | None = None,
     caller's second evaluation.  The L_j verdicts come from the isogenies
     of the distinguished specialization, cached per residue class.
     """
-    from .errors import FieldCollapseError
-    from .exact import is_square
-
     sp = specialize()
     primes = CONSTANTS["z_one_mod"]
     r = sp.radicand(z) if radicand is None else radicand
@@ -249,8 +242,9 @@ def splitting_pattern(z: int, *, x: Fraction | None = None,
         x = sp.x_of_z(Fraction(z))
     x_long = [model.to_long_x(x) for model in sp.F_models]
     entries = tuple(
-        tuple(_frobenius_verdict(j, l, _projective_residue(x_long[j], l))
-              for j in range(3))
+        tuple(_frobenius_verdict(
+                  j, l, valuation_and_residue(q.numerator, q.denominator, l)[1])
+              for j, q in enumerate(x_long))
         for l in primes)
     return SplittingPattern(primes, entries, k_verdicts)
 
@@ -272,7 +266,6 @@ def verify_instance(z: int) -> FieldCertificate:
     independence = False
     try:
         pattern = splitting_pattern(z, x=x, radicand=r)
-        pattern.validate()
         independence = independence_certificate(pattern)
         if not independence:
             failures.append("splitting pattern does not force independence")
@@ -287,6 +280,5 @@ def verify_instance(z: int) -> FieldCertificate:
 
 def fields_distinct(r1: Fraction, r2: Fraction) -> bool:
     """Whether two radicands define distinct quadratic fields."""
-    from .exact import is_square
     prod = Fraction(r1) * Fraction(r2)
     return not is_square(prod)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from fiverank.cli import RunConfig, load_config, main, paper_check_records
+from fiverank.sieve import admissible_z
 
 
 def run_cli(args, capsys):
@@ -96,6 +97,45 @@ def test_cmd_verify_workers(capsys):
     assert code == 0 and len(records) == 2
     zs = [int(r["z"]) for r in records]
     assert zs == sorted(zs)
+
+
+def test_cmd_verify_streams_certificates(monkeypatch):
+    # each certificate is written before the next z is verified, with and
+    # without --workers (an in-process pool keeps the order observable)
+    from fiverank import cli
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    events = []
+    real_verify, real_emit = cli.verify_instance, cli._emit
+
+    def verify(z):
+        events.append(("verify", z))
+        return real_verify(z)
+
+    def emit(fh, record):
+        events.append(("emit", int(record["z"])))
+        real_emit(fh, record)
+
+    monkeypatch.setattr(cli, "verify_instance", verify)
+    monkeypatch.setattr(cli, "_emit", emit)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    zs = list(admissible_z(count=3, sign="neg"))
+    for workers in ([], ["--workers", "2"]):
+        events.clear()
+        assert main([*workers, "verify", "--batch", "3", "--sign", "neg"]) == 0
+        assert events == [(kind, z) for z in zs for kind in ("verify", "emit")]
 
 
 def test_cmd_verify_batch_with_failing_candidate(capsys):

@@ -9,7 +9,6 @@ from fiverank.curves import (
     Transform,
     WeierstrassCurve,
     bad_primes,
-    five_component_primes,
     is_semistable,
     minimal_model,
     point_add,
@@ -239,7 +238,13 @@ def test_five_component_primes_toy():
     # y^2 + y = x^3 - x^2 - 10x - 20 has disc -11^5
     E = WeierstrassCurve(0, -1, 1, -10, -20)
     assert int(E.discriminant()) == -(11 ** 5)
-    assert five_component_primes(E) == frozenset({11})
+    Emin, _ = minimal_model(E)
+    assert Emin == E and bad_primes(Emin) == [11]
+    info = reduction_info(Emin, 11)
+    assert info.kind == "multiplicative-split"
+    assert info.component_count == info.tamagawa_count == 5
+    # 37a1 has v_37(disc) = 1: one component, so no five-component prime
+    assert reduction_info(curve_37a(), 37).component_count == 1
 
 
 def test_singular_x_is_double_root():

@@ -4,13 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiverank.errors import BadReductionError, NoSolutionError
+from fiverank.errors import BadReductionError
 from fiverank.exact import (
     INF,
     Poly,
     RatFunc,
-    ResidueClass,
-    crt,
     factor_completely,
     int_valuation,
     integer_coefficients,
@@ -23,7 +21,6 @@ from fiverank.exact import (
     pm_gcd,
     pm_mul,
     pm_sub,
-    pm_squarefree_decomposition,
     rational_from_string,
     rational_mod,
     rational_sqrt,
@@ -33,6 +30,7 @@ from fiverank.exact import (
     squarefree_part,
     trial_factor,
     valuation,
+    valuation_and_residue,
 )
 
 nonzero_rationals = st.fractions(min_value=-1000, max_value=1000).filter(lambda q: q != 0)
@@ -69,6 +67,19 @@ def test_int_valuation_examples():
         int_valuation(0, 7)
 
 
+@given(st.fractions(min_value=-10 ** 6, max_value=10 ** 6),
+       st.integers(1, 10 ** 4), st.sampled_from([3, 11, 163, 1277]))
+@settings(max_examples=200)
+def test_valuation_and_residue_of_an_unreduced_pair(q, scale, p):
+    # (n, d) = scale * (num, den) is any representative of q
+    v, res = valuation_and_residue(q.numerator * scale, q.denominator * scale, p)
+    assert v == valuation(q, p)
+    if q.denominator % p:
+        assert res == rational_mod(q, p)
+    else:
+        assert res is None
+
+
 def test_integer_coefficients_share_one_scale():
     num, den = integer_coefficients(Poly([F(1, 2), F(2, 3)]), Poly([F(5, 4)]))
     assert num == [6, 8] and den == [15]
@@ -94,30 +105,6 @@ def test_jacobi_matches_legendre_on_primes():
 def test_jacobi_requires_odd():
     with pytest.raises(ValueError):
         jacobi(3, 8)
-
-
-# ---------------------------------------------------------------------- crt
-
-def test_crt_examples():
-    assert crt([ResidueClass(0, 3), ResidueClass(1, 5)]) == ResidueClass(6, 15)
-    big = crt([ResidueClass(0, 6061), ResidueClass(1, 145913851)])
-    assert big.modulus == 6061 * 145913851
-    assert big.residue % 6061 == 0 and big.residue % 145913851 == 1
-    assert crt([ResidueClass(2, 4), ResidueClass(0, 2)]) == ResidueClass(2, 4)
-
-
-def test_crt_inconsistent():
-    with pytest.raises(NoSolutionError):
-        crt([ResidueClass(1, 4), ResidueClass(0, 2)])
-
-
-@given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([3, 5, 7, 11, 13, 17])),
-                min_size=1, max_size=4, unique_by=lambda t: t[1]))
-def test_crt_reduces_to_each_constraint(raw):
-    classes = [ResidueClass(r % m, m) for r, m in raw]
-    merged = crt(classes)
-    for cls in classes:
-        assert merged.residue % cls.modulus == cls.residue
 
 
 # -------------------------------------------------------- squarefree / roots
@@ -307,13 +294,19 @@ def test_splitting_profile_sums_to_degree():
 
 
 def test_splitting_profile_repeated_factors():
+    # a repeated factor mod p is bad reduction, also when f itself is
+    # squarefree: x^2 - 2x + 6 = (x - 1)^2 mod 5, irreducible mod 11
     x = Poly.x()
     f = (x - 1) ** 2 * (x * x + 1)
-    assert splitting_profile(f, 7) == [1, 1, 2]
-    assert splitting_profile(f, 5) == [1, 1, 1, 1]
-    # p-th power: (x^2+1)^3 mod 3 has derivative 0; x^2+1 is irreducible mod 3
-    g = (x * x + 1) ** 3
-    assert splitting_profile(g, 3) == [2, 2, 2]
+    for p in (5, 7):
+        with pytest.raises(BadReductionError):
+            splitting_profile(f, p)
+    with pytest.raises(BadReductionError):
+        splitting_profile(x * x - 2 * x + 6, 5)
+    assert splitting_profile(x * x - 2 * x + 6, 11) == [2]
+    # p-th power: (x^2+1)^3 mod 3 has derivative 0
+    with pytest.raises(BadReductionError):
+        splitting_profile((x * x + 1) ** 3, 3)
 
 
 def test_splitting_profile_bad_reduction():
@@ -339,25 +332,6 @@ def test_pm_divmod_unreduced_integers_non_monic_divisor(p, f, g):
     assert all(0 <= c < p for c in q + r)
     qg_plus_r = pm_sub(pm_mul(q, g, p), [-c for c in r], p)
     assert pm_sub(f, qg_plus_r, p) == []         # f = q*g + r (mod p)
-
-
-def test_pm_squarefree_decomposition():
-    p = 5
-    # (x+1)^2 (x+2)^3
-    f = pm_mul(pm_mul([1, 1], [1, 1], p), pm_mul(pm_mul([2, 1], [2, 1], p), [2, 1], p), p)
-    parts = dict((m, g) for m, g in pm_squarefree_decomposition(f, p))
-    assert parts[2] == [1, 1] and parts[3] == [2, 1]
-
-
-def test_pm_squarefree_decomposition_p_multiplicity():
-    # multiplicity divisible by p needs the p-th-root branch: (x+1)^5 (x+2)
-    p = 5
-    f = [1]
-    for _ in range(5):
-        f = pm_mul(f, [1, 1], p)
-    f = pm_mul(f, [2, 1], p)
-    parts = dict((m, g) for m, g in pm_squarefree_decomposition(f, p))
-    assert parts == {1: [2, 1], 5: [1, 1]}
 
 
 def test_pm_from_poly_and_gcd():

@@ -19,11 +19,59 @@ M1 = 11 * 19 * 29
 M2 = 163 * 701 * 1277
 
 
-def test_admissible_stream_congruences():
+def _brute_admissible(start, count, m1=M1, m2=M2, exclusion=(419, 86)):
+    """The first `count` z of each sign with |z| >= max(start, 0), by brute force.
+
+    Walks z = 1 mod m2 outward and keeps z = 0 mod m1 that is not +-a mod
+    p; returns (positives, negatives), each in increasing |z|.
+    """
+    p, a = exclusion
+    lo = max(start, 0)
+
+    def side(z, step):
+        found = []
+        while len(found) < count:
+            if z % m1 == 0 and z % m2 == 1 and z % p not in (a % p, -a % p):
+                found.append(z)
+            z += step
+        return found
+
+    return side(lo + (1 - lo) % m2, m2), side(-lo - (-lo - 1) % m2, -m2)
+
+
+def _expected(pos, neg, sign, count):
+    if count <= 0:
+        return []
+    merged = {"pos": pos, "neg": neg, "both": pos + neg}[sign]
+    # by |z|, the positive z first on a tie
+    return sorted(merged, key=lambda z: (abs(z), z < 0))[:count]
+
+
+def test_admissible_stream_congruences(monkeypatch):
     for z in admissible_z(count=12, sign="both"):
         assert z % M1 == 0
         assert z % M2 == 1
         assert z % 419 not in (86, 419 - 86)
+    # the whole stream against brute force: a negative start counts as 0,
+    # count None streams, a count <= 0 yields nothing
+    for start in (0, -10 ** 20, 10 ** 12 + 7, 10 ** 1000):
+        pos, neg = _brute_admissible(start, 5)
+        for sign in ("pos", "neg", "both"):
+            for count in (5, 0, -3):
+                assert list(admissible_z(start, count, sign)) == \
+                    _expected(pos, neg, sign, count), (start, sign, count)
+            stream = admissible_z(start, None, sign)
+            assert [next(stream) for _ in range(5)] == _expected(pos, neg, sign, 5)
+    # the class of CONSTANTS never has z and -z both admissible (2 z0 is
+    # not 0 mod m2), so a toy class z = 3 mod 6 exercises the tie rule
+    monkeypatch.setitem(CONSTANTS, "z_zero_mod", (3,))
+    monkeypatch.setitem(CONSTANTS, "z_one_mod", (2,))
+    monkeypatch.setitem(CONSTANTS, "z_exclusion", (7, 2))
+    for start in (-1, 0, 3, 4, 40):
+        pos, neg = _brute_admissible(start, 8, 3, 2, (7, 2))
+        for sign in ("pos", "neg", "both"):
+            assert list(admissible_z(start, 8, sign)) == _expected(pos, neg, sign, 8)
+    assert list(admissible_z(0, 4)) == [3, -3, 15, -15]
 
 
 def test_admissible_stream_order_and_signs():
@@ -69,9 +117,8 @@ def test_admissible_large_start_jumps_to_the_class():
 def test_admissible_filters_419():
     # walk the raw progression and confirm excluded candidates really are
     # the ones with z = +-86 mod 419
-    from fiverank.exact import ResidueClass, crt
-    cls = crt([ResidueClass(0, M1), ResidueClass(1, M2)])
-    raw = [cls.residue + k * cls.modulus for k in range(40)]
+    z0 = M1 * pow(M1, -1, M2)
+    raw = [z0 + k * M1 * M2 for k in range(40)]
     kept = set(admissible_z(count=sum(1 for z in raw if z % 419 not in (86, 333)),
                             sign="pos"))
     for z in raw:
