@@ -17,7 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import is_semistable
-from .errors import FiverankError, IdentityCheckError, OutOfBudgetError
+from .errors import (
+    FiverankError,
+    IdentityCheckError,
+    OutOfBudgetError,
+    ProtocolViolationError,
+    RamifiedPrimeError,
+)
 from .exact import (
     factor_completely,
     is_probable_prime,
@@ -28,9 +34,10 @@ from .family import five_division_kernel, kubert_curve, quotient_cubic
 from .isogeny import preimage_quintic, velu_onto_model
 from .sieve import reduction_data_for_model, singular_avoidance_passes
 from .splitting import INERT, SPLIT, frobenius_order_in_L, prime_split_in_K
-from .errors import RamifiedPrimeError, ProtocolViolationError
 
 DEFAULT_DISC_BOUND = 10**7
+# trial-division bound for the oracle radicand's squarefree part
+RADICAND_TRIAL_BOUND = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +63,6 @@ class BinaryQuadraticForm:
 
     def inverse(self) -> "BinaryQuadraticForm":
         return reduce_form(BinaryQuadraticForm(self.a, -self.b, self.c))
-
-    def to_json(self):
-        return [str(self.a), str(self.b), str(self.c)]
 
 
 def identity_form(D: int) -> BinaryQuadraticForm:
@@ -256,14 +260,13 @@ def fundamental_discriminant(s: int) -> int:
 # the irreducibility witness is searched among the primes up to this bound
 WITNESS_BOUND = 500
 
-# oracle_scan's grid.  Parameters whose quotient model has unit leading
-# coefficient at the five-component primes come first: their
-# node-avoidance is a congruence, so small abscissas stay in the
-# discriminant budget.
+# oracle_scan's grid, every entry +-1 mod 5 as small_instance_oracle
+# requires.  Parameters whose quotient model has unit leading coefficient
+# at the five-component primes come first: their node-avoidance is a
+# congruence, so small abscissas stay in the discriminant budget.
 SCAN_U = tuple(
     [Fraction(a, b) for a, b in
-     ((2, 3), (-3, 2), (-2, 3), (3, 2), (-1, 4), (1, 4),
-      (4, 3), (-4, 3), (6, 7), (-6, 7))]
+     ((2, 3), (-3, 2), (-2, 3), (3, 2), (-1, 4), (1, 4))]
     + [Fraction(v) for v in
        (4, -4, 6, -6, 9, -9, 11, -11, 14, -14, 16, -16, 19,
         21, -21, 24, -24, 26, -26, 29)])
@@ -313,7 +316,7 @@ def _single_curve_setup(u: Fraction):
     return F_model, data, phi, is_semistable(E)
 
 
-def small_instance_oracle(u, x, trial_bound: int = 10**6,
+def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
                           disc_bound: int = DEFAULT_DISC_BOUND) -> OracleOutcome:
     """Check 5 | h(K) for one single-curve instance.
 
@@ -374,7 +377,7 @@ def _irreducibility_witness(quintic, radicand) -> int | None:
     return None
 
 
-def oracle_scan(count: int, trial_bound: int = 10**6,
+def oracle_scan(count: int, trial_bound: int = RADICAND_TRIAL_BOUND,
                 disc_bound: int = DEFAULT_DISC_BOUND):
     """Yield oracle outcomes until `count` non-skip verdicts accumulate.
 
@@ -388,8 +391,6 @@ def oracle_scan(count: int, trial_bound: int = 10**6,
     decided = 0
     for u in SCAN_U:
         try:
-            if u.denominator % 5 == 0 or rational_mod(u, 5) not in (1, 4):
-                continue
             _single_curve_setup(u)
         except FiverankError:           # singular or unsupported curve pair
             continue

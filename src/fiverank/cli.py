@@ -18,7 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .classgroup import group_structure, oracle_scan
+from .classgroup import (
+    DEFAULT_DISC_BOUND,
+    RADICAND_TRIAL_BOUND,
+    group_structure,
+    oracle_scan,
+)
 from .curves import is_semistable
 from .errors import FiverankError
 from .exact import rational_to_string
@@ -37,8 +42,8 @@ SCHEMA = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    trial_bound: int = 10**6
-    disc_bound: int = 10**7
+    trial_bound: int = RADICAND_TRIAL_BOUND
+    disc_bound: int = DEFAULT_DISC_BOUND
     sieve_count: int = 10
     sieve_sign: str = "both"
     sieve_start: int = 0

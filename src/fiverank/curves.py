@@ -1,14 +1,13 @@
 """Elliptic curves over Q in long Weierstrass form.
 
 Covers the point group law, torsion orders, global minimal models
-(Laska-Kraus-Connell) and reduction classification at primes of bad
+(Laska-Kraus-Connell) and the node and component count at primes of bad
 reduction.
 
 Component counts are those of the geometric special fiber of the Neron
 model: for multiplicative reduction the fiber is an n-gon with
 n = v_p(min discriminant), whether or not the two tangent directions at
-the node are rational.  The count of F_p-rational components (the local
-Tamagawa number) is recorded separately.
+the node are rational.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ from .exact import (
     factor_completely,
     int_valuation,
     integer_nth_root,
-    jacobi,
     pm_from_poly,
     pm_gcd,
-    rational_from_string,
     rational_sqrt,
     rational_to_string,
     trial_factor,
@@ -144,10 +141,6 @@ class WeierstrassCurve:
 
     def to_json(self):
         return [rational_to_string(a) for a in self.a_invariants()]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(*[rational_from_string(s) for s in data])
 
 
 # ---------------------------------------------------------------------------
@@ -369,35 +362,17 @@ def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
 # reduction data
 # ---------------------------------------------------------------------------
 
-KIND_GOOD = "good"
-KIND_MULT_SPLIT = "multiplicative-split"
-KIND_MULT_NONSPLIT = "multiplicative-nonsplit"
-
-
 @dataclass(frozen=True)
 class ReductionInfo:
     prime: int
-    kind: str
-    delta_valuation: int
     component_count: int          # geometric Neron component count
-    tamagawa_count: int           # F_p-rational component count
     singular_x: int | None        # abscissa of the node mod p, minimal coords
 
-    def to_json(self):
-        return {
-            "prime": str(self.prime),
-            "kind": self.kind,
-            "delta_valuation": str(self.delta_valuation),
-            "component_count": str(self.component_count),
-            "tamagawa_count": str(self.tamagawa_count),
-            "singular_x": None if self.singular_x is None else str(self.singular_x),
-        }
 
-
-def _singular_point_mod_p(E: WeierstrassCurve, p: int):
-    """Node coordinates (x0, y0) of the reduced curve; p | disc required."""
-    a1, a2, a3, a4, a6 = (int(a) for a in E.a_invariants())
+def _node_x_mod_p(E: WeierstrassCurve, p: int) -> int:
+    """Abscissa of the node of the reduced curve; p | disc required."""
     if p == 2:
+        a1, a2, a3, a4, a6 = (int(a) for a in E.a_invariants())
         for x0 in range(2):
             for y0 in range(2):
                 eq = (y0 * y0 + a1 * x0 * y0 + a3 * y0
@@ -405,31 +380,17 @@ def _singular_point_mod_p(E: WeierstrassCurve, p: int):
                 dx = (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % 2
                 dy = (2 * y0 + a1 * x0 + a3) % 2
                 if eq == 0 and dx == 0 and dy == 0:
-                    return x0, y0
+                    return x0
         raise NoSingularPointError(f"no singular point mod {p}")
     quart = E.rhs_quartic()
     g = pm_gcd(pm_from_poly(quart, p), pm_from_poly(quart.derivative(), p), p)
     if len(g) != 2:
         raise NoSingularPointError(f"node not unique mod {p} (gcd degree {len(g)-1})")
-    x0 = (-g[0]) % p
-    y0 = (-(a1 * x0 + a3) * pow(2, -1, p)) % p
-    return x0, y0
-
-
-def _tangents_split(E: WeierstrassCurve, p: int, x0: int) -> bool:
-    """Whether the two tangent directions at the node are F_p-rational."""
-    a1, a2 = int(E.a1), int(E.a2)
-    if p == 2:
-        # quadratic part Y^2 + a1 XY + c X^2 with c = -(3 x0 + a2);
-        # split iff it has two distinct roots (as slopes) over F_2
-        c = (-(3 * x0 + a2)) % 2
-        return a1 % 2 == 1 and c == 0
-    d = (a1 * a1 + 4 * (3 * x0 + a2)) % p
-    return jacobi(d, p) == 1
+    return (-g[0]) % p
 
 
 def reduction_info(E: WeierstrassCurve, p: int) -> ReductionInfo:
-    """Reduction classification at p for a minimal integral model.
+    """Component count and node abscissa at p for a minimal integral model.
 
     Additive reduction raises UnsupportedReductionError; the construction
     only ever meets semistable curves and Tate's algorithm is not carried
@@ -440,14 +401,11 @@ def reduction_info(E: WeierstrassCurve, p: int) -> ReductionInfo:
     disc = int(E.discriminant())
     v = _vp(disc, p)
     if v == 0:
-        return ReductionInfo(p, KIND_GOOD, 0, 1, 1, None)
+        return ReductionInfo(p, 1, None)
     c4, _ = (int(c) for c in E.c_invariants())
     if c4 % p == 0:
         raise UnsupportedReductionError(p, v)
-    x0, _y0 = _singular_point_mod_p(E, p)
-    if _tangents_split(E, p, x0):
-        return ReductionInfo(p, KIND_MULT_SPLIT, v, v, v, x0)
-    return ReductionInfo(p, KIND_MULT_NONSPLIT, v, v, 2 if v % 2 == 0 else 1, x0)
+    return ReductionInfo(p, v, _node_x_mod_p(E, p))
 
 
 def bad_primes(E_min: WeierstrassCurve, trial_bound: int = DEFAULT_TRIAL_BOUND) -> list[int]:

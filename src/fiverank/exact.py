@@ -2,11 +2,10 @@
 p-adic residues, and the modular toolkit used by the rest of the package.
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), re-exported here as ``Rational``.  Polynomials store their
-coefficients lowest degree first; the zero polynomial has an empty
-coefficient tuple.  Coefficients may be ``Fraction`` or any field-like
-object with the usual operators (``RatFunc`` instances are used as
-coefficients when working over Q(u)).
+denominator).  Polynomials store their coefficients lowest degree first;
+the zero polynomial has an empty coefficient tuple.  Coefficients may be
+``Fraction`` or any field-like object with the usual operators
+(``RatFunc`` instances are used as coefficients when working over Q(u)).
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .errors import (
     PoleError,
 )
 
-Rational = Fraction
-
 INF = math.inf
 
 
@@ -31,13 +28,6 @@ def rational_to_string(q: Fraction) -> str:
     """Serialize as "num/den" ("num" when the denominator is 1)."""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def rational_from_string(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +439,9 @@ class Poly:
                 b = b.monic()      # tame coefficient growth over towers
         return a.monic()
 
-    def clear_denominators(self) -> tuple[list[int], int]:
-        """Return (integer coefficient list lowest-first, common denominator)."""
-        den = 1
-        for a in self.c:
-            den = den * a.denominator // math.gcd(den, a.denominator)
-        return [int(a * den) for a in self.c], den
-
     def primitive_integer(self) -> list[int]:
         """Integer coefficients with content removed, positive leading."""
-        ints, _ = self.clear_denominators()
+        ints, = integer_coefficients(self)
         g = 0
         for a in ints:
             g = math.gcd(g, abs(a))
@@ -470,10 +453,6 @@ class Poly:
 
     def to_json(self):
         return [rational_to_string(a) for a in self.c]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([rational_from_string(s) for s in data])
 
 
 def integer_coefficients(*polys: Poly) -> list[list[int]]:

@@ -29,7 +29,6 @@ from .errors import (
     DegenerateParameterError,
     IdentityCheckError,
     InvalidKernelError,
-    PoleError,
 )
 from .exact import Poly, RatFunc, ratfunc_substitute, rational_sqrt
 from .isogeny import (
@@ -214,8 +213,6 @@ class Specialization:
     def radicand(self, z) -> Fraction:
         """f(x(z)); the field of the construction is Q(sqrt(radicand))."""
         z = Fraction(z) if isinstance(z, int) else z
-        if self.x_of_z.is_pole(z):
-            raise PoleError(f"z={z} is a pole of x(z)")
         return self.f_model(self.x_of_z(z))
 
     # -- identity suite --------------------------------------------------------

@@ -116,9 +116,6 @@ class IsogenyMap:
             raise InvalidKernelError(
                 f"x-map degrees {self.x_map.degree_pair()} != (5, 4)")
 
-    def degree(self) -> int:
-        return self.x_map.num.degree
-
     def verify_codomain_identity(self) -> bool:
         """Substitute the maps into the codomain equation, reduce modulo the
         domain relation, and test exact vanishing.

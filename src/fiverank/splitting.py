@@ -49,8 +49,6 @@ from .exact import (
     is_probable_prime,
     is_square,
     jacobi,
-    pm_derivative,
-    pm_gcd,
     rational_to_string,
     splitting_profile,
     valuation_and_residue,
@@ -96,13 +94,12 @@ def frobenius_order_in_L(quintic: Poly, l: int) -> str:
     ints = quintic.primitive_integer()
     if ints[-1] % l == 0:
         raise RamifiedPrimeError(f"leading coefficient vanishes mod {l}")
-    fm = [c % l for c in ints]
-    if len(pm_gcd(fm, pm_derivative(fm, l), l)) != 1:
-        raise RamifiedPrimeError(f"{l} divides the quintic discriminant")
+    # the integer form has a unit leading coefficient and no denominators
+    # mod l, so the profile's only refusal is a repeated factor mod l
     try:
-        profile = splitting_profile(quintic, l)
+        profile = splitting_profile(Poly(ints), l)
     except BadReductionError as exc:
-        raise RamifiedPrimeError(str(exc)) from exc
+        raise RamifiedPrimeError(f"{l} divides the quintic discriminant") from exc
     if profile == [1, 1, 1, 1, 1]:
         return SPLIT
     if profile == [5]:

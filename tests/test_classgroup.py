@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from fiverank.classgroup import (
+    SCAN_U,
     BinaryQuadraticForm,
     class_number,
     compose,
@@ -177,6 +178,16 @@ def test_class_number_matches_dirichlet_formula():
 def test_oracle_requires_congruence():
     with pytest.raises(ValueError):
         small_instance_oracle(F(2), F(1))      # 2 is not +-1 mod 5
+    with pytest.raises(ValueError):
+        small_instance_oracle(F(4, 3), F(1))   # 4/3 = 3 mod 5
+
+
+def test_scan_grid_is_plus_minus_one_mod_5():
+    # oracle_scan has no filter of its own: small_instance_oracle must
+    # accept every grid parameter
+    for u in SCAN_U:
+        assert u.denominator % 5, u
+        assert u.numerator * pow(u.denominator, -1, 5) % 5 in (1, 4), u
 
 
 def test_oracle_pass_instance():
@@ -242,8 +253,8 @@ def test_oracle_scan_lets_programming_errors_through(monkeypatch):
 
 
 def test_oracle_scan_lets_value_errors_through(monkeypatch):
-    # oracle_scan skips every u that is not +-1 mod 5 itself, so a
-    # ValueError from inside the oracle is a bug and must not end the scan
+    # every u of the scan grid is +-1 mod 5, so a ValueError from inside
+    # the oracle is a bug and must not be swallowed by the scan
     from fiverank import classgroup
 
     def broken(data, x):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fiverank.classgroup import DEFAULT_DISC_BOUND, RADICAND_TRIAL_BOUND
 from fiverank.cli import RunConfig, load_config, main, paper_check_records
 from fiverank.sieve import admissible_z
 
@@ -53,6 +54,9 @@ def test_config_trial_bound_reaches_oracle_scan(tmp_path, monkeypatch, capsys):
     path.write_text("trial_bound = 2000000\n")
     assert main(["--config", str(path), "oracle", "--count", "1"]) == 0
     assert seen == {"count": 1, "trial_bound": 2000000, "disc_bound": 10**7}
+    # the config defaults are the oracle's own
+    assert (RunConfig().trial_bound, RunConfig().disc_bound) == (
+        RADICAND_TRIAL_BOUND, DEFAULT_DISC_BOUND) == (10**6, 10**7)
 
 
 def test_usage_error_exit_2(capsys):
@@ -344,23 +348,36 @@ def test_no_assert_statements_in_package():
 
 def test_package_imports_only_the_standard_library():
     # the package runs on a bare interpreter: every absolute import names a
-    # standard-library module or the package itself
+    # standard-library module or the package itself.  No linter runs on
+    # the package, so this also refuses an imported name that its module
+    # never uses, unless the import line carries "# noqa: F401"
     import ast
     import pathlib
 
     import fiverank
 
     package = pathlib.Path(fiverank.__file__).parent
-    offenders = []
+    offenders, unused = [], []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else []
             else:
                 continue
             offenders += [f"{path.name}:{node.lineno} {name}" for name in names
                           if name.split(".")[0] not in sys.stdlib_module_names
                           and name.split(".")[0] != "fiverank"]
+            if names == ["__future__"]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {bound}")
     assert not offenders, offenders
+    assert not unused, unused

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -190,16 +191,15 @@ def test_transform_between_finds_map():
 
 def test_reduction_info_good_prime():
     E = curve_37a()   # disc = 37
-    info = reduction_info(E, 5)
-    assert info.kind == "good" and info.component_count == 1
+    # (prime, component count, node abscissa): one component, no node
+    assert dataclasses.astuple(reduction_info(E, 5)) == (5, 1, None)
 
 
 def test_reduction_info_split_multiplicative():
     E = curve_37a()
     info = reduction_info(E, 37)
-    assert info.kind.startswith("multiplicative")
-    assert info.delta_valuation == 1
-    assert info.component_count == 1
+    assert info.prime == 37
+    assert info.component_count == 1      # v_37(disc) = 1
     assert info.singular_x is not None
 
 
@@ -241,8 +241,8 @@ def test_five_component_primes_toy():
     Emin, _ = minimal_model(E)
     assert Emin == E and bad_primes(Emin) == [11]
     info = reduction_info(Emin, 11)
-    assert info.kind == "multiplicative-split"
-    assert info.component_count == info.tamagawa_count == 5
+    assert info.component_count == 5
+    assert info.singular_x is not None
     # 37a1 has v_37(disc) = 1: one component, so no five-component prime
     assert reduction_info(curve_37a(), 37).component_count == 1
 
@@ -258,5 +258,6 @@ def test_singular_x_is_double_root():
 
 
 def test_curve_serialization():
-    E = curve_37a()
-    assert WeierstrassCurve.from_json(E.to_json()) == E
+    assert curve_37a().to_json() == ["0", "0", "1", "-1", "0"]
+    assert WeierstrassCurve(F(1, 2), 0, 0, F(-7, 3), 1).to_json() == [
+        "1/2", "0", "0", "-7/3", "1"]

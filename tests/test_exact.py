@@ -21,7 +21,6 @@ from fiverank.exact import (
     pm_gcd,
     pm_mul,
     pm_sub,
-    rational_from_string,
     rational_mod,
     rational_sqrt,
     rational_to_string,
@@ -166,10 +165,8 @@ def test_rational_mod():
 
 def test_serialization_round_trip():
     assert rational_to_string(F(-7, 3)) == "-7/3"
-    assert rational_from_string("-7/3") == F(-7, 3)
-    assert rational_from_string("42") == 42
-    p = Poly([F(1, 2), 0, 3])
-    assert Poly.from_json(p.to_json()) == p
+    assert rational_to_string(F(42)) == "42"
+    assert Poly([F(1, 2), 0, 3]).to_json() == ["1/2", "0", "3"]
 
 
 # -------------------------------------------------------------- polynomials

@@ -57,9 +57,15 @@ def test_frobenius_order_profiles():
     assert frobenius_order_in_L(x ** 5 - 2, 31) in ("split", "inert")
     # X^5 - 2 mod 11: 11 = 1 mod 5 and 2 is not a 5th power -> irreducible
     assert frobenius_order_in_L(x ** 5 - 2, 11) == "inert"
-    # a prime dividing the discriminant is refused
-    with pytest.raises(RamifiedPrimeError):
+    # a prime dividing the discriminant is refused: X^5 - 2 = (X - 2)^5 mod 5
+    with pytest.raises(RamifiedPrimeError,
+                       match=r"^5 divides the quintic discriminant$"):
         frobenius_order_in_L(x ** 5 - 2, 5)
+    # so is a prime dividing the leading coefficient of the integer form
+    # 7 X^5 + 1
+    with pytest.raises(RamifiedPrimeError,
+                       match=r"^leading coefficient vanishes mod 7$"):
+        frobenius_order_in_L(x ** 5 + F(1, 7), 7)
     # mixed profile contradicts the cyclic structure
     with pytest.raises(ProtocolViolationError):
         frobenius_order_in_L(x ** 5 - 2, 7)     # profile [1, 4]
