@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .curves import is_semistable
 from .errors import (
     FiverankError,
     IdentityCheckError,
     OutOfBudgetError,
-    ProtocolViolationError,
     RamifiedPrimeError,
 )
 from .exact import (
@@ -190,7 +188,8 @@ def group_structure(D: int, disc_bound: int = DEFAULT_DISC_BOUND) -> ClassGroupS
     """Invariant factors of the class group by order statistics.
 
     For each prime q | h, counting the solutions of x^(q^k) = 1 yields
-    the abelian q-group type; the types combine into invariant factors.
+    the layer counts m_k(q) = #{cyclic q-factors of exponent >= k}; the
+    i-th largest invariant factor is the product of q^#{k : m_k(q) > i}.
     Enumeration only, so the discriminant budget is enforced.
     """
     _check_discriminant(D)
@@ -198,44 +197,26 @@ def group_structure(D: int, disc_bound: int = DEFAULT_DISC_BOUND) -> ClassGroupS
         raise OutOfBudgetError(f"|{D}| exceeds enumeration bound {disc_bound}")
     forms = enumerate_reduced(D)
     h = len(forms)
-    if h == 1:
-        return ClassGroupStructure(D, 1, ())
     ident = identity_form(D)
-    exponents_by_prime: dict[int, list[int]] = {}
+    layers: dict[int, list[int]] = {}
     for q, e in factor_completely(h, 10**6).items():
         prev = 1
-        layer_sizes = []          # m_k = #{cyclic factors with exponent >= k}
+        m = layers[q] = []
         for k in range(1, e + 1):
             count = sum(1 for f in forms if form_pow(f, q ** k) == ident)
             # count = q^(sum min(k, e_i)), so the layer ratio is q^m_k
-            layer_sizes.append(_int_log(count // prev, q))
+            m.append(_int_log(count // prev, q))
             prev = count
-        exponents_by_prime[q] = _expand(layer_sizes)
-    rank = max(len(v) for v in exponents_by_prime.values())
-    factors = []
-    for i in range(rank):
-        d = 1
-        for q, exps in exponents_by_prime.items():
-            if i < len(exps):
-                d *= q ** exps[i]
-        factors.append(d)
-    factors.sort()
+        if any(a < b for a, b in zip(m, m[1:])):
+            raise ArithmeticError("torsion layer counts must be non-increasing")
+    rank = max((m[0] for m in layers.values()), default=0)
+    factors = sorted(
+        math.prod(q ** sum(1 for mk in m if mk > i) for q, m in layers.items())
+        for i in range(rank))
     if math.prod(factors) != h:
         raise IdentityCheckError(
             f"invariant factors {factors} do not multiply to h = {h}")
     return ClassGroupStructure(D, h, tuple(factors))
-
-
-def _expand(layer_sizes: list[int]) -> list[int]:
-    """Turn m_k = #{e_i >= k} into the exponent multiset, descending."""
-    if any(a < b for a, b in zip(layer_sizes, layer_sizes[1:])):
-        raise ArithmeticError("torsion layer counts must be non-increasing")
-    exps = []
-    rank = layer_sizes[0] if layer_sizes else 0
-    for i in range(rank):
-        exps.append(sum(1 for m in layer_sizes if m > i))
-    exps.sort(reverse=True)
-    return exps
 
 
 def _int_log(n: int, q: int) -> int:
@@ -303,17 +284,19 @@ class OracleOutcome:
 
 @lru_cache(maxsize=64)
 def _single_curve_setup(u: Fraction):
-    """(F_model, reduction data of F, the isogeny E -> F, E semistable).
+    """(F_model, reduction data of F, the isogeny E -> F).
 
-    The reduction data already classifies every bad prime of F and raises
+    The reduction data classifies every bad prime of F and raises
     UnsupportedReductionError on additive reduction, so F is semistable
-    whenever this returns; only E still needs the check.
+    whenever this returns.  So is E: the Velu map certifies an isogeny
+    E -> F over Q, isogenous curves have the same conductor, and a curve
+    is semistable exactly when its conductor is squarefree.
     """
     E = kubert_curve(u).curve()
     F_model = quotient_cubic(u)
     data = reduction_data_for_model(F_model)
     phi = velu_onto_model(E, five_division_kernel(u), F_model.curve())
-    return F_model, data, phi, is_semistable(E)
+    return F_model, data, phi
 
 
 def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
@@ -333,9 +316,7 @@ def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
     x = Fraction(x)
     if u.denominator % 5 == 0 or rational_mod(u, 5) not in (1, 4):
         raise ValueError("u must be +-1 mod 5 for a semistable pair")
-    F_model, data, phi, semistable = _single_curve_setup(u)
-    if not semistable:
-        return OracleOutcome("skip", "curve pair not semistable", u, x)
+    F_model, data, phi = _single_curve_setup(u)
     if not singular_avoidance_passes(data, x):
         return OracleOutcome("skip", "extension conditions not met", u, x)
     r = F_model.rhs(x)
@@ -363,7 +344,12 @@ def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
 
 def _irreducibility_witness(quintic, radicand) -> int | None:
     """A prime l <= WITNESS_BOUND split in K where the quintic is
-    irreducible mod l."""
+    irreducible mod l.
+
+    Ramified primes are passed over.  Any other profile at a split prime
+    contradicts the cyclic preimage extension, so the
+    ProtocolViolationError reaches the caller.
+    """
     l = 3
     while l <= WITNESS_BOUND:
         if is_probable_prime(l):
@@ -371,7 +357,7 @@ def _irreducibility_witness(quintic, radicand) -> int | None:
                 if prime_split_in_K(l, radicand) == SPLIT:
                     if frobenius_order_in_L(quintic, l) == INERT:
                         return l
-            except (RamifiedPrimeError, ProtocolViolationError):
+            except RamifiedPrimeError:
                 pass
         l += 2
     return None

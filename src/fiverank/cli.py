@@ -168,25 +168,34 @@ def cmd_sieve(args, cfg: RunConfig):
     return 0 if ok else 1
 
 
-def _certificates(args, cfg: RunConfig):
-    """Certificates in z order, each yielded as soon as it is ready."""
+def _certificate_record(z: int) -> dict:
+    # a worker returns the record, so the radicand's decimal string, about
+    # half the cost of a certificate at |z| ~ 1e1000, is built in parallel
+    return verify_instance(z).to_json()
+
+
+def _certificate_records(args, cfg: RunConfig):
+    """Certificate records in z order, each yielded as soon as it is ready."""
     if args.z is not None:
-        yield verify_instance(args.z)
+        yield _certificate_record(args.z)
         return
     zs = admissible_z(start=cfg.sieve_start, count=args.batch,
                       sign=cfg.sieve_sign)
     if cfg.workers > 1 and args.batch > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            yield from pool.map(verify_instance, zs)
+        # workers started by spawn or forkserver do not inherit the lifted
+        # digit limit
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 initializer=_lift_int_str_limit) as pool:
+            yield from pool.map(_certificate_record, zs, chunksize=4)
     else:
-        yield from map(verify_instance, zs)
+        yield from map(_certificate_record, zs)
 
 
 def cmd_verify(args, cfg: RunConfig):
     ok = True
-    for cert in _certificates(args, cfg):
-        ok = ok and cert.conclusion
-        yield cert.to_json()
+    for record in _certificate_records(args, cfg):
+        ok = ok and record["conclusion"]
+        yield record
     return 0 if ok else 1
 
 
@@ -298,19 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", help="write specialization.json here")
     p.set_defaults(func=cmd_derive)
 
+    # a flag that overrides a config key stores under the key's name.  A
+    # sub-command's --emit is set only when given, so it wins over -o
+    # instead of a sub-parser default overwriting -o
+    def add_emit(p):
+        p.add_argument("--emit", dest="output", metavar="EMIT",
+                       default=argparse.SUPPRESS,
+                       help="JSONL output path (alias of --output)")
+
     p = sub.add_parser("sieve", help="stream admissible z with condition reports")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--sign", choices=("pos", "neg", "both"), default=None)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--emit", help="JSONL output path (alias of --output)")
+    p.add_argument("--count", type=int, dest="sieve_count", metavar="COUNT")
+    p.add_argument("--sign", choices=("pos", "neg", "both"), dest="sieve_sign")
+    p.add_argument("--start", type=int, dest="sieve_start", metavar="START")
+    add_emit(p)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("verify", help="emit field certificates")
     p.add_argument("--z", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--sign", choices=("pos", "neg", "both"), default=None)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--emit", help="JSONL output path (alias of --output)")
+    p.add_argument("--sign", choices=("pos", "neg", "both"), dest="sieve_sign")
+    p.add_argument("--start", type=int, dest="sieve_start", metavar="START")
+    add_emit(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classgroup", help="class group of one discriminant")
@@ -319,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="small-instance class-number suite")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--bound", type=int, default=None, help="|D| budget")
+    p.add_argument("--bound", type=int, dest="disc_bound", metavar="BOUND",
+                   help="|D| budget")
     p.add_argument("--include-skips", action="store_true")
-    p.add_argument("--emit", help="JSONL output path (alias of --output)")
+    add_emit(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("paper-check", help="re-verify every sourced constant")
@@ -330,30 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.output is not None:
-        overrides["output"] = args.output
-    if getattr(args, "emit", None) is not None and args.command != "derive":
-        overrides["output"] = args.emit
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "sign", None) is not None:
-        overrides["sieve_sign"] = args.sign
-    if getattr(args, "start", None) is not None:
-        overrides["sieve_start"] = args.start
-    if getattr(args, "count", None) is not None and args.command == "sieve":
-        overrides["sieve_count"] = args.count
-    if getattr(args, "bound", None) is not None:
-        overrides["disc_bound"] = args.bound
-    return replace(cfg, **overrides).validate()
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _CONFIG_KEYS and value is not None}
+    return replace(load_config(args.config), **overrides).validate()
 
 
-def main(argv=None) -> int:
+def _lift_int_str_limit() -> None:
     # certificates at |z| ~ 1e1000 carry radicands of ~12,000 digits, over
     # CPython's default 4,300-digit limit on int <-> str conversion
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+
+
+def main(argv=None) -> int:
+    _lift_int_str_limit()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.z is None and args.batch is None:

@@ -26,7 +26,7 @@ from .exact import (
     factor_completely,
     int_valuation,
     integer_nth_root,
-    pm_from_poly,
+    pm_derivative,
     pm_gcd,
     rational_sqrt,
     rational_to_string,
@@ -382,8 +382,8 @@ def _node_x_mod_p(E: WeierstrassCurve, p: int) -> int:
                 if eq == 0 and dx == 0 and dy == 0:
                     return x0
         raise NoSingularPointError(f"no singular point mod {p}")
-    quart = E.rhs_quartic()
-    g = pm_gcd(pm_from_poly(quart, p), pm_from_poly(quart.derivative(), p), p)
+    quart = [int(a) for a in E.rhs_quartic().c]      # E is integral
+    g = pm_gcd(quart, pm_derivative(quart, p), p)
     if len(g) != 2:
         raise NoSingularPointError(f"node not unique mod {p} (gcd degree {len(g)-1})")
     return (-g[0]) % p

@@ -636,20 +636,6 @@ def pm_trim(f: list[int]) -> list[int]:
     return f
 
 
-def pm_from_poly(f: Poly, p: int) -> list[int]:
-    """Reduce a rational-coefficient polynomial mod p (degree may drop).
-
-    Raises BadReductionError when p divides a coefficient denominator.
-    """
-    out = []
-    for a in f.c:
-        a = Fraction(a)
-        if a.denominator % p == 0:
-            raise BadReductionError(f"coefficient denominator divisible by {p}")
-        out.append(a.numerator * pow(a.denominator, -1, p) % p)
-    return pm_trim(out)
-
-
 def pm_sub(f, g, p):
     n = max(len(f), len(g))
     return pm_trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
@@ -742,21 +728,21 @@ def pm_distinct_degree(f, p):
     return out
 
 
-def splitting_profile(f: Poly, p: int) -> list[int]:
-    """Degrees of the irreducible factors of f mod p, sorted.
+def splitting_profile(f: list[int], p: int) -> list[int]:
+    """Degrees of the irreducible factors mod p of an integer polynomial
+    (coefficient list, lowest degree first), sorted.
 
     Distinct-degree factorization of the reduction of f, which must be
     squarefree: a repeated factor mod p raises BadReductionError.
-    Requires p an odd prime not dividing the leading coefficient or any
-    coefficient denominator.
+    Requires p an odd prime not dividing the leading coefficient.
     """
-    if p == 2 or not is_probable_prime(p):
+    if p == 2 or not _is_prime_modulus(p):
         raise ValueError(f"{p} is not an odd prime")
-    if f.is_zero():
+    if not any(f):
         raise ValueError("zero polynomial has no profile")
-    if Fraction(f.leading()).numerator % p == 0:
+    if f[-1] % p == 0:
         raise BadReductionError(f"leading coefficient vanishes mod {p}")
-    fm = pm_from_poly(f, p)
+    fm = [a % p for a in f]
     if len(pm_gcd(fm, pm_derivative(fm, p), p)) > 1:
         raise BadReductionError(f"repeated factor mod {p}")
     return sorted(d for d, prod in pm_distinct_degree(fm, p)

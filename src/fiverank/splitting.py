@@ -94,10 +94,10 @@ def frobenius_order_in_L(quintic: Poly, l: int) -> str:
     ints = quintic.primitive_integer()
     if ints[-1] % l == 0:
         raise RamifiedPrimeError(f"leading coefficient vanishes mod {l}")
-    # the integer form has a unit leading coefficient and no denominators
-    # mod l, so the profile's only refusal is a repeated factor mod l
+    # the integer form has a unit leading coefficient mod l, so the
+    # profile's only refusal is a repeated factor mod l
     try:
-        profile = splitting_profile(Poly(ints), l)
+        profile = splitting_profile(ints, l)
     except BadReductionError as exc:
         raise RamifiedPrimeError(f"{l} divides the quintic discriminant") from exc
     if profile == [1, 1, 1, 1, 1]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -127,6 +128,44 @@ def test_group_structure_matches_order_count():
             # p-torsion subgroup has order p^(p-rank)
             assert count == p ** st.p_rank(p)
         assert len(forms) == st.class_number
+
+
+def test_group_structure_counts_n_torsion():
+    # independent of the layer counts: a group with invariant factors d_i
+    # has prod gcd(n, d_i) elements with f^n = 1.  Element orders come from
+    # walking the cyclic subgroups, on every fundamental D down to -5,000
+    def fundamental(D):
+        if D % 4 == 1:
+            m = -D
+        elif D % 16 in (8, 12):
+            m = -D // 4
+        else:
+            return False
+        return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+    noncyclic = 0
+    for D in filter(fundamental, range(-3, -5001, -1)):
+        forms = enumerate_reduced(D)
+        ident = identity_form(D)
+        orders = {}
+        for f in forms:
+            if f in orders:
+                continue
+            powers = [f]
+            while powers[-1] != ident:
+                powers.append(compose(powers[-1], f))
+            k = len(powers)
+            for j, g in enumerate(powers, 1):
+                orders.setdefault(g, k // math.gcd(j, k))
+        st = group_structure(D)
+        h = st.class_number
+        assert h == len(orders) == len(forms)
+        noncyclic += len(st.invariant_factors) > 1
+        for n in range(1, h + 1):
+            if h % n == 0:
+                assert sum(1 for o in orders.values() if n % o == 0) == \
+                    math.prod(math.gcd(n, d) for d in st.invariant_factors), (D, n)
+    assert noncyclic
 
 
 def test_group_structure_budget():
@@ -266,27 +305,78 @@ def test_oracle_scan_lets_value_errors_through(monkeypatch):
 
 
 def test_oracle_scan_computes_each_fact_once(monkeypatch):
-    # one form enumeration per decided discriminant, and one semistability
-    # check (of the domain curve) per curve setup: the reduction data of
-    # the quotient curve already rules out additive reduction there
-    from fiverank import classgroup
+    # one form enumeration per decided discriminant, and no semistability
+    # check in the curve setup: the quotient's reduction data rules out
+    # additive reduction, and the isogenous domain curve has the same
+    # conductor
+    from fiverank import classgroup, curves
 
     calls = {"enumerate_reduced": 0, "is_semistable": 0}
 
-    def counted(name):
-        fn = getattr(classgroup, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(classgroup, name, counted(name))
+    monkeypatch.setattr(classgroup, "enumerate_reduced",
+                        counted(classgroup, "enumerate_reduced"))
+    monkeypatch.setattr(curves, "is_semistable", counted(curves, "is_semistable"))
+    # a binding imported into classgroup would be counted too
+    monkeypatch.setattr(classgroup, "is_semistable", curves.is_semistable,
+                        raising=False)
     classgroup._single_curve_setup.cache_clear()
     decided = [o for o in oracle_scan(20) if o.status != "skip"]
     assert len(decided) == 20
     assert calls["enumerate_reduced"] == len(decided)
     for u in (F(-3, 2), F(4), F(6, 7), F(-11)):     # the scan needs one u
         classgroup._single_curve_setup(u)
-    assert calls["is_semistable"] == classgroup._single_curve_setup.cache_info().currsize == 5
+    assert classgroup._single_curve_setup.cache_info().currsize == 5
+    assert calls["is_semistable"] == 0
+
+
+def test_quotient_reduction_data_decides_semistability():
+    # what lets the curve setup skip is_semistable(E): the reduction data
+    # of F = E/<P> builds exactly when E is semistable, on every scan
+    # parameter that sets up and on a small grid of u
+    from fiverank import classgroup
+    from fiverank.curves import is_semistable
+    from fiverank.errors import FiverankError, UnsupportedReductionError
+    from fiverank.family import kubert_curve, quotient_cubic
+    from fiverank.sieve import reduction_data_for_model
+
+    grid = {F(n, d) for d in range(1, 7) for n in range(-10, 11)} - {0, 1, -1}
+    set_up = []
+    for u in SCAN_U:
+        try:
+            classgroup._single_curve_setup(u)
+        except FiverankError:
+            continue
+        set_up.append(u)
+    assert len(set_up) >= 20
+    seen = set()
+    for u in sorted(grid | set(set_up)):
+        try:
+            reduction_data_for_model(quotient_cubic(u))
+            builds = True
+        except UnsupportedReductionError:
+            builds = False
+        assert is_semistable(kubert_curve(u).curve()) == builds, u
+        seen.add(builds)
+    assert seen == {True, False}
+
+
+def test_oracle_witness_search_raises_protocol_violations(monkeypatch):
+    # at a prime split in K only the profiles [1,1,1,1,1] and [5] fit the
+    # cyclic preimage extension; anything else is an error, not a skip
+    from fiverank import classgroup
+    from fiverank.errors import ProtocolViolationError
+
+    def violated(quintic, l):
+        raise ProtocolViolationError(f"profile [1, 2, 2] mod {l} is impossible")
+
+    monkeypatch.setattr(classgroup, "frobenius_order_in_L", violated)
+    with pytest.raises(ProtocolViolationError, match="profile"):
+        small_instance_oracle(F(2, 3), F(1))

@@ -59,6 +59,49 @@ def test_config_trial_bound_reaches_oracle_scan(tmp_path, monkeypatch, capsys):
         RADICAND_TRIAL_BOUND, DEFAULT_DISC_BOUND) == (10**6, 10**7)
 
 
+def test_flags_override_their_config_keys(tmp_path, monkeypatch, capsys):
+    # each flag stores under its config key: --emit is -o on the streaming
+    # commands and wins over it, and a flag wins over the config file
+    from fiverank import cli
+
+    a, b, c = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    sieve = ["sieve", "--count", "3", "--start", "100"]
+    assert main(["-o", str(a), *sieve]) == 0
+    assert main([*sieve, "--emit", str(b)]) == 0
+    assert capsys.readouterr().out == ""
+    assert a.read_bytes() == b.read_bytes() and a.read_bytes().count(b"\n") == 3
+    b.unlink()
+    assert main(["-o", str(c), *sieve, "--emit", str(b)]) == 0
+    assert b.read_bytes() == a.read_bytes() and not c.exists()
+
+    conf = tmp_path / "fiverank.conf"
+    conf.write_text("disc_bound = 5\nsieve_sign = pos\nsieve_count = 4\n")
+    code, records = run_cli(["--config", str(conf), "sieve", "--sign", "neg"],
+                            capsys)
+    assert code == 0 and len(records) == 4
+    assert all(int(r["z"]) < 0 for r in records)
+    seen = {}
+
+    def fake_scan(count, trial_bound, disc_bound):
+        seen.update(count=count, disc_bound=disc_bound)
+        return iter(())
+
+    monkeypatch.setattr(cli, "oracle_scan", fake_scan)
+    assert main(["--config", str(conf), "oracle", "--count", "2"]) == 0
+    assert seen == {"count": 2, "disc_bound": 5}
+    assert main(["--config", str(conf), "oracle", "--bound", "123"]) == 0
+    assert seen == {"count": 20, "disc_bound": 123}
+
+    # derive --emit names the specialization file, not the record stream
+    spec = tmp_path / "specialization.json"
+    assert main(["derive"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["-o", str(c), "derive", "--emit", str(spec)]) == 0
+    assert capsys.readouterr().out == ""
+    assert c.read_text() == plain
+    assert json.loads(spec.read_text())["record"] == "specialization"
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])            # needs --z or --batch
@@ -103,14 +146,33 @@ def test_cmd_verify_workers(capsys):
     assert zs == sorted(zs)
 
 
+def test_cmd_verify_spawned_workers_match_serial_bytes():
+    # a worker started by spawn (or forkserver) does not inherit the
+    # parent's lifted int-to-str limit, and builds records with ~12,000-digit
+    # radicands at |z| ~ 1e1000
+    args = ["verify", "--batch", "2", "--start", str(10 ** 1000)]
+    spawned = subprocess.run(
+        [sys.executable, "-c",
+         "import multiprocessing, sys\n"
+         "multiprocessing.set_start_method('spawn')\n"
+         "from fiverank.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))",
+         "--workers", "2", *args],
+        capture_output=True)
+    serial = subprocess.run([sys.executable, "-m", "fiverank.cli", *args],
+                            capture_output=True)
+    assert spawned.stderr == b"" and spawned.returncode == serial.returncode
+    assert spawned.stdout == serial.stdout and len(serial.stdout) > 2 * 4300
+
+
 def test_cmd_verify_streams_certificates(monkeypatch):
     # each certificate is written before the next z is verified, with and
     # without --workers (an in-process pool keeps the order observable)
     from fiverank import cli
 
     class InlinePool:
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer):
+            initializer()
 
         def __enter__(self):
             return self
@@ -118,7 +180,7 @@ def test_cmd_verify_streams_certificates(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
             return map(fn, items)
 
     events = []
@@ -289,7 +351,7 @@ def test_cmd_verify_records_pinned(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, args
         # arbitrary and tiny z.  Reporting "not all primes split in K" instead
         # of a profile violation at inert primes will change this digest on
-        # purpose (ROADMAP item 4)
+        # purpose (ROADMAP item 1)
         zs = [10 ** 15 + k for k in range(1141, 1147)] + [1, -7, 2, 10 ** 1000 + 7]
         codes, out = [], ""
         for z in zs:

@@ -17,7 +17,6 @@ from fiverank.exact import (
     is_square,
     jacobi,
     pm_divmod,
-    pm_from_poly,
     pm_gcd,
     pm_mul,
     pm_sub,
@@ -277,16 +276,14 @@ def test_poly_gcd_divides_both(f, g):
 # ----------------------------------------------------------- mod-p machinery
 
 def test_splitting_profile_examples():
-    x = Poly.x()
-    assert splitting_profile(x ** 5 - 1, 11) == [1, 1, 1, 1, 1]
-    assert splitting_profile(x ** 5 - 1, 7) == [1, 4]
-    assert splitting_profile(x * x + 1, 3) == [2]
+    assert splitting_profile([-1, 0, 0, 0, 0, 1], 11) == [1, 1, 1, 1, 1]   # x^5 - 1
+    assert splitting_profile([-1, 0, 0, 0, 0, 1], 7) == [1, 4]
+    assert splitting_profile([1, 0, 1], 3) == [2]                          # x^2 + 1
 
 
 def test_splitting_profile_sums_to_degree():
-    x = Poly.x()
     for p in [3, 5, 13, 163]:
-        f = x ** 6 - 3 * x ** 2 + x - 1
+        f = [-1, 1, -3, 0, 0, 0, 1]                 # x^6 - 3x^2 + x - 1
         assert sum(splitting_profile(f, p)) == 6
 
 
@@ -297,23 +294,24 @@ def test_splitting_profile_repeated_factors():
     f = (x - 1) ** 2 * (x * x + 1)
     for p in (5, 7):
         with pytest.raises(BadReductionError):
-            splitting_profile(f, p)
+            splitting_profile(f.primitive_integer(), p)
     with pytest.raises(BadReductionError):
-        splitting_profile(x * x - 2 * x + 6, 5)
-    assert splitting_profile(x * x - 2 * x + 6, 11) == [2]
+        splitting_profile([6, -2, 1], 5)
+    assert splitting_profile([6, -2, 1], 11) == [2]
     # p-th power: (x^2+1)^3 mod 3 has derivative 0
     with pytest.raises(BadReductionError):
-        splitting_profile((x * x + 1) ** 3, 3)
+        splitting_profile(((x * x + 1) ** 3).primitive_integer(), 3)
 
 
 def test_splitting_profile_bad_reduction():
-    x = Poly.x()
-    with pytest.raises(BadReductionError):
-        splitting_profile(7 * x ** 2 + 1, 7)
-    with pytest.raises(BadReductionError):
-        splitting_profile(x * F(1, 7) + 1, 7)
+    with pytest.raises(BadReductionError, match="leading coefficient vanishes mod 7"):
+        splitting_profile([1, 0, 7], 7)                   # 7x^2 + 1
     with pytest.raises(ValueError):
-        splitting_profile(x + 1, 2)
+        splitting_profile([1, 1], 2)
+    with pytest.raises(ValueError):
+        splitting_profile([1, 1], 9)
+    with pytest.raises(ValueError):
+        splitting_profile([0, 0], 7)
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,8 +329,6 @@ def test_pm_divmod_unreduced_integers_non_monic_divisor(p, f, g):
     assert pm_sub(f, qg_plus_r, p) == []         # f = q*g + r (mod p)
 
 
-def test_pm_from_poly_and_gcd():
-    x = Poly.x()
-    f = pm_from_poly((x * x - 1) * F(1, 3), 7)
-    g = pm_from_poly(x - 1, 7)
-    assert pm_gcd(f, g, 7) == [6, 1]
+def test_pm_gcd_of_unreduced_integer_lists():
+    # 5(x^2 - 1) and x - 1, unreduced mod 7: the monic gcd is x + 6
+    assert pm_gcd([-5, 0, 5], [-1, 1], 7) == [6, 1]
