@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -29,13 +30,7 @@ from .errors import FiverankError
 from .exact import rational_to_string
 from .family import CONSTANTS, specialize
 from .sieve import admissible_z, check_z, sieve_data, singular_abscissa
-from .splitting import (
-    EXPECTED_PATTERN,
-    SPLIT,
-    independence_certificate,
-    splitting_pattern,
-    verify_instance,
-)
+from .splitting import EXPECTED_PATTERN, SPLIT, verify_instance
 
 SCHEMA = 1
 
@@ -83,12 +78,6 @@ def load_config(path: str | None) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             updates[key] = _CONFIG_KEYS[key](value.strip("\"'"))
     return replace(cfg, **updates)
-
-
-def _open_out(path: str):
-    if path in ("-", ""):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
 
 
 def _emit(fh, record: dict) -> None:
@@ -142,10 +131,9 @@ def cmd_derive(args, cfg: RunConfig):
     for name in sorted(results):
         yield {"record": "identity", "schema": SCHEMA,
                "name": name, "pass": results[name]}
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as out:
-            json.dump(specialization_dump(), out, indent=2, sort_keys=True)
-            out.write("\n")
+    if args.emit:               # a file main opened before the first record
+        json.dump(specialization_dump(), args.emit, indent=2, sort_keys=True)
+        args.emit.write("\n")
     if failures:
         yield {"record": "summary", "schema": SCHEMA, "pass": False,
                "failed": failures}
@@ -176,7 +164,7 @@ def _certificate_record(z: int) -> dict:
 
 def _certificate_records(args, cfg: RunConfig):
     """Certificate records in z order, each yielded as soon as it is ready."""
-    if args.z is not None:
+    if args.batch is None:
         yield _certificate_record(args.z)
         return
     zs = admissible_z(start=cfg.sieve_start, count=args.batch,
@@ -261,16 +249,17 @@ def paper_check_records() -> list[dict]:
     for i, model in enumerate(sp.E_models + sp.F_models, 1):
         add(f"semistability/model-{i}", is_semistable(model.curve()))
 
-    zs = [next(iter(admissible_z(sign="pos"))), next(iter(admissible_z(sign="neg")))]
-    for z in zs:
-        report = check_z(z)
-        add(f"extension-conditions/z={z}",
-            report.passed and report.verbatim_passed(),
+    # the per-z records read the certificate that verify emits
+    for sign in ("pos", "neg"):
+        cert = verify_instance(next(iter(admissible_z(sign=sign))))
+        z, pattern = cert.z, cert.pattern
+        add(f"extension-conditions/z={z}", cert.sieve_report.passed,
             "valuations, congruences and node avoidance")
-        pattern = splitting_pattern(z)
-        add(f"splits-in-K/z={z}", pattern.k_verdicts == (SPLIT,) * 3)
-        add(f"splitting-pattern/z={z}", pattern.entries == EXPECTED_PATTERN)
-        add(f"independence/z={z}", independence_certificate(pattern))
+        add(f"splits-in-K/z={z}",
+            pattern is not None and pattern.k_verdicts == (SPLIT,) * 3)
+        add(f"splitting-pattern/z={z}",
+            pattern is not None and pattern.entries == EXPECTED_PATTERN)
+        add(f"independence/z={z}", cert.independence)
 
     add("sign-near-zero/positive", sp.radicand(Fraction(1, 10)) < 0,
         "small z > 0 gives an imaginary field")
@@ -323,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("verify", help="emit field certificates")
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--z", type=int)
+    which.add_argument("--batch", type=int)
     p.add_argument("--sign", choices=("pos", "neg", "both"), dest="sieve_sign")
     p.add_argument("--start", type=int, dest="sieve_start", metavar="START")
     add_emit(p)
@@ -364,27 +354,30 @@ def main(argv=None) -> int:
     _lift_int_str_limit()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.z is None and args.batch is None:
-        parser.error("verify needs --z or --batch")
-    try:
-        cfg = _merge_config(args)
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
-    # each command yields its records and returns its exit code; a
-    # FiverankError ends the stream with an error record and exit code 1
-    fh, close = _open_out(cfg.output)
-    records = args.func(args, cfg)
-    try:
-        while True:
-            _emit(fh, next(records))
-    except StopIteration as done:
-        return done.value
-    except FiverankError as exc:
-        _emit(fh, _error_record(exc))
-        return 1
-    finally:
-        if close:
-            fh.close()
+    with ExitStack() as files:
+        # a bad config or an unwritable output path is a usage error,
+        # raised before any record is written
+        try:
+            cfg = _merge_config(args)
+            if getattr(args, "emit", None):     # derive's specialization file
+                args.emit = files.enter_context(
+                    open(args.emit, "w", encoding="utf-8"))
+            fh = sys.stdout
+            if cfg.output not in ("-", ""):
+                fh = files.enter_context(open(cfg.output, "w", encoding="utf-8"))
+        except (ValueError, OSError) as exc:
+            parser.error(str(exc))
+        # each command yields its records and returns its exit code; a
+        # FiverankError ends the stream with an error record and exit code 1
+        records = args.func(args, cfg)
+        try:
+            while True:
+                _emit(fh, next(records))
+        except StopIteration as done:
+            return done.value
+        except FiverankError as exc:
+            _emit(fh, _error_record(exc))
+            return 1
 
 
 if __name__ == "__main__":

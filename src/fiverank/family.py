@@ -126,7 +126,6 @@ def kubert_curve(u) -> CubicModel:
     y^2 = (x^2 - u(u^2+u-1)) * (8u^2 x + (u^2+1)(u^4-2u^3-6u^2+2u+1)).
     Raises DegenerateParameterError when the model is singular.
     """
-    u = Fraction(u) if isinstance(u, int) else u
     A = u * (u * u + u - 1)
     c3 = 8 * u * u
     lin = (u * u + 1) * (u ** 4 - 2 * u ** 3 - 6 * u * u + 2 * u + 1)
@@ -139,7 +138,6 @@ def kubert_curve(u) -> CubicModel:
 
 def quotient_model(u) -> tuple[Poly, Poly]:
     """(g_u, h_u) with g_u(x) = (x^2 - u(u^2+u-1)) h_u(x)."""
-    u = Fraction(u) if isinstance(u, int) else u
     A = u * (u * u + u - 1)
     h = Poly([(u * u + 1) * (u ** 4 + 22 * u ** 3 - 6 * u * u - 22 * u + 1),
               8 * (u * u + u - 1) ** 2])
@@ -212,7 +210,6 @@ class Specialization:
     # -- per-z data ----------------------------------------------------------
     def radicand(self, z) -> Fraction:
         """f(x(z)); the field of the construction is Q(sqrt(radicand))."""
-        z = Fraction(z) if isinstance(z, int) else z
         return self.f_model(self.x_of_z(z))
 
     # -- identity suite --------------------------------------------------------

@@ -225,7 +225,6 @@ def velu_onto_model(E: WeierstrassCurve, kernel: Poly,
 
 def preimage_quintic(iso: IsogenyMap, xQ) -> Poly:
     """Monic quintic whose roots are domain abscissas mapping to xQ."""
-    xQ = Fraction(xQ) if isinstance(xQ, int) else xQ
     poly = iso.x_map.num - xQ * iso.x_map.den
     if poly.degree != 5:
         raise DegenerateAbscissaError(f"degree dropped to {poly.degree} at x={xQ}")

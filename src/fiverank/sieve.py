@@ -22,15 +22,15 @@ success.  Acceptance 05 pins that exception class: it derives the
 residues 6 and 10 from CONSTANTS and asserts that check_z fails exactly
 there, only at 29 on curves 1 and 3, and passes every other admissible z.
 
-Every condition is evaluated in integer arithmetic.  x(z) is an
-unreduced pair (n, d) from the integer coefficients of its numerator and
-denominator (Horner in z), or the numerator and denominator of x when the
-caller already has it; each curve's map to its minimal model is the
-integer triple (L, R, U) with x_min = (L n - R d) / (U d).  No gcd is
-ever taken, and none is needed: v_p(n/d) = v_p(n) - v_p(d) for any
-representative of a fraction, and when that is >= 0, dividing p^v_p(d)
-out of both leaves a denominator prime to p, whose inverse mod p gives
-the residue.  The sign of the radicand f(x) is that of the homogeneous
+Every condition is evaluated in integer arithmetic.  x(z) is the
+unreduced pair (n, d) that `x_pair` builds from the integer coefficients
+of its numerator and denominator (Horner in z); each curve's map to its
+minimal model is the integer triple (L, R, U) with x_min = (L n - R d) /
+(U d), and `singular_abscissa` maps the node back through the same
+triple.  No gcd is ever taken, and none is needed: v_p(n/d) = v_p(n) -
+v_p(d) for any representative of a fraction, and when that is >= 0,
+dividing p^v_p(d) out of both leaves a denominator prime to p, whose
+inverse mod p gives the residue.  The sign of the radicand f(x) is that of the homogeneous
 form d^deg(f) f(n/d), corrected by sign(d)^deg(f); f(x) itself is never
 built.
 """
@@ -44,16 +44,14 @@ from functools import lru_cache
 
 from .curves import (
     ReductionInfo,
-    Transform,
     WeierstrassCurve,
     bad_primes,
     minimal_model,
     reduction_info,
 )
-from .errors import NoSingularPointError, PoleError
+from .errors import BadReductionError, NoSingularPointError, PoleError
 from .exact import (
     integer_coefficients,
-    rational_mod,
     valuation,  # noqa: F401  (the traced benchmark wraps this binding)
     valuation_and_residue,
 )
@@ -104,7 +102,6 @@ class CurveReductionData:
     index: int                       # 1-based curve index
     model: CubicModel                # y^2 = g(x) coordinates (the criterion's x)
     minimal: WeierstrassCurve
-    to_minimal: Transform            # from the long form of `model`
     five_primes: tuple[int, ...]     # primes with 5 | component count
     reductions: dict[int, ReductionInfo]
     minimal_map: tuple[int, int, int]        # (L, R, U), see x_minimal
@@ -133,7 +130,7 @@ def reduction_data_for_model(model: CubicModel, index: int = 0,
     if criterion is not None:
         val_primes, (cong_p, cong_res) = criterion
     return CurveReductionData(
-        index=index, model=model, minimal=Fmin, to_minimal=trans,
+        index=index, model=model, minimal=Fmin,
         five_primes=five, reductions=reds,
         minimal_map=(int(lead * scale), int(r * scale), int(u2 * scale)),
         valuation_primes=val_primes, congruence_prime=cong_p,
@@ -151,15 +148,19 @@ def sieve_data() -> tuple[CurveReductionData, ...]:
 def singular_abscissa(data: CurveReductionData, p: int) -> int:
     """Node abscissa mod p in the y^2 = g(x) coordinates of the criterion.
 
-    Maps the minimal-model node back through the coordinate change;
-    raises NoSingularPointError at good primes and BadReductionError when
-    the back-mapped value is not p-integral.
+    Maps the minimal-model node back through the sieve's own map:
+    x = (U x_min + R) / L.  Raises NoSingularPointError at good primes
+    and BadReductionError when the back-mapped value is not p-integral.
     """
     info = data.reductions.get(p)
     if info is None or info.singular_x is None:
         raise NoSingularPointError(f"curve {data.index} has good reduction at {p}")
-    x_long = data.to_minimal.old_x(Fraction(info.singular_x))
-    return rational_mod(data.model.from_long_x(x_long), p)
+    L, R, U = data.minimal_map
+    _, res = valuation_and_residue(U * info.singular_x + R, L, p)
+    if res is None:
+        raise BadReductionError(
+            f"node abscissa of curve {data.index} is not {p}-integral")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +284,27 @@ def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> int:
     return acc
 
 
-def check_z(z: int, *, x: Fraction | None = None,
-            radicand: Fraction | None = None) -> SieveReport:
+def x_pair(z: int) -> tuple[int, int]:
+    """x(z) = n/d as an unreduced integer pair, by Horner in z."""
+    num, den, _ = _integer_forms()
+    n, d = _homogeneous(num, z, 1), _homogeneous(den, z, 1)
+    if d == 0:
+        raise PoleError(f"evaluation at pole z={z}")
+    return n, d
+
+
+def check_z(z: int, *, radicand: Fraction | None = None) -> SieveReport:
     """Evaluate every extension condition for one z.
 
-    x and radicand, when given, must be x(z) and f(x(z)); they save the
-    caller's second evaluation.  Without them x(z) = n/d is evaluated as
-    an unreduced integer pair and only the sign of f(x(z)) is computed.
+    radicand, when given, must be f(x(z)); it saves computing the sign
+    of the radicand, which is all this needs of it.
     """
-    num, den, f = _integer_forms()
-    if x is None:
-        n, d = _homogeneous(num, z, 1), _homogeneous(den, z, 1)
-        if d == 0:
-            raise PoleError(f"evaluation at pole z={z}")
-    else:
-        n, d = x.numerator, x.denominator
+    n, d = x_pair(z)
     signed = radicand
     if signed is None:
         # d^k f(n/d) with k = deg f is an integer form; times d^(k mod 2)
         # it has the sign of f(n/d)
+        f = _integer_forms()[2]
         signed = _homogeneous(f, n, d) * d ** ((len(f) - 1) % 2)
     records = []
     for data in sieve_data():

@@ -55,7 +55,7 @@ from .exact import (
 )
 from .family import CONSTANTS, specialize
 from .isogeny import preimage_quintic
-from .sieve import SieveReport, check_z
+from .sieve import SieveReport, check_z, x_pair
 
 SPLIT = "split"
 INERT = "inert"
@@ -221,22 +221,17 @@ def _frobenius_verdict(j: int, l: int, point: int | None) -> str:
     return frobenius_order_in_L(preimage_quintic(specialize().isogenies[j], rep), l)
 
 
-def splitting_pattern(z: int, *, x: Fraction | None = None,
-                      radicand: Fraction | None = None) -> SplittingPattern:
-    """Compute the full 3x3 pattern for one z.
+def splitting_pattern(z: int, x: Fraction, radicand: Fraction) -> SplittingPattern:
+    """Compute the full 3x3 pattern for one z from x = x(z) and f(x).
 
-    x and radicand, when given, must be x(z) and f(x(z)); they save the
-    caller's second evaluation.  The L_j verdicts come from the isogenies
-    of the distinguished specialization, cached per residue class.
+    The L_j verdicts come from the isogenies of the distinguished
+    specialization, cached per residue class.
     """
     sp = specialize()
     primes = CONSTANTS["z_one_mod"]
-    r = sp.radicand(z) if radicand is None else radicand
-    if is_square(r):
+    if is_square(radicand):
         raise FieldCollapseError(f"radicand at z={z} is a rational square")
-    k_verdicts = tuple(prime_split_in_K(l, r) for l in primes)
-    if x is None:
-        x = sp.x_of_z(Fraction(z))
+    k_verdicts = tuple(prime_split_in_K(l, radicand) for l in primes)
     x_long = [model.to_long_x(x) for model in sp.F_models]
     entries = tuple(
         tuple(_frobenius_verdict(
@@ -252,17 +247,16 @@ def verify_instance(z: int) -> FieldCertificate:
     All sub-errors are folded into a failed certificate with reasons;
     the conclusion flag is set only when everything holds.
     """
-    sp = specialize()
     failures = []
-    x = sp.x_of_z(Fraction(z))
-    r = sp.f_model(x)                  # the radicand f(x(z)), computed once
-    report = check_z(z, x=x, radicand=r)
+    x = Fraction(*x_pair(z))
+    r = specialize().f_model(x)        # the radicand f(x(z)), computed once
+    report = check_z(z, radicand=r)
     if not report.passed:
         failures.append("sieve conditions failed")
     pattern = None
     independence = False
     try:
-        pattern = splitting_pattern(z, x=x, radicand=r)
+        pattern = splitting_pattern(z, x, r)
         independence = independence_certificate(pattern)
         if not independence:
             failures.append("splitting pattern does not force independence")

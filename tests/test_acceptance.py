@@ -228,8 +228,10 @@ def test_criterion_05_sieve_soundness():
 
 def test_criterion_06_splitting_pattern():
     t0 = time.monotonic()
+    sp = specialize()
     for z in admissible_z(count=20, sign="both"):
-        pattern = splitting_pattern(z)
+        x = sp.x_of_z(F(z))
+        pattern = splitting_pattern(z, x, sp.f_model(x))
         assert pattern.k_verdicts == (SPLIT, SPLIT, SPLIT), z
         assert pattern.entries == EXPECTED_PATTERN, (z, pattern.entries)
         assert independence_certificate(pattern), z

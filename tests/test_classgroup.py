@@ -1,4 +1,7 @@
+import ast
 import math
+import pathlib
+import sys
 import random
 from fractions import Fraction as F
 
@@ -380,3 +383,49 @@ def test_oracle_witness_search_raises_protocol_violations(monkeypatch):
     monkeypatch.setattr(classgroup, "frobenius_order_in_L", violated)
     with pytest.raises(ProtocolViolationError, match="profile"):
         small_instance_oracle(F(2, 3), F(1))
+
+
+# ------------------------------------------------- independence of the engine
+
+def _engine_foreign_names(tree):
+    """Module-level names read by the form engine (BinaryQuadraticForm
+    through fundamental_discriminant) that come from neither the standard
+    library nor the .exact and .errors modules."""
+    origin = {}                 # module-level name -> the module it comes from
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                origin[alias.asname or alias.name] = "." * node.level + node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                origin[alias.asname or alias.name.split(".")[0]] = alias.name
+    names = [getattr(node, "name", None) for node in tree.body]
+    start = names.index("BinaryQuadraticForm")
+    stop = names.index("fundamental_discriminant") + 1
+    for node in tree.body[stop:]:           # the oracle's own definitions
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            origin[node.name] = "oracle"
+        elif isinstance(node, ast.Assign):
+            origin.update((t.id, "oracle") for t in node.targets
+                          if isinstance(t, ast.Name))
+    used = {name.id for node in tree.body[start:stop] for name in ast.walk(node)
+            if isinstance(name, ast.Name)}
+    return sorted(name for name in used if name in origin
+                  and origin[name] not in (".exact", ".errors")
+                  and origin[name].split(".")[0] not in sys.stdlib_module_names)
+
+
+def test_form_engine_uses_only_exact_arithmetic():
+    # the oracle is independent of the construction it checks: its form
+    # engine reads nothing from the family, isogeny, sieve, splitting or
+    # curve modules, nor from the oracle code that calls them
+    import fiverank.classgroup
+
+    source = pathlib.Path(fiverank.classgroup.__file__).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    assert _engine_foreign_names(tree) == []
+    # the check has teeth: group_structure calling prime_split_in_K fails it
+    group_structure_def = next(node for node in tree.body
+                               if getattr(node, "name", None) == "group_structure")
+    group_structure_def.body.insert(0, ast.parse("prime_split_in_K(3, D)").body[0])
+    assert _engine_foreign_names(tree) == ["prime_split_in_K"]

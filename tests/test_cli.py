@@ -108,6 +108,35 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def _usage_error(argv, capsys):
+    """(exit code, stdout, last stderr line) of a command argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err.splitlines()[-1]
+
+
+def test_verify_z_and_batch_exclude_each_other(capsys):
+    code, out, err = _usage_error(["verify", "--z", "5", "--batch", "3"], capsys)
+    assert code == 2 and out == ""
+    assert "not allowed with argument --z" in err
+
+
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.jsonl"
+    code, out, err = _usage_error(["-o", str(path), "sieve", "--count", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("fiverank: error:") and str(path) in err
+
+
+def test_unwritable_derive_emit_path_is_a_usage_error(tmp_path, capsys):
+    # the specialization file is opened before the first identity record
+    path = tmp_path / "missing" / "specialization.json"
+    code, out, err = _usage_error(["derive", "--emit", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("fiverank: error:") and str(path) in err
+
+
 def test_cmd_derive(capsys, tmp_path):
     emit = tmp_path / "specialization.json"
     code, records = run_cli(["derive", "--emit", str(emit)], capsys)
@@ -270,6 +299,27 @@ def test_paper_check_records_all_pass():
     records = paper_check_records()
     assert all(r["pass"] for r in records), \
         [r["name"] for r in records if not r["pass"]]
+
+
+def test_paper_check_fails_a_certificate_without_pattern(monkeypatch, capsys):
+    # the per-z records read the certificate verify_instance assembles; one
+    # without a splitting pattern fails its pattern records
+    import dataclasses
+
+    from fiverank import cli
+
+    certify = cli.verify_instance
+    monkeypatch.setattr(cli, "verify_instance", lambda z: dataclasses.replace(
+        certify(z), pattern=None, independence=False))
+    code, records = run_cli(["paper-check"], capsys)
+    assert code == 1 and records[-1] == {
+        "record": "summary", "schema": 1, "pass": False, "checks": len(records) - 1}
+    failed = [r["name"] for r in records[:-1] if not r["pass"]]
+    zs = [r["name"].split("=")[1] for r in records[:-1]
+          if r["name"].startswith("independence/")]
+    assert len(zs) == 2
+    assert failed == [f"{kind}/z={z}" for z in zs
+                      for kind in ("splits-in-K", "splitting-pattern", "independence")]
 
 
 def test_cmd_derive_fault_injection(capsys):

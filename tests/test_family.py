@@ -148,12 +148,11 @@ def test_radicand_pole():
         sp.radicand(F(29, 11))
 
 
-def test_splitting_pattern_field_collapse(monkeypatch):
-    from fiverank.family import Specialization
+def test_splitting_pattern_field_collapse():
     from fiverank.splitting import splitting_pattern
-    monkeypatch.setattr(Specialization, "radicand", lambda self, z: F(4))
-    with pytest.raises(FieldCollapseError):
-        splitting_pattern(874461709044)
+    z = 874461709044
+    with pytest.raises(FieldCollapseError, match=f"^radicand at z={z} is a rational square$"):
+        splitting_pattern(z, specialize().x_of_z(F(z)), F(4))
 
 
 def test_velu_matches_quotient_model_random_congruent_u():

@@ -1,9 +1,11 @@
+import functools
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
+from fiverank.curves import minimal_model
 from fiverank.errors import NoSingularPointError
 from fiverank.exact import valuation
 from fiverank.family import CONSTANTS, specialize
@@ -147,6 +149,41 @@ def test_singular_abscissa_good_prime_raises():
         singular_abscissa(d, 1009)
 
 
+def test_singular_abscissa_matches_minimal_model_transform():
+    # singular_abscissa maps the node back through the sieve's integer map
+    # (L, R, U); the reference maps it through the Fraction transform of
+    # curves.minimal_model, on the sieve curves and every oracle curve
+    from fiverank.classgroup import SCAN_U, _single_curve_setup
+    from fiverank.errors import FiverankError
+    from fiverank.exact import rational_mod
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except FiverankError as exc:
+            return type(exc).__name__
+
+    def reference(data, p):
+        x_long = _to_minimal(data.model).old_x(F(data.reductions[p].singular_x))
+        return rational_mod(data.model.from_long_x(x_long), p)
+
+    curves = list(sieve_data())
+    for u in SCAN_U:
+        try:
+            curves.append(_single_curve_setup(u)[1])
+        except FiverankError:
+            continue
+    seen = []
+    for data in curves:
+        for p in data.reductions:
+            got = outcome(singular_abscissa, data, p)
+            assert got == outcome(reference, data, p), (data.model, p)
+            seen.append(got if isinstance(got, str) else "abscissa")
+    assert len(curves) == 29 and len(seen) == 178
+    assert seen.count("abscissa") == 135
+    assert seen.count("BadReductionError") == 43
+
+
 def test_minimal_models_semistable():
     from fiverank.curves import is_semistable
     sp = specialize()
@@ -222,6 +259,12 @@ def test_report_json_shape():
 
 # ------------------------------------- integer evaluation vs Fraction reference
 
+@functools.lru_cache(maxsize=None)
+def _to_minimal(model):
+    """The Fraction transform onto the minimal model, from curves.minimal_model."""
+    return minimal_model(model.curve())[1]
+
+
 def _reference_records(data, x):
     """Extension records in the Fraction formulation: exact.valuation,
     rational_mod and the minimal model's new_x applied to the long form."""
@@ -240,7 +283,7 @@ def _reference_records(data, x):
         hit = valuation(x, p) >= 0 and rational_mod(x, p) == a % p
         out.append(record("congruence", p, f"x != {a} mod {p}",
                           "congruent" if hit else "not congruent", not hit))
-    x_min = data.to_minimal.new_x(data.model.to_long_x(x))
+    x_min = _to_minimal(data.model).new_x(data.model.to_long_x(x))
     for p in data.five_primes:
         if valuation(x_min, p) < 0:
             out.append(record("singular-avoidance", p, "reduction != node",
@@ -297,13 +340,11 @@ def test_check_z_matches_fraction_reference():
             "x"} <= seen
 
 
-def test_check_z_with_x_matches_fraction_reference():
+def test_check_z_with_radicand_matches_fraction_reference():
     sp = specialize()
     for z in _differential_z()[::7]:
-        x = sp.x_of_z(F(z))
-        got = check_z(z, x=x).to_json()
+        got = check_z(z, radicand=sp.radicand(z)).to_json()
         assert got == _reference_report(z), z
-        assert check_z(z, x=x, radicand=sp.radicand(z)).to_json() == got, z
 
 
 def test_extension_check_matches_fraction_reference_on_rational_x():
@@ -322,7 +363,7 @@ def test_extension_check_matches_fraction_reference_on_rational_x():
                 xs += [F(rng.randrange(1, 10 ** 6), p ** k),
                        F(p ** k * rng.randrange(1, 10 ** 6), rng.randrange(1, 50))]
             # abscissas over the node and near it, pulled back from the minimal model
-            t = data.to_minimal
+            t = _to_minimal(data.model)
             for x_min in (F(data.reductions[p].singular_x + p * k, 1 + p * k)
                           for k in range(3)):
                 xs.append(data.model.from_long_x(t.old_x(x_min)))

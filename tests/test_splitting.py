@@ -109,9 +109,16 @@ def test_invalid_when_K_not_split():
 
 # --------------------------------------------------------------- end-to-end
 
+def _pattern(z):
+    """splitting_pattern on x(z) from the rational function x_of_z."""
+    sp = specialize()
+    x = sp.x_of_z(F(z))
+    return splitting_pattern(z, x, sp.f_model(x))
+
+
 def test_pattern_first_admissible_z_matches_expected():
     for z in admissible_z(count=2, sign="both"):
-        pattern = splitting_pattern(z)
+        pattern = _pattern(z)
         assert pattern.entries == EXPECTED_PATTERN
         assert pattern.k_verdicts == (SPLIT, SPLIT, SPLIT)
         assert independence_certificate(pattern)
@@ -190,9 +197,9 @@ def _exact_entry(sp, j, l, x):
     return frobenius_order_in_L(quintic, l)
 
 
-def _exact_pattern(z, sp=None, **_):
+def _exact_pattern(z, *_):
     """splitting_pattern's contract, computed per z on the exact x(z)."""
-    sp = sp or specialize()
+    sp = specialize()
     r, x = sp.radicand(z), sp.x_of_z(F(z))
     if is_square(r):
         raise FieldCollapseError(f"radicand at z={z} is a rational square")
@@ -230,10 +237,9 @@ def unlimited_int_str():
 def test_fast_path_matches_exact_route_at_every_size(monkeypatch, unlimited_int_str):
     sp = specialize()
     zs = _sample_z(20261018)
-    fast = {z: (_outcome(splitting_pattern, z), verify_instance(z).to_json())
-            for z in zs}
+    fast = {z: (_outcome(_pattern, z), verify_instance(z).to_json()) for z in zs}
     monkeypatch.setattr(splitting, "splitting_pattern", _exact_pattern)
-    monkeypatch.setattr(splitting, "check_z", lambda z, sp=None, **_: sieve.check_z(z))
+    monkeypatch.setattr(splitting, "check_z", lambda z, **_: sieve.check_z(z))
     for z in zs:
         pattern, cert = fast[z]
         assert pattern == _outcome(_exact_pattern, z), z
@@ -273,7 +279,7 @@ def test_residue_precondition_is_a_typed_error(monkeypatch):
     try:
         z = next(iter(admissible_z(sign="pos")))
         with pytest.raises(BadReductionError, match="163 divides the leading coefficient"):
-            splitting_pattern(z)
+            _pattern(z)
         cert = verify_instance(z)
         assert not cert.conclusion
         assert cert.failures[-1].startswith("BadReductionError: 163 divides")
