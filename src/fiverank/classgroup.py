@@ -350,8 +350,7 @@ def _irreducibility_witness(quintic, radicand) -> int | None:
     contradicts the cyclic preimage extension, so the
     ProtocolViolationError reaches the caller.
     """
-    l = 3
-    while l <= WITNESS_BOUND:
+    for l in range(3, WITNESS_BOUND + 1, 2):
         if is_probable_prime(l):
             try:
                 if prime_split_in_K(l, radicand) == SPLIT:
@@ -359,7 +358,6 @@ def _irreducibility_witness(quintic, radicand) -> int | None:
                         return l
             except RamifiedPrimeError:
                 pass
-        l += 2
     return None
 
 

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -27,7 +26,6 @@ from .classgroup import (
 )
 from .curves import is_semistable
 from .errors import FiverankError
-from .exact import rational_to_string
 from .family import CONSTANTS, specialize
 from .sieve import admissible_z, check_z, sieve_data, singular_abscissa
 from .splitting import EXPECTED_PATTERN, SPLIT, verify_instance
@@ -99,20 +97,20 @@ def specialization_dump() -> dict:
     constants = {}
     for key, value in sorted(CONSTANTS.items()):
         if key == "t":
-            constants[key] = rational_to_string(value)
+            constants[key] = str(value)
         else:
             constants[key] = json.loads(json.dumps(value, default=str))
     return {
         "record": "specialization",
         "schema": SCHEMA,
         "constants": constants,
-        "t": rational_to_string(sp.t),
-        "u": [rational_to_string(ui) for ui in sp.u],
+        "t": str(sp.t),
+        "u": [str(ui) for ui in sp.u],
         "torsion_curves": [m.to_json() for m in sp.E_models],
         "quotient_curves": [m.to_json() for m in sp.F_models],
         "isogenies": [phi.to_json() for phi in sp.isogenies],
         "model_poly": sp.f_model.to_json(),
-        "scale": rational_to_string(sp.scale),
+        "scale": str(sp.scale),
         "x_of_z": sp.x_of_z.to_json(),
         "v_of_z": sp.v_of_z.to_json(),
         "w_of_z": sp.w_of_z.to_json(),
@@ -170,6 +168,8 @@ def _certificate_records(args, cfg: RunConfig):
     zs = admissible_z(start=cfg.sieve_start, count=args.batch,
                       sign=cfg.sieve_sign)
     if cfg.workers > 1 and args.batch > 1:
+        # imported only here: it is about a quarter of every command's cold start
+        from concurrent.futures import ProcessPoolExecutor
         # workers started by spawn or forkserver do not inherit the lifted
         # digit limit
         with ProcessPoolExecutor(max_workers=cfg.workers,

@@ -24,14 +24,12 @@ from .errors import (
 from .exact import (
     Poly,
     factor_completely,
-    int_valuation,
     integer_nth_root,
     pm_derivative,
     pm_gcd,
     rational_sqrt,
-    rational_to_string,
     trial_factor,
-    valuation,  # noqa: F401  (the traced benchmark wraps this binding)
+    valuation,
 )
 
 DEFAULT_TRIAL_BOUND = 10**7
@@ -140,7 +138,7 @@ class WeierstrassCurve:
         return f"WeierstrassCurve{self.a_invariants()}"
 
     def to_json(self):
-        return [rational_to_string(a) for a in self.a_invariants()]
+        return [str(a) for a in self.a_invariants()]
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +251,21 @@ def transform_between(E: WeierstrassCurve, F: WeierstrassCurve) -> Transform:
     """The substitution carrying E to F, when one exists over Q."""
     c4e, c6e = E.c_invariants()
     c4f, c6f = F.c_invariants()
+    # u^4 c4f = c4e and u^6 c6f = c6e: a zero on one side only rules out u
+    if (c4e == 0, c6e == 0) != (c4f == 0, c6f == 0):
+        raise NoIsomorphismError(f"no rational isomorphism from {E!r} to {F!r}")
     candidates = []
     if c4e and c6e:
         u2 = (c6e * c4f) / (c4e * c6f)
         candidates.append(u2)
-    elif c4e:  # j = 0 on one side would mismatch anyway; c6 = 0 here
+    elif c4e:  # c6 = 0 on both sides
         ratio = c4e / c4f
         try:
             candidates.append(rational_sqrt(ratio))
             candidates.append(-rational_sqrt(ratio))
         except ValueError:
             pass
-    else:  # c4 = 0
+    else:  # c4 = 0 on both sides
         # u^2 is a rational cube root of u^6 = c6e/c6f when it exists
         u6 = c6e / c6f
         num, den = u6.numerator, u6.denominator
@@ -293,18 +294,13 @@ def transform_between(E: WeierstrassCurve, F: WeierstrassCurve) -> Transform:
 # minimal models (Laska-Kraus-Connell)
 # ---------------------------------------------------------------------------
 
-def _vp(n: int, p: int) -> int:
-    """int_valuation with a large finite stand-in for v_p(0)."""
-    return 1 << 62 if n == 0 else int_valuation(n, p)
-
-
 def _kraus_valid(c4: int, c6: int) -> bool:
     """Kraus's criterion: (c4, c6) arise from an integral model."""
-    if c6 != 0 and _vp(c6, 3) == 2:
+    if c6 != 0 and valuation(c6, 3) == 2:
         return False
     if c6 % 4 == 3:
         return True
-    return (c4 == 0 or _vp(c4, 2) >= 4) and c6 % 32 in (0, 8)
+    return (c4 == 0 or valuation(c4, 2) >= 4) and c6 % 32 in (0, 8)
 
 
 def _model_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
@@ -329,7 +325,7 @@ def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
         if d > 1:
             for p, e in factor_completely(d, DEFAULT_TRIAL_BOUND).items():
                 need = -(-e // i)
-                have = _vp(m, p)
+                have = valuation(m, p)
                 if have < need:
                     m *= p ** (need - have)
     Eint = Transform(Fraction(1, m), Fraction(0), Fraction(0), Fraction(0)).apply(E)
@@ -347,7 +343,8 @@ def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
         bound = min(DEFAULT_TRIAL_BOUND, integer_nth_root(base, root_power) + 1)
         factors, _ = trial_factor(base, bound)
         for p in factors:
-            e = min(_vp(c4, p) // 4, _vp(c6, p) // 6)
+            # valuation(0, p) is inf, and inf // 4 is nan: skip a zero c4 or c6
+            e = min(valuation(c, p) // k for c, k in ((c4, 4), (c6, 6)) if c)
             u *= p ** e
     while u % 2 == 0 and not _kraus_valid(c4 // u ** 4, c6 // u ** 6):
         u //= 2
@@ -399,7 +396,7 @@ def reduction_info(E: WeierstrassCurve, p: int) -> ReductionInfo:
     if not E.is_integral():
         raise ValueError("reduction_info needs an integral model")
     disc = int(E.discriminant())
-    v = _vp(disc, p)
+    v = valuation(disc, p)
     if v == 0:
         return ReductionInfo(p, 1, None)
     c4, _ = (int(c) for c in E.c_invariants())

@@ -24,12 +24,6 @@ from .errors import (
 INF = math.inf
 
 
-def rational_to_string(q: Fraction) -> str:
-    """Serialize as "num/den" ("num" when the denominator is 1)."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # primality / factoring helpers (trial division only, per the module scope)
 # ---------------------------------------------------------------------------
@@ -40,8 +34,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 
+@lru_cache(maxsize=1024)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test.
+    """Miller-Rabin primality test, cached: the package asks again and
+    again about the same few primes.
 
     Deterministic for n < 3.317e24; above that, 64 fixed extra bases are
     used, which is overwhelming for the sizes this package ever meets.
@@ -195,17 +191,12 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=1024)
-def _is_prime_modulus(p: int) -> bool:
-    return p >= 2 and is_probable_prime(p)
-
-
 def valuation(r, p: int):
     """p-adic valuation of a rational; +inf for zero.
 
-    Raises ValueError when p is not prime (checked once per p).
+    Raises ValueError when p is not prime.
     """
-    if not _is_prime_modulus(p):
+    if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     r = Fraction(r)
     if r == 0:
@@ -452,7 +443,7 @@ class Poly:
         return ints
 
     def to_json(self):
-        return [rational_to_string(a) for a in self.c]
+        return [str(a) for a in self.c]
 
 
 def integer_coefficients(*polys: Poly) -> list[list[int]]:
@@ -736,7 +727,7 @@ def splitting_profile(f: list[int], p: int) -> list[int]:
     squarefree: a repeated factor mod p raises BadReductionError.
     Requires p an odd prime not dividing the leading coefficient.
     """
-    if p == 2 or not _is_prime_modulus(p):
+    if p == 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if not any(f):
         raise ValueError("zero polynomial has no profile")

@@ -22,17 +22,19 @@ success.  Acceptance 05 pins that exception class: it derives the
 residues 6 and 10 from CONSTANTS and asserts that check_z fails exactly
 there, only at 29 on curves 1 and 3, and passes every other admissible z.
 
-Every condition is evaluated in integer arithmetic.  x(z) is the
-unreduced pair (n, d) that `x_pair` builds from the integer coefficients
-of its numerator and denominator (Horner in z); each curve's map to its
-minimal model is the integer triple (L, R, U) with x_min = (L n - R d) /
-(U d), and `singular_abscissa` maps the node back through the same
-triple.  No gcd is ever taken, and none is needed: v_p(n/d) = v_p(n) -
-v_p(d) for any representative of a fraction, and when that is >= 0,
-dividing p^v_p(d) out of both leaves a denominator prime to p, whose
-inverse mod p gives the residue.  The sign of the radicand f(x) is that of the homogeneous
-form d^deg(f) f(n/d), corrected by sign(d)^deg(f); f(x) itself is never
-built.
+Every condition is evaluated in integer arithmetic.  x(z) is the pair
+(n, d) that `x_pair` builds from the integer coefficients of its
+numerator and denominator (Horner in z); each curve's map to its minimal
+model is the integer triple (L, R, U) with x_min = (L n - R d) / (U d),
+and `singular_abscissa` maps the node back through the same triple.
+`check_z` takes one gcd, of n and d: for admissible z they share a power
+of 29 that every valuation at 29 would otherwise divide out of two long
+integers again.  Lowest terms are not needed for correctness: v_p(n/d) =
+v_p(n) - v_p(d) for any representative of a fraction, and when that is
+>= 0, dividing p^v_p(d) out of both leaves a denominator prime to p,
+whose inverse mod p gives the residue.  The sign of the radicand f(x) is
+that of the homogeneous form d^deg(f) f(n/d), corrected by
+sign(d)^deg(f); f(x) itself is never built.
 """
 
 from __future__ import annotations
@@ -300,6 +302,8 @@ def check_z(z: int, *, radicand: Fraction | None = None) -> SieveReport:
     of the radicand, which is all this needs of it.
     """
     n, d = x_pair(z)
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
     signed = radicand
     if signed is None:
         # d^k f(n/d) with k = deg f is an integer form; times d^(k mod 2)

@@ -49,7 +49,6 @@ from .exact import (
     is_probable_prime,
     is_square,
     jacobi,
-    rational_to_string,
     splitting_profile,
     valuation_and_residue,
 )
@@ -178,7 +177,7 @@ class FieldCertificate:
             "record": "field-certificate",
             "schema": 1,
             "z": str(self.z),
-            "radicand": rational_to_string(self.radicand),
+            "radicand": str(self.radicand),
             "sign": self.sign,
             "sieve": self.sieve_report.to_json(),
             "pattern": None if self.pattern is None else self.pattern.to_json(),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -225,7 +226,8 @@ def test_cmd_verify_streams_certificates(monkeypatch):
 
     monkeypatch.setattr(cli, "verify_instance", verify)
     monkeypatch.setattr(cli, "_emit", emit)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # cli imports the pool class only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     zs = list(admissible_z(count=3, sign="neg"))
     for workers in ([], ["--workers", "2"]):
         events.clear()

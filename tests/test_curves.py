@@ -130,6 +130,18 @@ def test_minimal_model_scales_down():
     assert abs(int(Emin.discriminant())) < abs(int(E.discriminant()))
 
 
+@pytest.mark.parametrize("E, u, expected", [
+    # j = 0: c4 = 0, so only c6 bounds the scaling
+    (WeierstrassCurve(0, 0, 0, 0, 12 ** 6 * 7), 12, WeierstrassCurve(0, 0, 0, 0, 7)),
+    # j = 1728: c6 = 0, so only c4 bounds the scaling
+    (WeierstrassCurve(0, 0, 0, 20 ** 4, 0), 20, WeierstrassCurve(0, 0, 0, 1, 0)),
+])
+def test_minimal_model_with_a_zero_c_invariant(E, u, expected):
+    Emin, trans = minimal_model(E)
+    assert Emin == expected
+    assert trans.u == u and trans.apply(E) == expected
+
+
 def test_minimal_model_two_power_quartic_twist():
     # y^2 = x^3 + 2^6 x: one step of u=2 is valid, a second fails the
     # 2-adic existence criterion, so the verdict is y^2 = x^3 + 4x
@@ -231,6 +243,19 @@ def test_transform_between_non_isomorphic():
     from fiverank.errors import NoIsomorphismError
     with pytest.raises(NoIsomorphismError):
         transform_between(curve_37a(), WeierstrassCurve(0, 0, 0, -1, 1))
+
+
+@pytest.mark.parametrize("E, F_", [
+    (WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(0, 0, 0, 0, 1)),
+    (WeierstrassCurve(0, 0, 0, 0, 1), WeierstrassCurve(0, 0, 0, -1, 0)),
+    (curve_37a(), WeierstrassCurve(0, 0, 0, -1, 0)),
+])
+def test_transform_between_zero_c_invariant_on_one_side(E, F_):
+    # c4 = 0 or c6 = 0 on exactly one side: no u satisfies u^4 c4' = c4
+    # and u^6 c6' = c6, and no ratio of the two may be taken
+    from fiverank.errors import NoIsomorphismError
+    with pytest.raises(NoIsomorphismError):
+        transform_between(E, F_)
 
 
 def test_five_component_primes_toy():

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -375,6 +376,27 @@ def test_extension_check_matches_fraction_reference_on_rational_x():
             assert singular_avoidance_passes(data, x) == all(r["pass"] for r in general), x
             observed.update(r["observed"] for r in general)
         assert "node" in observed and "reduces to infinity" in observed
+
+
+def test_check_z_runs_the_conditions_on_x_in_lowest_terms(monkeypatch):
+    # for admissible z the Horner pair shares a power of 29; check_z
+    # divides it out once instead of at every condition
+    from fiverank import sieve
+
+    z = next(admissible_z(start=10 ** 100, count=1))
+    assert math.gcd(*sieve.x_pair(z)) > 1
+    sieve_data()                        # cached before the spy goes in
+    pairs = []
+    real = sieve.valuation_and_residue
+
+    def spy(n, d, p):
+        pairs.append((n, d))
+        return real(n, d, p)
+
+    monkeypatch.setattr(sieve, "valuation_and_residue", spy)
+    check_z(z)
+    n, d = pairs[0]
+    assert math.gcd(n, d) == 1 and F(n, d) == F(*sieve.x_pair(z))
 
 
 def test_check_z_pole_is_a_typed_error():
