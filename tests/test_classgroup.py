@@ -20,8 +20,9 @@ from fiverank.classgroup import (
     oracle_scan,
     reduce_form,
     small_instance_oracle,
+    sylow_five_rank,
 )
-from fiverank.errors import OutOfBudgetError
+from fiverank.errors import IdentityCheckError, OutOfBudgetError
 
 
 def test_form_validation():
@@ -72,10 +73,76 @@ def test_enumerate_golden_values():
 
 
 def test_enumerate_rejects_bad_discriminant():
+    # the count checks its discriminant as the enumeration does
+    for fn in (enumerate_reduced, class_number):
+        for D in (-7 + 1, -5, 0, 5, 8):    # D = 2, 3 mod 4, or D >= 0
+            with pytest.raises(ValueError):
+                fn(D)
+
+
+def is_fundamental(D):
+    if D % 4 == 1:
+        m = -D
+    elif D % 16 in (8, 12):
+        m = -D // 4
+    else:
+        return False
+    return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+
+def test_class_number_counts_what_enumeration_lists():
+    # counting the roots of b^2 = D mod 4a against the O(|D|) scan, on
+    # every discriminant down to -20,000, fundamental or not, and on
+    # random larger ones
+    for D in range(-3, -20001, -1):
+        if D % 4 in (0, 1):
+            assert class_number(D) == len(enumerate_reduced(D)), D
+    rng = random.Random(47)
+    tried = 0
+    while tried < 3:
+        D = -rng.randrange(10**5, 10**7)
+        if D % 4 in (0, 1):
+            tried += 1
+            assert class_number(D) == len(enumerate_reduced(D)), D
+
+
+def test_sylow_five_rank_matches_group_structure():
+    # on every fundamental D down to -10,000 with 5 | h (all of 5-rank
+    # 1), and on the three of 5-rank 2 down to -20,000
+    ranks = []
+    for D in [*range(-3, -10001, -1), -11199, -12451, -17944]:
+        if not is_fundamental(D):
+            continue
+        h = class_number(D)
+        if h % 5 == 0:
+            rank = sylow_five_rank(D, h)
+            assert rank == group_structure(D).p_rank(5), D
+            ranks.append(rank)
+    assert ranks.count(2) == 3 and len(ranks) > 500
+    assert sylow_five_rank(-23, 3) == 0
+
+
+def test_sylow_five_rank_refuses_a_wrong_class_number(monkeypatch):
+    from fiverank import classgroup
+
     with pytest.raises(ValueError):
-        enumerate_reduced(-7 + 1)      # -6 = 2 mod 4
-    with pytest.raises(ValueError):
-        enumerate_reduced(5)
+        sylow_five_rank(-47, 0)
+    # h(-47) = 5: with 25 the prime forms never span 5^2 classes
+    with pytest.raises(IdentityCheckError, match="short of 5\\^2"):
+        sylow_five_rank(-47, 25)
+    # h(-143) = 10: the prime form of 2 has order 10, so f^15 != 1
+    with pytest.raises(IdentityCheckError, match="order dividing h = 15"):
+        sylow_five_rank(-143, 15)
+    # 5-Sylow C25 x C5, h = 250.  With h = 50 the span stops at 5^2 as a
+    # rule, but after the prime form of 23, whose image has order 5 and is
+    # no fifth power, the one of 2 (image order 25) grows it to 5^3
+    D = -50783
+    assert sylow_five_rank(D, 250) == 2
+    prime_forms = classgroup._prime_forms
+    monkeypatch.setattr(classgroup, "_prime_forms", lambda D: iter(
+        [BinaryQuadraticForm(23, 1, 552), *prime_forms(D)]))
+    with pytest.raises(IdentityCheckError, match="more than 5\\^2"):
+        sylow_five_rank(D, 50)
 
 
 def test_group_law_properties_random_discriminants():
@@ -137,17 +204,8 @@ def test_group_structure_counts_n_torsion():
     # independent of the layer counts: a group with invariant factors d_i
     # has prod gcd(n, d_i) elements with f^n = 1.  Element orders come from
     # walking the cyclic subgroups, on every fundamental D down to -5,000
-    def fundamental(D):
-        if D % 4 == 1:
-            m = -D
-        elif D % 16 in (8, 12):
-            m = -D // 4
-        else:
-            return False
-        return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
-
     noncyclic = 0
-    for D in filter(fundamental, range(-3, -5001, -1)):
+    for D in filter(is_fundamental, range(-3, -5001, -1)):
         forms = enumerate_reduced(D)
         ident = identity_form(D)
         orders = {}
@@ -308,13 +366,14 @@ def test_oracle_scan_lets_value_errors_through(monkeypatch):
 
 
 def test_oracle_scan_computes_each_fact_once(monkeypatch):
-    # one form enumeration per decided discriminant, and no semistability
-    # check in the curve setup: the quotient's reduction data rules out
-    # additive reduction, and the isogenous domain curve has the same
-    # conductor
+    # one class number count per decided discriminant and no enumeration
+    # or power table, and no semistability check in the curve setup: the
+    # quotient's reduction data rules out additive reduction, and the
+    # isogenous domain curve has the same conductor
     from fiverank import classgroup, curves
 
-    calls = {"enumerate_reduced": 0, "is_semistable": 0}
+    calls = {"class_number": 0, "enumerate_reduced": 0, "group_structure": 0,
+             "is_semistable": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -324,8 +383,8 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(classgroup, "enumerate_reduced",
-                        counted(classgroup, "enumerate_reduced"))
+    for name in ("class_number", "enumerate_reduced", "group_structure"):
+        monkeypatch.setattr(classgroup, name, counted(classgroup, name))
     monkeypatch.setattr(curves, "is_semistable", counted(curves, "is_semistable"))
     # a binding imported into classgroup would be counted too
     monkeypatch.setattr(classgroup, "is_semistable", curves.is_semistable,
@@ -333,7 +392,8 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
     classgroup._single_curve_setup.cache_clear()
     decided = [o for o in oracle_scan(20) if o.status != "skip"]
     assert len(decided) == 20
-    assert calls["enumerate_reduced"] == len(decided)
+    assert calls["class_number"] == len(decided)
+    assert calls["enumerate_reduced"] == calls["group_structure"] == 0
     for u in (F(-3, 2), F(4), F(6, 7), F(-11)):     # the scan needs one u
         classgroup._single_curve_setup(u)
     assert classgroup._single_curve_setup.cache_info().currsize == 5
@@ -369,6 +429,18 @@ def test_quotient_reduction_data_decides_semistability():
         assert is_semistable(kubert_curve(u).curve()) == builds, u
         seen.add(builds)
     assert seen == {True, False}
+
+
+def test_oracle_refuses_a_wrong_class_number(monkeypatch):
+    # the 5-rank step checks h: five times the true class number is an
+    # IdentityCheckError, not a verdict
+    from fiverank import classgroup
+
+    true_class_number = classgroup.class_number
+    monkeypatch.setattr(classgroup, "class_number",
+                        lambda D: 5 * true_class_number(D))
+    with pytest.raises(IdentityCheckError):
+        small_instance_oracle(F(2, 3), F(1))
 
 
 def test_oracle_witness_search_raises_protocol_violations(monkeypatch):

@@ -377,14 +377,26 @@ def test_cmd_sieve_records_pinned(capsys):
 
 
 def test_cmd_oracle_records_pinned(capsys):
-    # SHA-256 of the stdout recorded while the oracle still took h from
-    # class_number and the 5-rank from a second enumeration in
-    # group_structure; any drift in oracle records fails here
+    # SHA-256 of the stdout recorded while the oracle still took h and
+    # the 5-rank from full enumeration (group_structure); the counted h
+    # and the 5-Sylow rank must reproduce it, and any drift in oracle
+    # records fails here
     code = main(["oracle", "--count", "20", "--include-skips"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "3d298d766ebc674714133affaafc534ce8fa3721a7841b97b23a72e1f990390d"
+
+
+def test_cmd_oracle_grid_pinned(capsys):
+    # the whole default grid, skips included: 82 verdicts among 6,786
+    # records, hashed while group_structure still gave h and the 5-rank
+    code = main(["oracle", "--count", "100000", "--include-skips"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 6786
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "338fa89c75a697d4f39c3afe13cb1d8b58c90ce05dbc18a77714bdbb9ed9fc17"
 
 
 def test_cmd_verify_records_pinned(capsys):
