@@ -32,15 +32,20 @@ of 29 that every valuation at 29 would otherwise divide out of two long
 integers again.  Lowest terms are not needed for correctness: v_p(n/d) =
 v_p(n) - v_p(d) for any representative of a fraction, and when that is
 >= 0, dividing p^v_p(d) out of both leaves a denominator prime to p,
-whose inverse mod p gives the residue.  The sign of the radicand f(x) is
-that of the homogeneous form d^deg(f) f(n/d), corrected by
-sign(d)^deg(f); f(x) itself is never built.
+whose inverse mod p gives the residue.
+
+The report carries x(z) = n/d in lowest terms with d > 0 and the integer
+form H = d^k f_int(n/d), where f_int is f with integer coefficients and
+k = deg f; the radicand f(x) has the sign of H.  The certificate
+(splitting.verify_instance) reads both, and `reduced_radicand` turns
+them into f(x) in lowest terms with a gcd bounded by a constant; the
+sieve itself never divides H by anything.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,6 +58,7 @@ from .curves import (
 )
 from .errors import BadReductionError, NoSingularPointError, PoleError
 from .exact import (
+    Ratio,
     integer_coefficients,
     valuation,  # noqa: F401  (the traced benchmark wraps this binding)
     valuation_and_residue,
@@ -244,6 +250,10 @@ class SieveReport:
     z: int
     radicand_sign: int
     records: tuple[ConditionRecord, ...]
+    # for the certificate, not the record: x(z) in lowest terms and H =
+    # d^k f_int(n/d) (see the module docstring)
+    x: Ratio = field(compare=False, repr=False)
+    radicand_form: int = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -269,12 +279,14 @@ class SieveReport:
 
 
 @lru_cache(maxsize=None)
-def _integer_forms() -> tuple[tuple[int, ...], ...]:
-    """Integer coefficients of x(z) = num/den (one common scale) and of f."""
+def _integer_forms() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """Integer coefficients of x(z) = num/den (one common scale) and of
+    f_int = s f, with the scale s."""
     sp = specialize()
     num, den = integer_coefficients(sp.x_of_z.num, sp.x_of_z.den)
     f, = integer_coefficients(sp.f_model)
-    return tuple(num), tuple(den), tuple(f)
+    s = Fraction(f[-1]) / sp.f_model.leading()
+    return tuple(num), tuple(den), tuple(f), int(s)
 
 
 def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> int:
@@ -288,29 +300,48 @@ def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> int:
 
 def x_pair(z: int) -> tuple[int, int]:
     """x(z) = n/d as an unreduced integer pair, by Horner in z."""
-    num, den, _ = _integer_forms()
+    num, den, _, _ = _integer_forms()
     n, d = _homogeneous(num, z, 1), _homogeneous(den, z, 1)
     if d == 0:
         raise PoleError(f"evaluation at pole z={z}")
     return n, d
 
 
-def check_z(z: int, *, radicand: Fraction | None = None) -> SieveReport:
+def check_z(z: int) -> SieveReport:
     """Evaluate every extension condition for one z.
 
-    radicand, when given, must be f(x(z)); it saves computing the sign
-    of the radicand, which is all this needs of it.
+    The report also keeps x(z) = n/d in lowest terms with d > 0 and H =
+    d^k f_int(n/d), whose sign is the radicand's, for the certificate.
     """
     n, d = x_pair(z)
     g = math.gcd(n, d)
+    if d < 0:
+        g = -g
     n, d = n // g, d // g
-    signed = radicand
-    if signed is None:
-        # d^k f(n/d) with k = deg f is an integer form; times d^(k mod 2)
-        # it has the sign of f(n/d)
-        f = _integer_forms()[2]
-        signed = _homogeneous(f, n, d) * d ** ((len(f) - 1) % 2)
+    form = _homogeneous(_integer_forms()[2], n, d)
     records = []
     for data in sieve_data():
         records.extend(_extension_records(data, n, d))
-    return SieveReport(z, (signed > 0) - (signed < 0), tuple(records))
+    return SieveReport(z, (form > 0) - (form < 0), tuple(records),
+                       Ratio(n, d), form)
+
+
+def reduced_radicand(x: Ratio, form: int) -> Ratio:
+    """f(x) = H / (s d^k) in lowest terms, from x = n/d and H = d^k f_int(n/d).
+
+    x must be in lowest terms with d > 0, as check_z leaves x(z) in its
+    report along with H.  Let c = lc(f_int).  The gcd g of H and s d^k
+    divides C = s c^k.  Take a prime p and write e = v_p(c).  If p does
+    not divide d, v_p(g) <= v_p(s).  If it does, every term of H but
+    c n^k carries a factor d, and p does not divide n; so when e <
+    v_p(d), v_p(H) = e, and otherwise v_p(g) <= v_p(s d^k) = v_p(s) +
+    k v_p(d) <= v_p(s) + k e.  Either way v_p(g) <= v_p(C), hence g =
+    gcd(H mod C, s d^k mod C, C): one gcd on numbers the size of C,
+    where Fraction would take one on the long H and d^k.
+    """
+    _, _, f, s = _integer_forms()
+    k = len(f) - 1
+    C = abs(s * f[-1] ** k)
+    H, den = form, s * x.denominator ** k
+    g = math.gcd(H % C, den % C, C)
+    return Ratio(H // g, den // g)

@@ -25,6 +25,15 @@ once per curve and prime, the verdict on any abscissa equals the
 verdict on a small representative of its class (the residue itself, or
 1/l for infinity), so each of the at most 3 (l + 1) verdicts per prime
 is computed once and reused for every z.
+
+A certificate does integer arithmetic only on the long numbers of a
+large z.  verify_instance takes x(z) = n/d and the integer form H of the
+radicand from the sieve report, and sieve.reduced_radicand gives the
+radicand as an integer pair in lowest terms.  The long-form abscissa's
+residue mod l is read off the unreduced pair (lead numerator * n, lead
+denominator * d); is_square refuses almost every non-square by
+residues; the K verdicts read the radicand's numerator and denominator
+apart; and the record writes its digits by exact.decimal_string.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .errors import (
 )
 from .exact import (
     Poly,
+    Ratio,
     int_valuation,
     integer_coefficients,
     is_probable_prime,
@@ -54,22 +64,22 @@ from .exact import (
 )
 from .family import CONSTANTS, specialize
 from .isogeny import preimage_quintic
-from .sieve import SieveReport, check_z, x_pair
+from .sieve import SieveReport, check_z, reduced_radicand
 
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
 
 
-def prime_split_in_K(l: int, radicand: Fraction) -> str:
+def prime_split_in_K(l: int, radicand: Fraction | Ratio) -> str:
     """Behavior of l in Q(sqrt(radicand)): split, inert or ramified."""
     if l == 2 or not is_probable_prime(l):
         raise ValueError("only odd primes are supported")
-    radicand = Fraction(radicand)
-    if radicand == 0:
+    if radicand.numerator == 0:
         raise ValueError("zero radicand")
     # v_l and the unit part mod l of numerator and denominator, taken
-    # apart instead of on their (possibly huge) product
+    # apart instead of on their (possibly huge) product; neither needs
+    # lowest terms
     v, unit = 0, 1
     for n in (radicand.numerator, radicand.denominator):
         e = int_valuation(n, l)
@@ -164,7 +174,7 @@ EXPECTED_PATTERN = (
 @dataclass(frozen=True)
 class FieldCertificate:
     z: int
-    radicand: Fraction
+    radicand: Ratio                      # f(x(z)) in lowest terms
     sign: int
     sieve_report: SieveReport
     pattern: SplittingPattern | None
@@ -220,22 +230,25 @@ def _frobenius_verdict(j: int, l: int, point: int | None) -> str:
     return frobenius_order_in_L(preimage_quintic(specialize().isogenies[j], rep), l)
 
 
-def splitting_pattern(z: int, x: Fraction, radicand: Fraction) -> SplittingPattern:
+def splitting_pattern(z: int, x: Fraction | Ratio,
+                      radicand: Fraction | Ratio) -> SplittingPattern:
     """Compute the full 3x3 pattern for one z from x = x(z) and f(x).
 
-    The L_j verdicts come from the isogenies of the distinguished
-    specialization, cached per residue class.
+    Both are read as numerator and denominator, the radicand in lowest
+    terms.  The L_j verdicts come from the isogenies of the
+    distinguished specialization, cached per residue class; each reads
+    the long-form abscissa lead * x mod l off the integer pair.
     """
-    sp = specialize()
     primes = CONSTANTS["z_one_mod"]
     if is_square(radicand):
         raise FieldCollapseError(f"radicand at z={z} is a rational square")
     k_verdicts = tuple(prime_split_in_K(l, radicand) for l in primes)
-    x_long = [model.to_long_x(x) for model in sp.F_models]
+    n, d = x.numerator, x.denominator
+    leads = [model.lead for model in specialize().F_models]
     entries = tuple(
-        tuple(_frobenius_verdict(
-                  j, l, valuation_and_residue(q.numerator, q.denominator, l)[1])
-              for j, q in enumerate(x_long))
+        tuple(_frobenius_verdict(j, l, valuation_and_residue(
+                  lead.numerator * n, lead.denominator * d, l)[1])
+              for j, lead in enumerate(leads))
         for l in primes)
     return SplittingPattern(primes, entries, k_verdicts)
 
@@ -247,15 +260,14 @@ def verify_instance(z: int) -> FieldCertificate:
     the conclusion flag is set only when everything holds.
     """
     failures = []
-    x = Fraction(*x_pair(z))
-    r = specialize().f_model(x)        # the radicand f(x(z)), computed once
-    report = check_z(z, radicand=r)
+    report = check_z(z)
+    r = reduced_radicand(report.x, report.radicand_form)
     if not report.passed:
         failures.append("sieve conditions failed")
     pattern = None
     independence = False
     try:
-        pattern = splitting_pattern(z, x, r)
+        pattern = splitting_pattern(z, report.x, r)
         independence = independence_certificate(pattern)
         if not independence:
             failures.append("splitting pattern does not force independence")

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,8 @@ from fiverank.exact import (
     INF,
     Poly,
     RatFunc,
+    Ratio,
+    decimal_string,
     factor_completely,
     int_valuation,
     integer_coefficients,
@@ -137,6 +141,93 @@ def test_is_square_and_sqrt():
     assert is_square(F(9, 4)) and rational_sqrt(F(9, 4)) == F(3, 2)
     assert not is_square(F(-4))
     assert not is_square(F(8, 9))
+
+
+def _is_square_reference(q):
+    q = F(q)
+    return q >= 0 and all(math.isqrt(m) ** 2 == m for m in (q.numerator, q.denominator))
+
+
+def test_is_square_residue_screen_matches_isqrt():
+    # the screen refuses by residues mod 64, 63, 65 and 11 and calls
+    # isqrt only on what passes; the answer must stay the exact one
+    rng = random.Random(64636511)
+    ints = [0, 1, 2, 3, 4, -1, -4, -9]
+    for digits in list(range(1, 60)) + [rng.randrange(60, 6001) for _ in range(40)] + [6000]:
+        m = rng.randrange(10 ** (digits - 1), 10 ** digits)    # m^2 up to 12,000 digits
+        ints += [m * m, m * m + 1, m * m - 1, m, -m * m]
+        ints += [m * m * k for k in (2, 3, 5, 6, 7, 10, 11, 13)]
+    ints += list(range(-50, 3000))
+    for n in ints:
+        assert is_square(n) == _is_square_reference(n), n
+    short = [n for n in ints if n.bit_length() < 4000]
+    squares = [n for n in short if _is_square_reference(n)]
+    for _ in range(300):
+        num, den = rng.choice(squares), rng.choice(short[8:])
+        for q in (F(num, den), F(den, num or 1), F(-num, den or 1)):
+            if q.denominator != 1 or q.numerator != 0:
+                assert is_square(q) == _is_square_reference(q), q
+                assert is_square(Ratio(q.numerator, q.denominator)) == is_square(q), q
+    assert {is_square(n) for n in ints} == {True, False}
+    assert rational_sqrt(F(4 * 10 ** 2000, 9)) == F(2 * 10 ** 1000, 3)
+    with pytest.raises(ValueError):
+        rational_sqrt(F(2 * 10 ** 2000, 9))
+
+
+# ----------------------------------------------------------- decimal strings
+
+def _str(n):
+    """str(n) with CPython's int-to-str digit limit lifted for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default 4,300-digit int-to-str limit, whatever ran before."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_string_equals_str(default_digit_limit):
+    from fiverank import exact
+
+    rng = random.Random(10 ** 9 + 7)
+    ints = [0, 1, -1]
+    for bits in ([rng.randrange(0, 2000) for _ in range(150)]
+                 + [rng.randrange(2000, 200_001) for _ in range(12)] + [200_000]):
+        ints.append(rng.choice((1, -1)) * rng.getrandbits(bits))
+    # 10^k - 1, 10^k and 10^k + 1 at and next to every split size
+    sizes = [exact._DECIMAL_LEAF << j for j in range(8)]
+    for k in {k + dk for k in sizes for dk in (-1, 0, 1)}:
+        ints += [10 ** k - 1, 10 ** k, 10 ** k + 1, -10 ** k]
+    for n in ints:
+        assert decimal_string(n) == _str(n), n.bit_length()
+
+
+def test_decimal_string_keeps_a_few_powers(default_digit_limit):
+    from fiverank import exact
+
+    rng = random.Random(200)
+    for _ in range(200):
+        n = rng.getrandbits(rng.choice((64, 2000, 13_000, 40_000, rng.randrange(200_000))))
+        assert decimal_string(n) == _str(n)
+    assert len(exact._DECIMAL_POWERS) <= 10
+    assert str(Ratio(-7 * 10 ** 5000, 3)) == _str(F(-7 * 10 ** 5000, 3))
+    assert str(Ratio(10 ** 5000, 1)) == _str(10 ** 5000)
 
 
 def test_trial_factor_prime_cofactor():

@@ -8,7 +8,7 @@ import pytest
 
 from fiverank.curves import minimal_model
 from fiverank.errors import NoSingularPointError
-from fiverank.exact import valuation
+from fiverank.exact import Ratio, valuation
 from fiverank.family import CONSTANTS, specialize
 from fiverank.sieve import (
     admissible_z,
@@ -342,10 +342,54 @@ def test_check_z_matches_fraction_reference():
 
 
 def test_check_z_with_radicand_matches_fraction_reference():
+    # the report's x(z) and the certificate's radicand, reduced from the
+    # report by a gcd bounded by a constant, are the Fraction reference
+    # as it stands: lowest terms, positive denominator
+    from fiverank.splitting import verify_instance
+
     sp = specialize()
-    for z in _differential_z()[::7]:
-        got = check_z(z, radicand=sp.radicand(z)).to_json()
-        assert got == _reference_report(z), z
+    zs = _differential_z()
+    for z in zs:
+        cert = verify_instance(z)
+        x, r = cert.sieve_report.x, cert.radicand
+        x_ref, r_ref = sp.x_of_z(F(z)), sp.radicand(z)
+        assert (x.numerator, x.denominator) == (x_ref.numerator, x_ref.denominator), z
+        assert (r.numerator, r.denominator) == (r_ref.numerator, r_ref.denominator), z
+        # every z sampled has a gcd above 1 to divide out
+        assert cert.sieve_report.radicand_form != r.numerator, z
+    assert any(abs(z) >= 10 ** 1000 for z in zs)
+
+
+def test_reduced_radicand_reaches_its_gcd_bound_on_rational_x():
+    # the gcd bound s lc(f_int)^k holds for every x in lowest terms, not
+    # only x(z); at p = 11 and 29, where p^2 exactly divides lc(f_int),
+    # some x with denominator p^2 give a gcd with p^5 or more, beyond
+    # what lc(f_int)^2 holds
+    from fiverank import sieve
+
+    sp = specialize()
+    _, _, f, s = sieve._integer_forms()
+    k = len(f) - 1
+    rng = random.Random(11)
+
+    def reduced(n, d):
+        r = sieve.reduced_radicand(Ratio(n, d), sieve._homogeneous(f, n, d))
+        ref = sp.f_model(F(n, d))
+        assert (r.numerator, r.denominator) == (ref.numerator, ref.denominator), (n, d)
+        return s * d ** k // r.denominator
+
+    for _ in range(200):
+        d = rng.randrange(1, 10 ** 6)
+        for p in (2, 3, 7, 11, 29):
+            d *= p ** rng.randrange(0, 8)
+        n = rng.choice((1, -1)) * rng.randrange(1, 10 ** 30)
+        g = math.gcd(n, d)
+        reduced(n // g, d // g)
+    for p in (11, 29):
+        d = p * p
+        n = max((n for n in range(1, p ** 3) if n % p),
+                key=lambda n: math.gcd(sieve._homogeneous(f, n, d), s * d ** k))
+        assert valuation(reduced(n, d), p) > 2 * valuation(f[-1], p), p
 
 
 def test_extension_check_matches_fraction_reference_on_rational_x():
