@@ -3,14 +3,14 @@
 Serves as the independent oracle of the package: on small fundamental
 discriminants it recomputes the class number h, by counting the square
 roots of D mod 4a for each leading coefficient a of a reduced form, and
-the 5-rank, from the 5-Sylow subgroup that prime forms span under Gauss
-composition, then checks the 5-divisibility that the single-curve
-construction predicts.  group_structure, which enumerates every reduced
-form and reads the invariant factors off their powers, serves
-`classgroup --disc` and is the reference the tests hold the oracle's
-route to.  Everything is exact.  The form engine (reduction,
-composition, enumeration, counting, invariant factors, the 5-Sylow
-subgroup) uses only the exact-arithmetic substrate; the oracle that
+the 5-rank, from the 5-Sylow subgroup that the reduced forms span under
+Gauss composition, then checks the 5-divisibility that the single-curve
+construction predicts.  group_structure, behind `classgroup --disc`,
+takes the same route for any negative discriminant: the counted h, then
+the span of each Sylow subgroup of the group, whose layer counts give
+the invariant factors.  Everything is exact.  The form engine
+(reduction, composition, enumeration, counting, Sylow spans, invariant
+factors) uses only the exact-arithmetic substrate; the oracle that
 feeds it builds its instances from the family, isogeny, sieve, splitting
 and curve modules.
 """
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     FiverankError,
@@ -146,24 +147,23 @@ def form_pow(f: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
     return out
 
 
-def enumerate_reduced(D: int) -> list[BinaryQuadraticForm]:
-    """All reduced primitive positive definite forms of discriminant D."""
+def enumerate_reduced(D: int) -> Iterator[BinaryQuadraticForm]:
+    """The reduced primitive positive definite forms of discriminant D, in
+    increasing a and then b, each built only when the caller takes it, so
+    a caller that stops early pays only for the a it has reached."""
     _check_discriminant(D)
-    out = []
-    amax = math.isqrt(-D // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a):
+    return _reduced_forms(D)
+
+
+def _reduced_forms(D: int) -> Iterator[BinaryQuadraticForm]:
+    for a in range(1, math.isqrt(-D // 3) + 1):
+        # b^2 = D (mod 4) needs b = D (mod 2)
+        for b in range(-a + 2 - (a + D) % 2, a + 1, 2):
+            c, r = divmod(b * b - D, 4 * a)
+            if r or c < a or (b < 0 and a == c):
                 continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (b == -a or a == c):
-                continue
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            out.append(BinaryQuadraticForm(a, b, c))
-    return out
+            if math.gcd(math.gcd(a, b), c) == 1:
+                yield BinaryQuadraticForm(a, b, c)
 
 
 def class_number(D: int) -> int:
@@ -301,30 +301,19 @@ class ClassGroupStructure:
 
 
 def group_structure(D: int, disc_bound: int = DEFAULT_DISC_BOUND) -> ClassGroupStructure:
-    """Invariant factors of the class group by order statistics.
+    """Invariant factors of the class group from its Sylow subgroups.
 
-    For each prime q | h, counting the solutions of x^(q^k) = 1 yields
-    the layer counts m_k(q) = #{cyclic q-factors of exponent >= k}; the
-    i-th largest invariant factor is the product of q^#{k : m_k(q) > i}.
-    Enumeration only, so the discriminant budget is enforced.
+    h = class_number(D), and for each prime q | h sylow_layers gives the
+    layer counts m_k(q) = #{cyclic q-factors of exponent >= k}; the i-th
+    largest invariant factor is the product of q^#{k : m_k(q) > i}.  The
+    spans may scan every reduced form, so the discriminant budget is
+    enforced.
     """
     _check_discriminant(D)
     if -D > disc_bound:
         raise OutOfBudgetError(f"|{D}| exceeds enumeration bound {disc_bound}")
-    forms = enumerate_reduced(D)
-    h = len(forms)
-    ident = identity_form(D)
-    layers: dict[int, list[int]] = {}
-    for q, e in factor_completely(h, 10**6).items():
-        prev = 1
-        m = layers[q] = []
-        for k in range(1, e + 1):
-            count = sum(1 for f in forms if form_pow(f, q ** k) == ident)
-            # count = q^(sum min(k, e_i)), so the layer ratio is q^m_k
-            m.append(_int_log(count // prev, q))
-            prev = count
-        if any(a < b for a, b in zip(m, m[1:])):
-            raise ArithmeticError("torsion layer counts must be non-increasing")
+    h = class_number(D)
+    layers = {q: sylow_layers(D, h, q) for q in factor_completely(h, 10**6)}
     rank = max((m[0] for m in layers.values()), default=0)
     factors = sorted(
         math.prod(q ** sum(1 for mk in m if mk > i) for q, m in layers.items())
@@ -345,37 +334,45 @@ def _int_log(n: int, q: int) -> int:
     return k
 
 
-def sylow_five_rank(D: int, h: int) -> int:
-    """5-rank of the class group of the fundamental discriminant D, given
-    its class number h, from the 5-Sylow subgroup alone.
+def sylow_layers(D: int, h: int, q: int) -> list[int]:
+    """The layer counts m_k(q) = #{cyclic q-factors of exponent >= k} of
+    the class group of D, given its class number h, from its q-Sylow
+    subgroup alone: one count for each k up to the log of that subgroup's
+    exponent, so m_1(q) is the q-rank and [] means q does not divide h.
 
-    With h = 5^e * m, f -> f^m maps the group onto its 5-Sylow subgroup.
-    The images of the prime forms (p, b, .) with p <= sqrt(|D|/3) span
-    it, because every class has a reduced form (a, b, c) with a in that
-    range, and (a, b, c) is the product of prime forms of the p | a; so
-    the span is grown until it holds 5^e classes, with no GRH bound.  The
-    5-rank is log_5 #{g : g^5 = 1} in it.  A prime form with f^h != 1, a
-    span beyond 5^e or prime forms that never reach 5^e mean h is wrong:
-    IdentityCheckError.
+    With h = q^e * m, f -> f^m maps the group onto its q-Sylow subgroup.
+    Every class has a reduced form, so the images of the reduced forms
+    span it, for any D; they are taken in increasing a until the span
+    holds q^e classes, skipping the principal form and the forms with
+    b < 0, whose inverses (a, -b, c) are listed too.  An image already in
+    the span has order dividing q^e, so only a new one needs the order
+    check.  g -> g^q then takes the span to its subgroups of q^k-th
+    powers, and the kernel of the k-th step has q^m_k(q) classes.  A form
+    with f^h != 1, a span beyond q^e classes or reduced forms that never
+    reach q^e mean h is wrong: IdentityCheckError.
     """
     _check_discriminant(D)
     if h < 1:
         raise ValueError(f"class number {h} is not positive")
     e, m = 0, h
-    while m % 5 == 0:
-        m //= 5
+    while m % q == 0:
+        m //= q
         e += 1
-    order = 5 ** e
+    order = q ** e
     ident = identity_form(D)
     span = {ident}
-    primes = _prime_forms(D)
+    forms = enumerate_reduced(D)
     while len(span) < order:
-        f = next(primes, None)
+        f = next(forms, None)
         if f is None:
             raise IdentityCheckError(
-                f"prime forms of {D} span {len(span)} classes of order a "
-                f"power of 5, short of 5^{e} for h = {h}")
+                f"reduced forms of {D} span {len(span)} classes of order a "
+                f"power of {q}, short of {q}^{e} for h = {h}")
+        if f.b < 0 or f.a == 1:
+            continue
         g = form_pow(f, m)
+        if g in span:
+            continue
         if form_pow(g, order) != ident:
             raise IdentityCheckError(f"{f} does not have order dividing h = {h}")
         grown, step = set(span), g
@@ -385,26 +382,15 @@ def sylow_five_rank(D: int, h: int) -> int:
         span = grown
         if len(span) > order:
             raise IdentityCheckError(
-                f"prime forms of {D} span more than 5^{e} classes for h = {h}")
-    return _int_log(sum(1 for g in span if form_pow(g, 5) == ident), 5)
-
-
-def _prime_forms(D: int):
-    """One prime form (p, b, .) for each prime p <= sqrt(|D|/3) with
-    (D/p) != -1, in increasing p; imprimitive ones (p^2 | D) are left out.
-
-    b in [0, 2p) is the lift of a root of D mod p with b^2 = D (mod 4p).
-    """
-    for p in range(2, math.isqrt(-D // 3) + 1):
-        if not is_probable_prime(p):
-            continue
-        b = next((x for r in _sqrt_mod_prime(D, p) for x in (r, r + p)
-                  if (x * x - D) % (4 * p) == 0), None)
-        if b is None:
-            continue
-        c = (b * b - D) // (4 * p)
-        if math.gcd(math.gcd(p, b), c) == 1:
-            yield BinaryQuadraticForm(p, b, c)
+                f"reduced forms of {D} span more than {q}^{e} classes for h = {h}")
+    layers = []
+    while len(span) > 1:
+        powers = {form_pow(g, q) for g in span}
+        layers.append(_int_log(len(span) // len(powers), q))
+        span = powers
+    if any(a < b for a, b in zip(layers, layers[1:])):
+        raise ArithmeticError("torsion layer counts must be non-increasing")
+    return layers
 
 
 def fundamental_discriminant(s: int) -> int:
@@ -517,7 +503,7 @@ def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
         return OracleOutcome("fail", "5 does not divide the class number", u, x,
                              r, D, h, 0, witness)
     return OracleOutcome("pass", "5 divides the class number", u, x, r, D,
-                         h, sylow_five_rank(D, h), witness)
+                         h, sylow_layers(D, h, 5)[0], witness)
 
 
 def _irreducibility_witness(quintic, radicand) -> int | None:

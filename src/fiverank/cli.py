@@ -354,30 +354,41 @@ def main(argv=None) -> int:
     _lift_int_str_limit()
     parser = build_parser()
     args = parser.parse_args(argv)
-    with ExitStack() as files:
-        # a bad config or an unwritable output path is a usage error,
-        # raised before any record is written
-        try:
-            cfg = _merge_config(args)
-            if getattr(args, "emit", None):     # derive's specialization file
-                args.emit = files.enter_context(
-                    open(args.emit, "w", encoding="utf-8"))
-            fh = sys.stdout
-            if cfg.output not in ("-", ""):
-                fh = files.enter_context(open(cfg.output, "w", encoding="utf-8"))
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
-        # each command yields its records and returns its exit code; a
-        # FiverankError ends the stream with an error record and exit code 1
-        records = args.func(args, cfg)
-        try:
-            while True:
-                _emit(fh, next(records))
-        except StopIteration as done:
-            return done.value
-        except FiverankError as exc:
-            _emit(fh, _error_record(exc))
-            return 1
+    fh = sys.stdout
+    try:
+        with ExitStack() as files:
+            # a bad config or an unwritable output path is a usage error,
+            # raised before any record is written
+            try:
+                cfg = _merge_config(args)
+                if getattr(args, "emit", None):     # derive's specialization file
+                    args.emit = files.enter_context(
+                        open(args.emit, "w", encoding="utf-8"))
+                if cfg.output not in ("-", ""):
+                    fh = files.enter_context(open(cfg.output, "w", encoding="utf-8"))
+            except (ValueError, OSError) as exc:
+                parser.error(str(exc))
+            # each command yields its records and returns its exit code; a
+            # FiverankError ends the stream with an error record and exit code 1
+            records = args.func(args, cfg)
+            try:
+                while True:
+                    _emit(fh, next(records))
+            except StopIteration as done:
+                code = done.value
+            except FiverankError as exc:
+                _emit(fh, _error_record(exc))
+                code = 1
+            fh.flush()                  # a failed write raises here, not at exit
+            return code
+    except OSError as exc:              # a closed pipe or a full disk
+        if fh is sys.stdout:            # or the flush at exit fails once more
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):    # a closed reader is no error
+            print(f"fiverank: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -291,10 +291,10 @@ def _integer_forms() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
 
 def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> int:
     """d^k c(n/d) for the degree-k polynomial c (lowest degree first), by Horner."""
-    acc, dk = coeffs[-1], d
+    acc, dk = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
-        acc = acc * n + c * dk
         dk *= d
+        acc = acc * n + c * dk
     return acc
 
 

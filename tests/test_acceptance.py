@@ -292,7 +292,7 @@ def test_criterion_09_classgroup_oracle():
         if D % 4 not in (0, 1):
             continue
         tried += 1
-        forms = enumerate_reduced(D)
+        forms = list(enumerate_reduced(D))
         ident = identity_form(D)
         for f in forms:
             assert compose(f, ident) == f

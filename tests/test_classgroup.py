@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 import sys
@@ -20,7 +21,7 @@ from fiverank.classgroup import (
     oracle_scan,
     reduce_form,
     small_instance_oracle,
-    sylow_five_rank,
+    sylow_layers,
 )
 from fiverank.errors import IdentityCheckError, OutOfBudgetError
 
@@ -70,6 +71,11 @@ def test_enumerate_golden_values():
     assert forms == {BinaryQuadraticForm(1, 1, 6),
                      BinaryQuadraticForm(2, 1, 3),
                      BinaryQuadraticForm(2, -1, 3)}
+    # a lazy stream in increasing a, then b
+    forms = enumerate_reduced(-47)
+    assert iter(forms) is forms
+    assert [(f.a, f.b, f.c) for f in forms] == \
+        [(1, 1, 12), (2, -1, 6), (2, 1, 6), (3, -1, 4), (3, 1, 4)]
 
 
 def test_enumerate_rejects_bad_discriminant():
@@ -96,53 +102,87 @@ def test_class_number_counts_what_enumeration_lists():
     # random larger ones
     for D in range(-3, -20001, -1):
         if D % 4 in (0, 1):
-            assert class_number(D) == len(enumerate_reduced(D)), D
+            assert class_number(D) == len(list(enumerate_reduced(D))), D
     rng = random.Random(47)
     tried = 0
     while tried < 3:
         D = -rng.randrange(10**5, 10**7)
         if D % 4 in (0, 1):
             tried += 1
-            assert class_number(D) == len(enumerate_reduced(D)), D
+            assert class_number(D) == len(list(enumerate_reduced(D))), D
 
 
-def test_sylow_five_rank_matches_group_structure():
-    # on every fundamental D down to -10,000 with 5 | h (all of 5-rank
-    # 1), and on the three of 5-rank 2 down to -20,000
+def power_table_layers(D, q):
+    """The layer counts m_k(q), k = 1..e, from a power table of all h
+    reduced forms: #{f : f^(q^k) = 1} = q^(m_1 + ... + m_k).  A reference
+    that shares no step with sylow_layers but the form engine."""
+    forms = list(enumerate_reduced(D))
+    ident = identity_form(D)
+    e, h = 0, len(forms)
+    while h % q == 0:
+        h //= q
+        e += 1
+    layers, prev = [], 1
+    for k in range(1, e + 1):
+        count = sum(1 for f in forms if form_pow(f, q ** k) == ident)
+        layers.append(next(j for j in range(e + 1) if q ** j == count // prev))
+        prev = count
+    return layers
+
+
+def test_sylow_layers_match_the_power_table():
+    # the 5-Sylow span on every fundamental D down to -10,000 with 5 | h
+    # (all of 5-rank 1), and on the three of 5-rank 2 down to -20,000.
+    # The power table lists its trailing zero layers, the span stops at
+    # the exponent
     ranks = []
     for D in [*range(-3, -10001, -1), -11199, -12451, -17944]:
         if not is_fundamental(D):
             continue
         h = class_number(D)
         if h % 5 == 0:
-            rank = sylow_five_rank(D, h)
-            assert rank == group_structure(D).p_rank(5), D
-            ranks.append(rank)
+            layers = sylow_layers(D, h, 5)
+            assert layers == [m for m in power_table_layers(D, 5) if m], D
+            ranks.append(layers[0])
     assert ranks.count(2) == 3 and len(ranks) > 500
-    assert sylow_five_rank(-23, 3) == 0
+    assert sylow_layers(-23, 3, 5) == []
+    assert sylow_layers(-50783, 250, 5) == [2, 1]       # C25 x C5
 
 
-def test_sylow_five_rank_refuses_a_wrong_class_number(monkeypatch):
+def test_sylow_layers_match_the_power_table_for_every_prime():
+    # every Sylow subgroup of every D down to -3,000, fundamental or not:
+    # prime forms alone do not span the group at -64, -108, -400, -2832
+    for D in [*range(-3, -3001, -1), -12451, -50783]:
+        if D % 4 not in (0, 1):
+            continue
+        h = class_number(D)
+        for q in {p for p in range(2, h + 1) if h % p == 0
+                  and all(p % r for r in range(2, math.isqrt(p) + 1))}:
+            assert sylow_layers(D, h, q) == \
+                [m for m in power_table_layers(D, q) if m], (D, q)
+
+
+def test_sylow_layers_refuse_a_wrong_class_number(monkeypatch):
     from fiverank import classgroup
 
     with pytest.raises(ValueError):
-        sylow_five_rank(-47, 0)
-    # h(-47) = 5: with 25 the prime forms never span 5^2 classes
+        sylow_layers(-47, 0, 5)
+    # h(-47) = 5: with 25 the reduced forms never span 5^2 classes
     with pytest.raises(IdentityCheckError, match="short of 5\\^2"):
-        sylow_five_rank(-47, 25)
-    # h(-143) = 10: the prime form of 2 has order 10, so f^15 != 1
+        sylow_layers(-47, 25, 5)
+    # h(-143) = 10: the form (2, 1, 18) has order 10, so f^15 != 1
     with pytest.raises(IdentityCheckError, match="order dividing h = 15"):
-        sylow_five_rank(-143, 15)
+        sylow_layers(-143, 15, 5)
     # 5-Sylow C25 x C5, h = 250.  With h = 50 the span stops at 5^2 as a
-    # rule, but after the prime form of 23, whose image has order 5 and is
-    # no fifth power, the one of 2 (image order 25) grows it to 5^3
+    # rule, but after the form (23, 1, 552), whose image has order 5 and
+    # is no fifth power, the one of 2 (image order 25) grows it to 5^3
     D = -50783
-    assert sylow_five_rank(D, 250) == 2
-    prime_forms = classgroup._prime_forms
-    monkeypatch.setattr(classgroup, "_prime_forms", lambda D: iter(
-        [BinaryQuadraticForm(23, 1, 552), *prime_forms(D)]))
+    assert sylow_layers(D, 250, 5)[0] == 2
+    reduced = classgroup.enumerate_reduced
+    monkeypatch.setattr(classgroup, "enumerate_reduced", lambda D: itertools.chain(
+        [BinaryQuadraticForm(23, 1, 552)], reduced(D)))
     with pytest.raises(IdentityCheckError, match="more than 5\\^2"):
-        sylow_five_rank(D, 50)
+        sylow_layers(D, 50, 5)
 
 
 def test_group_law_properties_random_discriminants():
@@ -153,7 +193,7 @@ def test_group_law_properties_random_discriminants():
         if D % 4 not in (0, 1):
             continue
         tried += 1
-        forms = enumerate_reduced(D)
+        forms = list(enumerate_reduced(D))
         e = identity_form(D)
         sample = forms if len(forms) <= 6 else rng.sample(forms, 6)
         for f in sample:
@@ -191,7 +231,7 @@ def test_group_structure_matches_order_count():
             continue
         tried += 1
         st = group_structure(D)
-        forms = enumerate_reduced(D)
+        forms = list(enumerate_reduced(D))
         for p in (2, 3, 5):
             ident = identity_form(D)
             count = sum(1 for f in forms if form_pow(f, p) == ident)
@@ -206,7 +246,7 @@ def test_group_structure_counts_n_torsion():
     # walking the cyclic subgroups, on every fundamental D down to -5,000
     noncyclic = 0
     for D in filter(is_fundamental, range(-3, -5001, -1)):
-        forms = enumerate_reduced(D)
+        forms = list(enumerate_reduced(D))
         ident = identity_form(D)
         orders = {}
         for f in forms:
@@ -366,14 +406,15 @@ def test_oracle_scan_lets_value_errors_through(monkeypatch):
 
 
 def test_oracle_scan_computes_each_fact_once(monkeypatch):
-    # one class number count per decided discriminant and no enumeration
-    # or power table, and no semistability check in the curve setup: the
-    # quotient's reduction data rules out additive reduction, and the
-    # isogenous domain curve has the same conductor
+    # one class number count and one lazy enumeration per decided
+    # discriminant, stopped once the 5-Sylow span is full, and no power
+    # table; no semistability check in the curve setup: the quotient's
+    # reduction data rules out additive reduction, and the isogenous
+    # domain curve has the same conductor
     from fiverank import classgroup, curves
 
     calls = {"class_number": 0, "enumerate_reduced": 0, "group_structure": 0,
-             "is_semistable": 0}
+             "is_semistable": 0, "forms taken": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -383,8 +424,17 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("class_number", "enumerate_reduced", "group_structure"):
+    for name in ("class_number", "group_structure"):
         monkeypatch.setattr(classgroup, name, counted(classgroup, name))
+    reduced = classgroup.enumerate_reduced
+
+    def taken(D):
+        calls["enumerate_reduced"] += 1
+        for f in reduced(D):
+            calls["forms taken"] += 1
+            yield f
+
+    monkeypatch.setattr(classgroup, "enumerate_reduced", taken)
     monkeypatch.setattr(curves, "is_semistable", counted(curves, "is_semistable"))
     # a binding imported into classgroup would be counted too
     monkeypatch.setattr(classgroup, "is_semistable", curves.is_semistable,
@@ -392,8 +442,9 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
     classgroup._single_curve_setup.cache_clear()
     decided = [o for o in oracle_scan(20) if o.status != "skip"]
     assert len(decided) == 20
-    assert calls["class_number"] == len(decided)
-    assert calls["enumerate_reduced"] == calls["group_structure"] == 0
+    assert calls["class_number"] == calls["enumerate_reduced"] == len(decided)
+    assert calls["group_structure"] == 0
+    assert calls["forms taken"] < sum(o.class_number for o in decided) // 10
     for u in (F(-3, 2), F(4), F(6, 7), F(-11)):     # the scan needs one u
         classgroup._single_curve_setup(u)
     assert classgroup._single_curve_setup.cache_info().currsize == 5

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -254,6 +255,28 @@ def test_cmd_classgroup(capsys):
     assert rec["p_ranks"]["3"] == 1
 
 
+def test_cmd_classgroup_records_pinned(capsys):
+    # SHA-256 and exit code of each classgroup record, recorded while
+    # group_structure still read the invariant factors off a power table
+    # of every reduced form: C5, C2 x C2, C5 x C5, C25 x C5 (h = 250), the
+    # non-fundamental -64 and -2832, and the over-budget error record
+    golden = {
+        "-47": (0, "54689808ccdc57feb29a84c10e11b216049194bd8af35530a736f4db23cdcf84"),
+        "-84": (0, "059017b155f7aabaa6253a61714251d44f003b5a7c92296d98919eb0d9b9acf1"),
+        "-12451": (0, "6486507e874528dbcad2743323efd37e794a4518a52b6cc663ec15630b59da05"),
+        "-50783": (0, "55b6c20f236a166fc0a15d2adac7ff57be328de9b6a731441aa07f108d407f34"),
+        "-64": (0, "83fed74c08f7bc0ae4faec487d10545b8f1432ce772cb8bea430b9339e9213ec"),
+        "-2832": (0, "cf6846bb578dbe28c0d87ed89307148e866b3f02d86bfd372585a0d415326cde"),
+        str(-(10**7 + 7) * 4):
+            (1, "cbb2ca13bb7da6fe726dfc42b362f5f23d95f64df0de390e7fb715c26b2eea60"),
+    }
+    for disc, (expected, digest) in golden.items():
+        code = main(["classgroup", "--disc", disc])
+        out = capsys.readouterr().out
+        assert code == expected, disc
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, disc
+
+
 def test_cmd_count_zero_prints_nothing(capsys):
     for command in ("sieve", "oracle"):
         code, records = run_cli([command, "--count", "0"], capsys)
@@ -350,6 +373,36 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, check=True)
     rec = json.loads(out.stdout.splitlines()[0])
     assert rec["class_number"] == "5"
+
+
+def test_closed_pipe_ends_quietly():
+    # `fiverank sieve --count 100000 | head -c 10`: the reader leaves
+    # early, and the command stops with nothing on stderr, not even at the
+    # interpreter's final flush of stdout
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fiverank.cli", "sieve", "--count", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head == b'{"conditio' and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_write_error_is_one_error_line():
+    # a full device, as stdout and as --output: the records fit in the
+    # buffer, so the error comes from the final flush
+    for where in ([], ["--output", "/dev/full"]):
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(
+                [sys.executable, "-m", "fiverank.cli", *where, "sieve",
+                 "--count", "3"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert run.returncode == 1, where
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("fiverank: error: "), where
 
 
 def test_cmd_sieve_byte_identical_across_processes():
