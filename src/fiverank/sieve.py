@@ -22,24 +22,48 @@ success.  Acceptance 05 pins that exception class: it derives the
 residues 6 and 10 from CONSTANTS and asserts that check_z fails exactly
 there, only at 29 on curves 1 and 3, and passes every other admissible z.
 
-Every condition is evaluated in integer arithmetic.  x(z) is the pair
-(n, d) that `x_pair` builds from the integer coefficients of its
-numerator and denominator (Horner in z); each curve's map to its minimal
-model is the integer triple (L, R, U) with x_min = (L n - R d) / (U d),
-and `singular_abscissa` maps the node back through the same triple.
-`check_z` takes one gcd, of n and d: for admissible z they share a power
-of 29 that every valuation at 29 would otherwise divide out of two long
-integers again.  Lowest terms are not needed for correctness: v_p(n/d) =
-v_p(n) - v_p(d) for any representative of a fraction, and when that is
->= 0, dividing p^v_p(d) out of both leaves a denominator prime to p,
-whose inverse mod p gives the residue.
+Every condition is evaluated in integer arithmetic, and each depends on
+z only through its p-adic class at the condition prime p (11, 19, 29,
+419, 709 or 151).  A condition reads v_p and the residue mod p of a ratio
+P(z)/Q(z) of integer polynomials: x(z) = num/den from the integer
+coefficients of its numerator and denominator, and x_min = (L num -
+R den) / (U den) through the curve's minimal-model triple (L, R, U);
+`singular_abscissa` maps the node back through the same triple.
 
-The report carries x(z) = n/d in lowest terms with d > 0 and the integer
+check_z reads the records from a memo of classes.  Write z = p^v u with
+p not dividing u; the key (p, v, j, u mod p^j) holds the records that
+the three curves have at p, for every z in that class.  Each entry is
+proved, not sampled.  With m = min_i (v_p(a_i) + i v) over the
+coefficients a_i of P, S = P(z)/p^m = sum_i a_i p^(iv - m) u^i mod p^j
+depends only on u mod p^j.  When S is nonzero mod p^j it fixes v_p(P(z))
+= m + v_p(S) and the unit P(z)/p^v_p(P(z)) mod p; when it vanishes,
+m + j is a lower bound, which still fixes the residue of P/Q when it
+puts v_p(P/Q) above 0 (residue 0) or, for Q, below 0 (infinity).  An
+entry is built at the least j that fixes every record at p.  A z with a
+class that no j up to CLASS_DEPTH decides (z near a 19- or 29-adic root
+of den, an integer root, and z = 0, whose x_pair raises PoleError) goes
+whole to the direct route, the records of x(z) = n/d itself, which
+`extension_check` and the oracle's `singular_avoidance_passes` also run.
+The memo is an lru_cache of CLASS_MEMO_SIZE keys.  Its entries are
+tuples of shared frozen records, so nothing mutates them.  A run meets a
+few thousand classes at most: the p - 1 units at 419, 709 and 151, and
+the 29-adic exception class, which decides at j = 3.
+
+On the direct route x(z) is the pair (n, d) that `x_pair` builds by
+Horner in z.  `check_z` takes one gcd, of n and d: for admissible z they
+share a power of 29 that every valuation at 29 would otherwise divide
+out of two long integers again.  Lowest terms are not needed for
+correctness: v_p(n/d) = v_p(n) - v_p(d) for any representative of a
+fraction, and when that is >= 0, dividing p^v_p(d) out of both leaves a
+denominator prime to p, whose inverse mod p gives the residue.
+
+The report carries x(z) = n/d in lowest terms with d > 0, the integer
 form H = d^k f_int(n/d), where f_int is f with integer coefficients and
-k = deg f; the radicand f(x) has the sign of H.  The certificate
-(splitting.verify_instance) reads both, and `reduced_radicand` turns
-them into f(x) in lowest terms with a gcd bounded by a constant; the
-sieve itself never divides H by anything.
+k = deg f, and the d^k that Horner builds along the way; the radicand
+f(x) has the sign of H.  The certificate (splitting.verify_instance)
+reads them, and `reduced_radicand` turns H and d^k into f(x) in lowest
+terms with a gcd bounded by a constant; the sieve itself never divides H
+by anything.
 """
 
 from __future__ import annotations
@@ -48,6 +72,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
+from operator import itemgetter
 
 from .curves import (
     ReductionInfo,
@@ -60,6 +86,7 @@ from .errors import BadReductionError, NoSingularPointError, PoleError
 from .exact import (
     Ratio,
     integer_coefficients,
+    int_valuation,
     valuation,  # noqa: F401  (the traced benchmark wraps this binding)
     valuation_and_residue,
 )
@@ -207,17 +234,11 @@ def _extension_records(data: CurveReductionData, n: int,
     records = []
     for p in data.valuation_primes:
         v, _ = valuation_and_residue(n, d, p)
-        records.append(ConditionRecord(
-            data.index, "valuation", p, "v <= -2", f"v = {v}", v <= -2))
+        records.append(_valuation_record(data, p, v))
     if data.congruence_prime is not None:
         p = data.congruence_prime
-        # negative valuation counts as "not congruent"
         _, res = valuation_and_residue(n, d, p)
-        hit = res is not None and res == data.excluded_residue % p
-        records.append(ConditionRecord(
-            data.index, "congruence", p,
-            f"x != {data.excluded_residue} mod {p}",
-            "congruent" if hit else "not congruent", not hit))
+        records.append(_congruence_record(data, p, res))
     n_min, d_min = data.x_minimal(n, d)
     for p in data.five_primes:
         records.append(_singular_avoidance_record(data, n_min, d_min, p))
@@ -236,6 +257,25 @@ def _singular_avoidance_record(data: CurveReductionData, n_min: int, d_min: int,
                                p: int) -> ConditionRecord:
     """Reduction of x_min = n_min/d_min on the minimal model misses the node."""
     _, res = valuation_and_residue(n_min, d_min, p)
+    return _avoidance_record(data, p, res)
+
+
+# The records from v = v_p(x) and the residue of x (or x_min) mod p, None
+# standing for infinity.
+
+def _valuation_record(data: CurveReductionData, p: int, v) -> ConditionRecord:
+    return ConditionRecord(data.index, "valuation", p, "v <= -2", f"v = {v}", v <= -2)
+
+
+def _congruence_record(data: CurveReductionData, p: int, res) -> ConditionRecord:
+    # negative valuation counts as "not congruent"
+    hit = res is not None and res == data.excluded_residue % p
+    return ConditionRecord(data.index, "congruence", p,
+                           f"x != {data.excluded_residue} mod {p}",
+                           "congruent" if hit else "not congruent", not hit)
+
+
+def _avoidance_record(data: CurveReductionData, p: int, res) -> ConditionRecord:
     if res is None:
         return ConditionRecord(data.index, "singular-avoidance", p,
                                "reduction != node", "reduces to infinity", True)
@@ -245,15 +285,162 @@ def _singular_avoidance_record(data: CurveReductionData, n_min: int, d_min: int,
                            "node" if hit else f"x = {res} mod {p}", not hit)
 
 
+# ---------------------------------------------------------------------------
+# the class route (see the module docstring)
+# ---------------------------------------------------------------------------
+
+CLASS_DEPTH = 4             # largest j of a key (p, v, j, u mod p^j)
+CLASS_MEMO_SIZE = 4096      # keys the memo keeps, least recently used out first
+_UNKNOWN = object()         # a residue the key does not fix
+
+
+def _adic_terms(coeffs, p: int) -> tuple[tuple[int, int, int], ...]:
+    """(i, e_i, a_i / p^e_i) for each nonzero a_i, with e_i = v_p(a_i)."""
+    out = []
+    for i, a in enumerate(coeffs):
+        if a:
+            e = int_valuation(a, p)
+            out.append((i, e, a // p ** e))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _class_plan():
+    """What the class route needs, from sieve_data() and _integer_forms().
+
+    For each condition prime p, in order of first use: the p-adic terms of
+    x(z)'s numerator and denominator and the slots (data, kind, terms of
+    x_min's pair or None) whose records an entry at p holds, in report
+    order.  With them the itemgetter that takes the entries, joined in
+    prime order, to the report's curve/kind/prime order.
+    """
+    num, den, _, _ = _integer_forms()
+    slots = []
+    for data in sieve_data():
+        slots += [(p, data, "valuation") for p in data.valuation_primes]
+        if data.congruence_prime is not None:
+            slots.append((data.congruence_prime, data, "congruence"))
+        slots += [(p, data, "singular-avoidance") for p in data.five_primes]
+    plan, joined = {}, []
+    for p in dict.fromkeys(p for p, _, _ in slots):
+        mine = []
+        for slot in slots:
+            if slot[0] != p:
+                continue
+            _, data, kind = slot
+            minimal = None
+            if kind == "singular-avoidance":
+                # x_min = (L num - R den) / (U den), as polynomials in z
+                L, R, U = data.minimal_map
+                n_min = [L * a - R * b for a, b in zip_longest(num, den, fillvalue=0)]
+                minimal = (_adic_terms(n_min, p), _adic_terms([U * b for b in den], p))
+            mine.append((data, kind, minimal))
+            joined.append(slot)
+        plan[p] = (_adic_terms(num, p), _adic_terms(den, p), tuple(mine))
+    return plan, itemgetter(*(joined.index(slot) for slot in slots))
+
+
+def _leading(terms, p: int, v: int, j: int, u: int):
+    """v_p(P(z)) and P(z)/p^v_p(P(z)) mod p for every z = p^v u' with
+    u' = u mod p^j, p not dividing u', from the _adic_terms of P.
+
+    m = min_i (e_i + i v) is the valuation of P's leading terms, and S =
+    P(z)/p^m mod p^j depends on u mod p^j alone.  When S vanishes, the
+    answer is (m + j, None), m + j only a lower bound for v_p(P(z)).
+    """
+    m = min(e + i * v for i, e, _ in terms)
+    pj = p ** j
+    s = sum(c * p ** (e + i * v - m) * u ** i
+            for i, e, c in terms if e + i * v - m < j) % pj
+    if s == 0:
+        return m + j, None
+    t = 0
+    while s % p == 0:
+        s //= p
+        t += 1
+    return m + t, s % p
+
+
+def _class_ratio(p: int, top, bottom):
+    """(v, residue) of P(z)/Q(z) from _leading of both: v is None where the
+    key does not fix it, and the residue _UNKNOWN, or None for infinity."""
+    (vp, up), (vq, uq) = top, bottom
+    if up is not None and uq is not None:
+        v = vp - vq
+        if v < 0:
+            return v, None
+        return v, 0 if v > 0 else up * pow(uq, -1, p) % p
+    if uq is not None and vp - vq > 0:       # v_p >= vp - vq > 0
+        return None, 0
+    if up is not None and vp - vq < 0:       # v_p <= vp - vq < 0
+        return None, None
+    return None, _UNKNOWN
+
+
+@lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _class_entry(p: int, v: int, j: int, u: int):
+    """The records at p shared by every z = p^v u' with u' = u mod p^j,
+    in report order; None when that class does not fix them all."""
+    num, den, slots = _class_plan()[0][p]
+    v_x, res_x = _class_ratio(p, _leading(num, p, v, j, u), _leading(den, p, v, j, u))
+    records = []
+    for data, kind, minimal in slots:
+        if kind == "valuation":
+            if v_x is None:
+                return None
+            record = _valuation_record(data, p, v_x)
+        elif kind == "congruence":
+            if res_x is _UNKNOWN:
+                return None
+            record = _congruence_record(data, p, res_x)
+        else:
+            _, res = _class_ratio(p, *(_leading(t, p, v, j, u) for t in minimal))
+            if res is _UNKNOWN:
+                return None
+            record = _avoidance_record(data, p, res)
+        records.append(_shared(record))
+    return _shared(tuple(records))
+
+
+@lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _shared(record: ConditionRecord) -> ConditionRecord:
+    """One object per distinct record, and per distinct entry, in the memo."""
+    return record
+
+
+def _class_records(z: int) -> tuple[ConditionRecord, ...] | None:
+    """check_z's records for z != 0 by the p-adic class of z, or None when
+    some class, up to depth CLASS_DEPTH, does not fix them."""
+    plan, layout = _class_plan()
+    entries = []
+    for p in plan:
+        u, v = z, 0
+        r = u % p
+        while not r:
+            u //= p
+            v += 1
+            r = u % p
+        entry = _class_entry(p, v, 1, r)
+        j = 1
+        while entry is None:
+            if j == CLASS_DEPTH:
+                return None
+            j += 1
+            entry = _class_entry(p, v, j, u % p ** j)
+        entries += entry
+    return layout(entries)
+
+
 @dataclass(frozen=True)
 class SieveReport:
     z: int
     radicand_sign: int
     records: tuple[ConditionRecord, ...]
-    # for the certificate, not the record: x(z) in lowest terms and H =
-    # d^k f_int(n/d) (see the module docstring)
+    # for the certificate, not the record: x(z) = n/d in lowest terms, H =
+    # d^k f_int(n/d) and d^k (see the module docstring)
     x: Ratio = field(compare=False, repr=False)
     radicand_form: int = field(compare=False, repr=False)
+    denominator_power: int = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -289,19 +476,21 @@ def _integer_forms() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
     return tuple(num), tuple(den), tuple(f), int(s)
 
 
-def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> int:
-    """d^k c(n/d) for the degree-k polynomial c (lowest degree first), by Horner."""
+def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> tuple[int, int]:
+    """d^k c(n/d) and d^k for the degree-k polynomial c (lowest degree
+    first), by Horner."""
     acc, dk = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
         dk *= d
         acc = acc * n + c * dk
-    return acc
+    return acc, dk
 
 
 def x_pair(z: int) -> tuple[int, int]:
     """x(z) = n/d as an unreduced integer pair, by Horner in z."""
     num, den, _, _ = _integer_forms()
-    n, d = _homogeneous(num, z, 1), _homogeneous(den, z, 1)
+    n, _ = _homogeneous(num, z, 1)
+    d, _ = _homogeneous(den, z, 1)
     if d == 0:
         raise PoleError(f"evaluation at pole z={z}")
     return n, d
@@ -310,27 +499,29 @@ def x_pair(z: int) -> tuple[int, int]:
 def check_z(z: int) -> SieveReport:
     """Evaluate every extension condition for one z.
 
-    The report also keeps x(z) = n/d in lowest terms with d > 0 and H =
-    d^k f_int(n/d), whose sign is the radicand's, for the certificate.
+    The records come from the memo of p-adic classes, or from x(z)
+    itself when a class of z does not fix them.  The report also keeps
+    x(z) = n/d in lowest terms with d > 0, H = d^k f_int(n/d), whose sign
+    is the radicand's, and d^k, for the certificate.
     """
-    n, d = x_pair(z)
+    n, d = x_pair(z)                    # raises PoleError at z = 0
     g = math.gcd(n, d)
     if d < 0:
         g = -g
     n, d = n // g, d // g
-    form = _homogeneous(_integer_forms()[2], n, d)
-    records = []
-    for data in sieve_data():
-        records.extend(_extension_records(data, n, d))
-    return SieveReport(z, (form > 0) - (form < 0), tuple(records),
-                       Ratio(n, d), form)
+    form, dk = _homogeneous(_integer_forms()[2], n, d)
+    records = _class_records(z)
+    if records is None:
+        records = tuple(record for data in sieve_data()
+                        for record in _extension_records(data, n, d))
+    return SieveReport(z, (form > 0) - (form < 0), records, Ratio(n, d), form, dk)
 
 
-def reduced_radicand(x: Ratio, form: int) -> Ratio:
-    """f(x) = H / (s d^k) in lowest terms, from x = n/d and H = d^k f_int(n/d).
+def reduced_radicand(form: int, dk: int) -> Ratio:
+    """f(x) = H / (s d^k) in lowest terms, from H = d^k f_int(n/d) and d^k.
 
-    x must be in lowest terms with d > 0, as check_z leaves x(z) in its
-    report along with H.  Let c = lc(f_int).  The gcd g of H and s d^k
+    x = n/d must be in lowest terms with d > 0, as check_z leaves x(z) in
+    its report along with H and d^k.  Let c = lc(f_int).  The gcd g of H and s d^k
     divides C = s c^k.  Take a prime p and write e = v_p(c).  If p does
     not divide d, v_p(g) <= v_p(s).  If it does, every term of H but
     c n^k carries a factor d, and p does not divide n; so when e <
@@ -342,6 +533,6 @@ def reduced_radicand(x: Ratio, form: int) -> Ratio:
     _, _, f, s = _integer_forms()
     k = len(f) - 1
     C = abs(s * f[-1] ** k)
-    H, den = form, s * x.denominator ** k
+    H, den = form, s * dk
     g = math.gcd(H % C, den % C, C)
     return Ratio(H // g, den // g)

@@ -27,9 +27,9 @@ verdict on a small representative of its class (the residue itself, or
 is computed once and reused for every z.
 
 A certificate does integer arithmetic only on the long numbers of a
-large z.  verify_instance takes x(z) = n/d and the integer form H of the
-radicand from the sieve report, and sieve.reduced_radicand gives the
-radicand as an integer pair in lowest terms.  The long-form abscissa's
+large z.  verify_instance takes x(z) = n/d, the integer form H of the
+radicand and d^k from the sieve report, and sieve.reduced_radicand gives
+the radicand as an integer pair in lowest terms.  The long-form abscissa's
 residue mod l is read off the unreduced pair (lead numerator * n, lead
 denominator * d); is_square refuses almost every non-square by
 residues; the K verdicts read the radicand's numerator and denominator
@@ -261,7 +261,7 @@ def verify_instance(z: int) -> FieldCertificate:
     """
     failures = []
     report = check_z(z)
-    r = reduced_radicand(report.x, report.radicand_form)
+    r = reduced_radicand(report.radicand_form, report.denominator_power)
     if not report.passed:
         failures.append("sieve conditions failed")
     pattern = None

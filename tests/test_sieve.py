@@ -320,12 +320,33 @@ def _differential_z():
     zs += [z for z in admissible_z(count=120, sign="both")
            if z % 29 == 0 and (z // 29) % 29 in (6, 10)]
     zs += [s * 29 * (29 * k + r) for s in (1, -1) for k in range(3) for r in (6, 10)]
-    # deep valuations at the criterion primes
-    for p in (11, 19, 29):
+    # deep valuations at every condition prime
+    for p in (11, 19, 29, 419, 709, 151):
         for k in range(1, 7):
             zs += [p ** k, -p ** k, p ** k * rng.randrange(2, 10 ** 6),
                    -p ** k * rng.randrange(2, 10 ** 12)]
+    # admissible z in the 29-adic classes that the class route leaves
+    # undecided, which check_z evaluates on x(z) itself
+    zs += _undecided_admissible_z()
     return zs
+
+
+@functools.lru_cache(maxsize=None)
+def _undecided_admissible_z():
+    """Three admissible z with v_29(z) = 1 in each undecided 29-adic class."""
+    from fiverank.sieve import CLASS_DEPTH
+
+    modulus = 29 ** (CLASS_DEPTH + 1)
+    out = []
+    for u in (u for u, _, entry in _class_verdicts(29, 1) if entry is None):
+        # z = 29 u mod 29^(depth + 1), z = 0 mod 11*19, z = 1 mod M2
+        m1, r = M1 // 29, 29 * u
+        z = r + modulus * ((-r * pow(modulus, -1, m1)) % m1)
+        step = modulus * m1
+        z += step * ((1 - z) * pow(step, -1, M2) % M2)
+        zs = [z + k * step * M2 for k in range(8)]
+        out += [z for z in zs if z % 419 not in (86, 333)][:3]
+    return tuple(out)
 
 
 def test_check_z_matches_fraction_reference():
@@ -339,6 +360,221 @@ def test_check_z_matches_fraction_reference():
     # every branch of the three condition kinds was exercised
     assert {"v", "congruent", "not congruent", "node", "reduces to infinity",
             "x"} <= seen
+
+
+# ------------------------------------------ the class route vs x(z) itself
+
+def _direct_records(z):
+    """check_z's records evaluated on x(z) itself, as its fallback does."""
+    from fiverank.sieve import _extension_records, x_pair
+
+    n, d = x_pair(z)
+    return tuple(r for data in sieve_data() for r in _extension_records(data, n, d))
+
+
+def test_class_route_matches_the_direct_route(monkeypatch):
+    from fiverank import sieve
+
+    zs = _differential_z()
+    calls = []
+    real = sieve._extension_records
+
+    def spy(data, n, d):
+        calls.append(data.index)
+        return real(data, n, d)
+
+    sieve._class_entry.cache_clear()
+    monkeypatch.setattr(sieve, "_extension_records", spy)
+    routes, seen = {"class": 0, "direct": 0}, set()
+    for z in zs:
+        expected = _direct_records(z)
+        del calls[:]
+        assert check_z(z).records == expected, z
+        taken = sieve._class_records(z)
+        if taken is None:
+            assert calls == [1, 2, 3], z        # the whole z goes direct
+            routes["direct"] += 1
+        else:
+            assert calls == [] and taken == expected, z
+            routes["class"] += 1
+            seen.update(r.observed.split(" =")[0] for r in taken)
+    assert routes["direct"] == len(_undecided_admissible_z()) == 6, routes
+    assert {"v", "congruent", "not congruent", "node", "reduces to infinity",
+            "x"} <= seen
+    # a warm memo and a cleared one give the same records
+    assert sieve._class_entry.cache_info().hits > 0
+    warm = [sieve._class_records(z) for z in zs]
+    sieve._class_entry.cache_clear()
+    sieve._shared.cache_clear()
+    assert [sieve._class_records(z) for z in zs] == warm
+
+
+def _class_verdicts(p, v):
+    """Every class of z = p^v u (p not dividing u) as the class route sees
+    it: (u, j, entry) for the classes u mod p^j it decides, lifting each
+    undecided class a digit at a time, and (u, depth, None) for those
+    still undecided at CLASS_DEPTH."""
+    from fiverank.sieve import CLASS_DEPTH, _class_entry
+
+    out, todo = [], [(u, 1) for u in range(1, p)]
+    while todo:
+        u, j = todo.pop()
+        entry = _class_entry(p, v, j, u)
+        if entry is not None or j == CLASS_DEPTH:
+            out.append((u, j, entry))
+        else:
+            todo += [(w, j + 1) for w in range(u, p ** (j + 1), p ** j)]
+    return out
+
+
+def test_leading_terms_fix_every_member_of_a_class():
+    # the proof behind each key, on random integer polynomials whose
+    # coefficients carry powers of p: whatever _leading and _class_ratio
+    # claim for the class of u mod p^j at valuation v holds for members
+    from fiverank.exact import valuation_and_residue
+    from fiverank.sieve import _UNKNOWN, _adic_terms, _class_ratio, _leading
+
+    rng = random.Random(29)
+
+    def poly(p):
+        return [rng.choice((0, 1, -1)) * rng.randrange(1, 50) * p ** rng.randrange(0, 4)
+                for _ in range(rng.randrange(2, 6))]
+
+    claims = {"v": 0, "residue": 0, "bound": 0}
+    for p in (3, 5, 7):
+        for _ in range(40):
+            top, bottom = poly(p), poly(p)
+            if not any(top) or not any(bottom):
+                continue
+            terms = _adic_terms(top, p), _adic_terms(bottom, p)
+            for v in (0, 1, 2):
+                for j in (1, 2, 3):
+                    for u in range(1, p ** j, rng.randrange(1, 4)):
+                        if u % p == 0:
+                            continue
+                        lead = [_leading(t, p, v, j, u) for t in terms]
+                        claimed_v, claimed_res = _class_ratio(p, *lead)
+                        for k in (0, rng.randrange(1, 10 ** 6), -rng.randrange(1, 10 ** 6)):
+                            z = p ** v * (u + k * p ** j)
+                            values = [sum(a * z ** i for i, a in enumerate(c))
+                                      for c in (top, bottom)]
+                            if 0 in values:
+                                continue
+                            for (t, unit), value in zip(lead, values):
+                                w = valuation(F(value), p)
+                                if unit is None:
+                                    claims["bound"] += 1
+                                    assert w >= t
+                                else:
+                                    assert (w, value // p ** w % p) == (t, unit)
+                            true_v, true_res = valuation_and_residue(*values, p)
+                            if claimed_v is not None:
+                                claims["v"] += 1
+                                assert claimed_v == true_v, (p, top, bottom, v, j, u)
+                            if claimed_res is not _UNKNOWN:
+                                claims["residue"] += 1
+                                assert claimed_res == true_res, (p, top, bottom, v, j, u)
+    assert min(claims.values()) > 100, claims
+
+
+def test_every_class_entry_holds_across_its_class():
+    # an entry is proved for its whole class, so every member carries its
+    # records: every class the route meets at v_p(z) <= 2, at every
+    # condition prime, against two members evaluated on x(z) itself
+    from fiverank import sieve
+
+    rng = random.Random(17)
+    keys = 0
+    for p in sieve._class_plan()[0]:
+        for v in (0, 1, 2):
+            for u, j, entry in _class_verdicts(p, v):
+                if entry is None:
+                    continue
+                keys += 1
+                # a small member and a large negative one
+                for k in (rng.randrange(1, 50), -rng.randrange(10 ** 6, 10 ** 30)):
+                    z = p ** v * (u + k * p ** j)
+                    at_p = tuple(r for r in _direct_records(z) if r.prime == p)
+                    assert entry == at_p, (p, v, j, u, z)
+    assert keys > 5000
+
+
+def _passes_by_bounds(p, v, j, u):
+    """The records an undecided class would carry all pass: shown from the
+    lower bound that _leading gives where the leading terms cancel."""
+    from fiverank import sieve
+
+    num, den, slots = sieve._class_plan()[0][p]
+    top, bottom = (sieve._leading(t, p, v, j, u) for t in (num, den))
+    for data, kind, minimal in slots:
+        if kind == "valuation":
+            # v_p(x) <= v_p(num) - (a lower bound for v_p(den))
+            assert top[1] is not None and bottom[1] is None, (p, v, j, u)
+            assert top[0] - bottom[0] <= -2, (p, v, j, u)
+            continue
+        pair = (top, bottom) if kind == "congruence" else \
+            tuple(sieve._leading(t, p, v, j, u) for t in minimal)
+        _, res = sieve._class_ratio(p, *pair)
+        assert res is not sieve._UNKNOWN, (p, v, j, u, kind)
+        build = sieve._congruence_record if kind == "congruence" else sieve._avoidance_record
+        assert build(data, p, res).passed, (p, v, j, u, kind)
+
+
+def _tail_passes(p, v):
+    """Every class at valuation v' > v passes: at v each polynomial's
+    lowest-degree term is its only leading term, which stays so for larger
+    v'; then v_p(x) and v_p(x_min) fall with v' from negative values, so
+    the valuation bounds hold and x, x_min reduce to infinity."""
+    from fiverank import sieve
+
+    num, den, slots = sieve._class_plan()[0][p]
+
+    def lowest(terms):
+        i0, e0, _ = terms[0]
+        assert all(e + i * v > e0 + i0 * v for i, e, _ in terms[1:]), (p, v)
+        return i0, e0 + i0 * v
+
+    # x carries the valuation bound where there is one, x_min reduces to infinity
+    bound = -2 if any(kind == "valuation" for _, kind, _ in slots) else -1
+    pairs = [(num, den, bound)] + [(*m, -1) for _, kind, m in slots
+                                   if kind == "singular-avoidance"]
+    for top, bottom, bound in pairs:
+        (i_top, v_top), (i_bottom, v_bottom) = lowest(top), lowest(bottom)
+        assert i_top < i_bottom and v_top - v_bottom <= bound, (p, v)
+
+
+def test_pass_density_is_derived_class_by_class():
+    # the admissible z failing the conditions, among z = 0 mod 29, as the
+    # sum of the densities of the failing 29-adic classes: z = 29^v u with
+    # u mod 29^j has density 29^-(v-1) 29^-j; the whole failing share is
+    # v_29(z) = 1 with z/29 = 6 or 10 mod 29, so exactly 2/29 = 58/841
+    failing = F(0)
+    for v in (1, 2):
+        for u, j, entry in _class_verdicts(29, v):
+            if entry is None:
+                _passes_by_bounds(29, v, j, u)
+            elif not all(r.passed for r in entry):
+                assert v == 1 and u % 29 in (6, 10), (u, j)
+                failing += F(1, 29 ** (v - 1 + j))
+    _tail_passes(29, 2)
+    assert failing == F(58, 841) == F(2, 29)
+    # no admissible class fails at any other prime: v_p(z) >= 1 at 11 and
+    # 19, z != +-86 mod 419 at v = 0, every z at 419, 709 and 151 else
+    for p, v_min in ((11, 1), (19, 1), (419, 0), (709, 0), (151, 0)):
+        for v in (v_min, v_min + 1, 2):
+            for u, j, entry in _class_verdicts(p, v):
+                if p == 419 and v == 0 and u in (86, 333):
+                    continue
+                if entry is None:
+                    _passes_by_bounds(p, v, j, u)
+                else:
+                    assert all(r.passed for r in entry), (p, v, u, j)
+        _tail_passes(p, 2)
+    # one period of z/29 mod 29 along the admissible class, fixed mod 419:
+    # exactly two of the 29 fail
+    z0 = next(admissible_z(count=1, sign="pos"))
+    step = M1 * M2 * 419
+    assert sum(not check_z(z0 + k * step).passed for k in range(29)) == 2
 
 
 def test_check_z_with_radicand_matches_fraction_reference():
@@ -373,7 +609,7 @@ def test_reduced_radicand_reaches_its_gcd_bound_on_rational_x():
     rng = random.Random(11)
 
     def reduced(n, d):
-        r = sieve.reduced_radicand(Ratio(n, d), sieve._homogeneous(f, n, d))
+        r = sieve.reduced_radicand(*sieve._homogeneous(f, n, d))
         ref = sp.f_model(F(n, d))
         assert (r.numerator, r.denominator) == (ref.numerator, ref.denominator), (n, d)
         return s * d ** k // r.denominator
@@ -388,7 +624,7 @@ def test_reduced_radicand_reaches_its_gcd_bound_on_rational_x():
     for p in (11, 29):
         d = p * p
         n = max((n for n in range(1, p ** 3) if n % p),
-                key=lambda n: math.gcd(sieve._homogeneous(f, n, d), s * d ** k))
+                key=lambda n: math.gcd(sieve._homogeneous(f, n, d)[0], s * d ** k))
         assert valuation(reduced(n, d), p) > 2 * valuation(f[-1], p), p
 
 
@@ -423,11 +659,14 @@ def test_extension_check_matches_fraction_reference_on_rational_x():
 
 
 def test_check_z_runs_the_conditions_on_x_in_lowest_terms(monkeypatch):
-    # for admissible z the Horner pair shares a power of 29; check_z
-    # divides it out once instead of at every condition
+    # for admissible z the Horner pair shares a power of 29; where the
+    # class of z leaves its records open, check_z evaluates the conditions
+    # on x(z) itself, and divides that power out once instead of at every
+    # condition
     from fiverank import sieve
 
-    z = next(admissible_z(start=10 ** 100, count=1))
+    z = _undecided_admissible_z()[0]
+    assert sieve._class_records(z) is None
     assert math.gcd(*sieve.x_pair(z)) > 1
     sieve_data()                        # cached before the spy goes in
     pairs = []
