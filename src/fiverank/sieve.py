@@ -41,29 +41,44 @@ m + j is a lower bound, which still fixes the residue of P/Q when it
 puts v_p(P/Q) above 0 (residue 0) or, for Q, below 0 (infinity).  An
 entry is built at the least j that fixes every record at p.  A z with a
 class that no j up to CLASS_DEPTH decides (z near a 19- or 29-adic root
-of den, an integer root, and z = 0, whose x_pair raises PoleError) goes
-whole to the direct route, the records of x(z) = n/d itself, which
-`extension_check` and the oracle's `singular_avoidance_passes` also run.
-The memo is an lru_cache of CLASS_MEMO_SIZE keys.  Its entries are
-tuples of shared frozen records, so nothing mutates them.  A run meets a
-few thousand classes at most: the p - 1 units at 419, 709 and 151, and
-the 29-adic exception class, which decides at j = 3.
+of den, an integer root, and z = 0, which lies in no class and where
+x_pair raises PoleError) goes whole to the direct route, the records of
+x(z) = n/d itself, which `extension_check` and the oracle's
+`singular_avoidance_passes` also run.  The memo is an lru_cache of
+CLASS_MEMO_SIZE keys.  Its entries are tuples of shared frozen records,
+so nothing mutates them, and each shared record builds its JSON dict
+once, for every report that holds it.  A run meets a few thousand
+classes at most: the p - 1 units at 419, 709 and 151, and the 29-adic
+exception class, which decides at j = 3.
 
-On the direct route x(z) is the pair (n, d) that `x_pair` builds by
-Horner in z.  `check_z` takes one gcd, of n and d: for admissible z they
-share a power of 29 that every valuation at 29 would otherwise divide
-out of two long integers again.  Lowest terms are not needed for
-correctness: v_p(n/d) = v_p(n) - v_p(d) for any representative of a
-fraction, and when that is >= 0, dividing p^v_p(d) out of both leaves a
-denominator prime to p, whose inverse mod p gives the residue.
+A report is z, the sign of the radicand and the records.  On the class
+route it evaluates no polynomial: the sign is that of z, proved for every
+|z| > sign_bound().  Write x(z) = n/d in lowest terms with d > 0 and H =
+d^k f_int(n/d), where f_int is f with integer coefficients and k = deg
+f; the radicand f(x) has the sign of H.  Before the gcd, H is the integer
+polynomial H_z = den^k f_int(num/den) in z, and dividing out the gcd g,
+signed like den(z), gives H = H_z(z) / g^k.  So sign(H) = sign(H_z(z))
+sign(den(z))^k.  Above the Cauchy bound 1 + max_i |a_i / a_n| of each of
+H_z and den, neither has a root and each takes the sign of its leading
+term: with both leading coefficients positive and deg H_z + k deg den
+odd, sign(H) = sign(z).  sign_bound() derives that bound from
+_integer_forms() and refuses the forms when either premise fails.
 
-The report carries x(z) = n/d in lowest terms with d > 0, the integer
-form H = d^k f_int(n/d), where f_int is f with integer coefficients and
-k = deg f, and the d^k that Horner builds along the way; the radicand
-f(x) has the sign of H.  The certificate (splitting.verify_instance)
-reads them, and `reduced_radicand` turns H and d^k into f(x) in lowest
-terms with a gcd bounded by a constant; the sieve itself never divides H
-by anything.
+Every other z (|z| <= sign_bound(), or a class that stays open) takes the
+direct route: `x_and_radicand_form` gives x(z) = n/d in lowest terms, H
+and d^k, the records are those of n/d and the sign that of H.  It reads
+x(z) off the pair (n, d) that `x_pair` builds by Horner in z and takes
+one gcd, of n and d: for admissible z they share a power of 29 that every
+valuation at 29 would otherwise divide out of two long integers again.
+Lowest terms are not needed for the conditions: v_p(n/d) = v_p(n) -
+v_p(d) for any representative of a fraction, and when that is >= 0,
+dividing p^v_p(d) out of both leaves a denominator prime to p, whose
+inverse mod p gives the residue.
+
+The certificate (splitting.verify_instance) calls `x_and_radicand_form`
+too, and `reduced_radicand` turns H and d^k into f(x) in lowest terms
+with a gcd bounded by a constant; the sieve itself never divides H by
+anything.
 """
 
 from __future__ import annotations
@@ -82,8 +97,14 @@ from .curves import (
     minimal_model,
     reduction_info,
 )
-from .errors import BadReductionError, NoSingularPointError, PoleError
+from .errors import (
+    BadReductionError,
+    IdentityCheckError,
+    NoSingularPointError,
+    PoleError,
+)
 from .exact import (
+    Poly,
     Ratio,
     integer_coefficients,
     int_valuation,
@@ -210,8 +231,12 @@ class ConditionRecord:
     required: str
     observed: str
     passed: bool
+    # the JSON dict of a shared record, built once by _shared
+    _json: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_json(self):
+        if self._json is not None:
+            return self._json
         return {
             "curve": self.curve,
             "kind": self.kind,
@@ -403,14 +428,22 @@ def _class_entry(p: int, v: int, j: int, u: int):
 
 
 @lru_cache(maxsize=CLASS_MEMO_SIZE)
-def _shared(record: ConditionRecord) -> ConditionRecord:
-    """One object per distinct record, and per distinct entry, in the memo."""
+def _shared(record):
+    """One object per distinct record, and per distinct entry, in the memo.
+
+    A record's JSON dict is built here, once for every report that holds
+    it; readers of to_json() must not mutate it.
+    """
+    if isinstance(record, ConditionRecord):
+        object.__setattr__(record, "_json", record.to_json())
     return record
 
 
 def _class_records(z: int) -> tuple[ConditionRecord, ...] | None:
-    """check_z's records for z != 0 by the p-adic class of z, or None when
-    some class, up to depth CLASS_DEPTH, does not fix them."""
+    """check_z's records by the p-adic class of z, or None when some class,
+    up to depth CLASS_DEPTH, does not fix them; z = 0 is in no class."""
+    if not z:
+        return None
     plan, layout = _class_plan()
     entries = []
     for p in plan:
@@ -436,11 +469,6 @@ class SieveReport:
     z: int
     radicand_sign: int
     records: tuple[ConditionRecord, ...]
-    # for the certificate, not the record: x(z) = n/d in lowest terms, H =
-    # d^k f_int(n/d) and d^k (see the module docstring)
-    x: Ratio = field(compare=False, repr=False)
-    radicand_form: int = field(compare=False, repr=False)
-    denominator_power: int = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -496,33 +524,71 @@ def x_pair(z: int) -> tuple[int, int]:
     return n, d
 
 
-def check_z(z: int) -> SieveReport:
-    """Evaluate every extension condition for one z.
+@lru_cache(maxsize=None)
+def sign_bound() -> int:
+    """An integer B with sign(H) = sign(z) for every integer |z| > B.
 
-    The records come from the memo of p-adic classes, or from x(z)
-    itself when a class of z does not fix them.  The report also keeps
-    x(z) = n/d in lowest terms with d > 0, H = d^k f_int(n/d), whose sign
-    is the radicand's, and d^k, for the certificate.
+    B is the integer part of the larger Cauchy bound 1 + max_i |a_i/a_n|
+    of H_z = den^k f_int(num/den) and of den, as integer polynomials in z
+    (see the module docstring); |z| > B puts z at or above both bounds.
+    Raises IdentityCheckError unless both leading coefficients are
+    positive and deg H_z + k deg den is odd.
     """
-    n, d = x_pair(z)                    # raises PoleError at z = 0
+    num, den, f, _ = _integer_forms()
+    den = Poly(den)
+    form, _ = _homogeneous(f, Poly(num), den)
+    if (form.degree + (len(f) - 1) * den.degree) % 2 == 0:
+        raise IdentityCheckError("the radicand's sign does not follow the sign of z")
+    bound = 0
+    for P in (form, den):
+        lead = P.leading()
+        if lead <= 0:
+            raise IdentityCheckError(
+                f"leading coefficient {lead} of a radicand form is not positive")
+        bound = max(bound, 1 + max(abs(a) // lead for a in P.c[:-1]))
+    return bound
+
+
+def x_and_radicand_form(z: int) -> tuple[Ratio, int, int]:
+    """x(z) = n/d in lowest terms with d > 0, H = d^k f_int(n/d) and d^k.
+
+    The radicand f(x(z)) has the sign of H; reduced_radicand(H, d^k) is
+    f(x(z)) in lowest terms.  Raises PoleError at z = 0.
+    """
+    n, d = x_pair(z)
     g = math.gcd(n, d)
     if d < 0:
         g = -g
     n, d = n // g, d // g
     form, dk = _homogeneous(_integer_forms()[2], n, d)
-    records = _class_records(z)
-    if records is None:
-        records = tuple(record for data in sieve_data()
-                        for record in _extension_records(data, n, d))
-    return SieveReport(z, (form > 0) - (form < 0), records, Ratio(n, d), form, dk)
+    return Ratio(n, d), form, dk
+
+
+def check_z(z: int) -> SieveReport:
+    """Evaluate every extension condition for one z.
+
+    For |z| > sign_bound() the records come from the memo of p-adic
+    classes and the sign from z, with no polynomial evaluated.  Every
+    other z, and a z with a class that does not fix its records, takes
+    the direct route on x(z) and H (see the module docstring).
+    """
+    bound = sign_bound()
+    if not -bound <= z <= bound:
+        records = _class_records(z)
+        if records is not None:
+            return SieveReport(z, 1 if z > 0 else -1, records)
+    x, form, _ = x_and_radicand_form(z)     # raises PoleError at z = 0
+    records = tuple(record for data in sieve_data()
+                    for record in _extension_records(data, *x))
+    return SieveReport(z, (form > 0) - (form < 0), records)
 
 
 def reduced_radicand(form: int, dk: int) -> Ratio:
     """f(x) = H / (s d^k) in lowest terms, from H = d^k f_int(n/d) and d^k.
 
-    x = n/d must be in lowest terms with d > 0, as check_z leaves x(z) in
-    its report along with H and d^k.  Let c = lc(f_int).  The gcd g of H and s d^k
-    divides C = s c^k.  Take a prime p and write e = v_p(c).  If p does
+    x = n/d must be in lowest terms with d > 0, as x_and_radicand_form
+    gives x(z) along with H and d^k.  Let c = lc(f_int).  The gcd g of H
+    and s d^k divides C = s c^k.  Take a prime p and write e = v_p(c).  If p does
     not divide d, v_p(g) <= v_p(s).  If it does, every term of H but
     c n^k carries a factor d, and p does not divide n; so when e <
     v_p(d), v_p(H) = e, and otherwise v_p(g) <= v_p(s d^k) = v_p(s) +

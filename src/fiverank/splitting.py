@@ -27,9 +27,10 @@ verdict on a small representative of its class (the residue itself, or
 is computed once and reused for every z.
 
 A certificate does integer arithmetic only on the long numbers of a
-large z.  verify_instance takes x(z) = n/d, the integer form H of the
-radicand and d^k from the sieve report, and sieve.reduced_radicand gives
-the radicand as an integer pair in lowest terms.  The long-form abscissa's
+large z.  The sieve report holds no number but z: verify_instance takes
+x(z) = n/d, the integer form H of the radicand and d^k from
+sieve.x_and_radicand_form, and sieve.reduced_radicand gives the radicand
+as an integer pair in lowest terms.  The long-form abscissa's
 residue mod l is read off the unreduced pair (lead numerator * n, lead
 denominator * d); is_square refuses almost every non-square by
 residues; the K verdicts read the radicand's numerator and denominator
@@ -64,7 +65,7 @@ from .exact import (
 )
 from .family import CONSTANTS, specialize
 from .isogeny import preimage_quintic
-from .sieve import SieveReport, check_z, reduced_radicand
+from .sieve import SieveReport, check_z, reduced_radicand, x_and_radicand_form
 
 SPLIT = "split"
 INERT = "inert"
@@ -261,13 +262,14 @@ def verify_instance(z: int) -> FieldCertificate:
     """
     failures = []
     report = check_z(z)
-    r = reduced_radicand(report.radicand_form, report.denominator_power)
+    x, form, dk = x_and_radicand_form(z)
+    r = reduced_radicand(form, dk)
     if not report.passed:
         failures.append("sieve conditions failed")
     pattern = None
     independence = False
     try:
-        pattern = splitting_pattern(z, report.x, r)
+        pattern = splitting_pattern(z, x, r)
         independence = independence_certificate(pattern)
         if not independence:
             failures.append("splitting pattern does not force independence")

@@ -429,6 +429,17 @@ def test_cmd_sieve_records_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, start
 
 
+def test_cmd_sieve_records_pinned_at_1e1000(capsys):
+    # SHA-256 of the stdout recorded while every report still evaluated
+    # x(z) and the radicand form for its sign; at this size the class
+    # route takes the sign from z and evaluates no polynomial
+    code = main(["sieve", "--start", str(10 ** 1000), "--count", "50", "--sign", "both"])
+    out = capsys.readouterr().out
+    assert code in (0, 1) and len(out.splitlines()) == 50
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "5f5f035ffdd849072ba537fabceb9e0ee50260b99c7321c2765ed82755e01b1b"
+
+
 def test_cmd_oracle_records_pinned(capsys):
     # SHA-256 of the stdout recorded while the oracle still took h and
     # the 5-rank from full enumeration (group_structure); the counted h

@@ -1,13 +1,15 @@
 import functools
+import json
 import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 
 from fiverank.curves import minimal_model
-from fiverank.errors import NoSingularPointError
+from fiverank.errors import NoSingularPointError, PoleError
 from fiverank.exact import Ratio, valuation
 from fiverank.family import CONSTANTS, specialize
 from fiverank.sieve import (
@@ -242,11 +244,18 @@ def test_extension_check_synthetic_failures():
 
 
 def test_report_sign_matches_radicand():
+    # every small |z| (the class route takes the sign from z above
+    # sign_bound()), the first admissible z of each sign and random z at
+    # every size, against the Fraction radicand
     sp = specialize()
-    zp = next(iter(admissible_z(sign="pos")))
-    zn = next(iter(admissible_z(sign="neg")))
-    assert check_z(zp).radicand_sign == (1 if sp.radicand(zp) > 0 else -1)
-    assert check_z(zn).radicand_sign == (1 if sp.radicand(zn) > 0 else -1)
+    rng = random.Random(180)
+    zs = [s * z for z in range(1, 201) for s in (1, -1)]
+    zs += [next(iter(admissible_z(sign=sign))) for sign in ("pos", "neg")]
+    for scale in (10 ** 3, 10 ** 12, 10 ** 100, 10 ** 1000):
+        zs += [rng.choice((1, -1)) * rng.randrange(scale, 10 * scale) for _ in range(6)]
+    for z in zs:
+        r = sp.radicand(z)
+        assert check_z(z).radicand_sign == (r > 0) - (r < 0), z
 
 
 def test_report_json_shape():
@@ -401,12 +410,16 @@ def test_class_route_matches_the_direct_route(monkeypatch):
     assert routes["direct"] == len(_undecided_admissible_z()) == 6, routes
     assert {"v", "congruent", "not congruent", "node", "reduces to infinity",
             "x"} <= seen
-    # a warm memo and a cleared one give the same records
+    # a warm memo and a cleared one give byte-identical reports
     assert sieve._class_entry.cache_info().hits > 0
-    warm = [sieve._class_records(z) for z in zs]
+
+    def text(z):
+        return json.dumps(check_z(z).to_json(), sort_keys=True)
+
+    warm = [text(z) for z in zs]
     sieve._class_entry.cache_clear()
     sieve._shared.cache_clear()
-    assert [sieve._class_records(z) for z in zs] == warm
+    assert [text(z) for z in zs] == warm
 
 
 def _class_verdicts(p, v):
@@ -578,21 +591,23 @@ def test_pass_density_is_derived_class_by_class():
 
 
 def test_check_z_with_radicand_matches_fraction_reference():
-    # the report's x(z) and the certificate's radicand, reduced from the
-    # report by a gcd bounded by a constant, are the Fraction reference
-    # as it stands: lowest terms, positive denominator
+    # x(z) from x_and_radicand_form and the certificate's radicand,
+    # reduced from its H and d^k by a gcd bounded by a constant, are the
+    # Fraction reference as it stands: lowest terms, positive denominator
+    from fiverank.sieve import x_and_radicand_form
     from fiverank.splitting import verify_instance
 
     sp = specialize()
     zs = _differential_z()
     for z in zs:
         cert = verify_instance(z)
-        x, r = cert.sieve_report.x, cert.radicand
+        x, form, _ = x_and_radicand_form(z)
+        r = cert.radicand
         x_ref, r_ref = sp.x_of_z(F(z)), sp.radicand(z)
         assert (x.numerator, x.denominator) == (x_ref.numerator, x_ref.denominator), z
         assert (r.numerator, r.denominator) == (r_ref.numerator, r_ref.denominator), z
         # every z sampled has a gcd above 1 to divide out
-        assert cert.sieve_report.radicand_form != r.numerator, z
+        assert form != r.numerator, z
     assert any(abs(z) >= 10 ** 1000 for z in zs)
 
 
@@ -683,6 +698,139 @@ def test_check_z_runs_the_conditions_on_x_in_lowest_terms(monkeypatch):
 
 
 def test_check_z_pole_is_a_typed_error():
-    from fiverank.errors import PoleError
+    # z = 0 lies in no p-adic class (v_p(0) is infinite): the class lookup
+    # refuses it at once instead of dividing 0 by p forever, and check_z
+    # raises the pole error of x(0)
+    import threading
+
+    from fiverank import sieve
+
+    result = []
+    worker = threading.Thread(target=lambda: result.append(sieve._class_records(0)),
+                              daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive() and result == [None]
     with pytest.raises(PoleError, match=r"^evaluation at pole z=0$"):
         check_z(0)
+
+
+# ------------------------------------------ the sign of the radicand from z
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_sign_bound_is_the_cauchy_bound_of_the_integer_forms():
+    # H_z = den^k f_int(num/den) expanded term by term, independently of
+    # the sieve's Horner; above the Cauchy bound of H_z and of den both
+    # keep the sign of their leading term, and the bound lies far below
+    # acceptance 07's smallest admissible |z|
+    from fiverank import sieve
+
+    num, den, f, _ = sieve._integer_forms()
+    k = len(f) - 1
+    form = [0]
+    for i, c in enumerate(f):
+        term = [1]
+        for _ in range(i):
+            term = _poly_mul(term, num)
+        for _ in range(k - i):
+            term = _poly_mul(term, den)
+        form = [a + c * b for a, b in zip_longest(form, term, fillvalue=0)]
+    while not form[-1]:
+        form.pop()
+    assert form[-1] > 0 and den[-1] > 0
+    assert (len(form) - 1 + k * (len(den) - 1)) % 2 == 1
+    cauchy = max(1 + max(F(abs(a), P[-1]) for a in P[:-1]) for P in (form, den))
+    bound = sieve.sign_bound()
+    assert bound == math.floor(cauchy) and bound + 1 > cauchy
+    assert bound < abs(next(admissible_z(count=1, sign="both")))
+
+
+def test_sign_bound_refuses_forms_it_cannot_prove(monkeypatch):
+    from fiverank import sieve
+    from fiverank.errors import IdentityCheckError
+
+    num, den, f, s = sieve._integer_forms()
+
+    def neg(cs):
+        return tuple(-c for c in cs)
+
+    for forms, message in (
+            # lc(den) < 0 while lc(H_z) > 0
+            ((neg(num), neg(den), neg(f), s), f"coefficient {-den[-1]} "),
+            ((num, den, neg(f), s), "not positive"),          # lc(H_z) < 0
+            ((num, den, f + (1,), s), "does not follow")):    # even degree sum
+        monkeypatch.setattr(sieve, "_integer_forms", lambda forms=forms: forms)
+        sieve.sign_bound.cache_clear()
+        with pytest.raises(IdentityCheckError, match=message):
+            sieve.sign_bound()
+    monkeypatch.undo()
+    sieve.sign_bound.cache_clear()
+    assert sieve.sign_bound() >= 1
+
+
+def test_class_route_evaluates_no_polynomial(monkeypatch):
+    # above sign_bound() a z whose class decides gets its report without
+    # x(z) or H; the direct route evaluates x(z) once and H once
+    from fiverank import sieve
+
+    num, den, f, _ = sieve._integer_forms()
+    sieve_data()
+    bound = sieve.sign_bound()
+    x_calls, forms = [], []
+    real_pair, real_homogeneous = sieve.x_pair, sieve._homogeneous
+
+    def pair_spy(z):
+        x_calls.append(z)
+        return real_pair(z)
+
+    def homogeneous_spy(coeffs, n, d):
+        forms.append(coeffs)
+        return real_homogeneous(coeffs, n, d)
+
+    monkeypatch.setattr(sieve, "x_pair", pair_spy)
+    monkeypatch.setattr(sieve, "_homogeneous", homogeneous_spy)
+    routes = {"class": 0, "direct": 0}
+    for z in list(range(-bound, bound + 1)) + list(_differential_z()):
+        del x_calls[:], forms[:]
+        try:
+            check_z(z)
+        except PoleError:
+            assert z == 0
+        if abs(z) > bound and sieve._class_records(z) is not None:
+            assert x_calls == [] and forms == [], z
+            routes["class"] += 1
+        else:
+            # x_pair's two Horner runs, then H
+            assert x_calls == [z], z
+            assert forms == ([num, den] if z == 0 else [num, den, f]), z
+            routes["direct"] += 1
+    assert routes["direct"] == 2 * bound + 1 + len(_undecided_admissible_z()), routes
+    assert routes["class"] > 600
+
+
+def test_shared_records_build_their_json_once():
+    from fiverank import sieve
+    from fiverank.sieve import ConditionRecord
+
+    def fresh(r):
+        return ConditionRecord(r.curve, r.kind, r.prime, r.required,
+                               r.observed, r.passed).to_json()
+
+    zs = list(admissible_z(start=10 ** 12, count=50, sign="both"))
+    reports = [check_z(z) for z in zs]
+    for report in reports:
+        json.dumps(report.to_json())
+    for r in {r for report in reports for r in report.records}:
+        cached = r.to_json()
+        assert cached is r.to_json() and cached == fresh(r), r
+    # records made outside the memo build their dict on every call
+    data = sieve_data()[0]
+    for r in extension_check(data, specialize().x_of_z(F(zs[0]))):
+        assert r.to_json() is not r.to_json()
