@@ -22,13 +22,17 @@ success.  Acceptance 05 pins that exception class: it derives the
 residues 6 and 10 from CONSTANTS and asserts that check_z fails exactly
 there, only at 29 on curves 1 and 3, and passes every other admissible z.
 
-Every condition is evaluated in integer arithmetic, and each depends on
-z only through its p-adic class at the condition prime p (11, 19, 29,
-419, 709 or 151).  A condition reads v_p and the residue mod p of a ratio
-P(z)/Q(z) of integer polynomials: x(z) = num/den from the integer
-coefficients of its numerator and denominator, and x_min = (L num -
-R den) / (U den) through the curve's minimal-model triple (L, R, U);
-`singular_abscissa` maps the node back through the same triple.
+A curve's conditions are one table, CurveReductionData.conditions():
+(prime, kind) pairs in report order, the verbatim criterion's valuation
+and congruence primes, when stated, then the five-component primes.
+Each is evaluated in integer arithmetic on v_p and the residue mod p of
+x = n/d or, for the general rule, of x_min = (L n - R d) / (U d), the
+pair x_minimal gives through the curve's minimal-model triple (L, R, U);
+`singular_abscissa` maps the node back through the same triple.  One
+builder, _record, turns the two into the record on both routes below.
+At x(z) both ratios are quotients of integer polynomials in z, so each
+condition depends on z only through its p-adic class at the condition
+prime p (11, 19, 29, 419, 709 or 151).
 
 check_z reads the records from a memo of classes.  Write z = p^v u with
 p not dividing u; the key (p, v, j, u mod p^j) holds the records that
@@ -170,6 +174,15 @@ class CurveReductionData:
         L, R, U = self.minimal_map
         return L * n - R * d, U * d
 
+    def conditions(self) -> list[tuple[int, str]]:
+        """The curve's (prime, kind) conditions, in report order: the
+        verbatim criterion's valuation primes and congruence prime, when
+        stated, then the general rule at every five-component prime."""
+        out = [(p, "valuation") for p in self.valuation_primes]
+        if self.congruence_prime is not None:
+            out.append((self.congruence_prime, "congruence"))
+        return out + [(p, "singular-avoidance") for p in self.five_primes]
+
 
 def reduction_data_for_model(model: CubicModel, index: int = 0,
                              criterion=None) -> CurveReductionData:
@@ -256,58 +269,35 @@ def extension_check(data: CurveReductionData, x: Fraction) -> list[ConditionReco
 def _extension_records(data: CurveReductionData, n: int,
                        d: int) -> list[ConditionRecord]:
     """extension_check at x = n/d (d != 0)."""
+    x, x_min = (n, d), data.x_minimal(n, d)
     records = []
-    for p in data.valuation_primes:
-        v, _ = valuation_and_residue(n, d, p)
-        records.append(_valuation_record(data, p, v))
-    if data.congruence_prime is not None:
-        p = data.congruence_prime
-        _, res = valuation_and_residue(n, d, p)
-        records.append(_congruence_record(data, p, res))
-    n_min, d_min = data.x_minimal(n, d)
-    for p in data.five_primes:
-        records.append(_singular_avoidance_record(data, n_min, d_min, p))
+    for p, kind in data.conditions():
+        v, res = valuation_and_residue(*(x_min if kind == "singular-avoidance" else x), p)
+        records.append(_record(data, p, kind, v, res))
     return records
 
 
 def singular_avoidance_passes(data: CurveReductionData, x: Fraction) -> bool:
     """The general rule alone: no five-component prime sees the node."""
-    x = Fraction(x)
-    n_min, d_min = data.x_minimal(x.numerator, x.denominator)
-    return all(_singular_avoidance_record(data, n_min, d_min, p).passed
-               for p in data.five_primes)
+    return all(r.passed for r in extension_check(data, x)
+               if r.kind == "singular-avoidance")
 
 
-def _singular_avoidance_record(data: CurveReductionData, n_min: int, d_min: int,
-                               p: int) -> ConditionRecord:
-    """Reduction of x_min = n_min/d_min on the minimal model misses the node."""
-    _, res = valuation_and_residue(n_min, d_min, p)
-    return _avoidance_record(data, p, res)
-
-
-# The records from v = v_p(x) and the residue of x (or x_min) mod p, None
-# standing for infinity.
-
-def _valuation_record(data: CurveReductionData, p: int, v) -> ConditionRecord:
-    return ConditionRecord(data.index, "valuation", p, "v <= -2", f"v = {v}", v <= -2)
-
-
-def _congruence_record(data: CurveReductionData, p: int, res) -> ConditionRecord:
-    # negative valuation counts as "not congruent"
-    hit = res is not None and res == data.excluded_residue % p
-    return ConditionRecord(data.index, "congruence", p,
-                           f"x != {data.excluded_residue} mod {p}",
-                           "congruent" if hit else "not congruent", not hit)
-
-
-def _avoidance_record(data: CurveReductionData, p: int, res) -> ConditionRecord:
-    if res is None:
-        return ConditionRecord(data.index, "singular-avoidance", p,
-                               "reduction != node", "reduces to infinity", True)
-    hit = res == data.reductions[p].singular_x
-    return ConditionRecord(data.index, "singular-avoidance", p,
-                           "reduction != node",
-                           "node" if hit else f"x = {res} mod {p}", not hit)
+def _record(data: CurveReductionData, p: int, kind: str, v, res) -> ConditionRecord:
+    """The record of one condition from v = v_p(x) and the residue mod p
+    of x, or of x_min for singular-avoidance, None standing for infinity."""
+    if kind == "valuation":
+        return ConditionRecord(data.index, kind, p, "v <= -2", f"v = {v}", v <= -2)
+    if kind == "congruence":
+        # negative valuation counts as "not congruent"
+        hit = res is not None and res == data.excluded_residue % p
+        return ConditionRecord(data.index, kind, p,
+                               f"x != {data.excluded_residue} mod {p}",
+                               "congruent" if hit else "not congruent", not hit)
+    hit = res is not None and res == data.reductions[p].singular_x
+    observed = ("reduces to infinity" if res is None
+                else "node" if hit else f"x = {res} mod {p}")
+    return ConditionRecord(data.index, kind, p, "reduction != node", observed, not hit)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +330,7 @@ def _class_plan():
     prime order, to the report's curve/kind/prime order.
     """
     num, den, _, _ = _integer_forms()
-    slots = []
-    for data in sieve_data():
-        slots += [(p, data, "valuation") for p in data.valuation_primes]
-        if data.congruence_prime is not None:
-            slots.append((data.congruence_prime, data, "congruence"))
-        slots += [(p, data, "singular-avoidance") for p in data.five_primes]
+    slots = [(p, data, kind) for data in sieve_data() for p, kind in data.conditions()]
     plan, joined = {}, []
     for p in dict.fromkeys(p for p, _, _ in slots):
         mine = []
@@ -355,10 +340,9 @@ def _class_plan():
             _, data, kind = slot
             minimal = None
             if kind == "singular-avoidance":
-                # x_min = (L num - R den) / (U den), as polynomials in z
-                L, R, U = data.minimal_map
-                n_min = [L * a - R * b for a, b in zip_longest(num, den, fillvalue=0)]
-                minimal = (_adic_terms(n_min, p), _adic_terms([U * b for b in den], p))
+                # x_min's pair as polynomials in z: x_minimal is linear
+                pairs = [data.x_minimal(a, b) for a, b in zip_longest(num, den, fillvalue=0)]
+                minimal = tuple(_adic_terms(c, p) for c in zip(*pairs))
             mine.append((data, kind, minimal))
             joined.append(slot)
         plan[p] = (_adic_terms(num, p), _adic_terms(den, p), tuple(mine))
@@ -407,23 +391,15 @@ def _class_entry(p: int, v: int, j: int, u: int):
     """The records at p shared by every z = p^v u' with u' = u mod p^j,
     in report order; None when that class does not fix them all."""
     num, den, slots = _class_plan()[0][p]
-    v_x, res_x = _class_ratio(p, _leading(num, p, v, j, u), _leading(den, p, v, j, u))
+    x = _class_ratio(p, _leading(num, p, v, j, u), _leading(den, p, v, j, u))
     records = []
     for data, kind, minimal in slots:
-        if kind == "valuation":
-            if v_x is None:
-                return None
-            record = _valuation_record(data, p, v_x)
-        elif kind == "congruence":
-            if res_x is _UNKNOWN:
-                return None
-            record = _congruence_record(data, p, res_x)
-        else:
-            _, res = _class_ratio(p, *(_leading(t, p, v, j, u) for t in minimal))
-            if res is _UNKNOWN:
-                return None
-            record = _avoidance_record(data, p, res)
-        records.append(_shared(record))
+        v_p, res = x if minimal is None else \
+            _class_ratio(p, *(_leading(t, p, v, j, u) for t in minimal))
+        # a valuation record reads v, the others the residue
+        if (v_p is None) if kind == "valuation" else (res is _UNKNOWN):
+            return None
+        records.append(_shared(_record(data, p, kind, v_p, res)))
     return _shared(tuple(records))
 
 

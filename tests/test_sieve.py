@@ -140,6 +140,29 @@ def test_five_component_primes_match_construction():
         assert d.five_primes == exp
 
 
+def test_conditions_are_the_constants_table_in_report_order():
+    # one (prime, kind) table per curve, from CONSTANTS: the valuation
+    # primes, the congruence prime, then the five-component primes
+    from fiverank import sieve
+
+    tables = []
+    for data, (val, (cong, _)), five in zip(sieve_data(), CONSTANTS["criterion"],
+                                           CONSTANTS["five_component_primes"], strict=True):
+        table = ([(p, "valuation") for p in val] + [(cong, "congruence")]
+                 + [(p, "singular-avoidance") for p in five])
+        assert data.conditions() == table, data.index
+        tables += [(data.index, kind, p) for p, kind in table]
+    # every route reports in that order: the direct route at |z| <=
+    # sign_bound(), the class route at 1e12 and a class left open
+    z12 = next(admissible_z(start=10 ** 12, count=1))
+    undecided = _undecided_admissible_z()[0]
+    assert sieve.sign_bound() >= 2
+    assert sieve._class_records(z12) is not None
+    assert sieve._class_records(undecided) is None
+    for z in (2, -2, z12, undecided):
+        assert [(r.curve, r.kind, r.prime) for r in check_z(z).records] == tables, z
+
+
 def test_singular_abscissae_match_construction():
     data = sieve_data()
     for d in data:
@@ -529,8 +552,7 @@ def _passes_by_bounds(p, v, j, u):
             tuple(sieve._leading(t, p, v, j, u) for t in minimal)
         _, res = sieve._class_ratio(p, *pair)
         assert res is not sieve._UNKNOWN, (p, v, j, u, kind)
-        build = sieve._congruence_record if kind == "congruence" else sieve._avoidance_record
-        assert build(data, p, res).passed, (p, v, j, u, kind)
+        assert sieve._record(data, p, kind, None, res).passed, (p, v, j, u, kind)
 
 
 def _tail_passes(p, v):
@@ -650,6 +672,9 @@ def test_extension_check_matches_fraction_reference_on_rational_x():
     rng = random.Random(5)
     curves = list(sieve_data()) + [_single_curve_setup(F(2, 3))[1],
                                    _single_curve_setup(F(4))[1]]
+    for data in curves[3:]:
+        # an oracle curve states no verbatim criterion
+        assert data.conditions() == [(p, "singular-avoidance") for p in data.five_primes]
     for data in curves:
         xs = [F(0), F(1, 2), F(-7, 3)]
         xs += [F(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 6))
