@@ -168,59 +168,102 @@ def _reduced_forms(D: int) -> Iterator[BinaryQuadraticForm]:
 
 def class_number(D: int) -> int:
     """Number of reduced forms of discriminant D, counted without the
-    O(|D|) scan of enumerate_reduced.
-
-    The same a <= sqrt(|D|/3) and the same tests on (a, b, c), but only
-    the b in (-a, a] with b^2 = D (mod 4a) are visited: O(sqrt|D|) up to
+    O(|D|) scan of enumerate_reduced, in O(sqrt|D|) steps up to
     logarithmic factors (Cohen, A Course in Computational Algebraic
-    Number Theory, 5.3-5.4; Buell, Binary Quadratic Forms, ch. 4).  A
-    smallest-prime-factor sieve splits 4a into prime powers; the roots
-    mod p^k come from Tonelli-Shanks mod p, lifted one power at a time,
-    and CRT joins them.  The a with a prime power p^k | a that has no
-    roots are struck out first, on the multiples of p^k.  b^2 mod 4a
-    depends on b mod 2a only, so the roots below 2a give every b once.
+    Number Theory, 5.3-5.4; Buell, Binary Quadratic Forms, ch. 4).
+
+    The reduced forms are the primitive (a, b, c = (b^2 - D)/4a) with
+    a <= sqrt(|D|/3), b in (-a, a], b^2 = D (mod 4a), c >= a, and b >= 0
+    when a = c.  For 4a^2 <= |D|, c >= a, with c = a only at b = 0,
+    which the tie admits, so a adds r(a) = #{b in (-a, a] : b^2 = D
+    mod 4a} without listing a root.  r is a product of local counts, one
+    for each p^k || a: 1 + (D/p) at an odd p that does not divide D, by
+    Euler's criterion; the number of roots mod p^k at an odd p | D; at
+    p = 2, half the number mod 4 * 2^k, since b^2 mod 4a depends on
+    b mod 2a only.  The roots are primitive forms unless a prime p | a
+    has p^2 | D and D/p^2 = 0 or 1 (mod 4).  Such a, and the a with
+    4a^2 > |D|, where c >= a needs b itself, go to _listed_count.  A
+    smallest-prime-factor sieve splits each a into prime powers, and the
+    a divisible by a prime power with no roots are struck out first.
     """
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
+    top = math.isqrt(-D // 4)               # the largest a with 4a^2 <= |D|
     spf = _smallest_prime_factors(amax)
     roots = {}                              # p^k -> roots of x^2 = D mod p^k
-    _prime_power_roots(D, 2, 4, roots)      # D = 0, 1 mod 4: never empty
+    local = {}                              # p^k -> its factor of r(a)
     has_roots = bytearray([0]) + bytearray([1]) * amax
+    listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
     for p in range(2, amax + 1):
-        if spf[p] == p:
-            q = p
-            while q <= amax and _prime_power_roots(D, p, 4 * q if p == 2 else q, roots):
+        if spf[p] != p:
+            continue
+        q = p
+        if p > 2 and D % p:
+            # Euler's criterion by the builtin pow: exact.jacobi in its
+            # place made class_number about 7 % slower
+            if pow(D % p, (p - 1) // 2, p) == 1:
+                while q <= amax:
+                    local[q] = 2
+                    q *= p
+        else:
+            while q <= amax:
+                n = len(_prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
+                if not n:
+                    break
+                local[q] = n // 2 if p == 2 else n
                 q *= p
-            if q <= amax:
-                has_roots[q::q] = bytes(len(range(q, amax + 1, q)))
+            # D/p^2 = D (mod 4) at an odd p
+            if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
+                listed[p::p] = bytearray([1]) * len(range(p, amax + 1, p))
+        if q <= amax:
+            has_roots[q::q] = bytes(len(range(q, amax + 1, q)))
     count = 0
     for a in itertools.compress(range(amax + 1), has_roots):
-        n, mod = a, 4
-        while n % 2 == 0:
-            n //= 2
-            mod *= 2
-        found = roots[mod]
+        if listed[a]:
+            count += _listed_count(D, a, spf, roots)
+            continue
+        n, r = a, 1
         while n > 1:
             p = q = spf[n]
             n //= p
             while n % p == 0:
                 n //= p
                 q *= p
-            inv = pow(mod, -1, q)
-            found = [x + mod * ((s - x) * inv % q) for x in found for s in roots[q]]
-            mod *= q
-        for b in found:
-            if b >= 2 * a:
-                continue
-            if b > a:
-                b -= 2 * a
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (b == -a or a == c):
-                continue
-            if math.gcd(math.gcd(a, b), c) == 1:
-                count += 1
+            r *= local[q]
+        count += r
+    return count
+
+
+def _listed_count(D: int, a: int, spf: list[int], roots: dict) -> int:
+    """The reduced primitive forms with leading coefficient a, each b
+    tested: the roots mod 4a are joined by CRT from those mod the prime
+    powers of 4a, and the roots below 2a give every b in (-a, a] once."""
+    n, mod = a, 4
+    while n % 2 == 0:
+        n //= 2
+        mod *= 2
+    found = _prime_power_roots(D, 2, mod, roots)
+    while n > 1:
+        p = q = spf[n]
+        n //= p
+        while n % p == 0:
+            n //= p
+            q *= p
+        inv = pow(mod, -1, q)
+        found = [x + mod * ((s - x) * inv % q)
+                 for x in found for s in _prime_power_roots(D, p, q, roots)]
+        mod *= q
+    count = 0
+    for b in found:
+        if b >= 2 * a:
+            continue
+        if b > a:
+            b -= 2 * a
+        c = (b * b - D) // (4 * a)
+        if c < a or (b < 0 and (b == -a or a == c)):
+            continue
+        if math.gcd(math.gcd(a, b), c) == 1:
+            count += 1
     return count
 
 
@@ -237,10 +280,12 @@ def _smallest_prime_factors(n: int) -> list[int]:
 def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
     """The roots of x^2 = D modulo the power q of the prime p, memoized in
     roots: a root r mod q/p lifts to the r + t*q/p, 0 <= t < p, that are
-    roots mod q."""
+    roots mod q.  Tonelli-Shanks runs only at an odd p that does not
+    divide D."""
     if q not in roots:
         if q == p:
-            roots[q] = _sqrt_mod_prime(D, p)
+            n = D % p
+            roots[q] = [n] if p == 2 or n == 0 else _sqrt_mod_prime(D, p)
         else:
             low = q // p
             roots[q] = [x for r in _prime_power_roots(D, p, low, roots)
@@ -249,15 +294,9 @@ def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
 
 
 def _sqrt_mod_prime(D: int, p: int) -> list[int]:
-    """The roots of x^2 = D mod the prime p, by Tonelli-Shanks.
-
-    Residues are told by Euler's criterion with the builtin pow, which
-    class_number calls for every prime up to sqrt(|D|/3); exact.jacobi
-    in its place made class_number about 7 % slower.
-    """
+    """The roots of x^2 = D mod an odd prime p that does not divide D, by
+    Tonelli-Shanks, after Euler's criterion with the builtin pow."""
     n = D % p
-    if p == 2 or n == 0:
-        return [n]
     if pow(n, (p - 1) // 2, p) != 1:
         return []
     s, odd = 0, p - 1

@@ -278,9 +278,19 @@ def _extension_records(data: CurveReductionData, n: int,
 
 
 def singular_avoidance_passes(data: CurveReductionData, x: Fraction) -> bool:
-    """The general rule alone: no five-component prime sees the node."""
-    return all(r.passed for r in extension_check(data, x)
-               if r.kind == "singular-avoidance")
+    """The general rule alone, the singular-avoidance subset of
+    extension_check: no five-component prime sees the node.  No record is
+    built."""
+    x = Fraction(x)
+    x_min = data.x_minimal(x.numerator, x.denominator)
+    return not any(_hits_node(data, p, valuation_and_residue(*x_min, p)[1])
+                   for p in data.five_primes)
+
+
+def _hits_node(data: CurveReductionData, p: int, res) -> bool:
+    """Whether the residue mod p of x_min, None standing for infinity, is
+    the node's abscissa at p."""
+    return res is not None and res == data.reductions[p].singular_x
 
 
 def _record(data: CurveReductionData, p: int, kind: str, v, res) -> ConditionRecord:
@@ -294,7 +304,7 @@ def _record(data: CurveReductionData, p: int, kind: str, v, res) -> ConditionRec
         return ConditionRecord(data.index, kind, p,
                                f"x != {data.excluded_residue} mod {p}",
                                "congruent" if hit else "not congruent", not hit)
-    hit = res is not None and res == data.reductions[p].singular_x
+    hit = _hits_node(data, p, res)
     observed = ("reduces to infinity" if res is None
                 else "node" if hit else f"x = {res} mod {p}")
     return ConditionRecord(data.index, kind, p, "reduction != node", observed, not hit)

@@ -112,6 +112,69 @@ def test_class_number_counts_what_enumeration_lists():
             assert class_number(D) == len(list(enumerate_reduced(D))), D
 
 
+def enumerated_count(D):
+    return sum(1 for _ in enumerate_reduced(D))
+
+
+def test_class_number_counts_non_fundamental_and_band_edges():
+    # the edges of counting r(a) without listing roots: squares k^2 times
+    # a fundamental D0, where some p | a has p^2 | D and a root can give an
+    # imprimitive form (p = 2 among them: -16, -64, -2832); D = -(4a^2 + k),
+    # where a sits just inside or outside 4a^2 < |D|; random non-fundamental
+    # D up to 3e6
+    for D0, kmax in ((-3, 200), (-4, 200), (-7, 60), (-8, 60), (-15, 40),
+                     (-20, 40), (-24, 40), (-708, 6)):
+        assert is_fundamental(D0)
+        for k in range(1, kmax + 1):
+            D = k * k * D0
+            assert class_number(D) == enumerated_count(D), D
+    for D in (-16, -64, -2832):
+        assert class_number(D) == enumerated_count(D), D
+    for a in itertools.chain(range(1, 80), (97, 128, 210, 256)):
+        for k in range(-3, 8):
+            D = -(4 * a * a + k)
+            if D < 0 and D % 4 in (0, 1):
+                assert class_number(D) == enumerated_count(D), D
+    rng = random.Random(20)
+    tried = 0
+    while tried < 6:
+        k = rng.choice((2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 25, 49))
+        D = -k * k * rng.randrange(1, 3 * 10**6 // (k * k))
+        if D % 4 in (0, 1) and not is_fundamental(D):
+            tried += 1
+            assert class_number(D) == enumerated_count(D), D
+
+
+def test_class_number_runs_tonelli_shanks_only_for_listed_a(monkeypatch):
+    # r(a) needs no square root at an odd p that does not divide D:
+    # Euler's criterion gives 1 + (D/p) roots mod every power of p.  Roots
+    # are taken only for the a whose b are listed and tested one by one
+    from fiverank import classgroup
+
+    listed_count, sqrt_mod_prime = classgroup._listed_count, classgroup._sqrt_mod_prime
+    rooted_somewhere = False
+    for D in (-2832, -50783, -129476, -1294756):
+        listed, rooted = [], []
+
+        def spy_listed(D, a, *args):
+            listed.append(a)
+            return listed_count(D, a, *args)
+
+        def spy_sqrt(D, p):
+            rooted.append(p)
+            return sqrt_mod_prime(D, p)
+
+        monkeypatch.setattr(classgroup, "_listed_count", spy_listed)
+        monkeypatch.setattr(classgroup, "_sqrt_mod_prime", spy_sqrt)
+        assert class_number(D) == enumerated_count(D), D
+        monkeypatch.undo()
+        assert listed, D
+        assert all(p % 2 and D % p and any(a % p == 0 for a in listed)
+                   for p in rooted), D
+        rooted_somewhere |= bool(rooted)
+    assert rooted_somewhere
+
+
 def power_table_layers(D, q):
     """The layer counts m_k(q), k = 1..e, from a power table of all h
     reduced forms: #{f : f^(q^k) = 1} = q^(m_1 + ... + m_k).  A reference

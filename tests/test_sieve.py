@@ -698,6 +698,25 @@ def test_extension_check_matches_fraction_reference_on_rational_x():
         assert "node" in observed and "reduces to infinity" in observed
 
 
+def test_singular_avoidance_passes_builds_no_record(monkeypatch):
+    # the oracle asks once per instance whether x misses every node; that
+    # verdict needs no ConditionRecord, only the node test extension_check
+    # shares
+    from fiverank import sieve
+    from fiverank.classgroup import _single_curve_setup
+
+    data = _single_curve_setup(F(2, 3))[1]
+    xs = [F(n, d) for n in range(-60, 61) for d in (1, 2, 3)]
+    expected = [all(r.passed for r in extension_check(data, x)) for x in xs]
+    assert True in expected and False in expected
+
+    def refused(*args, **kwargs):
+        raise AssertionError("singular_avoidance_passes built a record")
+
+    monkeypatch.setattr(sieve, "ConditionRecord", refused)
+    assert [sieve.singular_avoidance_passes(data, x) for x in xs] == expected
+
+
 def test_check_z_runs_the_conditions_on_x_in_lowest_terms(monkeypatch):
     # for admissible z the Horner pair shares a power of 29; where the
     # class of z leaves its records open, check_z evaluates the conditions
