@@ -6,20 +6,21 @@ roots of D mod 4a for each leading coefficient a of a reduced form, and
 the 5-rank, from the 5-Sylow subgroup that the reduced forms span under
 Gauss composition, then checks the 5-divisibility that the single-curve
 construction predicts.  group_structure, behind `classgroup --disc`,
-takes the same route for any negative discriminant: the counted h, then
-the span of each Sylow subgroup of the group, whose layer counts give
-the invariant factors.  Everything is exact.  The form engine
-(reduction, composition, enumeration, counting, Sylow spans, invariant
-factors) uses only the exact-arithmetic substrate; the oracle that
-feeds it builds its instances from the family, isogeny, sieve, splitting
-and curve modules.
+takes the same route for any D < 0: the counted h, then the span of
+each Sylow subgroup, whose layer counts give the invariant factors.
+Everything is exact.  The form engine uses only the exact-arithmetic
+substrate and works on bare (a, b, c) triples, each composed triple
+checked as BinaryQuadraticForm checks a form, which reduce_form, compose
+and form_pow validate at the public boundary.  The oracle that feeds it
+builds its instances from the family, isogeny, sieve, splitting and
+curve modules.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -44,6 +45,7 @@ from .splitting import INERT, SPLIT, frobenius_order_in_L, prime_split_in_K
 DEFAULT_DISC_BOUND = 10**7
 # trial-division bound for the oracle radicand's squarefree part
 RADICAND_TRIAL_BOUND = 10**6
+_spf: list[int] = []        # smallest prime factor of each k < len(_spf), for every D
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +75,7 @@ class BinaryQuadraticForm:
 
 def identity_form(D: int) -> BinaryQuadraticForm:
     _check_discriminant(D)
-    if D % 4 == 0:
-        return BinaryQuadraticForm(1, 0, -D // 4)
-    return BinaryQuadraticForm(1, 1, (1 - D) // 4)
+    return BinaryQuadraticForm(1, D % 2, (D % 2 - D) // 4)
 
 
 def _check_discriminant(D: int) -> None:
@@ -85,7 +85,10 @@ def _check_discriminant(D: int) -> None:
 
 def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """The unique reduced representative of the class of f."""
-    a, b, c = f.a, f.b, f.c
+    return BinaryQuadraticForm(*_reduce(f.a, f.b, f.c))
+
+
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
     while True:
         if c < a:
             a, b, c = c, -b, a
@@ -100,7 +103,7 @@ def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
         if b < 0 and (b == -a or a == c):
             b = -b
             continue
-        return BinaryQuadraticForm(a, b, c)
+        return a, b, c
 
 
 def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -108,20 +111,27 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
     D = f.discriminant()
     if g.discriminant() != D:
         raise ValueError("forms have different discriminants")
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2, c2 = g.a, g.b, g.c
+    return BinaryQuadraticForm(*_compose((f.a, f.b, f.c), (g.a, g.b, g.c), D))
+
+
+def _compose(f: tuple, g: tuple, D: int) -> tuple[int, int, int]:
+    """compose on triples of discriminant D, checking the product inline."""
+    (a1, b1, c1), (a2, b2, c2) = f, g
     if a1 == 1:
-        return reduce_form(g)
-    if a2 == 1:
-        return reduce_form(f)
-    s = (b1 + b2) // 2
-    d1, u1, v1 = _xgcd(a1, a2)
-    d, u2, v2 = _xgcd(d1, s)
-    a3 = (a1 * a2) // (d * d)
-    b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
-    b3 %= 2 * a3
-    c3 = (b3 * b3 - D) // (4 * a3)
-    return reduce_form(BinaryQuadraticForm(a3, b3, c3))
+        a, b, c = _reduce(*g)
+    elif a2 == 1:
+        a, b, c = _reduce(*f)
+    else:
+        s = (b1 + b2) // 2
+        d1, u1, v1 = _xgcd(a1, a2)
+        d, u2, v2 = _xgcd(d1, s)
+        a3 = (a1 * a2) // (d * d)
+        b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
+        b3 %= 2 * a3
+        a, b, c = _reduce(a3, b3, (b3 * b3 - D) // (4 * a3))
+    if b * b - 4 * a * c != D or a <= 0 or math.gcd(a, b, c) != 1:
+        raise ValueError(f"{(a, b, c)} is no primitive positive definite form of {D}")
+    return a, b, c
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -136,14 +146,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def form_pow(f: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
     D = f.discriminant()
     if n < 0:
-        return form_pow(f.inverse(), -n)
-    out = identity_form(D)
-    base = reduce_form(f)
+        f, n = f.inverse(), -n
+    return BinaryQuadraticForm(*_pow(astuple(reduce_form(f)), n, D, astuple(identity_form(D))))
+
+
+def _pow(f: tuple, n: int, D: int, ident: tuple) -> tuple[int, int, int]:
+    """f^n, n >= 0, by binary powering; ident is the identity triple of D."""
+    out = ident
     while n:
         if n & 1:
-            out = compose(out, base)
-        base = compose(base, base)
+            out = _compose(out, f, D)
         n >>= 1
+        if n:
+            f = _compose(f, f, D)
     return out
 
 
@@ -189,7 +204,7 @@ def class_number(D: int) -> int:
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)               # the largest a with 4a^2 <= |D|
-    spf = _smallest_prime_factors(amax)
+    spf = _smallest_prime_factors(amax)     # may run past amax
     roots = {}                              # p^k -> roots of x^2 = D mod p^k
     local = {}                              # p^k -> its factor of r(a)
     has_roots = bytearray([0]) + bytearray([1]) * amax
@@ -268,13 +283,17 @@ def _listed_count(D: int, a: int, spf: list[int], roots: dict) -> int:
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
-    spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for k in range(p * p, n + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    return spf
+    """The shared smallest-prime-factor table, grown by doubling to cover 0..n."""
+    global _spf
+    if len(_spf) <= n:
+        spf = list(range(max(n, 2 * len(_spf)) + 1))
+        for p in range(2, math.isqrt(len(spf)) + 1):
+            if spf[p] == p:
+                for k in range(p * p, len(spf), p):
+                    if spf[k] == k:
+                        spf[k] = p
+        _spf = spf
+    return _spf
 
 
 def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
@@ -398,7 +417,7 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
         m //= q
         e += 1
     order = q ** e
-    ident = identity_form(D)
+    ident = astuple(identity_form(D))
     span = {ident}
     forms = enumerate_reduced(D)
     while len(span) < order:
@@ -409,22 +428,22 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
                 f"power of {q}, short of {q}^{e} for h = {h}")
         if f.b < 0 or f.a == 1:
             continue
-        g = form_pow(f, m)
+        g = _pow((f.a, f.b, f.c), m, D, ident)
         if g in span:
             continue
-        if form_pow(g, order) != ident:
+        if _pow(g, order, D, ident) != ident:
             raise IdentityCheckError(f"{f} does not have order dividing h = {h}")
         grown, step = set(span), g
         while step not in span:             # the cosets step * span
-            grown.update(compose(step, s) for s in span)
-            step = compose(step, g)
+            grown.update(_compose(step, s, D) for s in span)
+            step = _compose(step, g, D)
         span = grown
         if len(span) > order:
             raise IdentityCheckError(
                 f"reduced forms of {D} span more than {q}^{e} classes for h = {h}")
     layers = []
     while len(span) > 1:
-        powers = {form_pow(g, q) for g in span}
+        powers = {_pow(g, q, D, ident) for g in span}
         layers.append(_int_log(len(span) // len(powers), q))
         span = powers
     if any(a < b for a, b in zip(layers, layers[1:])):
@@ -553,11 +572,12 @@ def _irreducibility_witness(quintic, radicand) -> int | None:
     contradicts the cyclic preimage extension, so the
     ProtocolViolationError reaches the caller.
     """
+    ints = quintic.primitive_integer()
     for l in range(3, WITNESS_BOUND + 1, 2):
         if is_probable_prime(l):
             try:
                 if prime_split_in_K(l, radicand) == SPLIT:
-                    if frobenius_order_in_L(quintic, l) == INERT:
+                    if frobenius_order_in_L(ints, l) == INERT:
                         return l
             except RamifiedPrimeError:
                 pass

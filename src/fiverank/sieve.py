@@ -80,9 +80,9 @@ dividing p^v_p(d) out of both leaves a denominator prime to p, whose
 inverse mod p gives the residue.
 
 The certificate (splitting.verify_instance) calls `x_and_radicand_form`
-too, and `reduced_radicand` turns H and d^k into f(x) in lowest terms
-with a gcd bounded by a constant; the sieve itself never divides H by
-anything.
+once, and on the direct route builds its report from it by _direct_report;
+`reduced_radicand` turns H and d^k into f(x) in lowest terms with a gcd
+bounded by a constant.  The sieve itself never divides H by anything.
 """
 
 from __future__ import annotations
@@ -563,7 +563,16 @@ def check_z(z: int) -> SieveReport:
         records = _class_records(z)
         if records is not None:
             return SieveReport(z, 1 if z > 0 else -1, records)
-    x, form, _ = x_and_radicand_form(z)     # raises PoleError at z = 0
+    return _direct_report(z, *x_and_radicand_form(z)[:2])    # PoleError at z = 0
+
+
+def _direct_route(z: int) -> bool:
+    """Whether check_z takes the direct route at z."""
+    return -sign_bound() <= z <= sign_bound() or _class_records(z) is None
+
+
+def _direct_report(z: int, x: Ratio, form: int) -> SieveReport:
+    """check_z's direct-route report from x(z) and H, as x_and_radicand_form gives them."""
     records = tuple(record for data in sieve_data()
                     for record in _extension_records(data, *x))
     return SieveReport(z, (form > 0) - (form < 0), records)

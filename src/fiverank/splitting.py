@@ -53,7 +53,6 @@ from .errors import (
     RamifiedPrimeError,
 )
 from .exact import (
-    Poly,
     Ratio,
     int_valuation,
     integer_coefficients,
@@ -65,7 +64,8 @@ from .exact import (
 )
 from .family import CONSTANTS, specialize
 from .isogeny import preimage_quintic
-from .sieve import SieveReport, check_z, reduced_radicand, x_and_radicand_form
+from .sieve import (SieveReport, _direct_report, _direct_route, check_z, reduced_radicand,
+                    x_and_radicand_form)
 
 SPLIT = "split"
 INERT = "inert"
@@ -93,15 +93,15 @@ def prime_split_in_K(l: int, radicand: Fraction | Ratio) -> str:
     return SPLIT if jacobi(unit, l) == 1 else INERT
 
 
-def frobenius_order_in_L(quintic: Poly, l: int) -> str:
-    """Split/inert verdict for a prime (split in K) in the quintic field.
+def frobenius_order_in_L(ints: list[int], l: int) -> str:
+    """Split/inert verdict for a prime (split in K) in the quintic field,
+    from the quintic's primitive integer form ints (lowest degree first).
 
     Requires l unramified: l must not divide the discriminant or leading
-    coefficient of the integer form of the quintic.  Any profile other
-    than five linears or one quintic contradicts a cyclic degree-5
-    Galois action and raises ProtocolViolationError.
+    coefficient of ints.  Any profile other than five linears or one
+    quintic contradicts a cyclic degree-5 Galois action and raises
+    ProtocolViolationError.
     """
-    ints = quintic.primitive_integer()
     if ints[-1] % l == 0:
         raise RamifiedPrimeError(f"leading coefficient vanishes mod {l}")
     # the integer form has a unit leading coefficient mod l, so the
@@ -228,7 +228,8 @@ def _frobenius_verdict(j: int, l: int, point: int | None) -> str:
     """
     _check_residue_precondition(j, l)
     rep = Fraction(1, l) if point is None else Fraction(point)
-    return frobenius_order_in_L(preimage_quintic(specialize().isogenies[j], rep), l)
+    quintic = preimage_quintic(specialize().isogenies[j], rep)
+    return frobenius_order_in_L(quintic.primitive_integer(), l)
 
 
 def splitting_pattern(z: int, x: Fraction | Ratio,
@@ -261,8 +262,8 @@ def verify_instance(z: int) -> FieldCertificate:
     the conclusion flag is set only when everything holds.
     """
     failures = []
-    report = check_z(z)
     x, form, dk = x_and_radicand_form(z)
+    report = _direct_report(z, x, form) if _direct_route(z) else check_z(z)
     r = reduced_radicand(form, dk)
     if not report.passed:
         failures.append("sieve conditions failed")

@@ -376,6 +376,219 @@ def test_class_number_matches_dirichlet_formula():
         assert class_number(D) == abs(total) // (-D), D
 
 
+# -------------------------------------- the triple engine and its reference
+
+def reference_reduce_form(f):
+    """reduce_form as the dataclass engine had it, before the engine
+    worked on (a, b, c) triples: the reference of the tests below."""
+    a, b, c = f.a, f.b, f.c
+    while True:
+        if c < a:
+            a, b, c = c, -b, a
+            continue
+        if b > a or b <= -a:
+            r = b % (2 * a)
+            if r > a:
+                r -= 2 * a
+            c += (r * r - b * b) // (4 * a)
+            b = r
+            continue
+        if b < 0 and (b == -a or a == c):
+            b = -b
+            continue
+        return BinaryQuadraticForm(a, b, c)
+
+
+def reference_xgcd(a, b):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def reference_compose(f, g):
+    """compose as the dataclass engine had it."""
+    D = f.discriminant()
+    if g.discriminant() != D:
+        raise ValueError("forms have different discriminants")
+    a1, b1, c1 = f.a, f.b, f.c
+    a2, b2, c2 = g.a, g.b, g.c
+    if a1 == 1:
+        return reference_reduce_form(g)
+    if a2 == 1:
+        return reference_reduce_form(f)
+    s = (b1 + b2) // 2
+    d1, u1, v1 = reference_xgcd(a1, a2)
+    d, u2, v2 = reference_xgcd(d1, s)
+    a3 = (a1 * a2) // (d * d)
+    b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
+    b3 %= 2 * a3
+    c3 = (b3 * b3 - D) // (4 * a3)
+    return reference_reduce_form(BinaryQuadraticForm(a3, b3, c3))
+
+
+def reference_form_pow(f, n):
+    """form_pow as the dataclass engine had it."""
+    D = f.discriminant()
+    if n < 0:
+        return reference_form_pow(f.inverse(), -n)
+    out = identity_form(D)
+    base = reference_reduce_form(f)
+    while n:
+        if n & 1:
+            out = reference_compose(out, base)
+        base = reference_compose(base, base)
+        n >>= 1
+    return out
+
+
+def triple(f):
+    return f.a, f.b, f.c
+
+
+def test_triple_composition_matches_the_reference_on_every_small_discriminant():
+    from fiverank.classgroup import _compose
+
+    pairs = 0
+    for D in range(-3, -1001, -1):
+        if D % 4 not in (0, 1):
+            continue
+        forms = list(enumerate_reduced(D))
+        for f in forms:
+            for g in forms:
+                assert _compose(triple(f), triple(g), D) == \
+                    triple(reference_compose(f, g)), (D, f, g)
+        pairs += len(forms) ** 2
+    assert pairs > 10_000
+
+
+def test_triple_composition_matches_the_reference_on_random_pairs():
+    from fiverank.classgroup import _compose
+
+    rng = random.Random(2000)
+    for D in (-12451, -50783):
+        forms = list(enumerate_reduced(D))
+        for _ in range(2000):
+            f, g = rng.choice(forms), rng.choice(forms)
+            assert _compose(triple(f), triple(g), D) == \
+                triple(reference_compose(f, g)), (D, f, g)
+
+
+def moved(f, rng):
+    """A form of the class of f, moved off the reduced one by random
+    steps x -> x + t y and (x, y) -> (-y, x) of SL2(Z)."""
+    a, b, c = triple(f)
+    for _ in range(rng.randrange(1, 4)):
+        t = rng.randrange(-4, 5)
+        a, b, c = c + b * t + a * t * t, -(b + 2 * a * t), a
+    return BinaryQuadraticForm(a, b, c)
+
+
+def test_public_wrappers_match_the_reference_on_unreduced_forms():
+    rng = random.Random(7)
+    unreduced = 0
+    for D in (-23, -47, -84, -143, -2832, -12451, -50783):
+        forms = list(enumerate_reduced(D))
+        for _ in range(40):
+            f, g = moved(rng.choice(forms), rng), moved(rng.choice(forms), rng)
+            unreduced += reduce_form(f) != f
+            assert reduce_form(f) == reference_reduce_form(f), f
+            assert compose(f, g) == reference_compose(f, g), (f, g)
+            for n in (-3, -1, 0, 1, 2, 5, 12):
+                assert form_pow(f, n) == reference_form_pow(f, n), (f, n)
+    assert unreduced > 200
+
+
+def unchecked_form(a, b, c):
+    """A BinaryQuadraticForm that skipped its validation."""
+    f = object.__new__(BinaryQuadraticForm)
+    for name, value in zip("abc", (a, b, c)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def same_outcome(ours, reference, *args):
+    """Whether ours(*args) raised ValueError, after checking that it
+    raises exactly where reference(*args) does and returns the same
+    otherwise."""
+    try:
+        expected = reference(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ours(*args)
+        return True
+    assert ours(*args) == expected, args
+    return False
+
+
+def test_public_wrappers_refuse_what_the_reference_refuses():
+    with pytest.raises(ValueError, match="different discriminants"):
+        compose(BinaryQuadraticForm(2, 1, 3), identity_form(-47))
+    # imprimitive forms that skipped validation
+    refused = 0
+    for bad in (unchecked_form(2, 2, 4), unchecked_form(3, 3, 6), unchecked_form(4, 0, 4)):
+        assert same_outcome(reduce_form, reference_reduce_form, bad)
+        for g in [bad, *enumerate_reduced(bad.discriminant())]:
+            refused += same_outcome(compose, reference_compose, bad, g)
+            refused += same_outcome(compose, reference_compose, g, bad)
+        for n in (0, 1, 2, 3):
+            refused += same_outcome(form_pow, reference_form_pow, bad, n)
+    assert refused > 10
+
+
+def test_triple_composition_checks_its_product():
+    # the public wrappers build a BinaryQuadraticForm, which validates it;
+    # inside the engine _compose itself refuses an imprimitive product and
+    # one of another discriminant
+    from fiverank.classgroup import _compose
+
+    for f, g, D in (((2, 2, 4), (1, 0, 7), -28), ((1, 0, 7), (2, 2, 4), -28),
+                    ((4, 2, 4), (3, 0, 5), -60), ((2, 1, 3), (1, 1, 12), -47)):
+        with pytest.raises(ValueError, match=f"form of {D}$"):
+            _compose(f, g, D)
+
+
+def test_sylow_layers_check_every_composed_triple(monkeypatch):
+    # a reduction that drifts off the discriminant is refused by the check
+    # that composition makes on its product, not carried into the span
+    from fiverank import classgroup
+
+    reduce = classgroup._reduce
+    monkeypatch.setattr(classgroup, "_reduce",
+                        lambda a, b, c: (lambda a, b, c: (a, b, c + 1))(*reduce(a, b, c)))
+    for D, h in ((-47, 5), (-50783, 250)):
+        with pytest.raises(ValueError, match=f"form of {D}$"):
+            sylow_layers(D, h, 5)
+
+
+def test_class_number_does_not_depend_on_the_order_of_calls(monkeypatch):
+    # the smallest-prime-factor table is shared by every D and grows on
+    # demand: each count must be the same whatever table it finds
+    from fiverank import classgroup
+
+    rng = random.Random(60)
+    discs = [-3, -4, -2832]
+    while len(discs) < 63:
+        D = -rng.randrange(3, 10**7 + 1)
+        if D % 4 in (0, 1) and D not in discs:
+            discs.append(D)
+    fresh = {}
+    for D in discs:
+        monkeypatch.setattr(classgroup, "_spf", [])
+        fresh[D] = class_number(D)
+    shuffled = rng.sample(discs, len(discs))
+    for order in (sorted(discs), sorted(discs, reverse=True), shuffled):
+        monkeypatch.setattr(classgroup, "_spf", [])
+        assert {D: class_number(D) for D in order} == fresh
+    spf = classgroup._spf
+    assert len(spf) > math.isqrt(max(-D for D in discs) // 3)
+    assert all(spf[k] == min(p for p in range(2, k + 1) if k % p == 0)
+               for k in range(2, len(spf), 7))
+    assert fresh[-3] == fresh[-4] == 1 and fresh[-2832] == enumerated_count(-2832)
+
+
 # ------------------------------------------------------------------ oracle
 
 def test_oracle_requires_congruence():

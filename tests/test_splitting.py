@@ -54,21 +54,21 @@ def test_prime_split_rejects_bad_inputs():
 def test_frobenius_order_profiles():
     x = Poly.x()
     # X^5 - 1 mod 11 splits into linears; mod 7 it has profile [1, 4]
-    assert frobenius_order_in_L(x ** 5 - 2, 31) in ("split", "inert")
+    assert frobenius_order_in_L((x ** 5 - 2).primitive_integer(), 31) in ("split", "inert")
     # X^5 - 2 mod 11: 11 = 1 mod 5 and 2 is not a 5th power -> irreducible
-    assert frobenius_order_in_L(x ** 5 - 2, 11) == "inert"
+    assert frobenius_order_in_L((x ** 5 - 2).primitive_integer(), 11) == "inert"
     # a prime dividing the discriminant is refused: X^5 - 2 = (X - 2)^5 mod 5
     with pytest.raises(RamifiedPrimeError,
                        match=r"^5 divides the quintic discriminant$"):
-        frobenius_order_in_L(x ** 5 - 2, 5)
+        frobenius_order_in_L((x ** 5 - 2).primitive_integer(), 5)
     # so is a prime dividing the leading coefficient of the integer form
     # 7 X^5 + 1
     with pytest.raises(RamifiedPrimeError,
                        match=r"^leading coefficient vanishes mod 7$"):
-        frobenius_order_in_L(x ** 5 + F(1, 7), 7)
+        frobenius_order_in_L((x ** 5 + F(1, 7)).primitive_integer(), 7)
     # mixed profile contradicts the cyclic structure
     with pytest.raises(ProtocolViolationError):
-        frobenius_order_in_L(x ** 5 - 2, 7)     # profile [1, 4]
+        frobenius_order_in_L((x ** 5 - 2).primitive_integer(), 7)     # profile [1, 4]
 
 
 def make_pattern(entries):
@@ -152,6 +152,30 @@ def test_verify_instance_rejected_z():
     assert any("sieve" in f for f in cert.failures)
 
 
+def test_verify_instance_evaluates_x_once(monkeypatch):
+    # check_z's direct route (|z| <= sign_bound(), or a p-adic class left
+    # open, as at 11850) evaluates x(z) and H; the certificate builds that
+    # report from its own evaluation, and the class route evaluates nothing
+    class_z = next(admissible_z(start=10 ** 6, sign="pos"))
+    assert sieve.sign_bound() < 11850 < class_z
+    assert sieve._class_records(11850) is None
+    assert sieve._class_records(class_z) is not None
+    real, calls = sieve.x_and_radicand_form, []
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    for z in (2, -3, 11850, class_z):
+        monkeypatch.setattr(splitting, "x_and_radicand_form", counted)
+        monkeypatch.setattr(sieve, "x_and_radicand_form", counted)
+        calls.clear()
+        cert = verify_instance(z)
+        assert calls == [z], z
+        monkeypatch.undo()
+        assert cert.sieve_report == sieve.check_z(z), z
+
+
 def test_fields_distinct():
     assert fields_distinct(F(-5), F(-7))
     assert not fields_distinct(F(-5), F(-20))     # -5 * -20 = 100
@@ -194,7 +218,7 @@ def _outcome(fn, *args):
 
 def _exact_entry(sp, j, l, x):
     quintic = preimage_quintic(sp.isogenies[j], sp.F_models[j].to_long_x(x))
-    return frobenius_order_in_L(quintic, l)
+    return frobenius_order_in_L(quintic.primitive_integer(), l)
 
 
 def _exact_pattern(z, *_):
