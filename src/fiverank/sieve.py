@@ -74,6 +74,9 @@ and d^k, the records are those of n/d and the sign that of H.  It reads
 x(z) off the pair (n, d) that `x_pair` builds by Horner in z and takes
 one gcd, of n and d: for admissible z they share a power of 29 that every
 valuation at 29 would otherwise divide out of two long integers again.
+That gcd divides a constant M with A num + B den = M for integer
+polynomials A and B, derived once by `_bezout_identity`, so it is taken
+on n and d modulo M.
 Lowest terms are not needed for the conditions: v_p(n/d) = v_p(n) -
 v_p(d) for any representative of a fraction, and when that is >= 0,
 dividing p^v_p(d) out of both leaves a denominator prime to p, whose
@@ -490,6 +493,34 @@ def _integer_forms() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
     return tuple(num), tuple(den), tuple(f), int(s)
 
 
+@lru_cache(maxsize=None)
+def _bezout_identity() -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Integer polynomials A, B and an integer M > 0 with A num + B den = M.
+
+    num and den are those of _integer_forms().  The extended Euclidean
+    algorithm over Q gives A num + B den = 1 when the two are coprime;
+    M is the least common denominator of A and B, which clears them.
+    The identity is then checked exactly on the integer coefficients.
+    Raises IdentityCheckError when num and den share a factor over Q or
+    the check fails.
+    """
+    num, den, _, _ = _integer_forms()
+    r0, r1 = Poly(num), Poly(den)
+    s0, s1, t0, t1 = Poly.const(1), Poly(), Poly(), Poly.const(1)
+    while r1:                                   # r_i = s_i num + t_i den
+        q, r = divmod(r0, r1)
+        r0, r1, s0, s1, t0, t1 = r1, r, s1, s0 - q * s1, t1, t0 - q * t1
+    if r0.degree != 0:
+        raise IdentityCheckError(f"num and den of x(z) share the factor {r0.monic()}")
+    A, B = s0 / r0[0], t0 / r0[0]
+    M = math.lcm(*(c.denominator for c in A.c + B.c))
+    A, B = A * M, B * M
+    if (any(c.denominator != 1 for c in A.c + B.c)
+            or A * Poly(num) + B * Poly(den) != Poly.const(M)):
+        raise IdentityCheckError(f"A num + B den = {M} does not hold")
+    return tuple(int(c) for c in A.c), tuple(int(c) for c in B.c), M
+
+
 def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> tuple[int, int]:
     """d^k c(n/d) and d^k for the degree-k polynomial c (lowest degree
     first), by Horner."""
@@ -540,9 +571,17 @@ def x_and_radicand_form(z: int) -> tuple[Ratio, int, int]:
 
     The radicand f(x(z)) has the sign of H; reduced_radicand(H, d^k) is
     f(x(z)) in lowest terms.  Raises PoleError at z = 0.
+
+    The gcd of the pair (n, d) = (num(z), den(z)) from x_pair is taken
+    modulo the constant M of _bezout_identity(): A num + B den = M with
+    integer polynomials A and B, so at integer z every common divisor g of
+    n and d divides A(z) n + B(z) d = M, n = 0 included.  Then gcd(n, d)
+    = gcd(n, d, M) = gcd(n mod M, d mod M, M), one gcd on numbers the
+    size of M (185 bits) in place of one on the long n and d.
     """
     n, d = x_pair(z)
-    g = math.gcd(n, d)
+    M = _bezout_identity()[2]
+    g = math.gcd(n % M, d % M, M)
     if d < 0:
         g = -g
     n, d = n // g, d // g

@@ -27,14 +27,17 @@ verdict on a small representative of its class (the residue itself, or
 is computed once and reused for every z.
 
 A certificate does integer arithmetic only on the long numbers of a
-large z.  The sieve report holds no number but z: verify_instance takes
-x(z) = n/d, the integer form H of the radicand and d^k from
-sieve.x_and_radicand_form, and sieve.reduced_radicand gives the radicand
-as an integer pair in lowest terms.  The long-form abscissa's
-residue mod l is read off the unreduced pair (lead numerator * n, lead
-denominator * d); is_square refuses almost every non-square by
-residues; the K verdicts read the radicand's numerator and denominator
-apart; and the record writes its digits by exact.decimal_string.
+large z, and none of it divides one long number by another.  The sieve
+report holds no number but z: verify_instance takes x(z) = n/d, the
+integer form H of the radicand and d^k from sieve.x_and_radicand_form,
+and sieve.reduced_radicand gives the radicand as an integer pair in
+lowest terms; both gcds are bounded by constants, so each is taken on
+residues.  The long-form abscissa's residue mod l is read off the
+unreduced pair (lead numerator * n, lead denominator * d); is_square
+refuses almost every non-square by residues; the K verdicts read the
+radicand's numerator and denominator apart; and the record writes its
+digits by exact.decimal_string, which splits them at cached powers of
+10 by multiplying with cached reciprocals.
 """
 
 from __future__ import annotations

@@ -214,8 +214,61 @@ def test_decimal_string_equals_str(default_digit_limit):
     sizes = [exact._DECIMAL_LEAF << j for j in range(8)]
     for k in {k + dk for k in sizes for dk in (-1, 0, 1)}:
         ints += [10 ** k - 1, 10 ** k, 10 ** k + 1, -10 ** k]
+    # n in [P^2, 10 P^2) for every split power P = 10^(L 2^j), and the
+    # largest n below 4^b, b = P.bit_length(), that splits at P
+    for size in sizes:
+        k = 2 * size
+        for n in (rng.randrange(10 ** k, 10 ** (k + 1)), 10 ** k + 1, 10 ** (k + 1) - 1,
+                  10 ** (k + 1) + 1, 4 ** (10 ** size).bit_length() - 1):
+            ints += [n, -n]
     for n in ints:
         assert decimal_string(n) == _str(n), n.bit_length()
+
+
+def test_decimal_divmod_estimate_falls_short_by_at_most_two():
+    # the estimate floor(floor(n / 2^(b-1)) R / 2^(b+1)) over 0 <= n < 4^b,
+    # the range the splits pass in: its ends, multiples of P and random n
+    # of every length
+    from fiverank import exact
+
+    rng = random.Random(22)
+    for j in range(6):
+        P, b, R = exact._decimal_power(j)
+        ns = [0, 1, P - 1, P, 2 * P - 1, (4 ** b - 1) // P * P, 4 ** b - 1]
+        ns += [rng.randrange(4 ** b) for _ in range(50)]
+        ns += [rng.randrange(4 ** b >> k) for k in range(0, 2 * b, max(1, b // 20))]
+        short = set()
+        for n in ns:
+            q = ((n >> (b - 1)) * R) >> (b + 1)
+            short.add(n // P - q)
+            assert exact._decimal_divmod(n, j) == divmod(n, P), (j, n)
+        assert short <= {0, 1, 2}, (j, short)
+
+
+def test_decimal_string_refuses_a_wrong_reciprocal(monkeypatch, default_digit_limit):
+    # a wrong cached reciprocal raises ArithmeticError after at most
+    # _DECIMAL_CORRECTIONS steps: no hang and no wrong digits
+    from fiverank import exact
+
+    assert exact._DECIMAL_CORRECTIONS == 2
+    n = 10 ** 12_000 - 1                       # splits at P_5, then P_4 down to P_0
+    powers = [exact._decimal_power(j) for j in range(6)]
+    for j in (0, 3, 5):
+        P, b, R = powers[j]
+        for wrong in (R // 2, 2 * R, R + (R >> 8)):
+            monkeypatch.setattr(exact, "_DECIMAL_POWERS",
+                                powers[:j] + [(P, b, wrong)] + powers[j + 1:])
+            with pytest.raises(ArithmeticError, match=rf"10\^{exact._DECIMAL_LEAF << j} "):
+                decimal_string(n)
+    # with the estimate forced to 0, a quotient of 2 is still corrected and
+    # one of 3 is refused
+    P, b, _ = powers[0]
+    monkeypatch.setattr(exact, "_DECIMAL_POWERS", [(P, b, 0)] + powers[1:])
+    assert exact._decimal_divmod(2 * P + 5, 0) == (2, 5)
+    with pytest.raises(ArithmeticError, match="off by more than 2"):
+        exact._decimal_divmod(3 * P + 5, 0)
+    monkeypatch.undo()
+    assert decimal_string(n) == _str(n)
 
 
 def test_decimal_string_keeps_a_few_powers(default_digit_limit):
@@ -225,7 +278,12 @@ def test_decimal_string_keeps_a_few_powers(default_digit_limit):
     for _ in range(200):
         n = rng.getrandbits(rng.choice((64, 2000, 13_000, 40_000, rng.randrange(200_000))))
         assert decimal_string(n) == _str(n)
+    # powers and reciprocals are one cache of a few entries, the reciprocal
+    # of each power floor(4^b / P), one bit longer than P
     assert len(exact._DECIMAL_POWERS) <= 10
+    for j, (P, b, R) in enumerate(exact._DECIMAL_POWERS):
+        assert P == 10 ** (exact._DECIMAL_LEAF << j) and b == P.bit_length()
+        assert R == 4 ** b // P and R.bit_length() == b + 1
     assert str(Ratio(-7 * 10 ** 5000, 3)) == _str(F(-7 * 10 ** 5000, 3))
     assert str(Ratio(10 ** 5000, 1)) == _str(10 ** 5000)
 

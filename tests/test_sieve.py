@@ -2,6 +2,8 @@ import functools
 import json
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from itertools import zip_longest
@@ -615,15 +617,26 @@ def test_pass_density_is_derived_class_by_class():
 def test_check_z_with_radicand_matches_fraction_reference():
     # x(z) from x_and_radicand_form and the certificate's radicand,
     # reduced from its H and d^k by a gcd bounded by a constant, are the
-    # Fraction reference as it stands: lowest terms, positive denominator
-    from fiverank.sieve import x_and_radicand_form
+    # Fraction reference as it stands: lowest terms, positive denominator.
+    # x(z) is reduced by gcd(n mod M, d mod M, M), the plain gcd of the
+    # long pair on both routes, at z = +-p^k m, where n and d share powers
+    # of 29, and at |z| ~ 1e1000
+    from fiverank import sieve
     from fiverank.splitting import verify_instance
 
     sp = specialize()
+    f = sieve._integer_forms()[2]
     zs = _differential_z()
+    routes, shared = set(), 0
     for z in zs:
         cert = verify_instance(z)
-        x, form, _ = x_and_radicand_form(z)
+        x, form, dk = sieve.x_and_radicand_form(z)
+        n, d = sieve.x_pair(z)
+        g = math.gcd(n, d) * (1 if d > 0 else -1)
+        assert (x.numerator, x.denominator) == (n // g, d // g), z
+        assert (form, dk) == sieve._homogeneous(f, n // g, d // g), z
+        routes.add(sieve._direct_route(z))
+        shared += g % 29 ** 4 == 0
         r = cert.radicand
         x_ref, r_ref = sp.x_of_z(F(z)), sp.radicand(z)
         assert (x.numerator, x.denominator) == (x_ref.numerator, x_ref.denominator), z
@@ -631,6 +644,38 @@ def test_check_z_with_radicand_matches_fraction_reference():
         # every z sampled has a gcd above 1 to divide out
         assert form != r.numerator, z
     assert any(abs(z) >= 10 ** 1000 for z in zs)
+    assert routes == {True, False} and shared > 100
+
+
+def test_bezout_identity_holds_and_refuses_a_shared_factor(monkeypatch):
+    from fiverank import sieve
+    from fiverank.errors import IdentityCheckError
+
+    num, den, f, s = sieve._integer_forms()
+    A, B, M = sieve._bezout_identity()
+    total = [a + b for a, b in zip_longest(_poly_mul(A, num), _poly_mul(B, den),
+                                           fillvalue=0)]
+    while total and not total[-1]:
+        total.pop()
+    assert M > 0 and total == [M]
+    # num and den times a common factor 3z + 29: no identity with a
+    # constant right-hand side exists
+    forms = (tuple(_poly_mul(num, (29, 3))), tuple(_poly_mul(den, (29, 3))), f, s)
+    monkeypatch.setattr(sieve, "_integer_forms", lambda: forms)
+    sieve._bezout_identity.cache_clear()
+    with pytest.raises(IdentityCheckError, match="share the factor"):
+        sieve._bezout_identity()
+    monkeypatch.undo()
+    sieve._bezout_identity.cache_clear()
+    assert sieve._bezout_identity() == (A, B, M)
+    # derived by the first x(z), not at import or in the sieve's set-up
+    probe = ("import fiverank.cli\nfrom fiverank import sieve\nsieve.sieve_data()\n"
+             "print(sieve._bezout_identity.cache_info().currsize)\n"
+             "sieve.x_and_radicand_form(7)\n"
+             "print(sieve._bezout_identity.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_reduced_radicand_reaches_its_gcd_bound_on_rational_x():
