@@ -5,15 +5,17 @@ discriminants it recomputes the class number h, by counting the square
 roots of D mod 4a for each leading coefficient a of a reduced form, and
 the 5-rank, from the 5-Sylow subgroup that the reduced forms span under
 Gauss composition, then checks the 5-divisibility that the single-curve
-construction predicts.  group_structure, behind `classgroup --disc`,
-takes the same route for any D < 0: the counted h, then the span of
-each Sylow subgroup, whose layer counts give the invariant factors.
-Everything is exact.  The form engine uses only the exact-arithmetic
-substrate and works on bare (a, b, c) triples, each composed triple
-checked as BinaryQuadraticForm checks a form, which reduce_form, compose
-and form_pow validate at the public boundary.  The oracle that feeds it
-builds its instances from the family, isogeny, sieve, splitting and
-curve modules.
+construction predicts; its irreducibility witness computes each split
+prime's verdict once per residue class of the abscissa, by the argument
+in the splitting module's docstring.  group_structure, behind
+`classgroup --disc`, takes the same route for any D < 0: the counted h,
+then the span of each Sylow subgroup, whose layer counts give the
+invariant factors.  Everything is exact.  The form engine uses only the
+exact-arithmetic substrate and works on bare (a, b, c) triples, each
+composed triple checked as BinaryQuadraticForm checks a form, which
+reduce_form, compose and form_pow validate at the public boundary.  The
+oracle that feeds it builds its instances from the family, isogeny,
+sieve, splitting and curve modules.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import (
+    BadReductionError,
     FiverankError,
     IdentityCheckError,
     OutOfBudgetError,
@@ -36,11 +39,19 @@ from .exact import (
     is_probable_prime,
     rational_mod,
     squarefree_part,
+    valuation_and_residue,
 )
 from .family import five_division_kernel, kubert_curve, quotient_cubic
 from .isogeny import preimage_quintic, velu_onto_model
 from .sieve import reduction_data_for_model, singular_avoidance_passes
-from .splitting import INERT, SPLIT, frobenius_order_in_L, prime_split_in_K
+from .splitting import (
+    INERT,
+    SPLIT,
+    check_residue_precondition,
+    class_representative,
+    frobenius_order_in_L,
+    prime_split_in_K,
+)
 
 DEFAULT_DISC_BOUND = 10**7
 # trial-division bound for the oracle radicand's squarefree part
@@ -552,8 +563,7 @@ def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
     D = fundamental_discriminant(s)
     if -D > disc_bound:
         return OracleOutcome("skip", f"|D| = {-D} over budget", u, x, r, D)
-    quintic = preimage_quintic(phi, F_model.to_long_x(x))
-    witness = _irreducibility_witness(quintic, r)
+    witness = _irreducibility_witness(u, F_model.to_long_x(x), r)
     if witness is None:
         return OracleOutcome("skip", "no quintic irreducibility witness", u, x, r, D)
     h = class_number(D)
@@ -564,24 +574,55 @@ def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
                          h, sylow_layers(D, h, 5)[0], witness)
 
 
-def _irreducibility_witness(quintic, radicand) -> int | None:
-    """A prime l <= WITNESS_BOUND split in K where the quintic is
-    irreducible mod l.
+def _irreducibility_witness(u: Fraction, X: Fraction, radicand) -> int | None:
+    """A prime l <= WITNESS_BOUND split in K where the preimage quintic of
+    the long-form abscissa X on curve u is irreducible mod l.
 
     Ramified primes are passed over.  Any other profile at a split prime
     contradicts the cyclic preimage extension, so the
-    ProtocolViolationError reaches the caller.
+    ProtocolViolationError reaches the caller.  The verdict at l depends
+    on X only through its image in P^1(F_l) (splitting module docstring),
+    so it is read from a memo per residue class, _class_verdict; only
+    where curve u fails that argument's precondition at l does the
+    instance's own quintic decide.
     """
-    ints = quintic.primitive_integer()
     for l in range(3, WITNESS_BOUND + 1, 2):
         if is_probable_prime(l):
             try:
                 if prime_split_in_K(l, radicand) == SPLIT:
-                    if frobenius_order_in_L(ints, l) == INERT:
+                    if _split_prime_verdict(u, X, l) == INERT:
                         return l
             except RamifiedPrimeError:
                 pass
     return None
+
+
+def _split_prime_verdict(u: Fraction, X: Fraction, l: int) -> str:
+    """frobenius_order_in_L at l on the preimage quintic of X on curve u."""
+    if _residue_class_decides(u, l):
+        return _class_verdict(u, l, valuation_and_residue(X.numerator, X.denominator, l)[1])
+    phi = _single_curve_setup(u)[2]
+    return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)
+
+
+@lru_cache(maxsize=4096)
+def _residue_class_decides(u: Fraction, l: int) -> bool:
+    """Whether curve u meets the residue precondition at l."""
+    try:
+        check_residue_precondition(_single_curve_setup(u)[2].x_map, l, f"u = {u}")
+    except BadReductionError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=4096)
+def _class_verdict(u: Fraction, l: int, point: int | None) -> str:
+    """frobenius_order_in_L at l for every abscissa of curve u over
+    `point` in P^1(F_l), computed on its class_representative.  Errors
+    are not cached, so each lookup raises them again."""
+    phi = _single_curve_setup(u)[2]
+    quintic = preimage_quintic(phi, class_representative(point, l))
+    return frobenius_order_in_L(quintic.primitive_integer(), l)
 
 
 def oracle_scan(count: int, trial_bound: int = RADICAND_TRIAL_BOUND,

@@ -10,8 +10,10 @@ the zero polynomial has an empty coefficient tuple.  Coefficients may be
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -73,12 +75,91 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+# the odd primes >= 5 up to _prime_limit, in order, grown on demand, and
+# the product of each run of _BLOCK of them (the last run may be short)
+_primes = array("I")
+_prime_limit = 4
+_BLOCK = 64
+_block_products: list[int] = []
+
+
+def _grow_primes(hi: int) -> None:
+    """Raise _prime_limit to hi <= 2 * _prime_limit, sieving the new
+    segment by the primes up to its square root, all of which the table
+    (or 3) already holds."""
+    global _prime_limit
+    lo = _prime_limit + 1 | 1
+    size = (hi - lo) // 2 + 1               # the odd numbers lo, lo + 2, ..., <= hi
+    sieve = bytearray([1]) * size
+    for p in itertools.chain((3,), _primes):
+        if p * p > hi:
+            break
+        first = max(p * p, -(-lo // p) * p)
+        if first % 2 == 0:
+            first += p
+        start = (first - lo) // 2
+        sieve[start::p] = bytes(len(range(start, size, p)))
+    _primes.extend(itertools.compress(range(lo, hi + 1, 2), sieve))
+    _prime_limit = hi
+    del _block_products[len(_block_products) - 1:]     # the last run may have been short
+    for i in range(len(_block_products) * _BLOCK, len(_primes), _BLOCK):
+        _block_products.append(math.prod(_primes[i:i + _BLOCK]))
+
+
+def _divide_table_primes(n: int, bound: int, factors: dict[int, int]) -> int:
+    """Divide out of n every table prime p <= bound with p^2 <= n, n the
+    cofactor left at p, counting them in factors; returns the cofactor."""
+    i = 0
+    while True:
+        if i == len(_primes):
+            # every prime up to _prime_limit is tried; the next one exceeds it
+            if _prime_limit >= bound or (_prime_limit + 1) ** 2 > n:
+                return n
+            _grow_primes(min(2 * _prime_limit, bound))
+            continue
+        p = _primes[i]
+        if p > bound or p * p > n:
+            return n
+        block, offset = divmod(i, _BLOCK)
+        run = _primes[i:(block + 1) * _BLOCK]
+        # the rest of a run begun before the table grew is tried prime by prime
+        g = n if offset else math.gcd(n, _block_products[block])
+        if g != 1:
+            for p in run:
+                if p > bound or p * p > n:
+                    return n
+                if g % p == 0:
+                    while n % p == 0:
+                        factors[p] = factors.get(p, 0) + 1
+                        n //= p
+        i += len(run)
+
+
+def _primes_up_to(m: int):
+    """The primes <= m in increasing order, read from the table."""
+    while _prime_limit < m:
+        _grow_primes(min(2 * _prime_limit, m))
+    return itertools.takewhile(m.__ge__, itertools.chain((2, 3), _primes))
+
+
 def trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
     """Factor |n| by trial division up to ``bound``.
 
     Returns (factors, cofactor) where cofactor collects whatever is left;
     a cofactor of 1 means the factorization is complete.  A prime cofactor
     (Miller-Rabin) is folded into the factor dict.
+
+    After 2 and 3, the candidates are the table of odd primes >= 5, taken
+    in runs of _BLOCK: one gcd of n with a run's product passes over the
+    whole run when it is 1 (Bernstein, How to find small factors of
+    integers, 2002), and only a run that shares a factor with n is tried
+    prime by prime.  Either way the primes tried are those p <= bound
+    with p^2 <= n for the cofactor n left at p, as by plain trial
+    division.  The table grows only when the loop has used up every
+    prime in it and the next one could still be needed, and then its
+    limit doubles, capped at the bound: so it never holds a prime beyond
+    the largest bound asked for, nor beyond twice the largest prime a
+    call has needed.
     """
     n = abs(n)
     if n == 0:
@@ -88,14 +169,7 @@ def trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    p = 5
-    step = 2
-    while p <= bound and p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += step
-        step = 6 - step
+    n = _divide_table_primes(n, bound, factors)
     if n > 1:
         if n <= bound * bound or is_probable_prime(n):
             # any remaining n <= bound^2 with no divisor <= bound is prime
@@ -187,8 +261,9 @@ def squarefree_part(n: int, trial_bound: int = 10**6) -> tuple[int, bool]:
     if cofactor == 1:
         return s, True
     # The cofactor's prime factors all exceed the bound; a perfect power is
-    # still recognizable without factoring it.
-    for e in range(2, cofactor.bit_length() + 1):
+    # still recognizable without factoring it.  Its least exponent is
+    # prime, since r^(ab) = (r^a)^b, so only prime e are tried.
+    for e in _primes_up_to(cofactor.bit_length()):
         root = integer_nth_root(cofactor, e)
         if root ** e == cofactor:
             if e % 2 == 0:

@@ -20,11 +20,14 @@ primitive integer form of the preimage quintic is +-(b N0 - a D0)/g
 with g its content, so mod l it is a unit times (b N0 - a D0) whenever
 l does not divide g.  That holds when l does not divide lc(N0) and D0 is
 not 0 mod l: g divides the leading coefficient b lc(N0), and when l | b
-the reduction is -a D0 with a a unit.  Under that precondition, checked
-once per curve and prime, the verdict on any abscissa equals the
-verdict on a small representative of its class (the residue itself, or
-1/l for infinity), so each of the at most 3 (l + 1) verdicts per prime
-is computed once and reused for every z.
+the reduction is -a D0 with a a unit.  Under that precondition
+(check_residue_precondition), checked once per isogeny and prime, the
+verdict on any abscissa, or the error with its message, equals the one
+on a small representative of its class (class_representative: the
+residue itself, or 1/l for infinity).  So each of the at most l + 1
+verdicts per isogeny and prime is computed once and reused: for every z
+on the three curves here, and for every abscissa of one curve in the
+class-group oracle's witness search.
 
 A certificate does integer arithmetic only on the long numbers of a
 large z, and none of it divides one long number by another.  The sieve
@@ -201,24 +204,33 @@ class FieldCertificate:
         }
 
 
-@lru_cache(maxsize=None)
-def _check_residue_precondition(j: int, l: int) -> None:
-    """Refuse l unless curve j's verdict at l is a function of x mod l.
+def check_residue_precondition(x_map, l: int, name: str) -> None:
+    """Refuse l unless the verdicts at l of the isogeny with this x-map
+    are a function of the abscissa's image in P^1(F_l).
 
     See the module docstring: the x-map N0/D0 must keep degree 5 mod l
-    (l does not divide lc(N0)) and D0 must not vanish mod l.
+    (l does not divide lc(N0)) and D0 must not vanish mod l.  `name`
+    names the isogeny in the BadReductionError.
     """
-    x_map = specialize().isogenies[j].x_map
     num, den = integer_coefficients(x_map.num, x_map.den)
     content = math.gcd(*num, *den)
-    n0 = [c // content for c in num]
-    d0 = [c // content for c in den]
-    if n0[-1] % l == 0:
+    if num[-1] // content % l == 0:
         raise BadReductionError(
-            f"{l} divides the leading coefficient of the x-map numerator of curve {j + 1}")
-    if all(c % l == 0 for c in d0):
-        raise BadReductionError(
-            f"the x-map denominator of curve {j + 1} vanishes mod {l}")
+            f"{l} divides the leading coefficient of the x-map numerator of {name}")
+    if all(c // content % l == 0 for c in den):
+        raise BadReductionError(f"the x-map denominator of {name} vanishes mod {l}")
+
+
+def class_representative(point: int | None, l: int) -> Fraction:
+    """The small abscissa whose verdict at l stands for its class
+    `point` in P^1(F_l) (None is infinity): the residue, or 1/l."""
+    return Fraction(1, l) if point is None else Fraction(point)
+
+
+@lru_cache(maxsize=None)
+def _check_residue_precondition(j: int, l: int) -> None:
+    """check_residue_precondition for curve j of the specialization."""
+    check_residue_precondition(specialize().isogenies[j].x_map, l, f"curve {j + 1}")
 
 
 @lru_cache(maxsize=None)
@@ -226,12 +238,11 @@ def _frobenius_verdict(j: int, l: int, point: int | None) -> str:
     """frobenius_order_in_L for every abscissa of curve j over `point`.
 
     `point` is the image of the long-form abscissa in P^1(F_l) (None is
-    infinity); the verdict is computed once, on a small representative
-    of that class.  Errors are not cached.
+    infinity); the verdict is computed once, on its class_representative.
+    Errors are not cached.
     """
     _check_residue_precondition(j, l)
-    rep = Fraction(1, l) if point is None else Fraction(point)
-    quintic = preimage_quintic(specialize().isogenies[j], rep)
+    quintic = preimage_quintic(specialize().isogenies[j], class_representative(point, l))
     return frobenius_order_in_L(quintic.primitive_integer(), l)
 
 

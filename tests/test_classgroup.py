@@ -23,7 +23,13 @@ from fiverank.classgroup import (
     small_instance_oracle,
     sylow_layers,
 )
-from fiverank.errors import IdentityCheckError, OutOfBudgetError
+from fiverank.errors import (
+    FiverankError,
+    IdentityCheckError,
+    OutOfBudgetError,
+    RamifiedPrimeError,
+)
+from fiverank.exact import is_probable_prime
 
 
 def test_form_validation():
@@ -733,7 +739,7 @@ def test_quotient_reduction_data_decides_semistability():
     # parameter that sets up and on a small grid of u
     from fiverank import classgroup
     from fiverank.curves import is_semistable
-    from fiverank.errors import FiverankError, UnsupportedReductionError
+    from fiverank.errors import UnsupportedReductionError
     from fiverank.family import kubert_curve, quotient_cubic
     from fiverank.sieve import reduction_data_for_model
 
@@ -770,7 +776,88 @@ def test_oracle_refuses_a_wrong_class_number(monkeypatch):
         small_instance_oracle(F(2, 3), F(1))
 
 
-def test_oracle_witness_search_raises_protocol_violations(monkeypatch):
+@pytest.fixture
+def cold_witness_memo():
+    """The witness memo emptied before and after the test: a warm memo
+    never reaches a patched frobenius_order_in_L or preimage_quintic,
+    and a verdict computed under a patch must not outlive it."""
+    from fiverank import classgroup
+
+    memos = (classgroup._class_verdict, classgroup._residue_class_decides)
+    for memo in memos:
+        memo.cache_clear()
+    yield classgroup
+    for memo in memos:
+        memo.cache_clear()
+
+
+def _verdict_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except FiverankError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo):
+    # on the whole default grid of both verdict-reaching u, at every prime
+    # up to WITNESS_BOUND split in K, the memoized verdict is the one the
+    # instance's own quintic gives: the same verdict, or the same error
+    # class and message.  Costs about 15 s: the quintic side factors
+    # every instance's own quintic, as the memo exists to avoid
+    from fiverank.isogeny import preimage_quintic
+    from fiverank.splitting import SPLIT, frobenius_order_in_L, prime_split_in_K
+
+    classgroup = cold_witness_memo
+    primes = [l for l in range(3, classgroup.WITNESS_BOUND + 1, 2) if is_probable_prime(l)]
+    grid = [F(num, den) for num in range(-classgroup.SCAN_X_RANGE, classgroup.SCAN_X_RANGE + 1)
+            for den in (1, 2, 3) if math.gcd(abs(num), den) == 1]
+    routes, outcomes, found = set(), set(), {}
+    for u in (F(2, 3), F(-3, 2)):
+        F_model, _, phi = classgroup._single_curve_setup(u)
+        for x in grid:
+            r = F_model.rhs(x)
+            if r == 0:
+                continue
+            X = F_model.to_long_x(x)
+            ints = preimage_quintic(phi, X).primitive_integer()
+            for l in primes:
+                # the witness search asks only at primes split in K; the
+                # class at infinity and the precondition fallback, which it
+                # never meets on this grid, are checked at any prime
+                if (prime_split_in_K(l, r) != SPLIT and X.denominator % l
+                        and classgroup._residue_class_decides(u, l)):
+                    continue
+                memo = _verdict_or_error(classgroup._split_prime_verdict, u, X, l)
+                assert memo == _verdict_or_error(frobenius_order_in_L, ints, l), (u, x, l)
+                if not classgroup._residue_class_decides(u, l):
+                    routes.add(("own quintic", u, l))
+                elif X.denominator % l == 0:
+                    routes.add("infinity")
+                outcome = memo[0] if isinstance(memo, tuple) else memo
+                outcomes.add(outcome)
+                if classgroup._residue_class_decides(u, l):
+                    found.setdefault(outcome, (u, X, l))
+    # the class at infinity, and the one precondition fallback of the grid
+    assert routes == {"infinity", ("own quintic", F(2, 3), 3)}
+    assert outcomes == {"split", "inert", "RamifiedPrimeError"}
+    # far more classes than the memo holds: it stays at its bound
+    info = classgroup._class_verdict.cache_info()
+    assert info.hits > 0
+    assert info.maxsize is not None and info.currsize == info.maxsize < info.misses
+    # an error is raised again on every lookup, never stored
+    for _ in range(2):
+        with pytest.raises(RamifiedPrimeError):
+            classgroup._split_prime_verdict(*found["RamifiedPrimeError"])
+    assert classgroup._class_verdict.cache_info().currsize == info.currsize
+    # after cache_clear the next lookup is a miss again, the one after a hit
+    classgroup._class_verdict.cache_clear()
+    for _ in range(2):
+        assert classgroup._split_prime_verdict(*found["inert"]) == "inert"
+        assert classgroup._class_verdict.cache_info().misses == 1
+    assert classgroup._class_verdict.cache_info().hits == 1
+
+
+def test_oracle_witness_search_raises_protocol_violations(monkeypatch, cold_witness_memo):
     # at a prime split in K only the profiles [1,1,1,1,1] and [5] fit the
     # cyclic preimage extension; anything else is an error, not a skip
     from fiverank import classgroup

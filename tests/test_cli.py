@@ -463,6 +463,21 @@ def test_cmd_oracle_grid_pinned(capsys):
         "338fa89c75a697d4f39c3afe13cb1d8b58c90ce05dbc18a77714bdbb9ed9fc17"
 
 
+def test_cmd_oracle_grid_pinned_at_a_small_trial_bound(tmp_path, capsys):
+    # trial_bound = 1000 leaves 95 radicands unfactored, so the grid goes
+    # through trial_factor's cofactor tests and squarefree_part's perfect
+    # powers; hashed before trial division read a prime table
+    conf = tmp_path / "fiverank.conf"
+    conf.write_text("trial_bound = 1000\n")
+    code = main(["--config", str(conf), "oracle", "--count", "100000", "--include-skips"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 6786
+    assert out.count('"reason":"radicand not factored within bound"') == 95
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0d3ce011cd41f160377fb113bc3ac73521900baa9fc9033d2be07b0340e9ff1b"
+
+
 def test_cmd_verify_records_pinned(capsys):
     # SHA-256 and exit codes of the verify stdout; any drift in
     # certificates fails here

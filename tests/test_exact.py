@@ -130,6 +130,40 @@ def test_squarefree_part_zero():
         squarefree_part(0, 100)
 
 
+def _reference_squarefree_part(n, trial_bound):
+    """squarefree_part with the perfect-power test run on every exponent e,
+    prime or not."""
+    sign = -1 if n < 0 else 1
+    factors, cofactor = trial_factor(n, trial_bound)
+    s = sign
+    for p, e in factors.items():
+        if e % 2:
+            s *= p
+    if cofactor == 1:
+        return s, True
+    for e in range(2, cofactor.bit_length() + 1):
+        root = integer_nth_root(cofactor, e)
+        if root ** e == cofactor:
+            if e % 2 == 0:
+                return s, True
+            sub, complete = _reference_squarefree_part(root, trial_bound)
+            return s * sub, complete
+    return s * cofactor, False
+
+
+def test_squarefree_part_tries_prime_exponents_only():
+    # q^e m with q above the bound: the cofactor q^e (times whatever of m
+    # is left) is a perfect power whose least exponent is prime
+    for q in (1009, 1013, 65537, 1000003):
+        for e in range(2, 13):
+            for m in (1, -1, 2, -12, 1019, 1019 * 1021, 7 * 1031 ** 3):
+                n = q ** e * m
+                assert squarefree_part(n, 1000) == _reference_squarefree_part(n, 1000), \
+                    (q, e, m)
+    assert squarefree_part(1009 ** 12, 1000) == (1, True)
+    assert squarefree_part(-(1009 ** 9), 1000) == (-1009, True)
+
+
 def test_integer_nth_root():
     assert integer_nth_root(10**18, 3) == 10**6
     assert integer_nth_root(2**401 - 1, 401) == 1
@@ -286,6 +320,157 @@ def test_decimal_string_keeps_a_few_powers(default_digit_limit):
         assert R == 4 ** b // P and R.bit_length() == b + 1
     assert str(Ratio(-7 * 10 ** 5000, 3)) == _str(F(-7 * 10 ** 5000, 3))
     assert str(Ratio(10 ** 5000, 1)) == _str(10 ** 5000)
+
+
+def _reference_trial_factor(n, bound):
+    """trial_factor by plain trial division over 5, 7, 11, 13, ... (6k +- 1)."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    factors = {}
+    for p in (2, 3):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    p = 5
+    step = 2
+    while p <= bound and p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += step
+        step = 6 - step
+    if n > 1:
+        if n <= bound * bound or is_probable_prime(n):
+            factors[n] = factors.get(n, 0) + 1
+            n = 1
+    return factors, n
+
+
+@pytest.fixture
+def fresh_prime_table(monkeypatch):
+    """An empty prime table, grown from scratch by the test."""
+    from array import array
+
+    from fiverank import exact
+
+    monkeypatch.setattr(exact, "_primes", array("I"))
+    monkeypatch.setattr(exact, "_prime_limit", 4)
+    monkeypatch.setattr(exact, "_block_products", [])
+    return exact
+
+
+def _straddling_primes(points):
+    """The two primes on either side of each point."""
+    out = []
+    for m in points:
+        below = m - 1
+        while not is_probable_prime(below):
+            below -= 1
+        above = m + 1
+        while not is_probable_prime(above):
+            above += 1
+        out += [below, above]
+    return out
+
+
+def test_trial_factor_matches_plain_trial_division(fresh_prime_table):
+    # the table grows while this runs, so calls meet it at every size:
+    # runs of primes tried whole, tried in part after a growth, and cut
+    # short by the bound or by p^2 > n
+    rng = random.Random(20261019)
+    small_bounds = list(range(1, 41)) + [1000]
+    big_bounds = [10 ** 6, 10 ** 7]
+    cases = []
+    for _ in range(300):
+        cases.append((rng.choice((1, -1)) * rng.randrange(1, 2 ** 64), small_bounds))
+    for _ in range(20):
+        cases.append((rng.randrange(1, 2 ** 40), small_bounds + big_bounds))
+    # prime squares and products straddling the bounds and the points
+    # where the table's limit doubles (powers of 2, capped at the bound)
+    points = [2 ** k for k in range(3, 18)] + [10, 20, 30, 40, 1000]
+    near = _straddling_primes(points)
+    for p in near:
+        cases.append((p * p, small_bounds + big_bounds))
+        cases.append((-12 * p * p * p, small_bounds))
+    for p, q in zip(near[::2], near[1::2]):
+        cases.append((p * q, small_bounds + big_bounds))
+        cases.append((5 * 7 * p * q * q, small_bounds))
+    p, q = _straddling_primes([10 ** 6])
+    cases.append((p * q, small_bounds + big_bounds))
+    for n in (1, -1, 2, 3, 4, 25, 35, 49, 2 ** 61 - 1, 3 ** 40, (2 ** 31 - 1) ** 2):
+        cases.append((n, small_bounds + big_bounds))
+    for n, bounds in cases:
+        for bound in bounds:
+            got = trial_factor(n, bound)
+            want = _reference_trial_factor(n, bound)
+            # the same factors, found in the same order
+            assert got == want and list(got[0]) == list(want[0]), (n, bound)
+    for bound in small_bounds + big_bounds:
+        with pytest.raises(ValueError):
+            trial_factor(0, bound)
+    exact = fresh_prime_table
+    limit, block = exact._prime_limit, exact._BLOCK
+    assert limit <= 10 ** 7
+    sieve = bytearray([1]) * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    assert list(exact._primes) == [p for p in range(5, limit + 1) if sieve[p]]
+    assert len(exact._block_products) == -(-len(exact._primes) // block)
+    for k, product in enumerate(exact._block_products):
+        assert product == math.prod(exact._primes[k * block:(k + 1) * block])
+
+
+def _largest_prime_tried(n, bound):
+    """The largest prime that plain trial division of n up to bound tries."""
+    n = abs(n)
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+    p, step, largest = 5, 2, 3
+    while p <= bound and p * p <= n:
+        if is_probable_prime(p):
+            largest = p
+        while n % p == 0:
+            n //= p
+        p += step
+        step = 6 - step
+    return largest
+
+
+def test_prime_table_grows_only_as_far_as_needed(fresh_prime_table, monkeypatch):
+    # curve setup factors discriminants with bound 10^7, yet needs only
+    # small primes: the table must not be sieved up to the bound or to
+    # sqrt(n) ahead of the loop
+    from fiverank import classgroup, curves, sieve
+    from fiverank.classgroup import SCAN_U
+    from fiverank.errors import FiverankError
+
+    exact = fresh_prime_table
+    calls = []
+    real = exact.trial_factor
+
+    def recorded(n, bound):
+        calls.append((n, bound))
+        return real(n, bound)
+
+    monkeypatch.setattr(exact, "trial_factor", recorded)
+    monkeypatch.setattr(curves, "trial_factor", recorded)
+    # the functions behind the caches, so that the cached values stay put
+    sieve.sieve_data.__wrapped__()
+    for u in SCAN_U:
+        try:
+            classgroup._single_curve_setup.__wrapped__(u)
+        except FiverankError:
+            pass
+    assert any(bound == 10 ** 7 for _, bound in calls)
+    prime_60 = 2 ** 60 - 93
+    assert is_probable_prime(prime_60)
+    assert exact.trial_factor(prime_60, 1000) == ({prime_60: 1}, 1)
+    needed = max(_largest_prime_tried(n, bound) for n, bound in calls)
+    assert needed == 997
+    assert exact._primes[-1] <= 2 * needed
 
 
 def test_trial_factor_prime_cofactor():
