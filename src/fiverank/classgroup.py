@@ -6,8 +6,12 @@ roots of D mod 4a for each leading coefficient a of a reduced form, and
 the 5-rank, from the 5-Sylow subgroup that the reduced forms span under
 Gauss composition, then checks the 5-divisibility that the single-curve
 construction predicts; its irreducibility witness computes each split
-prime's verdict once per residue class of the abscissa, by the argument
-in the splitting module's docstring.  group_structure, behind
+prime's verdict, or the error it raises, once per residue class of the
+abscissa, by the argument in the splitting module's docstring.  The
+facts of a curve parameter u (u = +-1 mod 5, the curve setup and the
+integer coefficients of the quotient cubic with their common scale s)
+are found once per u, and an instance's radicand g_u(n/d) is H / (s d^3),
+H = d^3 s g_u(n/d) by one integer Horner pass.  group_structure, behind
 `classgroup --disc`, takes the same route for any D < 0: the counted h,
 then the span of each Sylow subgroup, whose layer counts give the
 invariant factors.  Everything is exact.  The form engine uses only the
@@ -20,6 +24,7 @@ sieve, splitting and curve modules.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import astuple, dataclass
@@ -36,6 +41,7 @@ from .errors import (
 )
 from .exact import (
     factor_completely,
+    integer_coefficients,
     is_probable_prime,
     rational_mod,
     squarefree_part,
@@ -43,7 +49,7 @@ from .exact import (
 )
 from .family import five_division_kernel, kubert_curve, quotient_cubic
 from .isogeny import preimage_quintic, velu_onto_model
-from .sieve import reduction_data_for_model, singular_avoidance_passes
+from .sieve import _homogeneous, reduction_data_for_model, singular_avoidance_passes
 from .splitting import (
     INERT,
     SPLIT,
@@ -57,6 +63,8 @@ DEFAULT_DISC_BOUND = 10**7
 # trial-division bound for the oracle radicand's squarefree part
 RADICAND_TRIAL_BOUND = 10**6
 _spf: list[int] = []        # smallest prime factor of each k < len(_spf), for every D
+_spf_primes: list[int] = []  # the primes below len(_spf)
+_spf_rest: list[int] = []    # k with the powers of _spf[k] divided out
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +216,24 @@ def class_number(D: int) -> int:
     p = 2, half the number mod 4 * 2^k, since b^2 mod 4a depends on
     b mod 2a only.  The roots are primitive forms unless a prime p | a
     has p^2 | D and D/p^2 = 0 or 1 (mod 4).  Such a, and the a with
-    4a^2 > |D|, where c >= a needs b itself, go to _listed_count.  A
-    smallest-prime-factor sieve splits each a into prime powers, and the
-    a divisible by a prime power with no roots are struck out first.
+    4a^2 > |D|, where c >= a needs b itself, go to _listed_count.  The
+    primes up to sqrt(|D|/3) come from the prime list kept beside the
+    shared smallest-prime-factor table.  The a divisible by a prime power
+    with no roots are struck out first, each stretch of multiples zeroed
+    from one buffer, and r(a) = r(a/p^k) * (the count at p^k) for the
+    smallest prime p of a, read from the same tables.
     """
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)               # the largest a with 4a^2 <= |D|
-    spf = _smallest_prime_factors(amax)     # may run past amax
+    spf, primes, rest = _smallest_prime_factors(amax)   # may run past amax
     roots = {}                              # p^k -> roots of x^2 = D mod p^k
     local = {}                              # p^k -> its factor of r(a)
     has_roots = bytearray([0]) + bytearray([1]) * amax
+    # 1: list the roots (the band); 2: list them and test primitivity
     listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
-    for p in range(2, amax + 1):
-        if spf[p] != p:
-            continue
+    zeros = memoryview(bytes(amax))
+    for p in itertools.islice(primes, bisect.bisect_right(primes, amax)):
         q = p
         if p > 2 and D % p:
             # Euler's criterion by the builtin pow: exact.jacobi in its
@@ -240,62 +251,57 @@ def class_number(D: int) -> int:
                 q *= p
             # D/p^2 = D (mod 4) at an odd p
             if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
-                listed[p::p] = bytearray([1]) * len(range(p, amax + 1, p))
+                listed[p::p] = b"\2" * (amax // p)
         if q <= amax:
-            has_roots[q::q] = bytes(len(range(q, amax + 1, q)))
-    count = 0
-    for a in itertools.compress(range(amax + 1), has_roots):
-        if listed[a]:
-            count += _listed_count(D, a, spf, roots)
-            continue
-        n, r = a, 1
-        while n > 1:
-            p = q = spf[n]
-            n //= p
-            while n % p == 0:
-                n //= p
-                q *= p
-            r *= local[q]
-        count += r
+            has_roots[q::q] = zeros[:amax // q]
+    r = [0] * (amax + 1)                   # r(a) for the a not struck out
+    r[1] = count = 1                        # a = 1: the principal form
+    for a in itertools.compress(range(2, amax + 1), has_roots[2:]):
+        b = rest[a]                         # r(a) = r(b) * local[a // b]
+        r[a] = n = r[b] * local[a // b]
+        count += _listed_count(D, a, spf, rest, roots, listed[a] == 2) if listed[a] else n
     return count
 
 
-def _listed_count(D: int, a: int, spf: list[int], roots: dict) -> int:
-    """The reduced primitive forms with leading coefficient a, each b
-    tested: the roots mod 4a are joined by CRT from those mod the prime
-    powers of 4a, and the roots below 2a give every b in (-a, a] once."""
-    n, mod = a, 4
-    while n % 2 == 0:
-        n //= 2
-        mod *= 2
-    found = _prime_power_roots(D, 2, mod, roots)
+def _listed_count(D: int, a: int, spf: list[int], rest: list[int], roots: dict,
+                  imprimitive: bool) -> int:
+    """The reduced forms with leading coefficient a, each b tested: the
+    roots mod 2a are joined by CRT from those mod 2^(k+1), for 2^k || a,
+    and mod the odd prime powers of a, so each b in (-a, a] comes once.
+    c >= a is b^2 >= 4a^2 + D, tested before c is built; primitivity is
+    tested only where a prime p | a may divide the form (imprimitive)."""
+    n = rest[a] if a % 2 == 0 else a
+    mod = 2 * (a // n)
+    # b^2 mod 2 * mod depends on b mod mod only
+    found = ([D & 1] if mod == 2 else
+             [x for x in _prime_power_roots(D, 2, 2 * mod, roots) if x < mod])
     while n > 1:
-        p = q = spf[n]
-        n //= p
-        while n % p == 0:
-            n //= p
-            q *= p
+        m = rest[n]
+        q = n // m
         inv = pow(mod, -1, q)
         found = [x + mod * ((s - x) * inv % q)
-                 for x in found for s in _prime_power_roots(D, p, q, roots)]
+                 for x in found for s in _prime_power_roots(D, spf[n], q, roots)]
         mod *= q
+        n = m
+    bound = 4 * a * a + D
     count = 0
     for b in found:
-        if b >= 2 * a:
-            continue
         if b > a:
-            b -= 2 * a
-        c = (b * b - D) // (4 * a)
-        if c < a or (b < 0 and (b == -a or a == c)):
+            b -= mod
+        bb = b * b
+        if bb < bound or (bb == bound and b < 0):
             continue
-        if math.gcd(math.gcd(a, b), c) == 1:
-            count += 1
+        if imprimitive and math.gcd(a, b, (bb - D) // (4 * a)) != 1:
+            continue
+        count += 1
     return count
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """The shared smallest-prime-factor table, grown by doubling to cover 0..n."""
-    global _spf
+def _smallest_prime_factors(n: int) -> tuple[list[int], list[int], list[int]]:
+    """The shared smallest-prime-factor table spf, grown by doubling to
+    cover 0..n, the list of the primes in it, and rest: k with the
+    powers of spf[k] divided out."""
+    global _spf, _spf_primes, _spf_rest
     if len(_spf) <= n:
         spf = list(range(max(n, 2 * len(_spf)) + 1))
         for p in range(2, math.isqrt(len(spf)) + 1):
@@ -303,8 +309,12 @@ def _smallest_prime_factors(n: int) -> list[int]:
                 for k in range(p * p, len(spf), p):
                     if spf[k] == k:
                         spf[k] = p
-        _spf = spf
-    return _spf
+        rest = [1] * len(spf)
+        for k in range(2, len(spf)):
+            m = k // spf[k]
+            rest[k] = rest[m] if spf[m] == spf[k] else m
+        _spf, _spf_primes, _spf_rest = spf, [p for p in range(2, len(spf)) if spf[p] == p], rest
+    return _spf, _spf_primes, _spf_rest
 
 
 def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
@@ -324,9 +334,13 @@ def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
 
 
 def _sqrt_mod_prime(D: int, p: int) -> list[int]:
-    """The roots of x^2 = D mod an odd prime p that does not divide D, by
+    """The roots of x^2 = D mod an odd prime p that does not divide D: at
+    p = 3 mod 4 one power, n^((p+1)/4), checked by squaring; otherwise
     Tonelli-Shanks, after Euler's criterion with the builtin pow."""
     n = D % p
+    if p % 4 == 3:                          # r = n^((p+1)/4) when n is a square
+        r = pow(n, (p + 1) // 4, p)
+        return [r, p - r] if r * r % p == n else []
     if pow(n, (p - 1) // 2, p) != 1:
         return []
     s, odd = 0, p - 1
@@ -416,9 +430,10 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
     b < 0, whose inverses (a, -b, c) are listed too.  An image already in
     the span has order dividing q^e, so only a new one needs the order
     check.  g -> g^q then takes the span to its subgroups of q^k-th
-    powers, and the kernel of the k-th step has q^m_k(q) classes.  A form
-    with f^h != 1, a span beyond q^e classes or reduced forms that never
-    reach q^e mean h is wrong: IdentityCheckError.
+    powers, and the kernel of the k-th step has q^m_k(q) classes; a
+    subgroup of exactly q classes is cyclic, so its one layer, 1, needs
+    no power.  A form with f^h != 1, a span beyond q^e classes or reduced
+    forms that never reach q^e mean h is wrong: IdentityCheckError.
     """
     _check_discriminant(D)
     if h < 1:
@@ -454,6 +469,9 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
                 f"reduced forms of {D} span more than {q}^{e} classes for h = {h}")
     layers = []
     while len(span) > 1:
+        if len(span) == q:                  # a group of prime order q is cyclic
+            layers.append(1)
+            break
         powers = {_pow(g, q, D, ident) for g in span}
         layers.append(_int_log(len(span) // len(powers), q))
         span = powers
@@ -532,6 +550,32 @@ def _single_curve_setup(u: Fraction):
     return F_model, data, phi
 
 
+@lru_cache(maxsize=64)
+def _oracle_curve(num: int, den: int):
+    """(F_model, reduction data of F, g, s) for u = num/den: what
+    small_instance_oracle reads of u, found once per u and keyed by the
+    integers of u, so that no lookup hashes a Fraction.  g is the integer
+    form s * F_model.poly of the radicand's cubic, s the least common
+    denominator of its coefficients.  Raises ValueError unless u = +-1
+    mod 5; lru_cache stores no error, so every call with such a u raises
+    it again.
+    """
+    u = Fraction(num, den)
+    if den % 5 == 0 or rational_mod(u, 5) not in (1, 4):
+        raise ValueError("u must be +-1 mod 5 for a semistable pair")
+    F_model, data, _ = _single_curve_setup(u)
+    g, = integer_coefficients(F_model.poly)
+    return F_model, data, tuple(g), int(g[-1] / F_model.lead)
+
+
+def _radicand(g: tuple[int, ...], scale: int, x: Fraction) -> Fraction:
+    """g_u(x), for the integer form g = scale * g_u of _oracle_curve:
+    H / (scale d^3) for x = n/d, with H = d^3 scale g_u(n/d) by integer
+    Horner, so one gcd where CubicModel.rhs takes one per Fraction step."""
+    H, d3 = _homogeneous(g, x.numerator, x.denominator)
+    return Fraction(H, scale * d3)
+
+
 def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
                           disc_bound: int = DEFAULT_DISC_BOUND) -> OracleOutcome:
     """Check 5 | h(K) for one single-curve instance.
@@ -544,18 +588,24 @@ def small_instance_oracle(u, x, trial_bound: int = RADICAND_TRIAL_BOUND,
     over K (certified through an auxiliary split prime with an
     irreducible profile).  Budget or factorization problems produce
     skips, never verdicts.
+
+    The facts of u (the congruence, the curve setup, and the cubic's
+    integer form g = s g_u with its scale s) come from _oracle_curve,
+    once per u.  The radicand g_u(n/d) is H / (s d^3), with H = d^3 s
+    g_u(n/d) by integer Horner on g (_radicand): the value that
+    F_model.rhs(x) gives.
     """
-    u = Fraction(u)
-    x = Fraction(x)
-    if u.denominator % 5 == 0 or rational_mod(u, 5) not in (1, 4):
-        raise ValueError("u must be +-1 mod 5 for a semistable pair")
-    F_model, data, phi = _single_curve_setup(u)
+    if type(u) is not Fraction:
+        u = Fraction(u)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    F_model, data, g, scale = _oracle_curve(u.numerator, u.denominator)
     if not singular_avoidance_passes(data, x):
         return OracleOutcome("skip", "extension conditions not met", u, x)
-    r = F_model.rhs(x)
-    if r == 0:
+    r = _radicand(g, scale, x)
+    if r.numerator == 0:
         return OracleOutcome("skip", "point is 2-torsion", u, x, r)
-    if r > 0:
+    if r.numerator > 0:
         return OracleOutcome("skip", "real field (outside oracle scope)", u, x, r)
     s, complete = squarefree_part(r.numerator * r.denominator, trial_bound)
     if not complete:
@@ -600,7 +650,11 @@ def _irreducibility_witness(u: Fraction, X: Fraction, radicand) -> int | None:
 def _split_prime_verdict(u: Fraction, X: Fraction, l: int) -> str:
     """frobenius_order_in_L at l on the preimage quintic of X on curve u."""
     if _residue_class_decides(u, l):
-        return _class_verdict(u, l, valuation_and_residue(X.numerator, X.denominator, l)[1])
+        verdict = _class_verdict(u, l, valuation_and_residue(X.numerator, X.denominator, l)[1])
+        if type(verdict) is str:
+            return verdict
+        error, message = verdict
+        raise error(message)
     phi = _single_curve_setup(u)[2]
     return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)
 
@@ -616,13 +670,21 @@ def _residue_class_decides(u: Fraction, l: int) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _class_verdict(u: Fraction, l: int, point: int | None) -> str:
+def _class_verdict(u: Fraction, l: int, point: int | None) -> str | tuple[type, str]:
     """frobenius_order_in_L at l for every abscissa of curve u over
-    `point` in P^1(F_l), computed on its class_representative.  Errors
-    are not cached, so each lookup raises them again."""
+    `point` in P^1(F_l), computed on its class_representative, or the
+    class and message of the FiverankError that preimage_quintic or
+    frobenius_order_in_L raises there.  The error depends on (u, l,
+    point) alone as well, so it is stored as a value, and
+    _split_prime_verdict raises a fresh one of that class and message on
+    every lookup; each such class takes its message as its one
+    argument."""
     phi = _single_curve_setup(u)[2]
-    quintic = preimage_quintic(phi, class_representative(point, l))
-    return frobenius_order_in_L(quintic.primitive_integer(), l)
+    try:
+        quintic = preimage_quintic(phi, class_representative(point, l))
+        return frobenius_order_in_L(quintic.primitive_integer(), l)
+    except FiverankError as exc:
+        return type(exc), str(exc)
 
 
 def oracle_scan(count: int, trial_bound: int = RADICAND_TRIAL_BOUND,

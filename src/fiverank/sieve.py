@@ -284,7 +284,8 @@ def singular_avoidance_passes(data: CurveReductionData, x: Fraction) -> bool:
     """The general rule alone, the singular-avoidance subset of
     extension_check: no five-component prime sees the node.  No record is
     built."""
-    x = Fraction(x)
+    if type(x) is not Fraction:        # the oracle passes a Fraction already
+        x = Fraction(x)
     x_min = data.x_minimal(x.numerator, x.denominator)
     return not any(_hits_node(data, p, valuation_and_residue(*x_min, p)[1])
                    for p in data.five_primes)

@@ -181,6 +181,19 @@ def test_class_number_runs_tonelli_shanks_only_for_listed_a(monkeypatch):
     assert rooted_somewhere
 
 
+def test_square_roots_mod_a_prime_match_a_search():
+    # one power at p = 3 mod 4, Tonelli-Shanks at p = 1 mod 4 (p = 17, 97
+    # and 193 have 2-adic depth 4, 5 and 6), and [] for a non-residue,
+    # which class_number itself never asks about
+    from fiverank import classgroup
+
+    for p in (p for p in range(3, 200, 2) if is_probable_prime(p)):
+        for D in range(-3 * p, 0):
+            if D % p:
+                assert sorted(classgroup._sqrt_mod_prime(D, p)) == \
+                    [x for x in range(p) if (x * x - D) % p == 0], (D, p)
+
+
 def power_table_layers(D, q):
     """The layer counts m_k(q), k = 1..e, from a power table of all h
     reduced forms: #{f : f^(q^k) = 1} = q^(m_1 + ... + m_k).  A reference
@@ -252,6 +265,69 @@ def test_sylow_layers_refuse_a_wrong_class_number(monkeypatch):
         [BinaryQuadraticForm(23, 1, 552)], reduced(D)))
     with pytest.raises(IdentityCheckError, match="more than 5\\^2"):
         sylow_layers(D, 50, 5)
+
+
+def full_layer_loop_sylow_layers(D, h, q):
+    """sylow_layers as it stood before a span of exactly q classes was
+    read as one layer: the same span, then every layer counted from the
+    q-th powers of the whole span, down to the trivial group."""
+    from dataclasses import astuple
+
+    from fiverank import classgroup
+
+    e, m = 0, h
+    while m % q == 0:
+        m //= q
+        e += 1
+    order = q ** e
+    ident = astuple(identity_form(D))
+    span = {ident}
+    forms = enumerate_reduced(D)
+    while len(span) < order:
+        f = next(forms, None)
+        if f is None:
+            raise IdentityCheckError(f"reduced forms of {D} span too little")
+        if f.b < 0 or f.a == 1:
+            continue
+        g = classgroup._pow((f.a, f.b, f.c), m, D, ident)
+        if g in span:
+            continue
+        if classgroup._pow(g, order, D, ident) != ident:
+            raise IdentityCheckError(f"{f} does not have order dividing h = {h}")
+        grown, step = set(span), g
+        while step not in span:
+            grown.update(classgroup._compose(step, s, D) for s in span)
+            step = classgroup._compose(step, g, D)
+        span = grown
+        if len(span) > order:
+            raise IdentityCheckError(f"reduced forms of {D} span too much")
+    layers = []
+    while len(span) > 1:
+        powers = {classgroup._pow(g, q, D, ident) for g in span}
+        layers.append(classgroup._int_log(len(span) // len(powers), q))
+        span = powers
+    return layers
+
+
+def test_sylow_layers_match_the_full_layer_loop():
+    # a span of exactly q classes is cyclic of order q, so its layers are
+    # [1] with no power taken: against the full layer loop for q = 3, 5, 7
+    # on every D down to -20,000, fundamental or not, whose class number
+    # q divides.  The cyclic and non-cyclic spans of q^2 classes, and C9 x
+    # C3, reach a span of q classes only after a layer of powers
+    shapes = {3: set(), 5: set(), 7: set()}
+    for D in range(-3, -20001, -1):
+        if D % 4 not in (0, 1):
+            continue
+        h = class_number(D)
+        for q in (3, 5, 7):
+            if h % q == 0:
+                layers = sylow_layers(D, h, q)
+                assert layers == full_layer_loop_sylow_layers(D, h, q), (D, q)
+                shapes[q].add(tuple(layers))
+    assert {(1,), (2,), (1, 1), (2, 1)} <= shapes[3]
+    assert {(1,), (2,), (1, 1)} <= shapes[5]
+    assert {(1,), (1, 1)} <= shapes[7]
 
 
 def test_group_law_properties_random_discriminants():
@@ -598,10 +674,66 @@ def test_class_number_does_not_depend_on_the_order_of_calls(monkeypatch):
 # ------------------------------------------------------------------ oracle
 
 def test_oracle_requires_congruence():
-    with pytest.raises(ValueError):
-        small_instance_oracle(F(2), F(1))      # 2 is not +-1 mod 5
-    with pytest.raises(ValueError):
-        small_instance_oracle(F(4, 3), F(1))   # 4/3 = 3 mod 5
+    # 1/5 has no residue mod 5, 2 is not +-1 mod 5, 4/3 = 3 mod 5.  The
+    # congruence is found once per u with the other facts of u, but a
+    # refusal is never stored: each call with such a u raises again
+    from fiverank import classgroup
+
+    before = classgroup._oracle_curve.cache_info().currsize
+    for u in (F(1, 5), F(2), F(4, 3)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="u must be \\+-1 mod 5"):
+                small_instance_oracle(u, F(1))
+    assert classgroup._oracle_curve.cache_info().currsize == before
+    # 3/7 = 3 * 3 = -1 mod 5 passes the congruence
+    assert small_instance_oracle(F(3, 7), F(1)).status == "skip"
+
+
+def test_integer_radicand_matches_the_cubic_model():
+    # the radicand from the integer form of _oracle_curve equals
+    # CubicModel.rhs: on every scan curve that sets up at every grid x, on
+    # seeded x = n/d with long n and d, with d sharing primes with the
+    # scale s, and at the 2-torsion abscissas, where it is 0
+    from fiverank import classgroup
+    from fiverank.family import quotient_model
+
+    rng = random.Random(24)
+    grid = [F(num, den) for num in range(-classgroup.SCAN_X_RANGE, classgroup.SCAN_X_RANGE + 1)
+            for den in (1, 2, 3) if math.gcd(abs(num), den) == 1]
+    set_up, shared, torsion = 0, 0, 0
+    for u in SCAN_U:
+        try:
+            F_model, _, g, scale = classgroup._oracle_curve(u.numerator, u.denominator)
+        except FiverankError:
+            continue
+        set_up += 1
+        assert scale > 0 and all(type(c) is int for c in g)
+        assert [F(c, scale) for c in g] == [F_model.poly[i] for i in range(4)], u
+        scale_primes = [p for p in range(2, 200) if scale % p == 0 and is_probable_prime(p)]
+        xs = list(grid)
+        for _ in range(60):
+            n = rng.choice((1, -1)) * rng.randrange(1, 10**40)
+            xs.append(F(n, rng.randrange(1, 10**25)))
+            if scale_primes:
+                d = math.prod(rng.choice(scale_primes) ** rng.randrange(1, 8)
+                              for _ in range(3)) * rng.randrange(1, 10**6)
+                xs.append(F(n, d))
+        # g_u = (x^2 - u(u^2 + u - 1)) h_u with h_u linear
+        _, h = quotient_model(u)
+        roots = [-h[0] / h[1]]
+        A = u * (u * u + u - 1)
+        if A >= 0 and math.isqrt(A.numerator) ** 2 == A.numerator \
+                and math.isqrt(A.denominator) ** 2 == A.denominator:
+            root = F(math.isqrt(A.numerator), math.isqrt(A.denominator))
+            roots += [root, -root]
+        for x in roots:
+            assert classgroup._radicand(g, scale, x) == 0 == F_model.rhs(x), (u, x)
+            torsion += 1
+        for x in xs:
+            r = classgroup._radicand(g, scale, x)
+            assert type(r) is F and r == F_model.rhs(x), (u, x)
+            shared += math.gcd(x.denominator, scale) > 1
+    assert set_up >= 20 and shared > 100 and torsion >= set_up
 
 
 def test_scan_grid_is_plus_minus_one_mod_5():
@@ -844,7 +976,8 @@ def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo
     info = classgroup._class_verdict.cache_info()
     assert info.hits > 0
     assert info.maxsize is not None and info.currsize == info.maxsize < info.misses
-    # an error is raised again on every lookup, never stored
+    # an error is stored as its class and message and raised afresh on
+    # every lookup
     for _ in range(2):
         with pytest.raises(RamifiedPrimeError):
             classgroup._split_prime_verdict(*found["RamifiedPrimeError"])
@@ -869,6 +1002,67 @@ def test_oracle_witness_search_raises_protocol_violations(monkeypatch, cold_witn
     monkeypatch.setattr(classgroup, "frobenius_order_in_L", violated)
     with pytest.raises(ProtocolViolationError, match="profile"):
         small_instance_oracle(F(2, 3), F(1))
+    # the memo stores it as a value, and it still reaches the caller
+    with pytest.raises(ProtocolViolationError, match="profile"):
+        small_instance_oracle(F(2, 3), F(1))
+
+
+def test_witness_memo_builds_one_quintic_per_erroring_class(monkeypatch, cold_witness_memo):
+    # a class whose quintic has a repeated factor mod l raises
+    # RamifiedPrimeError on every lookup, each time a fresh exception with
+    # the same message, from one preimage_quintic call per class; after
+    # cache_clear the next lookup is a miss and builds it again
+    classgroup = cold_witness_memo
+    built = []
+    real = classgroup.preimage_quintic
+
+    def spy(phi, X):
+        built.append(X)
+        return real(phi, X)
+
+    monkeypatch.setattr(classgroup, "preimage_quintic", spy)
+    from fiverank.splitting import SPLIT, prime_split_in_K
+
+    u = F(2, 3)
+    F_model = classgroup._single_curve_setup(u)[0]
+    primes = [l for l in range(5, 60, 2) if is_probable_prime(l)]
+    assert all(classgroup._residue_class_decides(u, l) for l in primes)
+    # the witness search asks only at primes split in K
+    xs = [F(num, den) for num in range(-30, 31) for den in (1, 2, 3)
+          if math.gcd(abs(num), den) == 1 and F_model.rhs(F(num, den))]
+    lookups = [(F_model.to_long_x(x), l) for x in xs for l in primes
+               if prime_split_in_K(l, F_model.rhs(x)) == SPLIT]
+
+    def look_up_all():
+        out = []
+        for X, l in lookups:
+            try:
+                out.append(classgroup._split_prime_verdict(u, X, l))
+            except RamifiedPrimeError as exc:
+                out.append(exc)
+        return out
+
+    first = look_up_all()
+    info = classgroup._class_verdict.cache_info()
+    assert len(built) == info.misses == info.currsize < len(lookups)
+    erroring = [i for i, v in enumerate(first) if isinstance(v, RamifiedPrimeError)]
+    assert len(erroring) > 10
+    for _ in range(2):
+        again = look_up_all()
+        assert len(built) == info.misses
+        for old, new in zip(first, again):
+            if isinstance(old, RamifiedPrimeError):
+                assert type(new) is RamifiedPrimeError and new is not old
+                assert str(new) == str(old)
+            else:
+                assert new == old
+    classgroup._class_verdict.cache_clear()
+    X, l = lookups[erroring[0]]
+    with pytest.raises(RamifiedPrimeError) as raised:
+        classgroup._split_prime_verdict(u, X, l)
+    assert str(raised.value) == str(first[erroring[0]])
+    assert classgroup._class_verdict.cache_info().misses == 1
+    assert len(built) == info.misses + 1
 
 
 # ------------------------------------------------- independence of the engine
