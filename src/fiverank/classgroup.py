@@ -5,9 +5,9 @@ discriminants it recomputes the class number h, by counting the square
 roots of D mod 4a for each leading coefficient a of a reduced form, and
 the 5-rank, from the 5-Sylow subgroup that the reduced forms span under
 Gauss composition, then checks the 5-divisibility that the single-curve
-construction predicts; its irreducibility witness computes each split
-prime's verdict, or the error it raises, once per residue class of the
-abscissa, by the argument in the splitting module's docstring.  The
+construction predicts; its irreducibility witness reads each split
+prime's verdict, or the error it raises, from the splitting module's
+residue-class memo, which the certificates share.  The
 facts of a curve parameter u (u = +-1 mod 5, the curve setup and the
 integer coefficients of the quotient cubic with their common scale s)
 are found once per u, and an instance's radicand g_u(n/d) is H / (s d^3),
@@ -50,14 +50,7 @@ from .exact import (
 from .family import five_division_kernel, kubert_curve, quotient_cubic
 from .isogeny import preimage_quintic, velu_onto_model
 from .sieve import _homogeneous, reduction_data_for_model, singular_avoidance_passes
-from .splitting import (
-    INERT,
-    SPLIT,
-    check_residue_precondition,
-    class_representative,
-    frobenius_order_in_L,
-    prime_split_in_K,
-)
+from .splitting import INERT, SPLIT, class_verdict, frobenius_order_in_L, prime_split_in_K
 
 DEFAULT_DISC_BOUND = 10**7
 # trial-division bound for the oracle radicand's squarefree part
@@ -631,9 +624,9 @@ def _irreducibility_witness(u: Fraction, X: Fraction, radicand) -> int | None:
     Ramified primes are passed over.  Any other profile at a split prime
     contradicts the cyclic preimage extension, so the
     ProtocolViolationError reaches the caller.  The verdict at l depends
-    on X only through its image in P^1(F_l) (splitting module docstring),
-    so it is read from a memo per residue class, _class_verdict; only
-    where curve u fails that argument's precondition at l does the
+    on X only through its image in P^1(F_l), so it is read from the
+    splitting module's residue-class memo (splitting.class_verdict);
+    only where curve u fails that argument's precondition at l does the
     instance's own quintic decide.
     """
     for l in range(3, WITNESS_BOUND + 1, 2):
@@ -649,42 +642,11 @@ def _irreducibility_witness(u: Fraction, X: Fraction, radicand) -> int | None:
 
 def _split_prime_verdict(u: Fraction, X: Fraction, l: int) -> str:
     """frobenius_order_in_L at l on the preimage quintic of X on curve u."""
-    if _residue_class_decides(u, l):
-        verdict = _class_verdict(u, l, valuation_and_residue(X.numerator, X.denominator, l)[1])
-        if type(verdict) is str:
-            return verdict
-        error, message = verdict
-        raise error(message)
-    phi = _single_curve_setup(u)[2]
-    return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)
-
-
-@lru_cache(maxsize=4096)
-def _residue_class_decides(u: Fraction, l: int) -> bool:
-    """Whether curve u meets the residue precondition at l."""
     try:
-        check_residue_precondition(_single_curve_setup(u)[2].x_map, l, f"u = {u}")
-    except BadReductionError:
-        return False
-    return True
-
-
-@lru_cache(maxsize=4096)
-def _class_verdict(u: Fraction, l: int, point: int | None) -> str | tuple[type, str]:
-    """frobenius_order_in_L at l for every abscissa of curve u over
-    `point` in P^1(F_l), computed on its class_representative, or the
-    class and message of the FiverankError that preimage_quintic or
-    frobenius_order_in_L raises there.  The error depends on (u, l,
-    point) alone as well, so it is stored as a value, and
-    _split_prime_verdict raises a fresh one of that class and message on
-    every lookup; each such class takes its message as its one
-    argument."""
-    phi = _single_curve_setup(u)[2]
-    try:
-        quintic = preimage_quintic(phi, class_representative(point, l))
-        return frobenius_order_in_L(quintic.primitive_integer(), l)
-    except FiverankError as exc:
-        return type(exc), str(exc)
+        return class_verdict(u, l, valuation_and_residue(X.numerator, X.denominator, l)[1])
+    except BadReductionError:       # only the residue precondition raises it
+        phi = _single_curve_setup(u)[2]
+        return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)
 
 
 def oracle_scan(count: int, trial_bound: int = RADICAND_TRIAL_BOUND,

@@ -263,9 +263,7 @@ def specialize() -> Specialization:
     u = triple_u(t)
     E_models = tuple(kubert_curve(ui) for ui in u)
     F_models = tuple(quotient_cubic(ui) for ui in u)
-    isogenies = tuple(
-        velu_onto_model(Em.curve(), five_division_kernel(ui), Fm.curve())
-        for ui, Em, Fm in zip(u, E_models, F_models))
+    isogenies = tuple(five_isogeny(ui) for ui in u)
     x_of_z, v_of_z, w_of_z = c_parametrization()
     f = model_poly()
     g1, _ = quotient_model(u[0])
@@ -314,6 +312,14 @@ def five_division_kernel(u) -> Poly:
     s1 = dup(Poly(_ORDER10_ABSCISSA)(u))
     s2 = dup(s1)
     return check_family_kernel(E, Poly([s1 * s2, -(s1 + s2), Fraction(1)]))
+
+
+@lru_cache(maxsize=64)
+def five_isogeny(u) -> IsogenyMap:
+    """The canonical 5-isogeny from the family curve at u onto the
+    quotient cubic's long model, by Velu on five_division_kernel(u)."""
+    return velu_onto_model(kubert_curve(u).curve(), five_division_kernel(u),
+                           quotient_cubic(u).curve())
 
 
 def check_family_kernel(E: WeierstrassCurve, kernel: Poly) -> Poly:

@@ -20,14 +20,23 @@ primitive integer form of the preimage quintic is +-(b N0 - a D0)/g
 with g its content, so mod l it is a unit times (b N0 - a D0) whenever
 l does not divide g.  That holds when l does not divide lc(N0) and D0 is
 not 0 mod l: g divides the leading coefficient b lc(N0), and when l | b
-the reduction is -a D0 with a a unit.  Under that precondition
-(check_residue_precondition), checked once per isogeny and prime, the
+the reduction is -a D0 with a a unit.  Under that precondition the
 verdict on any abscissa, or the error with its message, equals the one
-on a small representative of its class (class_representative: the
-residue itself, or 1/l for infinity).  So each of the at most l + 1
-verdicts per isogeny and prime is computed once and reused: for every z
-on the three curves here, and for every abscissa of one curve in the
-class-group oracle's witness search.
+on a small representative of its class: the residue itself, or 1/l for
+infinity.
+
+One memo holds these verdicts for the certificates and for the
+class-group oracle's witness search: _class_verdict, keyed by the
+integers of the curve parameter u, the prime l and the point (None for
+infinity), so that no lookup hashes a Fraction.  A miss checks the
+precondition on the x-map of five_isogeny(u), then runs
+frobenius_order_in_L on the representative's preimage quintic.  The
+verdict is stored, and so is any FiverankError of that path, as its
+class and message: class_verdict raises a fresh error of that class and
+message on every lookup, so an erroring class is computed once too.  The
+memo is bounded at 8192 keys, which holds every class of the three
+curves here at the three test primes, 3 (164 + 702 + 1278) = 6,432; the
+oracle's steady state needs about a hundred.
 
 A certificate does integer arithmetic only on the long numbers of a
 large z, and none of it divides one long number by another.  The sieve
@@ -68,7 +77,7 @@ from .exact import (
     splitting_profile,
     valuation_and_residue,
 )
-from .family import CONSTANTS, specialize
+from .family import CONSTANTS, five_isogeny, specialize
 from .isogeny import preimage_quintic
 from .sieve import (SieveReport, _direct_report, _direct_route, check_z, reduced_radicand,
                     x_and_radicand_form)
@@ -204,46 +213,41 @@ class FieldCertificate:
         }
 
 
-def check_residue_precondition(x_map, l: int, name: str) -> None:
-    """Refuse l unless the verdicts at l of the isogeny with this x-map
-    are a function of the abscissa's image in P^1(F_l).
+# every class of the three curves at the three test primes: 6,432 keys
+@lru_cache(maxsize=8192)
+def _class_verdict(num: int, den: int, l: int,
+                   point: int | None) -> str | tuple[type, str]:
+    """frobenius_order_in_L at l for every abscissa over `point` in
+    P^1(F_l) on curve u = num/den, or the class and message of the
+    FiverankError its path raises (see the module docstring).
 
-    See the module docstring: the x-map N0/D0 must keep degree 5 mod l
-    (l does not divide lc(N0)) and D0 must not vanish mod l.  `name`
-    names the isogeny in the BadReductionError.
+    The precondition's BadReductionError names u and l; each error class
+    of the path takes its message as its one argument.
     """
-    num, den = integer_coefficients(x_map.num, x_map.den)
-    content = math.gcd(*num, *den)
-    if num[-1] // content % l == 0:
-        raise BadReductionError(
-            f"{l} divides the leading coefficient of the x-map numerator of {name}")
-    if all(c // content % l == 0 for c in den):
-        raise BadReductionError(f"the x-map denominator of {name} vanishes mod {l}")
+    u = Fraction(num, den)
+    phi = five_isogeny(u)
+    try:
+        N0, D0 = integer_coefficients(phi.x_map.num, phi.x_map.den)
+        content = math.gcd(*N0, *D0)
+        if N0[-1] // content % l == 0:
+            raise BadReductionError(
+                f"{l} divides the leading coefficient of the x-map numerator of u = {u}")
+        if all(c // content % l == 0 for c in D0):
+            raise BadReductionError(f"the x-map denominator of u = {u} vanishes mod {l}")
+        X = Fraction(1, l) if point is None else Fraction(point)
+        return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)
+    except FiverankError as exc:
+        return type(exc), str(exc)
 
 
-def class_representative(point: int | None, l: int) -> Fraction:
-    """The small abscissa whose verdict at l stands for its class
-    `point` in P^1(F_l) (None is infinity): the residue, or 1/l."""
-    return Fraction(1, l) if point is None else Fraction(point)
-
-
-@lru_cache(maxsize=None)
-def _check_residue_precondition(j: int, l: int) -> None:
-    """check_residue_precondition for curve j of the specialization."""
-    check_residue_precondition(specialize().isogenies[j].x_map, l, f"curve {j + 1}")
-
-
-@lru_cache(maxsize=None)
-def _frobenius_verdict(j: int, l: int, point: int | None) -> str:
-    """frobenius_order_in_L for every abscissa of curve j over `point`.
-
-    `point` is the image of the long-form abscissa in P^1(F_l) (None is
-    infinity); the verdict is computed once, on its class_representative.
-    Errors are not cached.
-    """
-    _check_residue_precondition(j, l)
-    quintic = preimage_quintic(specialize().isogenies[j], class_representative(point, l))
-    return frobenius_order_in_L(quintic.primitive_integer(), l)
+def class_verdict(u: Fraction, l: int, point: int | None) -> str:
+    """The verdict of _class_verdict at (u, l, point), or a fresh error
+    of the class and message it stored."""
+    verdict = _class_verdict(u.numerator, u.denominator, l, point)
+    if type(verdict) is str:
+        return verdict
+    error, message = verdict
+    raise error(message)
 
 
 def splitting_pattern(z: int, x: Fraction | Ratio,
@@ -251,20 +255,21 @@ def splitting_pattern(z: int, x: Fraction | Ratio,
     """Compute the full 3x3 pattern for one z from x = x(z) and f(x).
 
     Both are read as numerator and denominator, the radicand in lowest
-    terms.  The L_j verdicts come from the isogenies of the
-    distinguished specialization, cached per residue class; each reads
-    the long-form abscissa lead * x mod l off the integer pair.
+    terms.  The L_j verdicts come from the residue-class memo on the
+    curves of the distinguished specialization; each reads the
+    long-form abscissa lead * x mod l off the integer pair.
     """
     primes = CONSTANTS["z_one_mod"]
     if is_square(radicand):
         raise FieldCollapseError(f"radicand at z={z} is a rational square")
     k_verdicts = tuple(prime_split_in_K(l, radicand) for l in primes)
     n, d = x.numerator, x.denominator
-    leads = [model.lead for model in specialize().F_models]
+    sp = specialize()
+    curves = [(u, model.lead) for u, model in zip(sp.u, sp.F_models)]
     entries = tuple(
-        tuple(_frobenius_verdict(j, l, valuation_and_residue(
+        tuple(class_verdict(u, l, valuation_and_residue(
                   lead.numerator * n, lead.denominator * d, l)[1])
-              for j, lead in enumerate(leads))
+              for u, lead in curves)
         for l in primes)
     return SplittingPattern(primes, entries, k_verdicts)
 

@@ -910,17 +910,14 @@ def test_oracle_refuses_a_wrong_class_number(monkeypatch):
 
 @pytest.fixture
 def cold_witness_memo():
-    """The witness memo emptied before and after the test: a warm memo
-    never reaches a patched frobenius_order_in_L or preimage_quintic,
+    """The residue-class memo emptied before and after the test: a warm
+    memo never reaches a patched frobenius_order_in_L or preimage_quintic,
     and a verdict computed under a patch must not outlive it."""
-    from fiverank import classgroup
+    from fiverank import classgroup, splitting
 
-    memos = (classgroup._class_verdict, classgroup._residue_class_decides)
-    for memo in memos:
-        memo.cache_clear()
+    splitting._class_verdict.cache_clear()
     yield classgroup
-    for memo in memos:
-        memo.cache_clear()
+    splitting._class_verdict.cache_clear()
 
 
 def _verdict_or_error(fn, *args):
@@ -930,6 +927,17 @@ def _verdict_or_error(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _residue_class_decides(phi, l):
+    """Whether the residue precondition of the splitting module holds for
+    the isogeny phi at l: the integer x-map N0/D0 keeps degree 5 mod l and
+    D0 does not vanish mod l."""
+    from fiverank.exact import integer_coefficients
+
+    N0, D0 = integer_coefficients(phi.x_map.num, phi.x_map.den)
+    g = math.gcd(*N0, *D0)
+    return N0[-1] // g % l != 0 and any(c // g % l for c in D0)
+
+
 def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo):
     # on the whole default grid of both verdict-reaching u, at every prime
     # up to WITNESS_BOUND split in K, the memoized verdict is the one the
@@ -937,7 +945,7 @@ def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo
     # class and message.  Costs about 15 s: the quintic side factors
     # every instance's own quintic, as the memo exists to avoid
     from fiverank.isogeny import preimage_quintic
-    from fiverank.splitting import SPLIT, frobenius_order_in_L, prime_split_in_K
+    from fiverank.splitting import SPLIT, _class_verdict, frobenius_order_in_L, prime_split_in_K
 
     classgroup = cold_witness_memo
     primes = [l for l in range(3, classgroup.WITNESS_BOUND + 1, 2) if is_probable_prime(l)]
@@ -946,6 +954,7 @@ def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo
     routes, outcomes, found = set(), set(), {}
     for u in (F(2, 3), F(-3, 2)):
         F_model, _, phi = classgroup._single_curve_setup(u)
+        decides = {l: _residue_class_decides(phi, l) for l in primes}
         for x in grid:
             r = F_model.rhs(x)
             if r == 0:
@@ -956,24 +965,23 @@ def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo
                 # the witness search asks only at primes split in K; the
                 # class at infinity and the precondition fallback, which it
                 # never meets on this grid, are checked at any prime
-                if (prime_split_in_K(l, r) != SPLIT and X.denominator % l
-                        and classgroup._residue_class_decides(u, l)):
+                if prime_split_in_K(l, r) != SPLIT and X.denominator % l and decides[l]:
                     continue
                 memo = _verdict_or_error(classgroup._split_prime_verdict, u, X, l)
                 assert memo == _verdict_or_error(frobenius_order_in_L, ints, l), (u, x, l)
-                if not classgroup._residue_class_decides(u, l):
+                if not decides[l]:
                     routes.add(("own quintic", u, l))
                 elif X.denominator % l == 0:
                     routes.add("infinity")
                 outcome = memo[0] if isinstance(memo, tuple) else memo
                 outcomes.add(outcome)
-                if classgroup._residue_class_decides(u, l):
+                if decides[l]:
                     found.setdefault(outcome, (u, X, l))
     # the class at infinity, and the one precondition fallback of the grid
     assert routes == {"infinity", ("own quintic", F(2, 3), 3)}
     assert outcomes == {"split", "inert", "RamifiedPrimeError"}
     # far more classes than the memo holds: it stays at its bound
-    info = classgroup._class_verdict.cache_info()
+    info = _class_verdict.cache_info()
     assert info.hits > 0
     assert info.maxsize is not None and info.currsize == info.maxsize < info.misses
     # an error is stored as its class and message and raised afresh on
@@ -981,25 +989,25 @@ def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo
     for _ in range(2):
         with pytest.raises(RamifiedPrimeError):
             classgroup._split_prime_verdict(*found["RamifiedPrimeError"])
-    assert classgroup._class_verdict.cache_info().currsize == info.currsize
+    assert _class_verdict.cache_info().currsize == info.currsize
     # after cache_clear the next lookup is a miss again, the one after a hit
-    classgroup._class_verdict.cache_clear()
+    _class_verdict.cache_clear()
     for _ in range(2):
         assert classgroup._split_prime_verdict(*found["inert"]) == "inert"
-        assert classgroup._class_verdict.cache_info().misses == 1
-    assert classgroup._class_verdict.cache_info().hits == 1
+        assert _class_verdict.cache_info().misses == 1
+    assert _class_verdict.cache_info().hits == 1
 
 
 def test_oracle_witness_search_raises_protocol_violations(monkeypatch, cold_witness_memo):
     # at a prime split in K only the profiles [1,1,1,1,1] and [5] fit the
     # cyclic preimage extension; anything else is an error, not a skip
-    from fiverank import classgroup
+    from fiverank import splitting
     from fiverank.errors import ProtocolViolationError
 
     def violated(quintic, l):
         raise ProtocolViolationError(f"profile [1, 2, 2] mod {l} is impossible")
 
-    monkeypatch.setattr(classgroup, "frobenius_order_in_L", violated)
+    monkeypatch.setattr(splitting, "frobenius_order_in_L", violated)
     with pytest.raises(ProtocolViolationError, match="profile"):
         small_instance_oracle(F(2, 3), F(1))
     # the memo stores it as a value, and it still reaches the caller
@@ -1012,21 +1020,23 @@ def test_witness_memo_builds_one_quintic_per_erroring_class(monkeypatch, cold_wi
     # RamifiedPrimeError on every lookup, each time a fresh exception with
     # the same message, from one preimage_quintic call per class; after
     # cache_clear the next lookup is a miss and builds it again
+    from fiverank import splitting
+    from fiverank.splitting import SPLIT, _class_verdict, prime_split_in_K
+
     classgroup = cold_witness_memo
     built = []
-    real = classgroup.preimage_quintic
+    real = splitting.preimage_quintic
 
     def spy(phi, X):
         built.append(X)
         return real(phi, X)
 
-    monkeypatch.setattr(classgroup, "preimage_quintic", spy)
-    from fiverank.splitting import SPLIT, prime_split_in_K
+    monkeypatch.setattr(splitting, "preimage_quintic", spy)
 
     u = F(2, 3)
-    F_model = classgroup._single_curve_setup(u)[0]
+    F_model, _, phi = classgroup._single_curve_setup(u)
     primes = [l for l in range(5, 60, 2) if is_probable_prime(l)]
-    assert all(classgroup._residue_class_decides(u, l) for l in primes)
+    assert all(_residue_class_decides(phi, l) for l in primes)
     # the witness search asks only at primes split in K
     xs = [F(num, den) for num in range(-30, 31) for den in (1, 2, 3)
           if math.gcd(abs(num), den) == 1 and F_model.rhs(F(num, den))]
@@ -1043,7 +1053,7 @@ def test_witness_memo_builds_one_quintic_per_erroring_class(monkeypatch, cold_wi
         return out
 
     first = look_up_all()
-    info = classgroup._class_verdict.cache_info()
+    info = _class_verdict.cache_info()
     assert len(built) == info.misses == info.currsize < len(lookups)
     erroring = [i for i, v in enumerate(first) if isinstance(v, RamifiedPrimeError)]
     assert len(erroring) > 10
@@ -1056,12 +1066,12 @@ def test_witness_memo_builds_one_quintic_per_erroring_class(monkeypatch, cold_wi
                 assert str(new) == str(old)
             else:
                 assert new == old
-    classgroup._class_verdict.cache_clear()
+    _class_verdict.cache_clear()
     X, l = lookups[erroring[0]]
     with pytest.raises(RamifiedPrimeError) as raised:
         classgroup._split_prime_verdict(u, X, l)
     assert str(raised.value) == str(first[erroring[0]])
-    assert classgroup._class_verdict.cache_info().misses == 1
+    assert _class_verdict.cache_info().misses == 1
     assert len(built) == info.misses + 1
 
 

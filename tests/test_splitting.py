@@ -1,11 +1,14 @@
+import collections
 import dataclasses
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from fiverank import sieve, splitting
+from fiverank import family, sieve, splitting
 from fiverank.errors import (
     BadReductionError,
     FieldCollapseError,
@@ -284,7 +287,7 @@ def test_fast_path_matches_exact_route_on_every_residue_class():
             for j in range(3):
                 x_long = sp.F_models[j].to_long_x(x)
                 point = valuation_and_residue(x_long.numerator, x_long.denominator, l)[1]
-                fast = _outcome(splitting._frobenius_verdict, j, l, point)
+                fast = _outcome(splitting.class_verdict, sp.u[j], l, point)
                 assert fast == _outcome(_exact_entry, sp, j, l, x), (l, z, j)
                 seen.add(fast if isinstance(fast, str) else fast[0])
     assert seen == {"split", "inert", "RamifiedPrimeError", "ProtocolViolationError"}
@@ -295,11 +298,9 @@ def test_residue_precondition_is_a_typed_error(monkeypatch):
     phi = sp.isogenies[0]
     # scaling the numerator by 163 makes 163 divide lc(N0)
     bad = dataclasses.replace(phi, x_map=RatFunc(163 * phi.x_map.num, phi.x_map.den))
-    bad_sp = dataclasses.replace(sp, isogenies=(bad,) + sp.isogenies[1:])
-    monkeypatch.setattr(splitting, "specialize", lambda: bad_sp)
-    caches = (splitting._check_residue_precondition, splitting._frobenius_verdict)
-    for cache in caches:
-        cache.cache_clear()
+    monkeypatch.setattr(splitting, "five_isogeny",
+                        lambda u: bad if u == sp.u[0] else family.five_isogeny(u))
+    splitting._class_verdict.cache_clear()
     try:
         z = next(iter(admissible_z(sign="pos")))
         with pytest.raises(BadReductionError, match="163 divides the leading coefficient"):
@@ -308,5 +309,69 @@ def test_residue_precondition_is_a_typed_error(monkeypatch):
         assert not cert.conclusion
         assert cert.failures[-1].startswith("BadReductionError: 163 divides")
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        splitting._class_verdict.cache_clear()
+
+
+def test_specialization_isogenies_are_the_memo_curves():
+    sp = specialize()
+    for j in range(3):
+        assert sp.isogenies[j] is family.five_isogeny(sp.u[j])
+
+
+# 300 arbitrary z: 257 records carry a ProtocolViolationError from a test
+# prime inert in K, 31 fail independence, 11 carry a RamifiedPrimeError
+# and 1 an InvalidCertificateError
+ARBITRARY_Z = range(10 ** 15 + 1141, 10 ** 15 + 1441)
+ARBITRARY_Z_SHA256 = "f443887d8fb67c25b1be8b5146eedd43d39e1f4b8599aa1948c681cbe0be9147"
+
+
+def _records_sha256(zs):
+    digest = hashlib.sha256()
+    for z in zs:
+        line = json.dumps(verify_instance(z).to_json(), sort_keys=True, separators=(",", ":"))
+        digest.update((line + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_arbitrary_z_certificates_pinned():
+    # the canonical JSON lines the CLI writes, on a cold memo and on a
+    # warm one (CI hashes the same lines under python -O)
+    splitting._class_verdict.cache_clear()
+    assert _records_sha256(ARBITRARY_Z) == ARBITRARY_Z_SHA256
+    assert _records_sha256(ARBITRARY_Z) == ARBITRARY_Z_SHA256
+    kinds = collections.Counter(
+        cert.failures[-1].split(":")[0] for cert in map(verify_instance, ARBITRARY_Z))
+    assert kinds == {"ProtocolViolationError": 257, "RamifiedPrimeError": 11,
+                     "InvalidCertificateError": 1,
+                     "splitting pattern does not force independence": 31}
+
+
+def test_certificate_errors_are_computed_once(monkeypatch):
+    # an erroring residue class is stored as its error's class and
+    # message: a second pass over the same z builds no quintic at all
+    built = []
+    real = splitting.preimage_quintic
+
+    def spy(phi, X):
+        built.append(X)
+        return real(phi, X)
+
+    monkeypatch.setattr(splitting, "preimage_quintic", spy)
+    splitting._class_verdict.cache_clear()
+    first = [verify_instance(z).failures for z in ARBITRARY_Z]
+    assert built
+    built.clear()
+    assert [verify_instance(z).failures for z in ARBITRARY_Z] == first
+    assert built == []
+    # a repeated error is a fresh exception with the same message
+    z, failures = next((z, f) for z, f in zip(ARBITRARY_Z, first)
+                       if f[-1].startswith(("ProtocolViolationError", "RamifiedPrimeError")))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(FiverankError) as info:
+            _pattern(z)
+        raised.append(info.value)
+    assert raised[0] is not raised[1]
+    assert type(raised[0]) is type(raised[1]) and str(raised[0]) == str(raised[1])
+    assert f"{type(raised[0]).__name__}: {raised[0]}" == failures[-1]
+    assert built == []
