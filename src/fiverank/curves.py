@@ -4,6 +4,10 @@ Covers the point group law, torsion orders, global minimal models
 (Laska-Kraus-Connell) and the node and component count at primes of bad
 reduction.
 
+The invariants are computed once per curve: the b-invariants and the
+discriminant when the curve is built (the discriminant decides whether
+the equation is singular), the c-invariants on first use.
+
 Component counts are those of the geometric special fiber of the Neron
 model: for multiplicative reduction the fiber is an n-gon with
 n = v_p(min discriminant), whether or not the two tangent directions at
@@ -65,6 +69,15 @@ def _frac(v):
     return Fraction(v) if isinstance(v, int) else v
 
 
+def _b_invariants_and_discriminant(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8) and the discriminant, by the textbook formulas."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return (b2, b4, b6, b8), -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
@@ -73,7 +86,7 @@ class WeierstrassCurve:
     is handled symbolically.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_b", "_c", "_disc")
 
     def __init__(self, a1, a2, a3, a4, a6):
         self.a1 = _frac(a1)
@@ -81,7 +94,19 @@ class WeierstrassCurve:
         self.a3 = _frac(a3)
         self.a4 = _frac(a4)
         self.a6 = _frac(a6)
-        if not self.discriminant():
+        a = self.a_invariants()
+        if all(type(c) is Fraction for c in a):
+            # on the integral model a_i m^i, m the least common denominator:
+            # b_i scales by m^i and the discriminant by m^12
+            m = math.lcm(*(c.denominator for c in a))
+            b, disc = _b_invariants_and_discriminant(
+                *(c.numerator * (m ** w // c.denominator) for c, w in zip(a, (1, 2, 3, 4, 6))))
+            self._b = tuple(Fraction(c, m ** w) for c, w in zip(b, (2, 4, 6, 8)))
+            self._disc = Fraction(disc, m ** 12)
+        else:
+            self._b, self._disc = _b_invariants_and_discriminant(*a)
+        self._c = None
+        if not self._disc:
             raise ValueError("singular Weierstrass equation (disc = 0)")
 
     # -- invariants ---------------------------------------------------------
@@ -89,20 +114,16 @@ class WeierstrassCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def b_invariants(self):
-        a1, a2, a3, a4, a6 = self.a_invariants()
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
+        return self._b
 
     def c_invariants(self):
-        b2, b4, b6, _ = self.b_invariants()
-        return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+        if self._c is None:
+            b2, b4, b6, _ = self._b
+            self._c = b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+        return self._c
 
     def discriminant(self):
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._disc
 
     def j_invariant(self):
         c4, _ = self.c_invariants()

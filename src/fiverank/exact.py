@@ -6,6 +6,14 @@ denominator).  Polynomials store their coefficients lowest degree first;
 the zero polynomial has an empty coefficient tuple.  Coefficients may be
 ``Fraction`` or any field-like object with the usual operators
 (``RatFunc`` instances are used as coefficients when working over Q(u)).
+
+Polynomials over Q multiply and divide on one integer scale: each operand
+becomes integer numerators over its least common denominator, the product
+is an integer convolution, division is integer pseudo-division, and each
+output coefficient becomes one Fraction.  ``%``, ``//`` and ``divides``
+go through the same division.  Only polynomials with a coefficient that
+is not a Fraction (over Q(u), ``RatFunc``) take the generic
+coefficient-by-coefficient loops.
 """
 
 from __future__ import annotations
@@ -549,6 +557,16 @@ class Poly:
         if isinstance(other, Poly):
             if not self.c or not other.c:
                 return Poly()
+            f = _integer_scale(self.c)
+            g = f and _integer_scale(other.c)
+            if g:
+                (F, df), (G, dg) = f, g
+                out = [0] * (len(F) + len(G) - 1)
+                for i, a in enumerate(F):
+                    if a:
+                        for j, b in enumerate(G):
+                            out[i + j] += a * b
+                return _from_integers(out, df * dg)
             out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
             for i, a in enumerate(self.c):
                 if not a:
@@ -579,11 +597,18 @@ class Poly:
     def __divmod__(self, other):
         if not isinstance(other, Poly) or other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
         dq = other.degree
-        lead = other.c[-1]
-        if len(rem) <= dq:
+        if self.degree < dq:
             return Poly(), self
+        f = _integer_scale(self.c)
+        g = f and _integer_scale(other.c)
+        if g:
+            (F, df), (G, dg) = f, g
+            Q, R, scale = _int_pseudo_divmod(F, G)
+            # lc(G)^m F = Q G + R, so f = (Q dg / (lc^m df)) g + R / (lc^m df)
+            return _from_integers(Q, df * scale, dg), _from_integers(R, df * scale)
+        rem = list(self.c)
+        lead = other.c[-1]
         quot = [Fraction(0)] * (len(rem) - dq)
         for i in range(len(rem) - dq - 1, -1, -1):
             f = rem[i + dq] / lead
@@ -651,6 +676,58 @@ class Poly:
         return [str(a) for a in self.c]
 
 
+def _integer_scale(c) -> tuple[list[int], int] | None:
+    """The rational coefficients c as integer numerators over their least
+    common denominator d, with d; None when one is not a Fraction."""
+    for a in c:
+        if type(a) is not Fraction:
+            return None
+    d = math.lcm(*[a.denominator for a in c])
+    if d == 1:
+        return [a.numerator for a in c], 1
+    return [a.numerator * (d // a.denominator) for a in c], d
+
+
+def _from_integers(nums: list[int], d: int, k: int = 1) -> Poly:
+    """The Poly with coefficients k nums[i] / d, each one Fraction."""
+    while nums and not nums[-1]:
+        nums.pop()
+    p = Poly.__new__(Poly)
+    p.c = tuple(Fraction(k * n, d) for n in nums)
+    return p
+
+
+def _int_pseudo_divmod(F: list[int], G: list[int]) -> tuple[list[int], list[int], int]:
+    """(Q, R, lc^m) with lc^m F = Q G + R and deg R < deg G, for integer
+    coefficient lists with deg F >= deg G, lc = G[-1] and m = deg F -
+    deg G + 1 (pseudo-division; Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+
+    Step i scales the remainder by lc and takes c X^i G off it, c its
+    coefficient of degree i + deg G; the steps after it scale c by
+    lc^i.  A step that leaves that coefficient nonzero raises
+    ArithmeticError.
+    """
+    R = list(F)
+    dg = len(G) - 1
+    lc = G[-1]
+    m = len(F) - dg
+    Q = [0] * m
+    for i in range(m - 1, -1, -1):
+        c = R[i + dg]
+        Q[i] = c
+        top = i + dg + 1
+        if lc != 1:
+            R[:top] = [r * lc for r in R[:top]]
+        if c:
+            for j, b in enumerate(G):
+                R[i + j] -= c * b
+        if R[i + dg]:
+            raise ArithmeticError(f"pseudo-division step {i} leaves {R[i + dg]}")
+    if lc != 1:
+        Q = [c * lc ** i for i, c in enumerate(Q)]
+    return Q, R[:dg], lc ** m
+
+
 def integer_coefficients(*polys: Poly) -> list[list[int]]:
     """Coefficients of the polynomials times their least common denominator.
 
@@ -659,25 +736,7 @@ def integer_coefficients(*polys: Poly) -> list[list[int]]:
     """
     coeffs = [[Fraction(a) for a in f.c] for f in polys]
     scale = math.lcm(*(a.denominator for cs in coeffs for a in cs))
-    return [[int(a * scale) for a in cs] for cs in coeffs]
-
-
-def _int_pseudo_rem(A: list[int], B: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (B nonzero)."""
-    A = list(A)
-    lb = B[-1]
-    db = len(B) - 1
-    while len(A) - 1 >= db:
-        da = len(A) - 1
-        la = A[-1]
-        A = [c * lb for c in A]
-        for j, bj in enumerate(B):
-            A[j + da - db] -= la * bj
-        while A and A[-1] == 0:
-            A.pop()
-        if not A:
-            return []
-    return A
+    return [[a.numerator * (scale // a.denominator) for a in cs] for cs in coeffs]
 
 
 def _gcd_primitive_prs(a: "Poly", b: "Poly") -> "Poly":
@@ -687,7 +746,7 @@ def _gcd_primitive_prs(a: "Poly", b: "Poly") -> "Poly":
     if len(A) < len(B):
         A, B = B, A
     while len(B) > 1:
-        R = _int_pseudo_rem(A, B)
+        R = pm_trim(_int_pseudo_divmod(A, B)[1])
         if not R:
             return Poly(B).monic()
         g = 0

@@ -20,7 +20,7 @@ spot (`check_family_kernel`); the abscissa is certified over Q(u) by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -91,6 +91,9 @@ class CubicModel:
     """
 
     poly: Poly
+    # the long-form curve, built by the first call of curve() that succeeds
+    _curve: WeierstrassCurve | None = field(default=None, init=False, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         if self.poly.degree != 3:
@@ -101,11 +104,16 @@ class CubicModel:
         return self.poly[3]
 
     def curve(self) -> WeierstrassCurve:
-        c0, c1, c2, c3 = (self.poly[i] for i in range(4))
-        try:
-            return WeierstrassCurve(0, c2, 0, c1 * c3, c0 * c3 * c3)
-        except ValueError as exc:
-            raise DegenerateParameterError(str(exc)) from exc
+        """The long form, built once per model; a singular model raises
+        DegenerateParameterError on every call."""
+        if self._curve is None:
+            c0, c1, c2, c3 = (self.poly[i] for i in range(4))
+            try:
+                E = WeierstrassCurve(0, c2, 0, c1 * c3, c0 * c3 * c3)
+            except ValueError as exc:
+                raise DegenerateParameterError(str(exc)) from exc
+            object.__setattr__(self, "_curve", E)
+        return self._curve
 
     def to_long_x(self, x):
         return self.lead * x

@@ -212,14 +212,35 @@ def velu_quotient(E: WeierstrassCurve, kernel: Poly) -> IsogenyMap:
 
 def velu_onto_model(E: WeierstrassCurve, kernel: Poly,
                     target: WeierstrassCurve) -> IsogenyMap:
-    """Velu quotient post-composed with the isomorphism onto ``target``."""
+    """Velu quotient post-composed with the isomorphism onto ``target``.
+
+    X = (x - r)/u^2 and Y = (y - s u^2 X - t)/u^3 are affine in the maps
+    of the quotient, so they apply to numerators alone (_affine).
+    """
     phi = velu_quotient(E, kernel)
     trans = transform_between(phi.codomain, target)
     u, r, s, t = trans.u, trans.r, trans.s, trans.t
-    X = (phi.x_map - r) / u ** 2
-    Yc = (phi.y_map_const - s * u * u * X - t) / u ** 3
-    Ys = phi.y_map_slope / u ** 3
-    out = IsogenyMap(E, target, X, Yc, Ys, phi.kernel)
+    u2, u3 = u * u, u ** 3
+    X = _affine(phi.x_map, 1 / u2, -r / u2)
+    # y_const - s u^2 X - t = y_const - s x_map + (s r - t)
+    Yc = _affine(phi.x_map, -s / u3, (s * r - t) / u3)
+    if phi.y_map_const:
+        Yc = Yc + _affine(phi.y_map_const, 1 / u3, 0)
+    Ys = _affine(phi.y_map_slope, 1 / u3, 0)
+    return IsogenyMap(E, target, X, Yc, Ys, phi.kernel)
+
+
+def _affine(f: RatFunc, a, b) -> RatFunc:
+    """a f + b for constants a and b, without a gcd: for f = N/D in lowest
+    terms with D monic, gcd(a N + b D, D) = gcd(a N, D) = 1 when a != 0,
+    so (a N + b D)/D is in lowest terms with D monic."""
+    if not a:
+        return RatFunc(b)
+    num = f.num * a + f.den * b
+    if not num:
+        return RatFunc(num)
+    out = RatFunc.__new__(RatFunc)
+    out.num, out.den = num, f.den
     return out
 
 

@@ -29,7 +29,8 @@ One memo holds these verdicts for the certificates and for the
 class-group oracle's witness search: _class_verdict, keyed by the
 integers of the curve parameter u, the prime l and the point (None for
 infinity), so that no lookup hashes a Fraction.  A miss checks the
-precondition on the x-map of five_isogeny(u), then runs
+precondition on the x-map of five_isogeny(u), whose integer form
+_x_map_form finds once per u under the same integer key, then runs
 frobenius_order_in_L on the representative's preimage quintic.  The
 verdict is stored, and so is any FiverankError of that path, as its
 class and message: class_verdict raises a fresh error of that class and
@@ -78,7 +79,7 @@ from .exact import (
     valuation_and_residue,
 )
 from .family import CONSTANTS, five_isogeny, specialize
-from .isogeny import preimage_quintic
+from .isogeny import IsogenyMap, preimage_quintic
 from .sieve import (SieveReport, _direct_report, _direct_route, check_z, reduced_radicand,
                     x_and_radicand_form)
 
@@ -213,6 +214,18 @@ class FieldCertificate:
         }
 
 
+@lru_cache(maxsize=64)
+def _x_map_form(num: int, den: int) -> tuple[IsogenyMap, int, tuple[int, ...]]:
+    """(five_isogeny(u), lc(N0), the coefficients of D0) for u = num/den,
+    N0/D0 its x-map in jointly primitive integer polynomials: what the
+    residue precondition reads of u, found once per u and keyed like
+    _class_verdict."""
+    phi = five_isogeny(Fraction(num, den))
+    N0, D0 = integer_coefficients(phi.x_map.num, phi.x_map.den)
+    content = math.gcd(*N0, *D0)
+    return phi, N0[-1] // content, tuple(c // content for c in D0)
+
+
 # every class of the three curves at the three test primes: 6,432 keys
 @lru_cache(maxsize=8192)
 def _class_verdict(num: int, den: int, l: int,
@@ -224,15 +237,13 @@ def _class_verdict(num: int, den: int, l: int,
     The precondition's BadReductionError names u and l; each error class
     of the path takes its message as its one argument.
     """
+    phi, lead, D0 = _x_map_form(num, den)
     u = Fraction(num, den)
-    phi = five_isogeny(u)
     try:
-        N0, D0 = integer_coefficients(phi.x_map.num, phi.x_map.den)
-        content = math.gcd(*N0, *D0)
-        if N0[-1] // content % l == 0:
+        if lead % l == 0:
             raise BadReductionError(
                 f"{l} divides the leading coefficient of the x-map numerator of u = {u}")
-        if all(c // content % l == 0 for c in D0):
+        if all(c % l == 0 for c in D0):
             raise BadReductionError(f"the x-map denominator of u = {u} vanishes mod {l}")
         X = Fraction(1, l) if point is None else Fraction(point)
         return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)

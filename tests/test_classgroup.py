@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import itertools
+import json
 import math
 import pathlib
 import sys
@@ -863,6 +865,40 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
         classgroup._single_curve_setup(u)
     assert classgroup._single_curve_setup.cache_info().currsize == 5
     assert calls["is_semistable"] == 0
+
+
+# one canonical JSON line (sorted keys, no spaces) per u in SCAN_U of what
+# _single_curve_setup derives: the quotient model, its minimal model, the
+# five-component primes, every reduction, the map onto minimal
+# coordinates and the isogeny; the error's class and message where the
+# setup raises.  .github/workflows/tests.yml hashes the same lines under
+# python -O.
+SCAN_FACTS_SHA256 = "daf1e27932caa3822a78b710348a3a390f8c33a3ef150cba251a5c42b33aa98b"
+
+
+def _scan_facts_lines():
+    from fiverank.classgroup import _single_curve_setup
+
+    for u in SCAN_U:
+        try:
+            F_model, data, phi = _single_curve_setup.__wrapped__(u)
+        except FiverankError as exc:
+            line = {"u": str(u), "error": type(exc).__name__, "message": str(exc)}
+        else:
+            line = {"u": str(u), "model": F_model.to_json(),
+                    "minimal": data.minimal.to_json(),
+                    "five_primes": list(data.five_primes),
+                    "reductions": [[r.prime, r.component_count, r.singular_x]
+                                   for r in data.reductions.values()],
+                    "minimal_map": list(data.minimal_map), "phi": phi.to_json()}
+        yield json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+
+def test_scan_parameter_facts_pinned():
+    lines = list(_scan_facts_lines())
+    assert len(lines) == len(SCAN_U)
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    assert digest.hexdigest() == SCAN_FACTS_SHA256
 
 
 def test_quotient_reduction_data_decides_semistability():

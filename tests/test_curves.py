@@ -20,6 +20,7 @@ from fiverank.curves import (
     transform_between,
 )
 from fiverank.errors import UnsupportedReductionError
+from fiverank.family import symbolic_family_curve
 
 
 def curve_37a():
@@ -40,6 +41,51 @@ def kubert4():
 def test_singular_curve_rejected():
     with pytest.raises(ValueError):
         WeierstrassCurve(0, 0, 0, 0, 0)
+    # a node over Q: y^2 = (x - 1/2)^2 (x + 1) = x^3 - 3/4 x + 1/4
+    with pytest.raises(ValueError):
+        WeierstrassCurve(0, 0, 0, F(-3, 4), F(1, 4))
+    with pytest.raises(ValueError):
+        WeierstrassCurve(0, 1, 0, 0, 0)
+
+
+def _textbook_invariants(a1, a2, a3, a4, a6):
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return (b2, b4, b6, b8), (c4, c6), disc
+
+
+def assert_textbook_invariants(E):
+    b, c, disc = _textbook_invariants(*E.a_invariants())
+    assert E.b_invariants() == b
+    assert E.discriminant() == disc
+    assert E.c_invariants() == c
+    assert E.c_invariants() is E.c_invariants()          # computed once
+
+
+def test_stored_invariants_match_the_textbook_formulas():
+    rng = random.Random(2626)
+    for _ in range(300):
+        bound = rng.choice((1, 10, 10 ** 12))
+        a = [rng.choice((0, rng.randint(-bound, bound),
+                         F(rng.randint(-bound, bound), rng.randint(1, bound))))
+             for _ in range(5)]
+        try:
+            E = WeierstrassCurve(*a)
+        except ValueError:
+            assert _textbook_invariants(*(F(c) for c in a))[2] == 0
+            continue
+        assert_textbook_invariants(E)
+    assert_textbook_invariants(curve_37a())
+
+
+def test_symbolic_family_curve_invariants_match_the_textbook_formulas():
+    # coefficients in Q(u) take the generic formulas
+    assert_textbook_invariants(symbolic_family_curve())
 
 
 def test_group_law_identity_and_inverse():

@@ -604,6 +604,97 @@ def test_poly_gcd_divides_both(f, g):
     assert (f % d).is_zero() and (g % d).is_zero()
 
 
+# reference arithmetic: the coefficient-by-coefficient loops over any field
+
+def _trimmed(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _reference_product(f, g):
+    if not f or not g:
+        return []
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return _trimmed(out)
+
+
+def _reference_divmod(f, g):
+    rem, dg = list(f), len(g) - 1
+    quot = [F(0)] * max(len(f) - dg, 0)
+    for i in range(len(f) - dg - 1, -1, -1):
+        c = rem[i + dg] / g[-1]
+        quot[i] = c
+        for j, b in enumerate(g):
+            rem[i + j] = rem[i + j] - c * b
+    return _trimmed(quot), _trimmed(rem[:dg])
+
+
+def _random_rational(rng):
+    bound = rng.choice((1, 9, 10 ** 6, 10 ** 40))
+    return F(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _random_coefficients(rng, degree):
+    """degree + 1 rationals, the leading one nonzero and rarely 1 (an empty
+    list for degree -1, the zero polynomial)."""
+    cs = [_random_rational(rng) for _ in range(degree + 1)]
+    if cs and not cs[-1]:
+        cs[-1] = F(-7, 3)
+    return cs
+
+
+def test_integer_scale_arithmetic_matches_the_fraction_loop():
+    # every pair of degrees from -1 (zero) to 14, so dividends of lower
+    # degree than their divisors too, with numerators and denominators up
+    # to 1e40 and leading coefficients of either sign
+    rng = random.Random(2626)
+    for df in range(-1, 15):
+        for dg in range(-1, 15):
+            f, g = _random_coefficients(rng, df), _random_coefficients(rng, dg)
+            P, G = Poly(f), Poly(g)
+            product = P * G
+            assert product.c == tuple(_reference_product(f, g)), (df, dg)
+            assert all(type(c) is F for c in product.c)
+            if not g:
+                with pytest.raises(ZeroDivisionError):
+                    divmod(P, G)
+                continue
+            q, r = divmod(P, G)
+            ref_q, ref_r = _reference_divmod(f, g)
+            assert q.c == tuple(ref_q) and r.c == tuple(ref_r), (df, dg)
+            assert all(type(c) is F for c in q.c + r.c)
+            assert q * G + r == P and r.degree < G.degree
+            assert P // G == q and P % G == r and G.divides(P) == r.is_zero()
+    # exact quotients leave no remainder
+    for _ in range(20):
+        f = _random_coefficients(rng, rng.randint(0, 7))
+        g = _random_coefficients(rng, rng.randint(0, 7))
+        assert divmod(Poly(f) * Poly(g), Poly(g)) == (Poly(f), Poly())
+
+
+def test_poly_over_rational_functions_multiplies_and_divides():
+    # the generic loop: coefficients in Q(u), and Q times Q(u)
+    u = RatFunc(Poly.x())
+    rng = random.Random(26)
+    for _ in range(12):
+        f = [u ** rng.randint(0, 3) * _random_rational(rng) + rng.randint(-3, 3)
+             for _ in range(rng.randint(1, 5))]
+        g = [_random_rational(rng) * u + 1 for _ in range(rng.randint(1, 3))]
+        rational = _random_coefficients(rng, rng.randint(0, 3))
+        for a, b in ((f, g), (rational, g), (f, rational)):
+            P, G = Poly(a), Poly(b)
+            assert (P * G).c == tuple(_reference_product(list(P.c), list(G.c)))
+            if G:
+                q, r = divmod(P, G)
+                ref_q, ref_r = _reference_divmod(list(P.c), list(G.c))
+                assert q.c == tuple(ref_q) and r.c == tuple(ref_r)
+                assert q * G + r == P and r.degree < G.degree
+
+
 # ----------------------------------------------------------- mod-p machinery
 
 def test_splitting_profile_examples():

@@ -13,6 +13,7 @@ from fiverank.errors import (
 )
 from fiverank.exact import Poly, RatFunc, rational_mod
 from fiverank.family import (
+    CubicModel,
     c_parametrization,
     check_family_kernel,
     check_order10_abscissa,
@@ -35,6 +36,18 @@ from fiverank.isogeny import five_division_polynomial, velu_quotient
 def test_kubert_curve_at_4():
     model = kubert_curve(4)
     assert model.poly == Poly([-76 * 697, -76 * 128, 697, 128])
+
+
+def test_cubic_model_builds_its_curve_once():
+    model = kubert_curve(F(4))
+    assert model.curve() is model.curve()
+    assert quotient_cubic(F(2, 3)).curve() is not None
+    # a singular model raises on every call, and caches nothing
+    singular = CubicModel(Poly([0, 0, 0, 1]))
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError):
+            singular.curve()
+    assert CubicModel(Poly([1, 2, 3, 4])) == CubicModel(Poly([1, 2, 3, 4]))
 
 
 def test_kubert_degenerate_parameters():

@@ -6,6 +6,7 @@ import pytest
 
 from fiverank.curves import (
     CurvePoint,
+    Transform,
     WeierstrassCurve,
     point_add,
     point_mul,
@@ -181,6 +182,27 @@ def test_velu_onto_model_identity():
     target = curve_from_cubic(*quotient_cubic(4))
     phi = velu_onto_model(E4, k, target)
     assert phi.verify_codomain_identity()
+
+
+def test_velu_onto_model_with_a1_a3_matches_the_ratfunc_formulas():
+    # Tate normal form y^2 + (1 - t) x y - t y = x^3 - t x^2: (0, 0) has
+    # order 5, with x(P) = 0 and x(2P) = t.  a1 and a3 are nonzero, so the
+    # quotient's y-map has a constant part, and the target is reached by
+    # a change of variables with every one of u, r, s, t nonzero
+    t = F(3, 7)
+    E = WeierstrassCurve(1 - t, -t, -t, 0, 0)
+    kernel = Poly([0, -t, 1])
+    quotient = velu_quotient(E, kernel)
+    assert quotient.y_map_const
+    target = Transform(F(2, 5), F(1, 3), F(-3, 2), F(5, 4)).apply(quotient.codomain)
+    phi = velu_onto_model(E, kernel, target)
+    trans = transform_between(quotient.codomain, target)
+    u, r, s, t = trans.u, trans.r, trans.s, trans.t
+    X = (quotient.x_map - r) / u ** 2
+    assert phi.x_map == X
+    assert phi.y_map_const == (quotient.y_map_const - s * u * u * X - t) / u ** 3
+    assert phi.y_map_slope == quotient.y_map_slope / u ** 3
+    assert phi.codomain == target and phi.verify_codomain_identity()
 
 
 def test_codomain_identity_on_sampled_points():

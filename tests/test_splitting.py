@@ -301,6 +301,7 @@ def test_residue_precondition_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(splitting, "five_isogeny",
                         lambda u: bad if u == sp.u[0] else family.five_isogeny(u))
     splitting._class_verdict.cache_clear()
+    splitting._x_map_form.cache_clear()
     try:
         z = next(iter(admissible_z(sign="pos")))
         with pytest.raises(BadReductionError, match="163 divides the leading coefficient"):
@@ -310,6 +311,7 @@ def test_residue_precondition_is_a_typed_error(monkeypatch):
         assert cert.failures[-1].startswith("BadReductionError: 163 divides")
     finally:
         splitting._class_verdict.cache_clear()
+        splitting._x_map_form.cache_clear()
 
 
 def test_specialization_isogenies_are_the_memo_curves():
