@@ -11,7 +11,11 @@ residue-class memo, which the certificates share.  The
 facts of a curve parameter u (u = +-1 mod 5, the curve setup and the
 integer coefficients of the quotient cubic with their common scale s)
 are found once per u, and an instance's radicand g_u(n/d) is H / (s d^3),
-H = d^3 s g_u(n/d) by one integer Horner pass.  group_structure, behind
+H = d^3 s g_u(n/d) by one integer Horner pass.  The setup builds no
+isogeny: the Velu 5-isogeny E -> F of a u is built and certified on the
+first witness lookup that reads it, family.five_isogeny(u) on the memo's
+first miss and _fallback_isogeny(u) on the first precondition fallback,
+so a u that reaches no verdict builds none.  group_structure, behind
 `classgroup --disc`, takes the same route for any D < 0: the counted h,
 then the span of each Sylow subgroup, whose layer counts give the
 invariant factors.  Everything is exact.  The form engine uses only the
@@ -528,19 +532,17 @@ class OracleOutcome:
 
 @lru_cache(maxsize=64)
 def _single_curve_setup(u: Fraction):
-    """(F_model, reduction data of F, the isogeny E -> F).
+    """(F_model, reduction data of F) for the curve pair E -> F at u.
 
-    The reduction data classifies every bad prime of F and raises
-    UnsupportedReductionError on additive reduction, so F is semistable
-    whenever this returns.  So is E: the Velu map certifies an isogeny
-    E -> F over Q, isogenous curves have the same conductor, and a curve
-    is semistable exactly when its conductor is squarefree.
+    The family curve E is built first, so a singular u raises
+    DegenerateParameterError here.  The reduction data classifies every
+    bad prime of F and raises UnsupportedReductionError on additive
+    reduction.  No isogeny is built: only a verdict reads one, and it
+    certifies it on that first read (_split_prime_verdict).
     """
-    E = kubert_curve(u).curve()
+    kubert_curve(u).curve()
     F_model = quotient_cubic(u)
-    data = reduction_data_for_model(F_model)
-    phi = velu_onto_model(E, five_division_kernel(u), F_model.curve())
-    return F_model, data, phi
+    return F_model, reduction_data_for_model(F_model)
 
 
 @lru_cache(maxsize=64)
@@ -556,7 +558,7 @@ def _oracle_curve(num: int, den: int):
     u = Fraction(num, den)
     if den % 5 == 0 or rational_mod(u, 5) not in (1, 4):
         raise ValueError("u must be +-1 mod 5 for a semistable pair")
-    F_model, data, _ = _single_curve_setup(u)
+    F_model, data = _single_curve_setup(u)
     g, = integer_coefficients(F_model.poly)
     return F_model, data, tuple(g), int(g[-1] / F_model.lead)
 
@@ -641,12 +643,30 @@ def _irreducibility_witness(u: Fraction, X: Fraction, radicand) -> int | None:
 
 
 def _split_prime_verdict(u: Fraction, X: Fraction, l: int) -> str:
-    """frobenius_order_in_L at l on the preimage quintic of X on curve u."""
+    """frobenius_order_in_L at l on the preimage quintic of X on curve u.
+
+    Every verdict reads a certified isogeny E -> F: class_verdict's first
+    miss on u builds family.five_isogeny(u), and the precondition
+    fallback builds _fallback_isogeny(u).  That is also where E is found
+    semistable: F is, since its reduction data built in the curve setup,
+    isogenous curves have the same conductor, and a curve is semistable
+    exactly when its conductor is squarefree.
+    """
     try:
         return class_verdict(u, l, valuation_and_residue(X.numerator, X.denominator, l)[1])
     except BadReductionError:       # only the residue precondition raises it
-        phi = _single_curve_setup(u)[2]
+        phi = _fallback_isogeny(u)
         return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)
+
+
+@lru_cache(maxsize=64)
+def _fallback_isogeny(u: Fraction):
+    """The isogeny E -> F at u, by Velu on five_division_kernel(u) onto
+    the quotient cubic's long model, built once per u on the first
+    precondition fallback of _split_prime_verdict; every check of the
+    kernel, the Velu quotient and the isomorphism onto F runs here."""
+    return velu_onto_model(kubert_curve(u).curve(), five_division_kernel(u),
+                           quotient_cubic(u).curve())
 
 
 def oracle_scan(count: int, trial_bound: int = RADICAND_TRIAL_BOUND,

@@ -128,11 +128,14 @@ class CubicModel:
         return {"cubic": self.poly.to_json(), "long": self.curve().to_json()}
 
 
+@lru_cache(maxsize=64)
 def kubert_curve(u) -> CubicModel:
     """The universal curve with a point of order 10, at parameter u.
 
     y^2 = (x^2 - u(u^2+u-1)) * (8u^2 x + (u^2+1)(u^4-2u^3-6u^2+2u+1)).
-    Raises DegenerateParameterError when the model is singular.
+    One model per u, so its curve is built once; raises
+    DegenerateParameterError when the model is singular, on every call,
+    since lru_cache stores no error.
     """
     A = u * (u * u + u - 1)
     c3 = 8 * u * u
@@ -153,7 +156,9 @@ def quotient_model(u) -> tuple[Poly, Poly]:
     return g, h
 
 
+@lru_cache(maxsize=64)
 def quotient_cubic(u) -> CubicModel:
+    """The quotient cubic y^2 = g_u(x), one model per u, as kubert_curve."""
     g, _ = quotient_model(u)
     model = CubicModel(g)
     model.curve()
@@ -202,18 +207,27 @@ def model_poly() -> Poly:
 
 @dataclass(frozen=True)
 class Specialization:
-    """Everything derived from one rational value of t (fixed to 4 here)."""
+    """Everything derived from one rational value of t (fixed to 4 here).
+
+    The three 5-isogenies E_j -> F_j are not built with it: `isogenies`
+    reads five_isogeny(u_j), which builds and certifies each where it is
+    first read, by the certificates' verdict memo on its first miss or
+    by `derive` and `verify_identities`, so the sieve builds none.
+    """
 
     t: Fraction
     u: tuple[Fraction, Fraction, Fraction]
     E_models: tuple[CubicModel, CubicModel, CubicModel]
     F_models: tuple[CubicModel, CubicModel, CubicModel]
-    isogenies: tuple[IsogenyMap, IsogenyMap, IsogenyMap]
     x_of_z: RatFunc
     v_of_z: RatFunc
     w_of_z: RatFunc
     f_model: Poly
     scale: Fraction              # f_model = scale^2 * g_{u_1}
+
+    @property
+    def isogenies(self) -> tuple[IsogenyMap, IsogenyMap, IsogenyMap]:
+        return tuple(five_isogeny(ui) for ui in self.u)
 
     # -- per-z data ----------------------------------------------------------
     def radicand(self, z) -> Fraction:
@@ -271,13 +285,11 @@ def specialize() -> Specialization:
     u = triple_u(t)
     E_models = tuple(kubert_curve(ui) for ui in u)
     F_models = tuple(quotient_cubic(ui) for ui in u)
-    isogenies = tuple(five_isogeny(ui) for ui in u)
     x_of_z, v_of_z, w_of_z = c_parametrization()
     f = model_poly()
     g1, _ = quotient_model(u[0])
     scale = rational_sqrt(_exact_poly_ratio(f, g1))
-    return Specialization(t, u, E_models, F_models, isogenies,
-                          x_of_z, v_of_z, w_of_z, f, scale)
+    return Specialization(t, u, E_models, F_models, x_of_z, v_of_z, w_of_z, f, scale)
 
 
 def _exact_poly_ratio(f: Poly, g: Poly) -> Fraction:

@@ -64,8 +64,11 @@ def five_division_polynomial(E: WeierstrassCurve) -> Poly:
     return psit[5]
 
 
+@lru_cache(maxsize=512)
 def duplication_map(E: WeierstrassCurve) -> RatFunc:
-    """x(2P) as a rational function of x(P)."""
+    """x(2P) as a rational function of x(P), built once per curve: its
+    normalization takes one polynomial gcd, and a family kernel reads it
+    twice (family.five_division_kernel and duplication_stable)."""
     b2, b4, b6, b8 = E.b_invariants()
     num = Poly([-b8, -2 * b6, -b4, 0, 1])
     return RatFunc(num, E.rhs_quartic())

@@ -32,6 +32,7 @@ from fiverank.errors import (
     RamifiedPrimeError,
 )
 from fiverank.exact import is_probable_prime
+from fiverank.family import five_isogeny
 
 
 def test_form_validation():
@@ -868,11 +869,11 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
 
 
 # one canonical JSON line (sorted keys, no spaces) per u in SCAN_U of what
-# _single_curve_setup derives: the quotient model, its minimal model, the
-# five-component primes, every reduction, the map onto minimal
-# coordinates and the isogeny; the error's class and message where the
-# setup raises.  .github/workflows/tests.yml hashes the same lines under
-# python -O.
+# the oracle derives of u: from _single_curve_setup the quotient model, its
+# minimal model, the five-component primes, every reduction and the map
+# onto minimal coordinates, and the isogeny that a verdict reads, built
+# here for every u; the error's class and message where the setup raises.
+# .github/workflows/tests.yml hashes the same lines under python -O.
 SCAN_FACTS_SHA256 = "daf1e27932caa3822a78b710348a3a390f8c33a3ef150cba251a5c42b33aa98b"
 
 
@@ -881,7 +882,8 @@ def _scan_facts_lines():
 
     for u in SCAN_U:
         try:
-            F_model, data, phi = _single_curve_setup.__wrapped__(u)
+            F_model, data = _single_curve_setup.__wrapped__(u)
+            phi = five_isogeny.__wrapped__(u)
         except FiverankError as exc:
             line = {"u": str(u), "error": type(exc).__name__, "message": str(exc)}
         else:
@@ -899,6 +901,81 @@ def test_scan_parameter_facts_pinned():
     assert len(lines) == len(SCAN_U)
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
     assert digest.hexdigest() == SCAN_FACTS_SHA256
+
+
+def _builds_per_u(built, us):
+    """How many of the Velu builds in `built` start from each u's family
+    curve, for the u of `us` with at least one."""
+    from fiverank.family import kubert_curve
+
+    domains = {kubert_curve(u).curve(): u for u in us}
+    counts = {}
+    for E in built:
+        counts[domains[E]] = counts.get(domains[E], 0) + 1
+    return counts
+
+
+def test_curve_setup_builds_no_isogeny(cold_caches, velu_builds):
+    from fiverank import classgroup
+
+    for u in SCAN_U:
+        classgroup._single_curve_setup.__wrapped__(u)
+    assert velu_builds == []
+
+
+def test_oracle_scan_builds_one_isogeny_per_verdict_reaching_u(cold_caches, velu_builds):
+    # one whole pass over the grid: only 2/3 and -3/2 reach a verdict, and
+    # each builds its isogeny once, before its first verdict; the other
+    # 24 u build none
+    reached = set()
+    for outcome in oracle_scan(100000):
+        if outcome.status != "skip":
+            assert outcome.u in _builds_per_u(velu_builds, SCAN_U), outcome
+            reached.add(outcome.u)
+    assert reached == {F(2, 3), F(-3, 2)}
+    assert _builds_per_u(velu_builds, SCAN_U) == {F(2, 3): 1, F(-3, 2): 1}
+
+
+def test_precondition_fallback_builds_its_isogeny_once(cold_caches, velu_builds):
+    # at l = 3 curve 2/3 fails the residue precondition, so every lookup
+    # falls back to the instance's own quintic; that reads one isogeny,
+    # built on the first fallback, beside the one of the memo's miss
+    from fiverank import classgroup, family
+    from fiverank.errors import BadReductionError
+    from fiverank.isogeny import preimage_quintic
+    from fiverank.splitting import class_verdict, frobenius_order_in_L
+
+    u, l = F(2, 3), 3
+    with pytest.raises(BadReductionError):
+        class_verdict(u, l, 1)
+    assert len(velu_builds) == 1                      # five_isogeny(u)
+    F_model, _ = classgroup._single_curve_setup(u)
+    xs = [F(num, den) for num in range(-12, 13) for den in (1, 2)
+          if math.gcd(abs(num), den) == 1 and F_model.rhs(F(num, den))]
+    for _ in range(2):
+        for x in xs:
+            X = F_model.to_long_x(x)
+            own = preimage_quintic(family.five_isogeny(u), X).primitive_integer()
+            assert (_verdict_or_error(classgroup._split_prime_verdict, u, X, l)
+                    == _verdict_or_error(frobenius_order_in_L, own, l)), x
+    assert _builds_per_u(velu_builds, [u]) == {u: 2}
+    assert classgroup._fallback_isogeny.cache_info().misses == 1
+    assert classgroup._fallback_isogeny(u).to_json() == family.five_isogeny(u).to_json()
+
+
+def test_singular_parameters_raise_from_the_setup_and_the_oracle():
+    from fiverank import classgroup
+    from fiverank.errors import DegenerateParameterError
+
+    for u in (F(1), F(-1)):
+        for _ in range(2):
+            for call in (lambda: classgroup._single_curve_setup(u),
+                         lambda: small_instance_oracle(u, F(1)),
+                         lambda: small_instance_oracle(u, F(1, 2))):
+                with pytest.raises(DegenerateParameterError) as raised:
+                    call()
+                assert type(raised.value) is DegenerateParameterError
+                assert str(raised.value) == "singular Weierstrass equation (disc = 0)"
 
 
 def test_quotient_reduction_data_decides_semistability():
@@ -989,7 +1066,8 @@ def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo
             for den in (1, 2, 3) if math.gcd(abs(num), den) == 1]
     routes, outcomes, found = set(), set(), {}
     for u in (F(2, 3), F(-3, 2)):
-        F_model, _, phi = classgroup._single_curve_setup(u)
+        F_model, _ = classgroup._single_curve_setup(u)
+        phi = five_isogeny(u)
         decides = {l: _residue_class_decides(phi, l) for l in primes}
         for x in grid:
             r = F_model.rhs(x)
@@ -1070,7 +1148,8 @@ def test_witness_memo_builds_one_quintic_per_erroring_class(monkeypatch, cold_wi
     monkeypatch.setattr(splitting, "preimage_quintic", spy)
 
     u = F(2, 3)
-    F_model, _, phi = classgroup._single_curve_setup(u)
+    F_model, _ = classgroup._single_curve_setup(u)
+    phi = five_isogeny(u)
     primes = [l for l in range(5, 60, 2) if is_probable_prime(l)]
     assert all(_residue_class_decides(phi, l) for l in primes)
     # the witness search asks only at primes split in K

@@ -50,6 +50,48 @@ def test_cubic_model_builds_its_curve_once():
     assert CubicModel(Poly([1, 2, 3, 4])) == CubicModel(Poly([1, 2, 3, 4]))
 
 
+def test_family_models_built_once_per_u(cold_caches):
+    # one model per u, rational or the function-field generator, so each
+    # curve is built once; a singular u raises on every call, stores nothing
+    from fiverank import family
+
+    for u in (F(2, 3), symbolic_parameter()):
+        assert family.kubert_curve(u) is family.kubert_curve(u)
+        assert family.quotient_cubic(u) is family.quotient_cubic(u)
+    for build in (family.kubert_curve, family.quotient_cubic):
+        assert build.cache_info().currsize == 2
+        for bad in (F(1), F(0), F(-1)):
+            for _ in range(2):
+                with pytest.raises(DegenerateParameterError):
+                    build(bad)
+        assert build.cache_info().currsize == 2
+
+
+def test_duplication_map_built_once_per_kernel(cold_caches, monkeypatch):
+    # the kernel's closed form and its duplication-stability check read one
+    # duplication map per curve, and both kernel checks still run
+    from fiverank import family, isogeny
+
+    checks = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            checks.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(family, "five_division_polynomial",
+                        counted("psi_5", family.five_division_polynomial))
+    monkeypatch.setattr(family, "duplication_stable",
+                        counted("stable", family.duplication_stable))
+    us = [F(2, 3), F(4), F(19, 21), symbolic_parameter()]
+    for u in us:
+        family.five_division_kernel(u)
+    info = isogeny.duplication_map.cache_info()
+    assert info.misses == info.hits == len(us)
+    assert sorted(checks) == ["psi_5"] * len(us) + ["stable"] * len(us)
+
+
 def test_kubert_degenerate_parameters():
     for bad in (F(1), F(0), F(-1)):
         with pytest.raises(DegenerateParameterError):
@@ -143,6 +185,20 @@ def test_specialize_builds_and_verifies():
     sp = specialize()
     results = sp.verify_identities()
     assert all(results.values()), {k: v for k, v in results.items() if not v}
+
+
+def test_specialize_builds_no_isogeny(cold_caches, velu_builds):
+    # the three isogenies are built on their first read, once each, and
+    # are five_isogeny's
+    from fiverank import family
+
+    sp = family.specialize.__wrapped__()
+    assert velu_builds == []
+    first = sp.isogenies
+    assert velu_builds == [model.curve() for model in sp.E_models]
+    for j in range(3):
+        assert sp.isogenies[j] is first[j] is family.five_isogeny(sp.u[j])
+    assert len(velu_builds) == 3
 
 
 def test_radicand_signs_near_zero():
