@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,9 +60,13 @@ from .splitting import INERT, SPLIT, class_verdict, frobenius_order_in_L, prime_
 DEFAULT_DISC_BOUND = 10**7
 # trial-division bound for the oracle radicand's squarefree part
 RADICAND_TRIAL_BOUND = 10**6
+# a count within the default budget reaches the primes up to this bound,
+# and reads square roots modulo each odd one from a table (_root_table)
+ROOT_TABLE_BOUND = math.isqrt(DEFAULT_DISC_BOUND // 3)
 _spf: list[int] = []        # smallest prime factor of each k < len(_spf), for every D
 _spf_primes: list[int] = []  # the primes below len(_spf)
 _spf_rest: list[int] = []    # k with the powers of _spf[k] divided out
+_root_tables: dict[int, array] = {}  # odd prime p <= ROOT_TABLE_BOUND -> roots mod p
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +136,28 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
 
 
 def _compose(f: tuple, g: tuple, D: int) -> tuple[int, int, int]:
-    """compose on triples of discriminant D, checking the product inline."""
+    """compose on triples of discriminant D, checking the product inline.
+
+    At coprime a1, a2 (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 5.4.7 with d = 1) the product has a3 = a1 a2 and
+    the b3 mod 2 a3 with b3 = b1 (mod 2 a1) and b3 = b2 (mod 2 a2), by
+    one builtin inverse of a1 mod a2; otherwise d = gcd(a1, a2, (b1 +
+    b2)/2) comes from two extended-gcd steps."""
     (a1, b1, c1), (a2, b2, c2) = f, g
     if a1 == 1:
         a, b, c = _reduce(*g)
     elif a2 == 1:
         a, b, c = _reduce(*f)
     else:
-        s = (b1 + b2) // 2
-        d1, u1, v1 = _xgcd(a1, a2)
-        d, u2, v2 = _xgcd(d1, s)
-        a3 = (a1 * a2) // (d * d)
-        b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
+        if math.gcd(a1, a2) == 1:
+            a3 = a1 * a2
+            b3 = b1 + 2 * a1 * ((b2 - b1) // 2 * pow(a1, -1, a2) % a2)
+        else:
+            s = (b1 + b2) // 2
+            d1, u1, v1 = _xgcd(a1, a2)
+            d, u2, v2 = _xgcd(d1, s)
+            a3 = (a1 * a2) // (d * d)
+            b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
         b3 %= 2 * a3
         a, b, c = _reduce(a3, b3, (b3 * b3 - D) // (4 * a3))
     if b * b - 4 * a * c != D or a <= 0 or math.gcd(a, b, c) != 1:
@@ -215,10 +230,15 @@ def class_number(D: int) -> int:
     has p^2 | D and D/p^2 = 0 or 1 (mod 4).  Such a, and the a with
     4a^2 > |D|, where c >= a needs b itself, go to _listed_count.  The
     primes up to sqrt(|D|/3) come from the prime list kept beside the
-    shared smallest-prime-factor table.  The a divisible by a prime power
-    with no roots are struck out first, each stretch of multiples zeroed
-    from one buffer, and r(a) = r(a/p^k) * (the count at p^k) for the
-    smallest prime p of a, read from the same tables.
+    shared smallest-prime-factor table.  Up to ROOT_TABLE_BOUND =
+    isqrt(DEFAULT_DISC_BOUND / 3), as far as any D within that budget
+    reaches, Euler's criterion and the square roots mod p are one read
+    of p's root table (_root_table), shared by every D as the prime list
+    is; above it they take a builtin pow and Tonelli-Shanks.  The a divisible by a prime
+    power with no roots are struck out first, each stretch of multiples
+    zeroed from one buffer, and r(a) = r(a/p^k) * (the count at p^k)
+    for the smallest prime p of a, read from the smallest-prime-factor
+    tables.
     """
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
@@ -230,12 +250,17 @@ def class_number(D: int) -> int:
     # 1: list the roots (the band); 2: list them and test primitivity
     listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
     zeros = memoryview(bytes(amax))
+    tables = _root_tables
     for p in itertools.islice(primes, bisect.bisect_right(primes, amax)):
         q = p
-        if p > 2 and D % p:
-            # Euler's criterion by the builtin pow: exact.jacobi in its
-            # place made class_number about 7 % slower
-            if pow(D % p, (p - 1) // 2, p) == 1:
+        n = D % p
+        if p > 2 and n:
+            # Euler's criterion: a nonzero root in the table, or by pow
+            if p <= ROOT_TABLE_BOUND:
+                square = (tables.get(p) or _root_table(p))[n]
+            else:
+                square = pow(n, (p - 1) // 2, p) == 1
+            if square:
                 while q <= amax:
                     local[q] = 2
                     q *= p
@@ -317,7 +342,7 @@ def _smallest_prime_factors(n: int) -> tuple[list[int], list[int], list[int]]:
 def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
     """The roots of x^2 = D modulo the power q of the prime p, memoized in
     roots: a root r mod q/p lifts to the r + t*q/p, 0 <= t < p, that are
-    roots mod q.  Tonelli-Shanks runs only at an odd p that does not
+    roots mod q.  _sqrt_mod_prime runs only at an odd p that does not
     divide D."""
     if q not in roots:
         if q == p:
@@ -330,11 +355,30 @@ def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
     return roots[q]
 
 
+def _root_table(p: int) -> array:
+    """The square roots modulo an odd prime p <= ROOT_TABLE_BOUND, built
+    the first time a count reaches p and shared by every D: entry n is
+    the root r of r^2 = n (mod p) with 0 < r <= p/2 when n is a nonzero
+    square, else 0.  Keyed by p alone, the tables take 2p bytes each,
+    about 0.47 MB for all the primes up to the bound."""
+    table = _root_tables.get(p)
+    if table is None:
+        table = array("H", bytes(2 * p))
+        for r in range(1, (p + 1) // 2):
+            table[r * r % p] = r
+        _root_tables[p] = table
+    return table
+
+
 def _sqrt_mod_prime(D: int, p: int) -> list[int]:
-    """The roots of x^2 = D mod an odd prime p that does not divide D: at
-    p = 3 mod 4 one power, n^((p+1)/4), checked by squaring; otherwise
+    """The roots of x^2 = D mod an odd prime p that does not divide D: one
+    read of p's root table up to ROOT_TABLE_BOUND; above it, at p = 3
+    mod 4 one power, n^((p+1)/4), checked by squaring, and otherwise
     Tonelli-Shanks, after Euler's criterion with the builtin pow."""
     n = D % p
+    if p <= ROOT_TABLE_BOUND:
+        r = _root_table(p)[n]
+        return [r, p - r] if r else []
     if p % 4 == 3:                          # r = n^((p+1)/4) when n is a square
         r = pow(n, (p + 1) // 4, p)
         return [r, p - r] if r * r % p == n else []

@@ -315,10 +315,13 @@ def transform_between(E: WeierstrassCurve, F: WeierstrassCurve) -> Transform:
 # minimal models (Laska-Kraus-Connell)
 # ---------------------------------------------------------------------------
 
-def _kraus_valid(c4: int, c6: int) -> bool:
-    """Kraus's criterion: (c4, c6) arise from an integral model."""
-    if c6 != 0 and valuation(c6, 3) == 2:
-        return False
+def _kraus_valid(c4: int, c6: int, p: int) -> bool:
+    """Kraus's criterion at p = 2 or 3: (c4, c6), with (c4^3 - c6^2)/1728
+    a nonzero integer, arise from a model integral at p.  The condition
+    at one of the two primes does not depend on the powers of the other
+    that c4 and c6 are divided by."""
+    if p == 3:
+        return c6 == 0 or valuation(c6, 3) != 2
     if c6 % 4 == 3:
         return True
     return (c4 == 0 or valuation(c4, 2) >= 4) and c6 % 32 in (0, 8)
@@ -338,7 +341,14 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
 
 
 def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
-    """Globally minimal integral model and the transform reaching it."""
+    """Globally minimal integral model and the transform reaching it.
+
+    E is scaled by 1/m onto an integral model, whose c-invariants fix the
+    further scaling u: at each prime p as far as p^4 | c4, p^6 | c6 and
+    p^12 | disc allow, then back off at 2 and at 3 until Kraus's
+    criterion holds there.  The transform has scaling u/m by
+    construction, so it comes in closed form (_scaling_onto), with no
+    search over candidate scalings."""
     # clear denominators first: u = 1/m makes a_i integral (a_i scales by m^i)
     m = 1
     for i, a in zip((1, 2, 3, 4, 6), E.a_invariants()):
@@ -356,8 +366,10 @@ def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
 
     # a scaling prime p needs p^4 | c4 and p^6 | c6, hence p^4 | gcd
     # (p^6 | c6 alone when c4 = 0), so trial division never has to pass
-    # the fourth (resp. sixth) root of the gcd
+    # the fourth (resp. sixth) root of the gcd; it also needs p^12 | disc,
+    # which c4 and c6 imply only at p > 3, since 1728 disc = c4^3 - c6^2
     base = math.gcd(abs(c4), abs(c6))
+    disc = int(Eint.discriminant())
     u = 1
     if base > 1:
         root_power = 6 if c4 == 0 else 4
@@ -365,15 +377,28 @@ def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
         factors, _ = trial_factor(base, bound)
         for p in factors:
             # valuation(0, p) is inf, and inf // 4 is nan: skip a zero c4 or c6
-            e = min(valuation(c, p) // k for c, k in ((c4, 4), (c6, 6)) if c)
+            e = min(valuation(c, p) // k for c, k in ((c4, 4), (c6, 6), (disc, 12)) if c)
             u *= p ** e
-    while u % 2 == 0 and not _kraus_valid(c4 // u ** 4, c6 // u ** 6):
-        u //= 2
-    while u % 3 == 0 and not _kraus_valid(c4 // u ** 4, c6 // u ** 6):
-        u //= 3
+    for p in (2, 3):
+        while u % p == 0 and not _kraus_valid(c4 // u ** 4, c6 // u ** 6, p):
+            u //= p
     Emin = _model_from_c4c6(c4 // u ** 4, c6 // u ** 6)
-    trans = transform_between(E, Emin)
-    return Emin, trans
+    return Emin, _scaling_onto(E, Emin, Fraction(u, m))
+
+
+def _scaling_onto(E: WeierstrassCurve, F: WeierstrassCurve, u: Fraction) -> Transform:
+    """The transform of scaling u carrying E to F: s, r and t solve the
+    a1, a2 and a3 equations of Transform.apply in closed form, as
+    transform_between takes them, and the a4 and a6 equations are
+    checked exactly.  Raises IdentityCheckError when they fail."""
+    a1, a2, a3, a4, a6 = E.a_invariants()
+    s = (u * F.a1 - a1) / 2
+    r = (u * u * F.a2 - a2 + s * a1 + s * s) / 3
+    t = (u ** 3 * F.a3 - a3 - r * a1) / 2
+    if (u ** 4 * F.a4 != a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
+            or u ** 6 * F.a6 != a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1):
+        raise IdentityCheckError(f"scaling by {u} does not carry {E!r} to {F!r}")
+    return Transform(u, r, s, t)
 
 
 # ---------------------------------------------------------------------------

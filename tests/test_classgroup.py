@@ -157,12 +157,14 @@ def test_class_number_counts_non_fundamental_and_band_edges():
 def test_class_number_runs_tonelli_shanks_only_for_listed_a(monkeypatch):
     # r(a) needs no square root at an odd p that does not divide D:
     # Euler's criterion gives 1 + (D/p) roots mod every power of p.  Roots
-    # are taken only for the a whose b are listed and tested one by one
+    # are taken only for the a whose b are listed and tested one by one;
+    # they are read from the root tables up to ROOT_TABLE_BOUND, so
+    # Tonelli-Shanks runs only above it, which -30,000,004 reaches
     from fiverank import classgroup
 
     listed_count, sqrt_mod_prime = classgroup._listed_count, classgroup._sqrt_mod_prime
-    rooted_somewhere = False
-    for D in (-2832, -50783, -129476, -1294756):
+    rooted_somewhere, rooted_above = False, set()
+    for D in (-2832, -50783, -129476, -1294756, -30000004):
         listed, rooted = [], []
 
         def spy_listed(D, a, *args):
@@ -181,13 +183,15 @@ def test_class_number_runs_tonelli_shanks_only_for_listed_a(monkeypatch):
         assert all(p % 2 and D % p and any(a % p == 0 for a in listed)
                    for p in rooted), D
         rooted_somewhere |= bool(rooted)
-    assert rooted_somewhere
+        rooted_above.update(p for p in rooted if p > classgroup.ROOT_TABLE_BOUND)
+    assert rooted_somewhere and rooted_above
 
 
 def test_square_roots_mod_a_prime_match_a_search():
-    # one power at p = 3 mod 4, Tonelli-Shanks at p = 1 mod 4 (p = 17, 97
-    # and 193 have 2-adic depth 4, 5 and 6), and [] for a non-residue,
-    # which class_number itself never asks about
+    # up to ROOT_TABLE_BOUND one read of the root table; above it one
+    # power at p = 3 mod 4 and Tonelli-Shanks at p = 1 mod 4 (p = 1889,
+    # 7681 and 12289 have 2-adic depth 5, 9 and 12); [] for a
+    # non-residue, which class_number itself never asks about
     from fiverank import classgroup
 
     for p in (p for p in range(3, 200, 2) if is_probable_prime(p)):
@@ -195,6 +199,213 @@ def test_square_roots_mod_a_prime_match_a_search():
             if D % p:
                 assert sorted(classgroup._sqrt_mod_prime(D, p)) == \
                     [x for x in range(p) if (x * x - D) % p == 0], (D, p)
+    for p in (1831, 1847, 1889, 7681, 12289):
+        assert p > classgroup.ROOT_TABLE_BOUND and is_probable_prime(p)
+        roots = {}
+        for x in range(1, p):
+            roots.setdefault(x * x % p, []).append(x)
+        for n in range(1, p):
+            D = n - 4 * p
+            assert sorted(classgroup._sqrt_mod_prime(D, p)) == roots.get(n, []), (D, p)
+
+
+def reference_class_number(D):
+    """class_number as it stood before the root tables: Euler's criterion
+    by the builtin pow at every prime, the roots of the listed a by one
+    power at p = 3 mod 4 and Tonelli-Shanks otherwise.  The reference of
+    the tests below."""
+    from fiverank import classgroup
+
+    amax = math.isqrt(-D // 3)
+    top = math.isqrt(-D // 4)
+    spf, primes, rest = classgroup._smallest_prime_factors(amax)
+    roots, local = {}, {}
+    has_roots = bytearray([0]) + bytearray([1]) * amax
+    listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
+    for p in (p for p in primes if p <= amax):
+        q = p
+        if p > 2 and D % p:
+            if pow(D % p, (p - 1) // 2, p) == 1:
+                while q <= amax:
+                    local[q] = 2
+                    q *= p
+        else:
+            while q <= amax:
+                n = len(reference_prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
+                if not n:
+                    break
+                local[q] = n // 2 if p == 2 else n
+                q *= p
+            if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
+                listed[p::p] = b"\2" * (amax // p)
+        if q <= amax:
+            has_roots[q::q] = bytes(amax // q)
+    r = [0] * (amax + 1)
+    r[1] = count = 1
+    for a in range(2, amax + 1):
+        if not has_roots[a]:
+            continue
+        b = rest[a]
+        r[a] = n = r[b] * local[a // b]
+        if not listed[a]:
+            count += n
+            continue
+        n = rest[a] if a % 2 == 0 else a
+        mod = 2 * (a // n)
+        found = ([D & 1] if mod == 2 else
+                 [x for x in reference_prime_power_roots(D, 2, 2 * mod, roots) if x < mod])
+        while n > 1:
+            m = rest[n]
+            q = n // m
+            inv = pow(mod, -1, q)
+            found = [x + mod * ((s - x) * inv % q)
+                     for x in found for s in reference_prime_power_roots(D, spf[n], q, roots)]
+            mod *= q
+            n = m
+        for b in found:
+            b = b - mod if b > a else b
+            c, bb = (b * b - D) // (4 * a), b * b
+            if bb < 4 * a * a + D or (bb == 4 * a * a + D and b < 0):
+                continue
+            if listed[a] == 2 and math.gcd(a, b, c) != 1:
+                continue
+            count += 1
+    return count
+
+
+def reference_prime_power_roots(D, p, q, roots):
+    if q not in roots:
+        if q == p:
+            n = D % p
+            roots[q] = [n] if p == 2 or n == 0 else reference_sqrt_mod_prime(D, p)
+        else:
+            low = q // p
+            roots[q] = [x for r in reference_prime_power_roots(D, p, low, roots)
+                        for x in range(r, q, low) if (x * x - D) % q == 0]
+    return roots[q]
+
+
+def reference_sqrt_mod_prime(D, p):
+    n = D % p
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return [r, p - r] if r * r % p == n else []
+    if pow(n, (p - 1) // 2, p) != 1:
+        return []
+    s, odd = 0, p - 1
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(n, odd, p), pow(n, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return [r, p - r]
+
+
+def test_root_tables_match_a_search_and_eulers_criterion():
+    # every odd prime up to the bound: entry n of p's table is the root r
+    # of r^2 = n (mod p) with 0 < r <= p/2, and 0 exactly at the
+    # non-residues (and at n = 0)
+    from fiverank import classgroup
+
+    bound = classgroup.ROOT_TABLE_BOUND
+    assert bound == math.isqrt(classgroup.DEFAULT_DISC_BOUND // 3) == 1825
+    primes = [p for p in range(3, bound + 1, 2) if is_probable_prime(p)]
+    for p in primes:
+        table = classgroup._root_table(p)
+        assert len(table) == p and table[0] == 0, p
+        least = {}
+        for x in range(1, p):
+            least.setdefault(x * x % p, min(x, p - x))
+        for n in range(1, p):
+            r = table[n]
+            residue = pow(n, (p - 1) // 2, p) == 1
+            assert residue == (n in least) == (r != 0), (p, n)
+            if r:
+                assert r * r % p == n and 0 < 2 * r < p and r == least[n], (p, n)
+        assert classgroup._root_table(p) is table
+    assert sorted(classgroup._root_tables) == primes
+    assert sum(len(t) * t.itemsize for t in classgroup._root_tables.values()) < 600_000
+
+
+def test_class_number_matches_the_pow_and_tonelli_shanks_route(monkeypatch):
+    # against the route without tables and against the scan, on random D,
+    # fundamental or not, with the tables cold and warm; the D beyond
+    # 3 * 1825^2 reach primes on both sides of ROOT_TABLE_BOUND
+    from fiverank import classgroup
+
+    rng = random.Random(28)
+    small, large, nonfundamental = [], [], 0
+    while len(small) < 24:
+        D = -rng.randrange(3, 10**6)
+        if D % 4 in (0, 1):
+            small.append(D)
+            nonfundamental += not is_fundamental(D)
+    while len(large) < 4:
+        k = rng.choice((1, 1, 2, 3, 5))
+        D = -k * k * rng.randrange(15 * 10**6 // (k * k), 30 * 10**6 // (k * k))
+        if D % 4 in (0, 1):
+            large.append(D)
+            nonfundamental += not is_fundamental(D)
+    assert nonfundamental >= 4
+    assert all(math.isqrt(-D // 3) > classgroup.ROOT_TABLE_BOUND for D in large)
+    for D in small + large:
+        monkeypatch.setattr(classgroup, "_root_tables", {})
+        cold = class_number(D)
+        assert cold == class_number(D) == reference_class_number(D) == \
+            enumerated_count(D), D
+
+
+def test_no_root_table_is_built_at_cold_start():
+    # the benchmark's warm-up never counts a class number, so it builds no
+    # table: a fresh interpreter through the cold start of oracle-scan
+    # (the t = 4 specialization, the sieve data and every scan curve set
+    # up) has none, and its first count builds them
+    import subprocess
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import fiverank.cli\n"
+        "from fiverank import classgroup, sieve\n"
+        "from fiverank.errors import FiverankError\n"
+        "from fiverank.family import specialize\n"
+        "specialize()\n"
+        "sieve.sieve_data()\n"
+        "for u in classgroup.SCAN_U:\n"
+        "    try:\n"
+        "        classgroup._single_curve_setup(u)\n"
+        "    except FiverankError:\n"
+        "        pass\n"
+        "print(classgroup._single_curve_setup.cache_info().currsize,"
+        " len(classgroup._root_tables))\n"
+        "classgroup.class_number(-9910552)\n"
+        "print(len(classgroup._root_tables))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[:2] == [str(len(SCAN_U)), "0"] and int(out[2]) > 200, out
+
+
+def test_no_root_table_above_the_bound(monkeypatch):
+    # a count beyond the default budget reads tables for the odd primes
+    # up to the bound that do not divide D, and builds none above it
+    from fiverank import classgroup
+
+    monkeypatch.setattr(classgroup, "_root_tables", {})
+    D = -30000004
+    assert math.isqrt(-D // 3) > 3000 > classgroup.ROOT_TABLE_BOUND
+    assert class_number(D) == reference_class_number(D)
+    assert sorted(classgroup._root_tables) == \
+        [p for p in range(3, classgroup.ROOT_TABLE_BOUND + 1, 2)
+         if is_probable_prime(p) and D % p]
 
 
 def power_table_layers(D, q):
@@ -461,6 +672,44 @@ def test_class_number_matches_dirichlet_formula():
         assert class_number(D) == abs(total) // (-D), D
 
 
+def test_class_number_matches_dirichlet_formula_on_the_decided_grid():
+    # every discriminant that the default oracle grid decides with
+    # |D| <= 1e6 (36 of its 72), against Dirichlet's formula with chi
+    # computed multiplicatively along a sieve; the CI runs all 72
+    from class_number_formula import dirichlet_class_number
+
+    decided = {o.fundamental_d: o.class_number
+               for o in oracle_scan(100_000) if o.status != "skip"}
+    assert len(decided) == 72
+    small = sorted((D for D in decided if -D <= 10**6), reverse=True)
+    assert len(small) == 36
+    for D in small:
+        assert class_number(D) == decided[D] == dirichlet_class_number(D), D
+
+
+def test_class_number_matches_dirichlet_formula_on_random_discriminants():
+    # fundamental and non-fundamental D = D0 f^2, the latter by Cox,
+    # Theorem 7.24, from h(D0): f up to 60, D0 = -3 and -4 among them
+    from class_number_formula import dirichlet_class_number, fundamental_part
+
+    rng = random.Random(6)
+    fundamental = [-3, -4]
+    while len(fundamental) < 24:
+        D = -rng.randrange(5, 4 * 10**5)
+        if is_fundamental(D):
+            fundamental.append(D)
+    discs = fundamental + [-3 * 49, -4 * 25, -3 * 60 ** 2, -4 * 36 ** 2]
+    while len(discs) < 60:
+        f = rng.choice((2, 3, 4, 5, 6, 7, 10, 12, 15, 30, 60))
+        D = -f * f * rng.randrange(3, 4 * 10**5 // (f * f))
+        if D % 4 in (0, 1):
+            discs.append(D)
+    assert all(fundamental_part(D) == (D, 1) for D in fundamental)
+    assert all(fundamental_part(D)[1] > 1 for D in discs[24:])
+    for D in discs:
+        assert class_number(D) == dirichlet_class_number(D), D
+
+
 # -------------------------------------- the triple engine and its reference
 
 def reference_reduce_form(f):
@@ -533,10 +782,33 @@ def triple(f):
     return f.a, f.b, f.c
 
 
-def test_triple_composition_matches_the_reference_on_every_small_discriminant():
+@pytest.fixture
+def xgcd_calls(monkeypatch):
+    """The extended-gcd steps of the engine, in the order taken: _compose
+    takes two for a pair with gcd(a1, a2) > 1 and none for a coprime pair,
+    which takes one builtin inverse."""
+    from fiverank import classgroup
+
+    calls, xgcd = [], classgroup._xgcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(classgroup, "_xgcd", spy)
+    return calls
+
+
+def branch_counts(pairs):
+    """(coprime, not coprime) among the pairs that neither has a = 1."""
+    both = [math.gcd(f.a, g.a) for f, g in pairs if f.a > 1 and g.a > 1]
+    return sum(d == 1 for d in both), sum(d > 1 for d in both)
+
+
+def test_triple_composition_matches_the_reference_on_every_small_discriminant(xgcd_calls):
     from fiverank.classgroup import _compose
 
-    pairs = 0
+    pairs = []
     for D in range(-3, -1001, -1):
         if D % 4 not in (0, 1):
             continue
@@ -545,20 +817,31 @@ def test_triple_composition_matches_the_reference_on_every_small_discriminant():
             for g in forms:
                 assert _compose(triple(f), triple(g), D) == \
                     triple(reference_compose(f, g)), (D, f, g)
-        pairs += len(forms) ** 2
-    assert pairs > 10_000
+                pairs.append((f, g))
+    assert len(pairs) > 10_000
+    coprime, shared = branch_counts(pairs)
+    assert coprime > 1000 and shared > 1000
+    assert len(xgcd_calls) == 2 * shared
 
 
-def test_triple_composition_matches_the_reference_on_random_pairs():
+def test_triple_composition_matches_the_reference_on_random_pairs(xgcd_calls):
+    # random pairs, and as many again with gcd(a1, a2) > 1, also among
+    # the forms with a <= 300 of a discriminant of the oracle's size
     from fiverank.classgroup import _compose
 
     rng = random.Random(2000)
-    for D in (-12451, -50783):
-        forms = list(enumerate_reduced(D))
-        for _ in range(2000):
-            f, g = rng.choice(forms), rng.choice(forms)
+    pairs = []
+    for D in (-12451, -50783, -9910552):
+        forms = list(itertools.takewhile(lambda f: f.a <= 300, enumerate_reduced(D)))
+        shared = [(f, g) for f in forms for g in forms if math.gcd(f.a, g.a) > 1]
+        for f, g in [(rng.choice(forms), rng.choice(forms)) for _ in range(2000)] + \
+                rng.choices(shared, k=2000):
             assert _compose(triple(f), triple(g), D) == \
                 triple(reference_compose(f, g)), (D, f, g)
+            pairs.append((f, g))
+    coprime, shared = branch_counts(pairs)
+    assert coprime > 2000 and shared > 6000
+    assert len(xgcd_calls) == 2 * shared
 
 
 def moved(f, rng):
@@ -623,16 +906,27 @@ def test_public_wrappers_refuse_what_the_reference_refuses():
     assert refused > 10
 
 
-def test_triple_composition_checks_its_product():
+def test_triple_composition_checks_its_product(monkeypatch, xgcd_calls):
     # the public wrappers build a BinaryQuadraticForm, which validates it;
     # inside the engine _compose itself refuses an imprimitive product and
-    # one of another discriminant
-    from fiverank.classgroup import _compose
+    # one of another discriminant, with a = 1 on one side, with coprime a
+    # (4 and 3) and with a sharing a factor (2 and 4, 4 and 4)
+    from fiverank import classgroup
 
     for f, g, D in (((2, 2, 4), (1, 0, 7), -28), ((1, 0, 7), (2, 2, 4), -28),
-                    ((4, 2, 4), (3, 0, 5), -60), ((2, 1, 3), (1, 1, 12), -47)):
+                    ((4, 2, 4), (3, 0, 5), -60), ((2, 1, 3), (1, 1, 12), -47),
+                    ((2, 2, 8), (4, 2, 4), -60), ((4, 2, 4), (4, 2, 4), -60)):
         with pytest.raises(ValueError, match=f"form of {D}$"):
-            _compose(f, g, D)
+            classgroup._compose(f, g, D)
+    assert len(xgcd_calls) == 4
+    # a reduction that drifts off the discriminant, on either branch
+    reduce = classgroup._reduce
+    monkeypatch.setattr(classgroup, "_reduce",
+                        lambda a, b, c: (lambda a, b, c: (a, b, c + 1))(*reduce(a, b, c)))
+    for f, g in (((2, 1, 6), (3, 1, 4)), ((2, 1, 6), (2, 1, 6)), ((3, -1, 4), (3, -1, 4))):
+        with pytest.raises(ValueError, match="form of -47$"):
+            classgroup._compose(f, g, -47)
+    assert len(xgcd_calls) == 8
 
 
 def test_sylow_layers_check_every_composed_triple(monkeypatch):
@@ -649,8 +943,9 @@ def test_sylow_layers_check_every_composed_triple(monkeypatch):
 
 
 def test_class_number_does_not_depend_on_the_order_of_calls(monkeypatch):
-    # the smallest-prime-factor table is shared by every D and grows on
-    # demand: each count must be the same whatever table it finds
+    # the smallest-prime-factor table and the root tables are shared by
+    # every D and grow on demand: each count must be the same whatever
+    # tables it finds
     from fiverank import classgroup
 
     rng = random.Random(60)
@@ -662,10 +957,12 @@ def test_class_number_does_not_depend_on_the_order_of_calls(monkeypatch):
     fresh = {}
     for D in discs:
         monkeypatch.setattr(classgroup, "_spf", [])
+        monkeypatch.setattr(classgroup, "_root_tables", {})
         fresh[D] = class_number(D)
     shuffled = rng.sample(discs, len(discs))
     for order in (sorted(discs), sorted(discs, reverse=True), shuffled):
         monkeypatch.setattr(classgroup, "_spf", [])
+        monkeypatch.setattr(classgroup, "_root_tables", {})
         assert {D: class_number(D) for D in order} == fresh
     spf = classgroup._spf
     assert len(spf) > math.isqrt(max(-D for D in discs) // 3)

@@ -227,6 +227,101 @@ def test_minimal_model_preserves_j_and_divides_disc():
             assert ratio.denominator == 1
 
 
+def test_minimal_model_transform_matches_transform_between(monkeypatch):
+    # the transform comes in closed form from the scaling u/m, with no
+    # search: it is the one transform_between finds from the c-invariants,
+    # on the quotient curves and family curves of the oracle's scan, the
+    # curves of the sieve, and rational curves with denominators
+    from fiverank import classgroup, curves, sieve
+    from fiverank.errors import FiverankError
+    from fiverank.family import kubert_curve, quotient_cubic
+
+    found = []
+    monkeypatch.setattr(curves, "transform_between",
+                        lambda E, F: found.append(E) or transform_between(E, F))
+    models = [d.minimal for d in sieve.sieve_data()]
+    for u in classgroup.SCAN_U:
+        try:
+            models += [quotient_cubic(u).curve(), kubert_curve(u).curve()]
+        except FiverankError:
+            pass
+    rng = random.Random(27)
+    while len(models) < 150:
+        a = [F(rng.randrange(-40, 41), rng.choice((1, 2, 3, 4, 6, 25))) for _ in range(5)]
+        try:
+            models.append(WeierstrassCurve(*a))
+        except ValueError:
+            continue
+    scaled = 0
+    for E in models:
+        Emin, trans = minimal_model(E)
+        assert trans == transform_between(E, Emin) and trans.apply(E) == Emin, E
+        scaled += trans.u != 1
+    assert scaled > 50 and not found
+
+
+@pytest.mark.parametrize("coefficient", [3, 4])
+def test_minimal_model_checks_the_a4_and_a6_equations(monkeypatch, coefficient):
+    # a minimal model that the scaling does not reach is refused by an
+    # exact check that raises, not by an assert
+    from fiverank import curves
+    from fiverank.errors import IdentityCheckError
+
+    model = curves._model_from_c4c6
+
+    def shifted(c4, c6):
+        a = list(model(c4, c6).a_invariants())
+        a[coefficient] += 1
+        return WeierstrassCurve(*a)
+
+    monkeypatch.setattr(curves, "_model_from_c4c6", shifted)
+    with pytest.raises(IdentityCheckError, match="does not carry"):
+        minimal_model(WeierstrassCurve(0, 0, 0, 2 ** 8, 0))
+
+
+def scales_down_at(E, p):
+    """Whether some (u, r, s, t) = (p, r, s, t) with integers r, s, t
+    carries the integral E to an integral model: r mod p^2, s mod p and
+    t mod p^3 are enough, as the rest is an integral change of the
+    target.  A search that shares no step with minimal_model."""
+    return any(Transform(F(p), F(r), F(s), F(t)).apply(E).is_integral()
+               for s in range(p) for r in range(p * p) for t in range(p ** 3))
+
+
+@pytest.mark.parametrize("E", [
+    # v2(c4), v2(c6), v2(disc) = 4, 6, 10: c4 and c6 alone allow u = 2
+    WeierstrassCurve(6, -1100, -2750000, 15625000, -22500000000),
+    WeierstrassCurve(F(3, 25), F(-11, 25), -22, F(5, 2), F(-36, 25)),
+    # minimal at 3 with v3(c4), v3(c6), v3(disc) >= 4, 6, 12, where Kraus
+    # fails at 3, scaled so that the model scales down at 2
+    Transform(F(1, 2), F(0), F(0), F(0)).apply(WeierstrassCurve(-783, 9, -2187, 675, 27)),
+    Transform(F(1, 2), F(0), F(0), F(0)).apply(WeierstrassCurve(-1134, 45, 243, 189, 216)),
+])
+def test_minimal_model_scales_by_each_prime_as_far_as_it_may(E):
+    # the scaling at p stops at v_p(disc) / 12, and Kraus's criterion is
+    # read at 2 and at 3 apart: the model found is integral, carried to
+    # from E, and scales down neither at 2 nor at 3
+    Emin, trans = minimal_model(E)
+    assert Emin.is_integral() and trans.apply(E) == Emin
+    assert not scales_down_at(Emin, 2) and not scales_down_at(Emin, 3)
+
+
+def test_minimal_models_of_random_curves_scale_down_nowhere():
+    rng = random.Random(12)
+    checked = 0
+    while checked < 12:
+        a = [F(rng.randrange(-50, 51), rng.choice((1, 2, 3, 4, 6, 36)))
+             * rng.choice((1, 2 ** 4, 3 ** 3, 6 ** 4)) for _ in range(5)]
+        try:
+            E = WeierstrassCurve(*a)
+        except ValueError:
+            continue
+        checked += 1
+        Emin, trans = minimal_model(E)
+        assert Emin.is_integral() and trans.apply(E) == Emin, E
+        assert not scales_down_at(Emin, 2) and not scales_down_at(Emin, 3), E
+
+
 def test_transform_roundtrip_points():
     E = curve_37a()
     t = Transform(F(2), F(3), F(1), F(-2))
