@@ -46,6 +46,7 @@ from .errors import (
 )
 from .exact import (
     factor_completely,
+    homogeneous_value,
     integer_coefficients,
     is_probable_prime,
     rational_mod,
@@ -54,7 +55,7 @@ from .exact import (
 )
 from .family import five_division_kernel, kubert_curve, quotient_cubic
 from .isogeny import preimage_quintic, velu_onto_model
-from .sieve import _homogeneous, reduction_data_for_model, singular_avoidance_passes
+from .sieve import reduction_data_for_model, singular_avoidance_passes
 from .splitting import INERT, SPLIT, class_verdict, frobenius_order_in_L, prime_split_in_K
 
 DEFAULT_DISC_BOUND = 10**7
@@ -611,7 +612,7 @@ def _radicand(g: tuple[int, ...], scale: int, x: Fraction) -> Fraction:
     """g_u(x), for the integer form g = scale * g_u of _oracle_curve:
     H / (scale d^3) for x = n/d, with H = d^3 scale g_u(n/d) by integer
     Horner, so one gcd where CubicModel.rhs takes one per Fraction step."""
-    H, d3 = _homogeneous(g, x.numerator, x.denominator)
+    H, d3 = homogeneous_value(g, x.numerator, x.denominator)
     return Fraction(H, scale * d3)
 
 

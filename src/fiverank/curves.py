@@ -301,13 +301,9 @@ def transform_between(E: WeierstrassCurve, F: WeierstrassCurve) -> Transform:
             u = rational_sqrt(u2)
         except ValueError:
             continue
-        for uu in (u, -u):
-            s = (uu * F.a1 - E.a1) / 2
-            r = (u2 * F.a2 - E.a2 + s * E.a1 + s * s) / 3
-            t = (uu ** 3 * F.a3 - E.a3 - r * E.a1) / 2
-            cand = Transform(uu, r, s, t)
-            if cand.apply(E) == F:
-                return cand
+        trans = _scaling_onto(E, F, u) or _scaling_onto(E, F, -u)
+        if trans is not None:
+            return trans
     raise NoIsomorphismError(f"no rational isomorphism from {E!r} to {F!r}")
 
 
@@ -383,21 +379,24 @@ def minimal_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Transform]:
         while u % p == 0 and not _kraus_valid(c4 // u ** 4, c6 // u ** 6, p):
             u //= p
     Emin = _model_from_c4c6(c4 // u ** 4, c6 // u ** 6)
-    return Emin, _scaling_onto(E, Emin, Fraction(u, m))
+    trans = _scaling_onto(E, Emin, Fraction(u, m))
+    if trans is None:
+        raise IdentityCheckError(f"scaling by {Fraction(u, m)} does not carry {E!r} to {Emin!r}")
+    return Emin, trans
 
 
-def _scaling_onto(E: WeierstrassCurve, F: WeierstrassCurve, u: Fraction) -> Transform:
-    """The transform of scaling u carrying E to F: s, r and t solve the
-    a1, a2 and a3 equations of Transform.apply in closed form, as
-    transform_between takes them, and the a4 and a6 equations are
-    checked exactly.  Raises IdentityCheckError when they fail."""
+def _scaling_onto(E: WeierstrassCurve, F: WeierstrassCurve, u: Fraction) -> Transform | None:
+    """The transform of scaling u carrying E to F, or None when there is
+    none: s, r and t solve the a1, a2 and a3 equations of Transform.apply
+    in closed form, and the a4 and a6 equations are checked exactly.  Both
+    minimal_model and transform_between solve for (r, s, t) here."""
     a1, a2, a3, a4, a6 = E.a_invariants()
     s = (u * F.a1 - a1) / 2
     r = (u * u * F.a2 - a2 + s * a1 + s * s) / 3
     t = (u ** 3 * F.a3 - a3 - r * a1) / 2
     if (u ** 4 * F.a4 != a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
             or u ** 6 * F.a6 != a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1):
-        raise IdentityCheckError(f"scaling by {u} does not carry {E!r} to {F!r}")
+        return None
     return Transform(u, r, s, t)
 
 

@@ -739,6 +739,17 @@ def integer_coefficients(*polys: Poly) -> list[list[int]]:
     return [[a.numerator * (scale // a.denominator) for a in cs] for cs in coeffs]
 
 
+def homogeneous_value(coeffs, n, d):
+    """d^k c(n/d) and d^k for the degree-k polynomial c with coefficients
+    coeffs (lowest degree first), by Horner: integers n and d give
+    integers, and Poly n and d the homogenized form."""
+    acc, dk = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return acc, dk
+
+
 def _gcd_primitive_prs(a: "Poly", b: "Poly") -> "Poly":
     """Polynomial gcd over Q via the primitive pseudo-remainder sequence."""
     A = a.primitive_integer()

@@ -82,10 +82,11 @@ v_p(d) for any representative of a fraction, and when that is >= 0,
 dividing p^v_p(d) out of both leaves a denominator prime to p, whose
 inverse mod p gives the residue.
 
-The certificate (splitting.verify_instance) calls `x_and_radicand_form`
-once, and on the direct route builds its report from it by _direct_report;
-`reduced_radicand` turns H and d^k into f(x) in lowest terms with a gcd
-bounded by a constant.  The sieve itself never divides H by anything.
+check_z alone chooses the route.  A direct-route report carries its
+x_and_radicand_form(z), neither serialized nor compared, so that the
+certificate (splitting.verify_instance) evaluates x(z) once on either
+route; `reduced_radicand` turns H and d^k into f(x) in lowest terms with
+a gcd bounded by a constant.  The sieve itself never divides H by anything.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ from .errors import (
 from .exact import (
     Poly,
     Ratio,
+    homogeneous_value,
     integer_coefficients,
     int_valuation,
     valuation,  # noqa: F401  (the traced benchmark wraps this binding)
@@ -459,6 +461,8 @@ class SieveReport:
     z: int
     radicand_sign: int
     records: tuple[ConditionRecord, ...]
+    # the direct route's x_and_radicand_form(z), None on the class route
+    evaluation: tuple[Ratio, int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -522,21 +526,11 @@ def _bezout_identity() -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return tuple(int(c) for c in A.c), tuple(int(c) for c in B.c), M
 
 
-def _homogeneous(coeffs: tuple[int, ...], n: int, d: int) -> tuple[int, int]:
-    """d^k c(n/d) and d^k for the degree-k polynomial c (lowest degree
-    first), by Horner."""
-    acc, dk = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        dk *= d
-        acc = acc * n + c * dk
-    return acc, dk
-
-
 def x_pair(z: int) -> tuple[int, int]:
     """x(z) = n/d as an unreduced integer pair, by Horner in z."""
     num, den, _, _ = _integer_forms()
-    n, _ = _homogeneous(num, z, 1)
-    d, _ = _homogeneous(den, z, 1)
+    n, _ = homogeneous_value(num, z, 1)
+    d, _ = homogeneous_value(den, z, 1)
     if d == 0:
         raise PoleError(f"evaluation at pole z={z}")
     return n, d
@@ -554,7 +548,7 @@ def sign_bound() -> int:
     """
     num, den, f, _ = _integer_forms()
     den = Poly(den)
-    form, _ = _homogeneous(f, Poly(num), den)
+    form, _ = homogeneous_value(f, Poly(num), den)
     if (form.degree + (len(f) - 1) * den.degree) % 2 == 0:
         raise IdentityCheckError("the radicand's sign does not follow the sign of z")
     bound = 0
@@ -586,7 +580,7 @@ def x_and_radicand_form(z: int) -> tuple[Ratio, int, int]:
     if d < 0:
         g = -g
     n, d = n // g, d // g
-    form, dk = _homogeneous(_integer_forms()[2], n, d)
+    form, dk = homogeneous_value(_integer_forms()[2], n, d)
     return Ratio(n, d), form, dk
 
 
@@ -596,26 +590,18 @@ def check_z(z: int) -> SieveReport:
     For |z| > sign_bound() the records come from the memo of p-adic
     classes and the sign from z, with no polynomial evaluated.  Every
     other z, and a z with a class that does not fix its records, takes
-    the direct route on x(z) and H (see the module docstring).
+    the direct route on x(z) and H (see the module docstring); that
+    report carries the evaluation.  Raises PoleError at z = 0.
     """
     bound = sign_bound()
     if not -bound <= z <= bound:
         records = _class_records(z)
         if records is not None:
             return SieveReport(z, 1 if z > 0 else -1, records)
-    return _direct_report(z, *x_and_radicand_form(z)[:2])    # PoleError at z = 0
-
-
-def _direct_route(z: int) -> bool:
-    """Whether check_z takes the direct route at z."""
-    return -sign_bound() <= z <= sign_bound() or _class_records(z) is None
-
-
-def _direct_report(z: int, x: Ratio, form: int) -> SieveReport:
-    """check_z's direct-route report from x(z) and H, as x_and_radicand_form gives them."""
+    x, form, _ = evaluation = x_and_radicand_form(z)
     records = tuple(record for data in sieve_data()
                     for record in _extension_records(data, *x))
-    return SieveReport(z, (form > 0) - (form < 0), records)
+    return SieveReport(z, (form > 0) - (form < 0), records, evaluation)
 
 
 def reduced_radicand(form: int, dk: int) -> Ratio:

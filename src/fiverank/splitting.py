@@ -41,10 +41,11 @@ oracle's steady state needs about a hundred.
 
 A certificate does integer arithmetic only on the long numbers of a
 large z, and none of it divides one long number by another.  The sieve
-report holds no number but z: verify_instance takes x(z) = n/d, the
+report records no number but z: verify_instance takes x(z) = n/d, the
 integer form H of the radicand and d^k from sieve.x_and_radicand_form,
-and sieve.reduced_radicand gives the radicand as an integer pair in
-lowest terms; both gcds are bounded by constants, so each is taken on
+held by check_z's report on the direct route and called on the class
+route, and sieve.reduced_radicand gives the radicand as an integer pair
+in lowest terms; both gcds are bounded by constants, so each is taken on
 residues.  The long-form abscissa's residue mod l is read off the
 unreduced pair (lead numerator * n, lead denominator * d); is_square
 refuses almost every non-square by residues; the K verdicts read the
@@ -80,8 +81,7 @@ from .exact import (
 )
 from .family import CONSTANTS, five_isogeny, specialize
 from .isogeny import IsogenyMap, preimage_quintic
-from .sieve import (SieveReport, _direct_report, _direct_route, check_z, reduced_radicand,
-                    x_and_radicand_form)
+from .sieve import SieveReport, check_z, reduced_radicand, x_and_radicand_form
 
 SPLIT = "split"
 INERT = "inert"
@@ -292,8 +292,8 @@ def verify_instance(z: int) -> FieldCertificate:
     the conclusion flag is set only when everything holds.
     """
     failures = []
-    x, form, dk = x_and_radicand_form(z)
-    report = _direct_report(z, x, form) if _direct_route(z) else check_z(z)
+    report = check_z(z)
+    x, form, dk = report.evaluation or x_and_radicand_form(z)
     r = reduced_radicand(form, dk)
     if not report.passed:
         failures.append("sieve conditions failed")

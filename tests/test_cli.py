@@ -553,6 +553,24 @@ def test_no_assert_statements_in_package():
     assert not offenders, offenders
 
 
+def test_no_module_imports_a_private_name():
+    # a name with a leading underscore belongs to its module: no other
+    # module of the package imports it
+    import ast
+    import pathlib
+
+    import fiverank
+
+    package = pathlib.Path(fiverank.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names if alias.name.startswith("_")]
+    assert not offenders, offenders
+
+
 def test_package_imports_only_the_standard_library():
     # the package runs on a bare interpreter: every absolute import names a
     # standard-library module or the package itself.  No linter runs on

@@ -340,6 +340,95 @@ def test_transform_between_finds_map():
     assert found.apply(E) == E2
 
 
+def _reference_transform_between(E, F_):
+    """The candidate search of transform_between with its own solve for
+    (r, s, t), each candidate kept when Transform.apply carries E to F_:
+    a reference that shares no step with minimal_model's closed form.
+    None when no candidate does."""
+    from fiverank.exact import integer_nth_root, rational_sqrt
+
+    c4e, c6e = E.c_invariants()
+    c4f, c6f = F_.c_invariants()
+    if (c4e == 0, c6e == 0) != (c4f == 0, c6f == 0):
+        return None
+    candidates = []
+    if c4e and c6e:
+        candidates.append((c6e * c4f) / (c4e * c6f))
+    elif c4e:
+        try:
+            candidates += [rational_sqrt(c4e / c4f), -rational_sqrt(c4e / c4f)]
+        except ValueError:
+            pass
+    else:
+        u6 = c6e / c6f
+        num, den = u6.numerator, u6.denominator
+        if num > 0:
+            rn, rd = integer_nth_root(num, 3), integer_nth_root(den, 3)
+            if rn ** 3 == num and rd ** 3 == den:
+                candidates.append(F(rn, rd))
+    for u2 in candidates:
+        if u2 <= 0:
+            continue
+        try:
+            u = rational_sqrt(u2)
+        except ValueError:
+            continue
+        for uu in (u, -u):
+            s = (uu * F_.a1 - E.a1) / 2
+            r = (u2 * F_.a2 - E.a2 + s * E.a1 + s * s) / 3
+            t = (uu ** 3 * F_.a3 - E.a3 - r * E.a1) / 2
+            cand = Transform(uu, r, s, t)
+            if cand.apply(E) == F_:
+                return cand
+    return None
+
+
+def test_transform_between_matches_the_reference_search():
+    # each candidate u is solved by the closed form minimal_model uses;
+    # the transform found is the reference's on random curves (c4 = 0 and
+    # c6 = 0 ones too) under random transforms with u of either sign, and
+    # a pair the reference finds no map for still raises
+    from fiverank.errors import NoIsomorphismError
+
+    rng = random.Random(29)
+
+    def rational(lo=-30, hi=30):
+        return F(rng.choice([n for n in range(lo, hi + 1) if n]), rng.choice((1, 2, 3, 5, 6)))
+
+    curves = []
+    while len(curves) < 90:
+        shape = len(curves) % 3
+        a = [rational() for _ in range(5)]
+        if shape == 1:
+            a = [0, 0, 0, 0, a[4]]          # c4 = 0
+        elif shape == 2:
+            a = [0, 0, 0, a[3], 0]          # c6 = 0
+        try:
+            curves.append(WeierstrassCurve(*a))
+        except ValueError:
+            continue
+    pairs = []
+    for E in curves:
+        t = Transform(rng.choice((1, -1)) * rational(1, 12), rational(), rational(), rational())
+        pairs.append((E, t.apply(E)))
+        pairs.append((E, rng.choice(curves)))
+        # a quadratic twist: same j, no rational map unless d is a square
+        b2, b4, b6, _ = E.b_invariants()
+        d = rng.choice((-1, 2, 3, -7))
+        pairs.append((E, WeierstrassCurve(0, d * b2 / 4, 0, d * d * b4 / 2, d ** 3 * b6 / 4)))
+    found = 0
+    for E, F_ in pairs:
+        ref = _reference_transform_between(E, F_)
+        if ref is None:
+            with pytest.raises(NoIsomorphismError):
+                transform_between(E, F_)
+        else:
+            trans = transform_between(E, F_)
+            assert trans == ref and trans.apply(E) == F_, (E, F_)
+            found += 1
+    assert found >= 90 and len(pairs) - found >= 150
+
+
 # ------------------------------------------------------------ reduction data
 
 def test_reduction_info_good_prime():

@@ -12,7 +12,7 @@ import pytest
 
 from fiverank.curves import minimal_model
 from fiverank.errors import NoSingularPointError, PoleError
-from fiverank.exact import Ratio, valuation
+from fiverank.exact import Ratio, homogeneous_value, valuation
 from fiverank.family import CONSTANTS, specialize
 from fiverank.sieve import (
     admissible_z,
@@ -634,8 +634,8 @@ def test_check_z_with_radicand_matches_fraction_reference():
         n, d = sieve.x_pair(z)
         g = math.gcd(n, d) * (1 if d > 0 else -1)
         assert (x.numerator, x.denominator) == (n // g, d // g), z
-        assert (form, dk) == sieve._homogeneous(f, n // g, d // g), z
-        routes.add(sieve._direct_route(z))
+        assert (form, dk) == homogeneous_value(f, n // g, d // g), z
+        routes.add(check_z(z).evaluation is not None)
         shared += g % 29 ** 4 == 0
         r = cert.radicand
         x_ref, r_ref = sp.x_of_z(F(z)), sp.radicand(z)
@@ -691,7 +691,7 @@ def test_reduced_radicand_reaches_its_gcd_bound_on_rational_x():
     rng = random.Random(11)
 
     def reduced(n, d):
-        r = sieve.reduced_radicand(*sieve._homogeneous(f, n, d))
+        r = sieve.reduced_radicand(*homogeneous_value(f, n, d))
         ref = sp.f_model(F(n, d))
         assert (r.numerator, r.denominator) == (ref.numerator, ref.denominator), (n, d)
         return s * d ** k // r.denominator
@@ -706,7 +706,7 @@ def test_reduced_radicand_reaches_its_gcd_bound_on_rational_x():
     for p in (11, 29):
         d = p * p
         n = max((n for n in range(1, p ** 3) if n % p),
-                key=lambda n: math.gcd(sieve._homogeneous(f, n, d)[0], s * d ** k))
+                key=lambda n: math.gcd(homogeneous_value(f, n, d)[0], s * d ** k))
         assert valuation(reduced(n, d), p) > 2 * valuation(f[-1], p), p
 
 
@@ -873,7 +873,7 @@ def test_class_route_evaluates_no_polynomial(monkeypatch):
     sieve_data()
     bound = sieve.sign_bound()
     x_calls, forms = [], []
-    real_pair, real_homogeneous = sieve.x_pair, sieve._homogeneous
+    real_pair, real_homogeneous = sieve.x_pair, sieve.homogeneous_value
 
     def pair_spy(z):
         x_calls.append(z)
@@ -884,7 +884,7 @@ def test_class_route_evaluates_no_polynomial(monkeypatch):
         return real_homogeneous(coeffs, n, d)
 
     monkeypatch.setattr(sieve, "x_pair", pair_spy)
-    monkeypatch.setattr(sieve, "_homogeneous", homogeneous_spy)
+    monkeypatch.setattr(sieve, "homogeneous_value", homogeneous_spy)
     routes = {"class": 0, "direct": 0}
     for z in list(range(-bound, bound + 1)) + list(_differential_z()):
         del x_calls[:], forms[:]

@@ -14,6 +14,7 @@ from fiverank.errors import (
     FieldCollapseError,
     FiverankError,
     InvalidCertificateError,
+    PoleError,
     ProtocolViolationError,
     RamifiedPrimeError,
 )
@@ -177,6 +178,51 @@ def test_verify_instance_evaluates_x_once(monkeypatch):
         assert calls == [z], z
         monkeypatch.undo()
         assert cert.sieve_report == sieve.check_z(z), z
+
+
+# z = r mod 29^5 with 11 r = 29: v_29(z) = 1 in a 29-adic class that no
+# depth decides, so check_z takes the direct route far above sign_bound()
+OPEN_CLASS_R = 29 * pow(11, -1, 29 ** 5) % 29 ** 5
+OPEN_CLASS_Z = [b + (OPEN_CLASS_R - b) % 29 ** 5 for b in (10 ** 12, 10 ** 100, 10 ** 1000)]
+
+
+def test_class_route_certificate_looks_up_its_classes_once(monkeypatch):
+    # check_z alone chooses the sieve route, so a class-route certificate
+    # looks up the p-adic classes of z once, there, and carries no
+    # evaluation in its report
+    zs = [next(admissible_z(start=10 ** e, sign=sign))
+          for e in (12, 100, 1000) for sign in ("pos", "neg")] + [10 ** 15 + 1141]
+    real, calls = sieve._class_records, []
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    monkeypatch.setattr(sieve, "_class_records", counted)
+    for z in zs:
+        calls.clear()
+        cert = verify_instance(z)
+        assert calls == [z], z
+        assert cert.sieve_report.evaluation is None and real(z) is not None, z
+
+
+@pytest.mark.parametrize("z", [2, -3, 11850] + OPEN_CLASS_Z,
+                         ids=["2", "-3", "11850", "open-1e12", "open-1e100", "open-1e1000"])
+def test_direct_route_report_carries_its_evaluation(z):
+    # the evaluation is x_and_radicand_form(z), kept out of the record,
+    # the repr and equality
+    report = sieve.check_z(z)
+    assert report.evaluation == sieve.x_and_radicand_form(z), z
+    assert abs(z) <= sieve.sign_bound() or sieve._class_records(z) is None, z
+    bare = sieve.SieveReport(report.z, report.radicand_sign, report.records)
+    assert report == bare and repr(report) == repr(bare)
+    assert report.to_json() == bare.to_json()
+
+
+def test_pole_raises_from_check_z_and_verify_instance():
+    for build in (sieve.check_z, verify_instance):
+        with pytest.raises(PoleError, match=r"^evaluation at pole z=0$"):
+            build(0)
 
 
 def test_fields_distinct():
@@ -346,6 +392,20 @@ def test_arbitrary_z_certificates_pinned():
     assert kinds == {"ProtocolViolationError": 257, "RamifiedPrimeError": 11,
                      "InvalidCertificateError": 1,
                      "splitting pattern does not force independence": 31}
+
+
+# z = +-1 ... +-17 on both sides of sign_bound() = 3, then 11850 and the
+# open 29-adic classes: 10 of the 38 certificates take check_z's direct route
+ROUTE_Z = [z for z in range(-17, 18) if z] + [11850] + OPEN_CLASS_Z
+ROUTE_Z_SHA256 = "b277f1f711304f891a431703328c9a47c48b2142a8f965f35b210a3749c664e9"
+
+
+def test_certificates_across_the_sieve_routes_pinned():
+    # the canonical JSON lines, as for ARBITRARY_Z (CI hashes the same
+    # lines under python -O)
+    assert sieve.sign_bound() == 3
+    assert sum(sieve.check_z(z).evaluation is not None for z in ROUTE_Z) == 10
+    assert _records_sha256(ROUTE_Z) == ROUTE_Z_SHA256
 
 
 def test_certificate_errors_are_computed_once(monkeypatch):
