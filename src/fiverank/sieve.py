@@ -580,8 +580,17 @@ def x_and_radicand_form(z: int) -> tuple[Ratio, int, int]:
     if d < 0:
         g = -g
     n, d = n // g, d // g
-    form, dk = homogeneous_value(_integer_forms()[2], n, d)
+    form, dk, _ = radicand_form(n, d)
     return Ratio(n, d), form, dk
+
+
+def radicand_form(n: int, d: int) -> tuple[int, int, int]:
+    """H = d^k f_int(n/d), d^k and the scale s of f_int = s f, so that
+    f(n/d) = H / (s d^k) for any integers n and d != 0, in lowest terms
+    or not."""
+    _, _, f, s = _integer_forms()
+    form, dk = homogeneous_value(f, n, d)
+    return form, dk, s
 
 
 def check_z(z: int) -> SieveReport:

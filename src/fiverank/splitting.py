@@ -46,12 +46,33 @@ integer form H of the radicand and d^k from sieve.x_and_radicand_form,
 held by check_z's report on the direct route and called on the class
 route, and sieve.reduced_radicand gives the radicand as an integer pair
 in lowest terms; both gcds are bounded by constants, so each is taken on
-residues.  The long-form abscissa's residue mod l is read off the
-unreduced pair (lead numerator * n, lead denominator * d); is_square
-refuses almost every non-square by residues; the K verdicts read the
-radicand's numerator and denominator apart; and the record writes its
-digits by exact.decimal_string, which splits them at cached powers of
-10 by multiplying with cached reciprocals.
+residues.  is_square refuses almost every non-square by residues, and
+the record writes its digits by exact.decimal_string, which splits them
+at cached powers of 10 by multiplying with cached reciprocals.
+
+The splitting pattern reads no long number at all on an admissible z.
+Row l of the pattern, the K verdict at l and the three L_j verdicts
+there, depends on z only through r = z mod l when the class condition
+holds at r: with x(z) = num(z)/den(z) by sieve.x_pair and f_int = s f
+as in sieve.radicand_form, den(r) and f_int(num(r)/den(r)) are l-units,
+and so are s and the numerator and denominator of each quotient model's
+lead.  For then every z = r mod l has x(z) = n/d with d dividing den(z),
+so d is an l-unit and n/d = xbar = num(r)/den(r) mod l; each entry reads
+lead * xbar mod l; and H = d^k f_int(n/d) = d^k f_int(xbar) mod l, so the
+radicand H / (s d^k) is an l-unit and its Legendre symbol is that of
+s f_int(xbar).  _row computes a row on one x and its radicand, neither
+needed in lowest terms, its entries up to the first error, the one
+splitting_pattern raises; _class_row(l, r) runs it once per class on the
+representative z = r, as _class_verdict decides an abscissa class on a
+small representative, and stores its entries as _class_verdict does,
+errors as class and message.  It returns None where the condition fails,
+and splitting_pattern then runs _row on the z at hand.  That happens on
+15 of the 163 + 701 + 1277 = 2,141 residues, never on an admissible z
+(r = 1, where xbar is 67, 127 and 197): den vanishes at 0, 10 and 136
+mod 163, at 0, 385 and 528 mod 701 and at 0, 43 and 467 mod 1277, and
+f_int(xbar) at 43 and 120 mod 163 and at 73, 322, 357 and 480 mod 701.
+The memo holds at most those 2,141 keys and fills as certificates meet
+their classes, so the cold start does none of it.
 """
 
 from __future__ import annotations
@@ -66,6 +87,7 @@ from .errors import (
     FieldCollapseError,
     FiverankError,
     InvalidCertificateError,
+    PoleError,
     ProtocolViolationError,
     RamifiedPrimeError,
 )
@@ -81,7 +103,14 @@ from .exact import (
 )
 from .family import CONSTANTS, five_isogeny, specialize
 from .isogeny import IsogenyMap, preimage_quintic
-from .sieve import SieveReport, check_z, reduced_radicand, x_and_radicand_form
+from .sieve import (
+    SieveReport,
+    check_z,
+    radicand_form,
+    reduced_radicand,
+    x_and_radicand_form,
+    x_pair,
+)
 
 SPLIT = "split"
 INERT = "inert"
@@ -254,11 +283,55 @@ def _class_verdict(num: int, den: int, l: int,
 def class_verdict(u: Fraction, l: int, point: int | None) -> str:
     """The verdict of _class_verdict at (u, l, point), or a fresh error
     of the class and message it stored."""
-    verdict = _class_verdict(u.numerator, u.denominator, l, point)
+    return _unstored(_class_verdict(u.numerator, u.denominator, l, point))
+
+
+def _unstored(verdict: str | tuple[type, str]) -> str:
+    """A stored verdict, or a fresh error of the class and message stored
+    in its place."""
     if type(verdict) is str:
         return verdict
     error, message = verdict
     raise error(message)
+
+
+def _row(l: int, x: Fraction | Ratio, radicand: Fraction | Ratio):
+    """Row l of the pattern at x = x(z) and its radicand f(x): the K
+    verdict, then the L_j entries as _class_verdict gives them, a verdict
+    or the class and message of its error, up to the first error.
+
+    Neither ratio needs lowest terms; each entry reads the long-form
+    abscissa lead * x mod l off the integer pair.
+    """
+    k_verdict = prime_split_in_K(l, radicand)
+    n, d = x.numerator, x.denominator
+    sp = specialize()
+    entries = []
+    for u, model in zip(sp.u, sp.F_models):
+        lead = model.lead
+        point = valuation_and_residue(lead.numerator * n, lead.denominator * d, l)[1]
+        entries.append(_class_verdict(u.numerator, u.denominator, l, point))
+        if type(entries[-1]) is not str:
+            break           # splitting_pattern raises it; no later entry is read
+    return k_verdict, tuple(entries)
+
+
+# keyed by (l, z mod l) at the three test primes: 163 + 701 + 1277 = 2,141 keys
+@lru_cache(maxsize=None)
+def _class_row(l: int, r: int):
+    """_row at l for every integer z = r mod l, computed on the
+    representative z = r, or None when the class condition fails there
+    (see the module docstring)."""
+    try:
+        n, d = x_pair(r)
+    except PoleError:           # den(r) = 0, as at r = 0
+        return None
+    H, dk, s = radicand_form(n, d)
+    leads = [model.lead for model in specialize().F_models]
+    units = (d, H, s, *(c for lead in leads for c in (lead.numerator, lead.denominator)))
+    if any(c % l == 0 for c in units):
+        return None
+    return _row(l, Ratio(n, d), Ratio(H, s * dk))
 
 
 def splitting_pattern(z: int, x: Fraction | Ratio,
@@ -266,23 +339,29 @@ def splitting_pattern(z: int, x: Fraction | Ratio,
     """Compute the full 3x3 pattern for one z from x = x(z) and f(x).
 
     Both are read as numerator and denominator, the radicand in lowest
-    terms.  The L_j verdicts come from the residue-class memo on the
-    curves of the distinguished specialization; each reads the
-    long-form abscissa lead * x mod l off the integer pair.
+    terms.  Row l, the K verdict at l and the three L_j verdicts there,
+    is read from _class_row(l, z mod l), a memo of at most 2,141 keys,
+    whenever the class condition holds at z mod l: den(z) and f_int(x(z))
+    are l-units, and so are s and the numerator and denominator of each
+    quotient model's lead (see the module docstring).  It fails on 15
+    residues and never on an admissible z; there _row computes the row
+    on x and the radicand themselves.  The non-square test runs first,
+    as its message names z; then the rows in order of l, the first error
+    stored in their entries raised afresh.  A K verdict raises nothing
+    once the radicand is a nonzero non-square, so no error comes out of
+    the order of all three K verdicts, then the entries row by row.
     """
     primes = CONSTANTS["z_one_mod"]
     if is_square(radicand):
         raise FieldCollapseError(f"radicand at z={z} is a rational square")
-    k_verdicts = tuple(prime_split_in_K(l, radicand) for l in primes)
-    n, d = x.numerator, x.denominator
-    sp = specialize()
-    curves = [(u, model.lead) for u, model in zip(sp.u, sp.F_models)]
-    entries = tuple(
-        tuple(class_verdict(u, l, valuation_and_residue(
-                  lead.numerator * n, lead.denominator * d, l)[1])
-              for u, lead in curves)
-        for l in primes)
-    return SplittingPattern(primes, entries, k_verdicts)
+    rows = []
+    for l in primes:
+        row = _class_row(l, z % l) or _row(l, x, radicand)
+        for entry in row[1]:
+            _unstored(entry)
+        rows.append(row)
+    return SplittingPattern(primes, tuple(entries for _, entries in rows),
+                            tuple(k for k, _ in rows))
 
 
 def verify_instance(z: int) -> FieldCertificate:

@@ -1320,13 +1320,15 @@ def test_oracle_refuses_a_wrong_class_number(monkeypatch):
 
 @pytest.fixture
 def cold_witness_memo():
-    """The residue-class memo emptied before and after the test: a warm
+    """The residue-class memos emptied before and after the test: a warm
     memo never reaches a patched frobenius_order_in_L or preimage_quintic,
     and a verdict computed under a patch must not outlive it."""
     from fiverank import classgroup, splitting
 
+    splitting._class_row.cache_clear()
     splitting._class_verdict.cache_clear()
     yield classgroup
+    splitting._class_row.cache_clear()
     splitting._class_verdict.cache_clear()
 
 

@@ -298,6 +298,25 @@ def _sample_z(seed):
     return zs
 
 
+# ------------------------------------------------ pattern rows per class
+#
+# Row l of the pattern depends on z only through z mod l wherever the
+# class condition holds (the splitting module docstring).  It fails on
+# these residues: den(z) vanishes mod l, at 0 among others, or
+# f_int(x(z)) does.
+
+UNFIXED = {163: (0, 10, 43, 120, 136), 701: (0, 73, 322, 357, 385, 480, 528),
+           1277: (0, 43, 467)}
+WARM_CLASS_ROW = splitting._class_row
+
+
+# every unfixed residue at 1e12, -1e12, 1e100 and 1e1000: each certificate
+# computes at least one row on z itself
+FALLBACK_Z = [b + (r - b) % l for b in (10 ** 12, -10 ** 12, 10 ** 100, 10 ** 1000)
+              for l, rs in UNFIXED.items() for r in rs]
+FALLBACK_Z_SHA256 = "b4f23282ce370732dcceb93084050853657ac24fb853107ba6f4430b13a5366d"
+
+
 @pytest.fixture
 def unlimited_int_str():
     """Radicands at |z| ~ 1e1000 exceed CPython's 4,300-digit str limit."""
@@ -308,8 +327,10 @@ def unlimited_int_str():
 
 
 def test_fast_path_matches_exact_route_at_every_size(monkeypatch, unlimited_int_str):
+    # the seeded z, and z in every class of z mod l whose pattern row is
+    # computed on z itself, not read from the memo of rows
     sp = specialize()
-    zs = _sample_z(20261018)
+    zs = _sample_z(20261018) + [z for z in FALLBACK_Z if z > 0]
     fast = {z: (_outcome(_pattern, z), verify_instance(z).to_json()) for z in zs}
     monkeypatch.setattr(splitting, "splitting_pattern", _exact_pattern)
     monkeypatch.setattr(splitting, "check_z", lambda z, **_: sieve.check_z(z))
@@ -346,6 +367,8 @@ def test_residue_precondition_is_a_typed_error(monkeypatch):
     bad = dataclasses.replace(phi, x_map=RatFunc(163 * phi.x_map.num, phi.x_map.den))
     monkeypatch.setattr(splitting, "five_isogeny",
                         lambda u: bad if u == sp.u[0] else family.five_isogeny(u))
+    # every memo that holds a verdict read from the isogeny
+    splitting._class_row.cache_clear()
     splitting._class_verdict.cache_clear()
     splitting._x_map_form.cache_clear()
     try:
@@ -356,6 +379,7 @@ def test_residue_precondition_is_a_typed_error(monkeypatch):
         assert not cert.conclusion
         assert cert.failures[-1].startswith("BadReductionError: 163 divides")
     finally:
+        splitting._class_row.cache_clear()
         splitting._class_verdict.cache_clear()
         splitting._x_map_form.cache_clear()
 
@@ -384,6 +408,7 @@ def _records_sha256(zs):
 def test_arbitrary_z_certificates_pinned():
     # the canonical JSON lines the CLI writes, on a cold memo and on a
     # warm one (CI hashes the same lines under python -O)
+    splitting._class_row.cache_clear()
     splitting._class_verdict.cache_clear()
     assert _records_sha256(ARBITRARY_Z) == ARBITRARY_Z_SHA256
     assert _records_sha256(ARBITRARY_Z) == ARBITRARY_Z_SHA256
@@ -419,6 +444,7 @@ def test_certificate_errors_are_computed_once(monkeypatch):
         return real(phi, X)
 
     monkeypatch.setattr(splitting, "preimage_quintic", spy)
+    splitting._class_row.cache_clear()
     splitting._class_verdict.cache_clear()
     first = [verify_instance(z).failures for z in ARBITRARY_Z]
     assert built
@@ -437,3 +463,103 @@ def test_certificate_errors_are_computed_once(monkeypatch):
     assert type(raised[0]) is type(raised[1]) and str(raised[0]) == str(raised[1])
     assert f"{type(raised[0]).__name__}: {raised[0]}" == failures[-1]
     assert built == []
+
+
+# ---------------------------------------- the memo of rows against per z
+
+
+def _per_z_row(l, z):
+    """The row splitting_pattern computes on z itself, off the memo."""
+    x, form, dk = sieve.x_and_radicand_form(z)
+    return splitting._row(l, x, sieve.reduced_radicand(form, dk))
+
+
+def _mod_value(coeffs, t, l):
+    """The integer polynomial coeffs (lowest degree first) at t, mod l."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * t + c) % l
+    return acc
+
+
+def test_class_theorem_at_the_test_primes():
+    # derived from CONSTANTS and the integer forms: s and each quotient
+    # model's lead are l-units, the condition fails exactly on UNFIXED,
+    # and never at z = 1 mod l, where every admissible z lies; there the
+    # memo's row is the expected one
+    num, den, f, s = sieve._integer_forms()
+    leads = [model.lead for model in specialize().F_models]
+    assert family.CONSTANTS["z_one_mod"] == tuple(UNFIXED)
+    for i, l in enumerate(family.CONSTANTS["z_one_mod"]):
+        assert s % l and all(q.numerator % l and q.denominator % l for q in leads), l
+        unfixed = set()
+        for r in range(l):
+            d = _mod_value(den, r, l)
+            if d == 0 or _mod_value(f, _mod_value(num, r, l) * pow(d, -1, l), l) == 0:
+                unfixed.add(r)
+        assert unfixed == set(UNFIXED[l]), l
+        assert [r for r in range(l) if splitting._class_row(l, r) is None] == list(UNFIXED[l])
+        xbar = _mod_value(num, 1, l) * pow(_mod_value(den, 1, l), -1, l) % l
+        assert xbar == (67, 127, 197)[i]
+        assert splitting._class_row(l, 1) == (SPLIT, EXPECTED_PATTERN[i])
+
+
+def test_class_rows_match_the_per_z_rows_on_every_residue():
+    # for every residue r of each l, z = r + k l near 1e12: the memo's row,
+    # computed on z = r, is the row computed on z, errors compared by
+    # class and message; touching every key leaves at most 2,141 in it
+    for l, unfixed in UNFIXED.items():
+        for r in range(l):
+            z = 10 ** 12 + (r - 10 ** 12) % l
+            row = splitting._class_row(l, r)
+            if r in unfixed:
+                assert row is None, (l, r)
+            else:
+                assert row == _per_z_row(l, z), (l, r)
+    assert splitting._class_row.cache_info().currsize <= 163 + 701 + 1277
+
+
+def test_fallback_row_certificates_pinned():
+    # the canonical JSON lines, as for ARBITRARY_Z (CI hashes the same
+    # lines under python -O)
+    assert len(FALLBACK_Z) == 60
+    assert all(any(z % l in rs for l, rs in UNFIXED.items()) for z in FALLBACK_Z)
+    assert _records_sha256(FALLBACK_Z) == FALLBACK_Z_SHA256
+
+
+def test_second_pass_reads_long_numbers_only_on_fallback_rows(monkeypatch):
+    # once the memo is warm, a certificate computes a row on z itself only
+    # at an unfixed residue: an admissible z reads no K verdict and no
+    # abscissa residue off its long numbers
+    admissible = [next(admissible_z(start=10 ** e, sign=sign))
+                  for e in (12, 100, 1000) for sign in ("pos", "neg")]
+    zs = list(ARBITRARY_Z) + admissible
+    first = [verify_instance(z).to_json() for z in zs]
+    calls = []
+    # prime_split_in_K(l, radicand) and valuation_and_residue(n, d, l)
+    for name, at in (("prime_split_in_K", 0), ("valuation_and_residue", 2)):
+        real = getattr(splitting, name)
+        monkeypatch.setattr(splitting, name,
+                            lambda *args, real=real, name=name, at=at:
+                            calls.append((name, args[at])) or real(*args))
+    rows = 0
+    for z, record in zip(zs, first):
+        calls.clear()
+        assert verify_instance(z).to_json() == record, z
+        k_primes = [l for name, l in calls if name == "prime_split_in_K"]
+        residue_primes = [l for name, l in calls if name == "valuation_and_residue"]
+        assert all(z % l in UNFIXED[l] for l in k_primes), z
+        assert sorted(set(residue_primes)) == sorted(k_primes), z
+        rows += len(k_primes)
+    assert rows > 0
+
+
+def test_cold_caches_cover_the_class_row_memo(cold_caches):
+    # the fixture swaps in an empty row memo, so a cold certificate fills
+    # it, and leaves the warm one untouched
+    assert splitting._class_row is not WARM_CLASS_ROW
+    assert splitting._class_row.cache_info().currsize == 0
+    warm = WARM_CLASS_ROW.cache_info()
+    verify_instance(next(admissible_z(sign="pos")))
+    assert splitting._class_row.cache_info().currsize == 3
+    assert WARM_CLASS_ROW.cache_info() == warm
