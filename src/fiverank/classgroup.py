@@ -18,10 +18,14 @@ first miss and _fallback_isogeny(u) on the first precondition fallback,
 so a u that reaches no verdict builds none.  group_structure, behind
 `classgroup --disc`, takes the same route for any D < 0: the counted h,
 then the span of each Sylow subgroup, whose layer counts give the
-invariant factors.  Everything is exact.  The form engine uses only the
-exact-arithmetic substrate and works on bare (a, b, c) triples, each
-composed triple checked as BinaryQuadraticForm checks a form, which
-reduce_form, compose and form_pow validate at the public boundary.  The
+invariant factors.  A span raises no ambiguous form to a power at an
+odd q, and its layers come from the q-th powers of the generators that
+grew it, not of every class.  Everything is exact.  The form engine
+uses only the exact-arithmetic substrate and works on bare (a, b, c)
+triples, the identity included, each composed triple checked as
+BinaryQuadraticForm checks a form, which reduce_form, compose and
+form_pow validate at the public boundary; a coprime product and a
+square with gcd(a, b) = 1 take one builtin inverse each.  The
 oracle that feeds it builds its instances from the family, isogeny,
 sieve, splitting and curve modules.
 """
@@ -32,7 +36,7 @@ import bisect
 import itertools
 import math
 from array import array
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -97,7 +101,12 @@ class BinaryQuadraticForm:
 
 def identity_form(D: int) -> BinaryQuadraticForm:
     _check_discriminant(D)
-    return BinaryQuadraticForm(1, D % 2, (D % 2 - D) // 4)
+    return BinaryQuadraticForm(*_identity(D))
+
+
+def _identity(D: int) -> tuple[int, int, int]:
+    """The principal form of D as a bare triple."""
+    return 1, D % 2, (D % 2 - D) // 4
 
 
 def _check_discriminant(D: int) -> None:
@@ -142,8 +151,11 @@ def _compose(f: tuple, g: tuple, D: int) -> tuple[int, int, int]:
     At coprime a1, a2 (Cohen, A Course in Computational Algebraic Number
     Theory, Algorithm 5.4.7 with d = 1) the product has a3 = a1 a2 and
     the b3 mod 2 a3 with b3 = b1 (mod 2 a1) and b3 = b2 (mod 2 a2), by
-    one builtin inverse of a1 mod a2; otherwise d = gcd(a1, a2, (b1 +
-    b2)/2) comes from two extended-gcd steps."""
+    one builtin inverse of a1 mod a2.  A square f = g with gcd(a, b) = 1
+    (d = 1 again) has a3 = a^2 and b3 = b + 2ak with b3^2 = D (mod 4a^2),
+    that is c + bk = 0 (mod a): k = -c b^-1 mod a, one builtin inverse.
+    Otherwise d = gcd(a1, a2, (b1 + b2)/2) comes from two extended-gcd
+    steps."""
     (a1, b1, c1), (a2, b2, c2) = f, g
     if a1 == 1:
         a, b, c = _reduce(*g)
@@ -153,6 +165,9 @@ def _compose(f: tuple, g: tuple, D: int) -> tuple[int, int, int]:
         if math.gcd(a1, a2) == 1:
             a3 = a1 * a2
             b3 = b1 + 2 * a1 * ((b2 - b1) // 2 * pow(a1, -1, a2) % a2)
+        elif f == g and math.gcd(a1, b1) == 1:
+            a3 = a1 * a1
+            b3 = b1 - 2 * a1 * (c1 * pow(b1, -1, a1) % a1)
         else:
             s = (b1 + b2) // 2
             d1, u1, v1 = _xgcd(a1, a2)
@@ -179,7 +194,8 @@ def form_pow(f: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
     D = f.discriminant()
     if n < 0:
         f, n = f.inverse(), -n
-    return BinaryQuadraticForm(*_pow(astuple(reduce_form(f)), n, D, astuple(identity_form(D))))
+    f = reduce_form(f)
+    return BinaryQuadraticForm(*_pow((f.a, f.b, f.c), n, D, _identity(D)))
 
 
 def _pow(f: tuple, n: int, D: int, ident: tuple) -> tuple[int, int, int]:
@@ -469,13 +485,20 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
     Every class has a reduced form, so the images of the reduced forms
     span it, for any D; they are taken in increasing a until the span
     holds q^e classes, skipping the principal form and the forms with
-    b < 0, whose inverses (a, -b, c) are listed too.  An image already in
-    the span has order dividing q^e, so only a new one needs the order
-    check.  g -> g^q then takes the span to its subgroups of q^k-th
-    powers, and the kernel of the k-th step has q^m_k(q) classes; a
-    subgroup of exactly q classes is cyclic, so its one layer, 1, needs
-    no power.  A form with f^h != 1, a span beyond q^e classes or reduced
-    forms that never reach q^e mean h is wrong: IdentityCheckError.
+    b < 0, whose inverses (a, -b, c) are listed too.  At an odd q the
+    ambiguous forms (b = 0, b = a or a = c) are skipped as well: each is
+    its own inverse, of order 2 when not principal, so its image in a
+    subgroup of odd order is the identity when h is even, and when h is
+    odd it is the form itself, which fails the order check without a
+    power.  At q = 2 they are the 2-torsion and are taken.  An image
+    already in the span has order dividing q^e, so only a new one needs
+    the order check, and only a new one is kept as a generator.  g -> g^q
+    is a homomorphism, so the subgroup of q-th powers of the span is the
+    span of the generators' q-th powers: one power per generator, not per
+    class.  The kernel of the k-th step has q^m_k(q) classes; a subgroup
+    of exactly q classes is cyclic, so its one layer, 1, needs no power.
+    A form with f^h != 1, a span beyond q^e classes or reduced forms that
+    never reach q^e mean h is wrong: IdentityCheckError.
     """
     _check_discriminant(D)
     if h < 1:
@@ -485,8 +508,8 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
         m //= q
         e += 1
     order = q ** e
-    ident = astuple(identity_form(D))
-    span = {ident}
+    ident = _identity(D)
+    span, gens = {ident}, []
     forms = enumerate_reduced(D)
     while len(span) < order:
         f = next(forms, None)
@@ -494,18 +517,20 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
             raise IdentityCheckError(
                 f"reduced forms of {D} span {len(span)} classes of order a "
                 f"power of {q}, short of {q}^{e} for h = {h}")
-        if f.b < 0 or f.a == 1:
+        a, b, c = f.a, f.b, f.c
+        if b < 0 or a == 1:
             continue
-        g = _pow((f.a, f.b, f.c), m, D, ident)
+        if q > 2 and (b == 0 or b == a or a == c):
+            if h % 2:
+                raise IdentityCheckError(f"{f} does not have order dividing h = {h}")
+            continue
+        g = _pow((a, b, c), m, D, ident)
         if g in span:
             continue
         if _pow(g, order, D, ident) != ident:
             raise IdentityCheckError(f"{f} does not have order dividing h = {h}")
-        grown, step = set(span), g
-        while step not in span:             # the cosets step * span
-            grown.update(_compose(step, s, D) for s in span)
-            step = _compose(step, g, D)
-        span = grown
+        span = _grow(span, g, D)
+        gens.append(g)
         if len(span) > order:
             raise IdentityCheckError(
                 f"reduced forms of {D} span more than {q}^{e} classes for h = {h}")
@@ -514,12 +539,27 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
         if len(span) == q:                  # a group of prime order q is cyclic
             layers.append(1)
             break
-        powers = {_pow(g, q, D, ident) for g in span}
+        powers, kept = {ident}, []
+        for g in gens:
+            g = _pow(g, q, D, ident)
+            if g not in powers:
+                powers = _grow(powers, g, D)
+                kept.append(g)
         layers.append(_int_log(len(span) // len(powers), q))
-        span = powers
+        span, gens = powers, kept
     if any(a < b for a, b in zip(layers, layers[1:])):
         raise ArithmeticError("torsion layer counts must be non-increasing")
     return layers
+
+
+def _grow(span: set, g: tuple, D: int) -> set:
+    """The subgroup that the finite subgroup span and g generate: the
+    cosets g^i span, i = 0, 1, ..., up to the first power of g in span."""
+    grown, step = set(span), g
+    while step not in span:
+        grown.update(_compose(step, s, D) for s in span)
+        step = _compose(step, g, D)
+    return grown
 
 
 def fundamental_discriminant(s: int) -> int:

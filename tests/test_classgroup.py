@@ -483,8 +483,10 @@ def test_sylow_layers_refuse_a_wrong_class_number(monkeypatch):
 
 def full_layer_loop_sylow_layers(D, h, q):
     """sylow_layers as it stood before a span of exactly q classes was
-    read as one layer: the same span, then every layer counted from the
-    q-th powers of the whole span, down to the trivial group."""
+    read as one layer, and before ambiguous forms were passed over and
+    layers taken from the generators' powers: the span of the images of
+    every reduced form taken, then every layer counted from the q-th
+    powers of every class of the span, down to the trivial group."""
     from dataclasses import astuple
 
     from fiverank import classgroup
@@ -542,6 +544,131 @@ def test_sylow_layers_match_the_full_layer_loop():
     assert {(1,), (2,), (1, 1), (2, 1)} <= shapes[3]
     assert {(1,), (2,), (1, 1)} <= shapes[5]
     assert {(1,), (1, 1)} <= shapes[7]
+
+
+def decided_grid():
+    """D -> h for every discriminant the default oracle grid decides."""
+    return {o.fundamental_d: o.class_number
+            for o in oracle_scan(100_000) if o.status != "skip"}
+
+
+def test_sylow_layers_match_the_full_layer_loop_on_the_decided_grid():
+    # the 5-Sylow layers of every decided grid D, against the loop that
+    # powers every reduced form it takes and every class of each span
+    decided = decided_grid()
+    assert len(decided) == 72
+    shapes = set()
+    for D, h in sorted(decided.items(), reverse=True):
+        layers = sylow_layers(D, h, 5)
+        assert layers == full_layer_loop_sylow_layers(D, h, 5), D
+        shapes.add(tuple(layers))
+    assert {(1,), (1, 1), (2,)} <= shapes
+
+
+def test_sylow_layers_match_the_full_layer_loop_at_oracle_sizes():
+    # 40 random fundamental D in [-1e7, -1e5] with 5 | h, then -104503,
+    # the first fundamental D below -1e5 of 5-rank 2 (C5 x C5 in h = 150),
+    # and -50783 (C25 x C5)
+    rng = random.Random(40)
+    discs = []
+    while len(discs) < 40:
+        D = -rng.randrange(10**5, 10**7 + 1)
+        if is_fundamental(D) and class_number(D) % 5 == 0:
+            discs.append(D)
+    shapes = set()
+    for D in discs + [-104503, -50783]:
+        h = class_number(D)
+        layers = sylow_layers(D, h, 5)
+        assert layers == full_layer_loop_sylow_layers(D, h, 5), D
+        shapes.add(tuple(layers))
+    assert any(len(s) > 1 for s in shapes)                # e >= 2
+    assert (2,) in shapes and (2, 1) in shapes            # 5-rank 2
+
+
+def ambiguous(f):
+    a, b, c = f
+    return b == 0 or b == a or a == c
+
+
+def test_sylow_layers_power_no_ambiguous_form_and_each_generator_once(monkeypatch):
+    # at an odd q an ambiguous form (its own inverse) is passed over, not
+    # raised to m; the order-checked images are the generators, and each
+    # layer takes one q-th power per generator kept by the layer before,
+    # never one per class
+    from fiverank import classgroup
+
+    calls, taken = [], []
+    power = classgroup._pow
+
+    def spy(f, n, D, ident):
+        out = power(f, n, D, ident)
+        calls.append((f, n, out))
+        return out
+
+    reduced = classgroup.enumerate_reduced
+
+    def listed(D):
+        for f in reduced(D):
+            taken.append((f.a, f.b, f.c))
+            yield f
+
+    monkeypatch.setattr(classgroup, "_pow", spy)
+    monkeypatch.setattr(classgroup, "enumerate_reduced", listed)
+    cases = [(D, h, 5) for D, h in sorted(decided_grid().items())]
+    # C49, C9 x C3, C3 x C3, C5 x C5 twice and C25 x C5
+    cases += [(D, class_number(D), q) for D in (-1511, -3299, -4027, -11199, -12451, -50783)
+              for q in (3, 5, 7) if class_number(D) % q == 0]
+    skipped = powers_taken = classes_powered = 0
+    for D, h, q in cases:
+        calls.clear()
+        taken.clear()
+        layers = sylow_layers(D, h, q)
+        e, m = 0, h
+        while m % q == 0:
+            m //= q
+            e += 1
+        ident = (1, D % 2, (D % 2 - D) // 4)
+        # images f^m, order checks g^(q^e), and at e > 1 the layer powers
+        images = [f for f, n, _ in calls if n == m]
+        gens = [g for g, n, _ in calls if n == q ** e]
+        steps = [(g, out) for g, n, out in calls if n == q] if e > 1 else []
+        assert len(calls) == len(images) + len(gens) + len(steps), (D, q)
+        assert not any(ambiguous(f) for f in images), (D, q)
+        skipped += sum(1 for f in taken if f[0] > 1 and f[1] >= 0 and ambiguous(f))
+        powers_taken += len(steps)
+        kept, rounds = gens, 0
+        while steps:
+            step, steps = steps[:len(kept)], steps[len(kept):]
+            assert [g for g, _ in step] == kept, (D, q, rounds)
+            span, kept = {ident}, []
+            for _, g in step:
+                if g not in span:
+                    span = classgroup._grow(span, g, D)
+                    kept.append(g)
+            rounds += 1
+        assert rounds in (len(layers) - 1, len(layers)), (D, q)
+        # the parent loop powered every class of each span of more than q
+        classes_powered += sum(q ** sum(layers[k:]) for k in range(len(layers))
+                               if sum(layers[k:]) > 1)
+    assert skipped > 100
+    assert 0 < 10 * powers_taken < classes_powered
+
+
+def test_sylow_layers_refuse_an_odd_h_at_an_ambiguous_form(monkeypatch):
+    # h(-296) = 10, and its first reduced form past the principal one,
+    # (2, 0, 37), has order 2: with h = 5 it fails the order check on its
+    # own, before any power is taken
+    from fiverank import classgroup
+
+    calls = []
+    power = classgroup._pow
+    monkeypatch.setattr(classgroup, "_pow", lambda *args: calls.append(args) or power(*args))
+    with pytest.raises(IdentityCheckError,
+                       match=r"BinaryQuadraticForm\(a=2, b=0, c=37\) does not have "
+                             r"order dividing h = 5$"):
+        sylow_layers(-296, 5, 5)
+    assert calls == []
+    assert sylow_layers(-296, 10, 5) == [1]
 
 
 def test_group_law_properties_random_discriminants():
@@ -678,13 +805,56 @@ def test_class_number_matches_dirichlet_formula_on_the_decided_grid():
     # computed multiplicatively along a sieve; the CI runs all 72
     from class_number_formula import dirichlet_class_number
 
-    decided = {o.fundamental_d: o.class_number
-               for o in oracle_scan(100_000) if o.status != "skip"}
+    decided = decided_grid()
     assert len(decided) == 72
     small = sorted((D for D in decided if -D <= 10**6), reverse=True)
     assert len(small) == 36
     for D in small:
         assert class_number(D) == decided[D] == dirichlet_class_number(D), D
+
+
+# the (u, x, l) of the grid's rank-1 passes whose quintic verdict at a
+# split prime l < 400 raises RamifiedPrimeError: l divides the quintic's
+# discriminant or leading coefficient, so the pair says nothing
+ARTIN_RAMIFIED_PAIRS = {
+    ("-3/2", "-14", 3), ("-3/2", "-17/2", 5), ("-3/2", "-2/3", 5),
+    ("-3/2", "-26/3", 7), ("-3/2", "-3", 5), ("-3/2", "-39", 5), ("-3/2", "-9", 5),
+    ("-3/2", "16", 5), ("-3/2", "17", 5), ("-3/2", "17", 37), ("-3/2", "24", 7),
+    ("-3/2", "52/3", 47), ("-3/2", "53/3", 67), ("-3/2", "57", 5), ("-3/2", "57", 19),
+    ("-3/2", "7/2", 5), ("2/3", "-1/2", 5), ("2/3", "-11/3", 19), ("2/3", "-14", 23),
+    ("2/3", "-26", 13), ("2/3", "-4", 5), ("2/3", "-4/3", 5), ("2/3", "-41/3", 71),
+    ("2/3", "-47/3", 5), ("2/3", "-51", 53), ("2/3", "-52/3", 5), ("2/3", "1/3", 5),
+    ("2/3", "11/3", 5), ("2/3", "13/3", 5), ("2/3", "17/2", 5), ("2/3", "32/3", 7),
+    ("2/3", "41/3", 5), ("2/3", "41/3", 71), ("2/3", "7/2", 5),
+}
+
+
+def test_frobenius_verdicts_match_the_artin_map_on_the_grid():
+    # every rank-1 pass of the grid at every odd prime l < 400 split in K
+    # with l not dividing D: the quintic's verdict equals f^(h/5) = 1 for
+    # the prime form f of l on all 2,966 pairs; the 34 ramified pairs are
+    # left out, by name.  The CI runs l < 20,000
+    from artin_check import check_grid
+
+    total, each = check_grid(400)
+    assert len(each) == 80
+    assert total.disagreed == [] and total.impossible == []
+    assert total.agreed == 2966
+    assert {(str(u), str(x), l) for u, x, _, l in total.ramified} == ARTIN_RAMIFIED_PAIRS
+    assert len(total.ramified) == len(ARTIN_RAMIFIED_PAIRS)
+
+
+def test_artin_check_refuses_the_verdicts_of_a_wrong_abscissa():
+    # the negative control: the quintic of x + 1 defines another extension
+    # of the same K, so on every instance some split prime's verdict
+    # disagrees with the Artin map of K's class group, or has a profile
+    # no cyclic quintic has
+    from artin_check import check_grid
+
+    total, each = check_grid(400, shift=1)
+    assert len(each) == 80
+    assert all(t.disagreed or t.impossible for t in each)
+    assert len(total.disagreed) > 300 and len(total.impossible) > 1000
 
 
 def test_class_number_matches_dirichlet_formula_on_random_discriminants():
@@ -785,8 +955,8 @@ def triple(f):
 @pytest.fixture
 def xgcd_calls(monkeypatch):
     """The extended-gcd steps of the engine, in the order taken: _compose
-    takes two for a pair with gcd(a1, a2) > 1 and none for a coprime pair,
-    which takes one builtin inverse."""
+    takes two for a pair with gcd(a1, a2) > 1 and none for a coprime pair
+    or a square f = g with gcd(a, b) = 1, which take one builtin inverse."""
     from fiverank import classgroup
 
     calls, xgcd = [], classgroup._xgcd
@@ -800,9 +970,13 @@ def xgcd_calls(monkeypatch):
 
 
 def branch_counts(pairs):
-    """(coprime, not coprime) among the pairs that neither has a = 1."""
-    both = [math.gcd(f.a, g.a) for f, g in pairs if f.a > 1 and g.a > 1]
-    return sum(d == 1 for d in both), sum(d > 1 for d in both)
+    """(coprime, coprime squares, the rest) among the pairs that neither
+    has a = 1: gcd(a1, a2) = 1; f = g with gcd(a, b) = 1; the pairs left,
+    which alone take extended-gcd steps."""
+    both = [(f, g) for f, g in pairs if f.a > 1 and g.a > 1]
+    coprime = sum(math.gcd(f.a, g.a) == 1 for f, g in both)
+    squares = sum(f == g and math.gcd(f.a, f.b) == 1 for f, g in both)
+    return coprime, squares, len(both) - coprime - squares
 
 
 def test_triple_composition_matches_the_reference_on_every_small_discriminant(xgcd_calls):
@@ -819,8 +993,8 @@ def test_triple_composition_matches_the_reference_on_every_small_discriminant(xg
                     triple(reference_compose(f, g)), (D, f, g)
                 pairs.append((f, g))
     assert len(pairs) > 10_000
-    coprime, shared = branch_counts(pairs)
-    assert coprime > 1000 and shared > 1000
+    coprime, squares, shared = branch_counts(pairs)
+    assert coprime > 1000 and squares > 1000 and shared > 1000
     assert len(xgcd_calls) == 2 * shared
 
 
@@ -839,9 +1013,75 @@ def test_triple_composition_matches_the_reference_on_random_pairs(xgcd_calls):
             assert _compose(triple(f), triple(g), D) == \
                 triple(reference_compose(f, g)), (D, f, g)
             pairs.append((f, g))
-    coprime, shared = branch_counts(pairs)
+    coprime, squares, shared = branch_counts(pairs)
     assert coprime > 2000 and shared > 6000
     assert len(xgcd_calls) == 2 * shared
+
+
+def parent_compose(f, g, D):
+    """_compose on triples as it stood before its squaring case: a square
+    went through the extended-gcd branch, since gcd(a, a) = a > 1."""
+    (a1, b1, c1), (a2, b2, c2) = f, g
+    if a1 == 1:
+        return triple(reference_reduce_form(BinaryQuadraticForm(*g)))
+    if a2 == 1:
+        return triple(reference_reduce_form(BinaryQuadraticForm(*f)))
+    if math.gcd(a1, a2) == 1:
+        a3 = a1 * a2
+        b3 = b1 + 2 * a1 * ((b2 - b1) // 2 * pow(a1, -1, a2) % a2)
+    else:
+        s = (b1 + b2) // 2
+        d1, u1, v1 = reference_xgcd(a1, a2)
+        d, u2, v2 = reference_xgcd(d1, s)
+        a3 = (a1 * a2) // (d * d)
+        b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
+    b3 %= 2 * a3
+    return triple(reference_reduce_form(
+        BinaryQuadraticForm(a3, b3, (b3 * b3 - D) // (4 * a3))))
+
+
+def test_squares_match_the_parent_composition(xgcd_calls):
+    # f * f against the parent's _compose on random reduced forms, and on
+    # forms moved off them, of random D up to 1e7, fundamental or not (D =
+    # D0 t^2): the coprime squares take no extended-gcd step, the squares
+    # with gcd(a, b) > 1 take two, a = 1 takes none
+    from fiverank.classgroup import _compose
+
+    rng = random.Random(31)
+    discs = []
+    while len(discs) < 40:
+        D = -rng.randrange(3, 10 ** rng.randrange(3, 8))
+        if D % 4 in (0, 1):
+            discs.append(D)
+    discs += [D * t * t for D, t in zip(discs[:20], itertools.cycle((2, 3, 5, 6, 10)))]
+    squares = []
+    for D in discs:
+        forms = list(itertools.takewhile(lambda f: f.a <= 300, enumerate_reduced(D)))
+        sample = forms[:3] + rng.sample(forms, min(len(forms), 30))
+        squares += [(triple(f), D) for f in sample]
+        squares += [(triple(moved(f, rng)), D) for f in rng.sample(sample, min(len(sample), 10))]
+    coprime = shared = 0
+    for f, D in squares:
+        assert _compose(f, f, D) == parent_compose(f, f, D), (f, D)
+        if f[0] > 1:
+            coprime += math.gcd(f[0], f[1]) == 1
+            shared += math.gcd(f[0], f[1]) > 1
+    assert sum(f[0] == 1 for f, _ in squares) >= len(discs)
+    assert coprime > 1000 and shared > 500
+    assert len(xgcd_calls) == 2 * shared
+
+
+def test_form_pow_is_repeated_composition():
+    # the binary powering of form_pow, which squares, against n - 1
+    # products f * f^k for n <= 40, on forms of several D
+    rng = random.Random(41)
+    for D in (-23, -47, -84, -296, -2832, -12451, -50783, -104503, -9910552):
+        forms = list(itertools.takewhile(lambda f: f.a <= 500, enumerate_reduced(D)))
+        for f in forms[:2] + rng.sample(forms, min(len(forms), 6)):
+            out = identity_form(D)
+            for n in range(41):
+                assert form_pow(f, n) == out, (f, n)
+                out = compose(out, f)
 
 
 def moved(f, rng):
@@ -919,14 +1159,16 @@ def test_triple_composition_checks_its_product(monkeypatch, xgcd_calls):
         with pytest.raises(ValueError, match=f"form of {D}$"):
             classgroup._compose(f, g, D)
     assert len(xgcd_calls) == 4
-    # a reduction that drifts off the discriminant, on either branch
+    # a reduction that drifts off the discriminant, on every branch: a
+    # coprime pair, two coprime squares and a pair sharing a = 2
     reduce = classgroup._reduce
     monkeypatch.setattr(classgroup, "_reduce",
                         lambda a, b, c: (lambda a, b, c: (a, b, c + 1))(*reduce(a, b, c)))
-    for f, g in (((2, 1, 6), (3, 1, 4)), ((2, 1, 6), (2, 1, 6)), ((3, -1, 4), (3, -1, 4))):
+    for f, g in (((2, 1, 6), (3, 1, 4)), ((2, 1, 6), (2, 1, 6)), ((3, -1, 4), (3, -1, 4)),
+                 ((2, 1, 6), (2, -1, 6))):
         with pytest.raises(ValueError, match="form of -47$"):
             classgroup._compose(f, g, -47)
-    assert len(xgcd_calls) == 8
+    assert len(xgcd_calls) == 6
 
 
 def test_sylow_layers_check_every_composed_triple(monkeypatch):
