@@ -18,16 +18,18 @@ first miss and _fallback_isogeny(u) on the first precondition fallback,
 so a u that reaches no verdict builds none.  group_structure, behind
 `classgroup --disc`, takes the same route for any D < 0: the counted h,
 then the span of each Sylow subgroup, whose layer counts give the
-invariant factors.  A span raises no ambiguous form to a power at an
-odd q, and its layers come from the q-th powers of the generators that
-grew it, not of every class.  Everything is exact.  The form engine
-uses only the exact-arithmetic substrate and works on bare (a, b, c)
-triples, the identity included, each composed triple checked as
-BinaryQuadraticForm checks a form, which reduce_form, compose and
-form_pow validate at the public boundary; a coprime product and a
-square with gcd(a, b) = 1 take one builtin inverse each.  The
-oracle that feeds it builds its instances from the family, isogeny,
-sieve, splitting and curve modules.
+invariant factors.  A span walks the bare reduced triples with a > 1
+and b >= 0, raises no ambiguous form to a power at an odd q, and its
+layers come from the q-th powers of the generators that grew it, not
+of every class.  Everything is exact.  The form engine uses only the
+exact-arithmetic substrate and works on bare (a, b, c) triples, the
+identity included, each composed triple checked as BinaryQuadraticForm
+checks a form, which reduce_form, compose and form_pow validate at the
+public boundary.  Powers and spans compose no triple with the identity;
+a coprime product and a square with gcd(a, b) = 1 take one builtin
+inverse each, and any other square one extended-gcd step.  The oracle
+that feeds it builds its instances from the family, isogeny, sieve,
+splitting and curve modules.
 """
 
 from __future__ import annotations
@@ -151,11 +153,16 @@ def _compose(f: tuple, g: tuple, D: int) -> tuple[int, int, int]:
     At coprime a1, a2 (Cohen, A Course in Computational Algebraic Number
     Theory, Algorithm 5.4.7 with d = 1) the product has a3 = a1 a2 and
     the b3 mod 2 a3 with b3 = b1 (mod 2 a1) and b3 = b2 (mod 2 a2), by
-    one builtin inverse of a1 mod a2.  A square f = g with gcd(a, b) = 1
-    (d = 1 again) has a3 = a^2 and b3 = b + 2ak with b3^2 = D (mod 4a^2),
-    that is c + bk = 0 (mod a): k = -c b^-1 mod a, one builtin inverse.
-    Otherwise d = gcd(a1, a2, (b1 + b2)/2) comes from two extended-gcd
-    steps."""
+    one builtin inverse of a1 mod a2.  A square f = g has d = gcd(a, b),
+    since gcd(a, a) = a: with d = 1, a3 = a^2 and b3 = b + 2ak with b3^2
+    = D (mod 4a^2), that is c + bk = 0 (mod a): k = -c b^-1 mod a, one
+    builtin inverse; with d > 1, one extended-gcd step u a + v b = d
+    gives a3 = (a/d)^2 and b3 = (u a b + v (b^2 + D)/2) / d.  Otherwise
+    d = gcd(a1, a2, (b1 + b2)/2) comes from two extended-gcd steps.  c3 =
+    (b3^2 - D) / 4 a3 must be exact before the product is reduced, since
+    a wrong b3 would make a triple of another, possibly positive,
+    discriminant, on which the reduction need not end; the reduced
+    product is then checked as BinaryQuadraticForm checks a form."""
     (a1, b1, c1), (a2, b2, c2) = f, g
     if a1 == 1:
         a, b, c = _reduce(*g)
@@ -165,17 +172,24 @@ def _compose(f: tuple, g: tuple, D: int) -> tuple[int, int, int]:
         if math.gcd(a1, a2) == 1:
             a3 = a1 * a2
             b3 = b1 + 2 * a1 * ((b2 - b1) // 2 * pow(a1, -1, a2) % a2)
-        elif f == g and math.gcd(a1, b1) == 1:
-            a3 = a1 * a1
-            b3 = b1 - 2 * a1 * (c1 * pow(b1, -1, a1) % a1)
-        else:
+        elif f != g:
             s = (b1 + b2) // 2
             d1, u1, v1 = _xgcd(a1, a2)
             d, u2, v2 = _xgcd(d1, s)
             a3 = (a1 * a2) // (d * d)
             b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
+        elif math.gcd(a1, b1) == 1:
+            a3 = a1 * a1
+            b3 = b1 - 2 * a1 * (c1 * pow(b1, -1, a1) % a1)
+        else:
+            d, u, v = _xgcd(a1, b1)
+            a3 = (a1 // d) ** 2
+            b3 = (u * a1 * b1 + v * (b1 * b1 + D) // 2) // d
         b3 %= 2 * a3
-        a, b, c = _reduce(a3, b3, (b3 * b3 - D) // (4 * a3))
+        c3, r = divmod(b3 * b3 - D, 4 * a3)
+        if r:
+            raise ValueError(f"{(a3, b3)} has no integral c of discriminant {D}")
+        a, b, c = _reduce(a3, b3, c3)
     if b * b - 4 * a * c != D or a <= 0 or math.gcd(a, b, c) != 1:
         raise ValueError(f"{(a, b, c)} is no primitive positive definite form of {D}")
     return a, b, c
@@ -199,15 +213,21 @@ def form_pow(f: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
 
 
 def _pow(f: tuple, n: int, D: int, ident: tuple) -> tuple[int, int, int]:
-    """f^n, n >= 0, by binary powering; ident is the identity triple of D."""
-    out = ident
-    while n:
+    """f^n, n >= 0, by binary powering from f itself; ident is the
+    identity triple of D, returned when f^n is the identity.  No
+    composition takes the identity (the one reduced form with a = 1): a
+    product that reaches it starts the result afresh at the next factor,
+    and once a square reaches it, so has every later one."""
+    out = None
+    while n and f[0] > 1:
         if n & 1:
-            out = _compose(out, f, D)
+            out = f if out is None else _compose(out, f, D)
+            if out[0] == 1:
+                out = None
         n >>= 1
         if n:
             f = _compose(f, f, D)
-    return out
+    return ident if out is None else out
 
 
 def enumerate_reduced(D: int) -> Iterator[BinaryQuadraticForm]:
@@ -227,6 +247,19 @@ def _reduced_forms(D: int) -> Iterator[BinaryQuadraticForm]:
                 continue
             if math.gcd(math.gcd(a, b), c) == 1:
                 yield BinaryQuadraticForm(a, b, c)
+
+
+def _reduced_triples(D: int) -> Iterator[tuple[int, int, int]]:
+    """The reduced forms of D with a > 1 and b >= 0, as bare triples in
+    the order of enumerate_reduced: all the classes but the principal
+    one, each with or without its inverse (a, -b, c)."""
+    for a in range(2, math.isqrt(-D // 3) + 1):
+        for b in range(D & 1, a + 1, 2):
+            c, r = divmod(b * b - D, 4 * a)
+            if r or c < a:
+                continue
+            if math.gcd(a, b, c) == 1:
+                yield a, b, c
 
 
 def class_number(D: int) -> int:
@@ -251,46 +284,47 @@ def class_number(D: int) -> int:
     isqrt(DEFAULT_DISC_BOUND / 3), as far as any D within that budget
     reaches, Euler's criterion and the square roots mod p are one read
     of p's root table (_root_table), shared by every D as the prime list
-    is; above it they take a builtin pow and Tonelli-Shanks.  The a divisible by a prime
-    power with no roots are struck out first, each stretch of multiples
-    zeroed from one buffer, and r(a) = r(a/p^k) * (the count at p^k)
-    for the smallest prime p of a, read from the smallest-prime-factor
-    tables.
+    is; above it they take a builtin pow and Tonelli-Shanks.  The a
+    divisible by a prime power with no roots are struck out first, each
+    stretch of multiples zeroed from one buffer, and r(a) = r(a/p^k) *
+    (the count at p^k) for the smallest prime p of a, read from the
+    smallest-prime-factor tables.  The counts at the p^k are a list that
+    reads 2 by default, the count at every power of a split p, so only 2
+    and the primes dividing D write theirs.
     """
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)               # the largest a with 4a^2 <= |D|
     spf, primes, rest = _smallest_prime_factors(amax)   # may run past amax
     roots = {}                              # p^k -> roots of x^2 = D mod p^k
-    local = {}                              # p^k -> its factor of r(a)
+    local = [2] * (amax + 1)                # p^k -> its factor of r(a), 2 at a split p
     has_roots = bytearray([0]) + bytearray([1]) * amax
     # 1: list the roots (the band); 2: list them and test primitivity
     listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
     zeros = memoryview(bytes(amax))
     tables = _root_tables
     for p in itertools.islice(primes, bisect.bisect_right(primes, amax)):
-        q = p
         n = D % p
         if p > 2 and n:
-            # Euler's criterion: a nonzero root in the table, or by pow
+            # Euler's criterion: a nonzero root in the table, or by pow;
+            # a split p leaves local at its default
             if p <= ROOT_TABLE_BOUND:
                 square = (tables.get(p) or _root_table(p))[n]
             else:
                 square = pow(n, (p - 1) // 2, p) == 1
-            if square:
-                while q <= amax:
-                    local[q] = 2
-                    q *= p
-        else:
-            while q <= amax:
-                n = len(_prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
-                if not n:
-                    break
-                local[q] = n // 2 if p == 2 else n
-                q *= p
-            # D/p^2 = D (mod 4) at an odd p
-            if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
-                listed[p::p] = b"\2" * (amax // p)
+            if not square:
+                has_roots[p::p] = zeros[:amax // p]
+            continue
+        q = p
+        while q <= amax:
+            n = len(_prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
+            if not n:
+                break
+            local[q] = n // 2 if p == 2 else n
+            q *= p
+        # D/p^2 = D (mod 4) at an odd p
+        if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
+            listed[p::p] = b"\2" * (amax // p)
         if q <= amax:
             has_roots[q::q] = zeros[:amax // q]
     r = [0] * (amax + 1)                   # r(a) for the a not struck out
@@ -484,21 +518,22 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
     With h = q^e * m, f -> f^m maps the group onto its q-Sylow subgroup.
     Every class has a reduced form, so the images of the reduced forms
     span it, for any D; they are taken in increasing a until the span
-    holds q^e classes, skipping the principal form and the forms with
-    b < 0, whose inverses (a, -b, c) are listed too.  At an odd q the
-    ambiguous forms (b = 0, b = a or a = c) are skipped as well: each is
-    its own inverse, of order 2 when not principal, so its image in a
-    subgroup of odd order is the identity when h is even, and when h is
-    odd it is the form itself, which fails the order check without a
-    power.  At q = 2 they are the 2-torsion and are taken.  An image
-    already in the span has order dividing q^e, so only a new one needs
-    the order check, and only a new one is kept as a generator.  g -> g^q
-    is a homomorphism, so the subgroup of q-th powers of the span is the
-    span of the generators' q-th powers: one power per generator, not per
-    class.  The kernel of the k-th step has q^m_k(q) classes; a subgroup
-    of exactly q classes is cyclic, so its one layer, 1, needs no power.
-    A form with f^h != 1, a span beyond q^e classes or reduced forms that
-    never reach q^e mean h is wrong: IdentityCheckError.
+    holds q^e classes, as the bare triples of _reduced_triples: every
+    reduced form but the principal one and those with b < 0, whose
+    inverses (a, -b, c) are listed too.  At an odd q the ambiguous forms
+    (b = 0, b = a or a = c) are skipped as well: each is its own inverse,
+    of order 2 when not principal, so its image in a subgroup of odd order
+    is the identity when h is even, and when h is odd it is the form
+    itself, which fails the order check without a power.  At q = 2 they
+    are the 2-torsion and are taken.  An image already in the span has
+    order dividing q^e, so only a new one needs the order check, and only
+    a new one is kept as a generator.  g -> g^q is a homomorphism, so the
+    subgroup of q-th powers of the span is the span of the generators'
+    q-th powers: one power per generator, not per class.  The kernel of
+    the k-th step has q^m_k(q) classes; a subgroup of exactly q classes is
+    cyclic, so its one layer, 1, needs no power.  A form with f^h != 1, a
+    span beyond q^e classes or reduced forms that never reach q^e mean h
+    is wrong: IdentityCheckError.
     """
     _check_discriminant(D)
     if h < 1:
@@ -510,25 +545,25 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
     order = q ** e
     ident = _identity(D)
     span, gens = {ident}, []
-    forms = enumerate_reduced(D)
+    forms = _reduced_triples(D)
     while len(span) < order:
         f = next(forms, None)
         if f is None:
             raise IdentityCheckError(
                 f"reduced forms of {D} span {len(span)} classes of order a "
                 f"power of {q}, short of {q}^{e} for h = {h}")
-        a, b, c = f.a, f.b, f.c
-        if b < 0 or a == 1:
-            continue
+        a, b, c = f
         if q > 2 and (b == 0 or b == a or a == c):
             if h % 2:
-                raise IdentityCheckError(f"{f} does not have order dividing h = {h}")
+                raise IdentityCheckError(
+                    f"{BinaryQuadraticForm(*f)} does not have order dividing h = {h}")
             continue
-        g = _pow((a, b, c), m, D, ident)
+        g = _pow(f, m, D, ident)
         if g in span:
             continue
         if _pow(g, order, D, ident) != ident:
-            raise IdentityCheckError(f"{f} does not have order dividing h = {h}")
+            raise IdentityCheckError(
+                f"{BinaryQuadraticForm(*f)} does not have order dividing h = {h}")
         span = _grow(span, g, D)
         gens.append(g)
         if len(span) > order:
@@ -554,10 +589,14 @@ def sylow_layers(D: int, h: int, q: int) -> list[int]:
 
 def _grow(span: set, g: tuple, D: int) -> set:
     """The subgroup that the finite subgroup span and g generate: the
-    cosets g^i span, i = 0, 1, ..., up to the first power of g in span."""
+    cosets g^i span, i = 0, 1, ..., up to the first power of g in span.
+    Each step g^i is added as it is and composed only with the classes of
+    span that are not the identity, so no composition takes the identity."""
     grown, step = set(span), g
+    others = [s for s in span if s[0] > 1]
     while step not in span:
-        grown.update(_compose(step, s, D) for s in span)
+        grown.add(step)
+        grown.update(_compose(step, s, D) for s in others)
         step = _compose(step, g, D)
     return grown
 

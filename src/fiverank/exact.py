@@ -114,19 +114,22 @@ def _grow_primes(hi: int) -> None:
         _block_products.append(math.prod(_primes[i:i + _BLOCK]))
 
 
-def _divide_table_primes(n: int, bound: int, factors: dict[int, int]) -> int:
+def _divide_table_primes(n: int, bound: int, factors: dict[int, int], cube: bool) -> int:
     """Divide out of n every table prime p <= bound with p^2 <= n, n the
-    cofactor left at p, counting them in factors; returns the cofactor."""
+    cofactor left at p, counting them in factors; returns the cofactor.
+    With cube, a cofactor n <= bound^2 is divided only by the p with p^3
+    <= n."""
+    top = _trial_top(n, bound, cube)
     i = 0
     while True:
         if i == len(_primes):
             # every prime up to _prime_limit is tried; the next one exceeds it
-            if _prime_limit >= bound or (_prime_limit + 1) ** 2 > n:
+            if _prime_limit >= top:
                 return n
             _grow_primes(min(2 * _prime_limit, bound))
             continue
         p = _primes[i]
-        if p > bound or p * p > n:
+        if p > top:
             return n
         block, offset = divmod(i, _BLOCK)
         run = _primes[i:(block + 1) * _BLOCK]
@@ -134,13 +137,23 @@ def _divide_table_primes(n: int, bound: int, factors: dict[int, int]) -> int:
         g = n if offset else math.gcd(n, _block_products[block])
         if g != 1:
             for p in run:
-                if p > bound or p * p > n:
+                if p > top:
                     return n
                 if g % p == 0:
                     while n % p == 0:
                         factors[p] = factors.get(p, 0) + 1
                         n //= p
+                    top = _trial_top(n, bound, cube)
         i += len(run)
+
+
+def _trial_top(n: int, bound: int, cube: bool) -> int:
+    """The largest prime that trial division of the cofactor n tries: up
+    to the bound and the square root of n, or, with cube and n <= bound^2,
+    up to the cube root of n."""
+    if cube and n <= bound * bound:
+        return integer_nth_root(n, 3)
+    return min(bound, math.isqrt(n))
 
 
 def _primes_up_to(m: int):
@@ -169,6 +182,18 @@ def trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
     the largest bound asked for, nor beyond twice the largest prime a
     call has needed.
     """
+    factors, n = _small_factors(n, bound, False)
+    if n > 1:
+        if n <= bound * bound or is_probable_prime(n):
+            # any remaining n <= bound^2 with no divisor <= bound is prime
+            factors[n] = factors.get(n, 0) + 1
+            n = 1
+    return factors, n
+
+
+def _small_factors(n: int, bound: int, cube: bool) -> tuple[dict[int, int], int]:
+    """(factors, cofactor) of |n| by trial division: 2 and 3, then the
+    table primes as _divide_table_primes takes them."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -177,13 +202,7 @@ def trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    n = _divide_table_primes(n, bound, factors)
-    if n > 1:
-        if n <= bound * bound or is_probable_prime(n):
-            # any remaining n <= bound^2 with no divisor <= bound is prime
-            factors[n] = factors.get(n, 0) + 1
-            n = 1
-    return factors, n
+    return factors, _divide_table_primes(n, bound, factors, cube)
 
 
 def factor_completely(n: int, bound: int) -> dict[int, int]:
@@ -232,17 +251,22 @@ def rational_sqrt(q) -> Fraction:
 
 
 def integer_nth_root(n: int, e: int) -> int:
-    """Floor of the e-th root of a nonnegative integer (Newton on big ints)."""
+    """Floor of the e-th root of a nonnegative integer: below 2^52, where
+    a float holds n exactly, the float root is within one of it; above,
+    Newton on big ints.  Either way it is then corrected to the floor."""
     if n < 0:
         raise ValueError("negative radicand")
     if n < 2 or e == 1:
         return n
-    r = 1 << ((n.bit_length() + e - 1) // e)
-    while True:
-        nr = ((e - 1) * r + n // r ** (e - 1)) // e
-        if nr >= r:
-            break
-        r = nr
+    if n < 1 << 52:
+        r = int(n ** (1 / e))
+    else:
+        r = 1 << ((n.bit_length() + e - 1) // e)
+        while True:
+            nr = ((e - 1) * r + n // r ** (e - 1)) // e
+            if nr >= r:
+                break
+            r = nr
     while r ** e > n:
         r -= 1
     while (r + 1) ** e <= n:
@@ -257,17 +281,27 @@ def squarefree_part(n: int, trial_bound: int = 10**6) -> tuple[int, bool]:
     sign(n) and n/s is a perfect square.  Otherwise s is the best-effort
     kernel (all square factors detectable below the bound removed) and the
     flag reports the failure honestly.
+
+    Once the cofactor m left by trial division is at most trial_bound^2,
+    division stops at the cube root of m: an m with no prime factor up to
+    its cube root has at most two, so it is 1, p, p^2 or pq, and one
+    isqrt tells p^2 (kernel 1) from p and pq (kernel m), which division
+    up to sqrt(m) would have split.  A cofactor above trial_bound^2 is
+    divided up to the bound and its square root, as by trial_factor.
     """
     if n == 0:
         raise ValueError("squarefree_part(0) is undefined")
-    sign = -1 if n < 0 else 1
-    factors, cofactor = trial_factor(n, trial_bound)
-    s = sign
+    factors, cofactor = _small_factors(n, trial_bound, True)
+    s = -1 if n < 0 else 1
     for p, e in factors.items():
         if e % 2:
             s *= p
-    if cofactor == 1:
-        return s, True
+    if cofactor <= trial_bound * trial_bound:
+        # 1, p, p^2 or pq
+        root = math.isqrt(cofactor)
+        return (s if root * root == cofactor else s * cofactor), True
+    if is_probable_prime(cofactor):
+        return s * cofactor, True
     # The cofactor's prime factors all exceed the bound; a perfect power is
     # still recognizable without factoring it.  Its least exponent is
     # prime, since r^(ab) = (r^a)^b, so only prime e are tried.

@@ -474,9 +474,9 @@ def test_sylow_layers_refuse_a_wrong_class_number(monkeypatch):
     # is no fifth power, the one of 2 (image order 25) grows it to 5^3
     D = -50783
     assert sylow_layers(D, 250, 5)[0] == 2
-    reduced = classgroup.enumerate_reduced
-    monkeypatch.setattr(classgroup, "enumerate_reduced", lambda D: itertools.chain(
-        [BinaryQuadraticForm(23, 1, 552)], reduced(D)))
+    reduced = classgroup._reduced_triples
+    monkeypatch.setattr(classgroup, "_reduced_triples", lambda D: itertools.chain(
+        [(23, 1, 552)], reduced(D)))
     with pytest.raises(IdentityCheckError, match="more than 5\\^2"):
         sylow_layers(D, 50, 5)
 
@@ -605,15 +605,15 @@ def test_sylow_layers_power_no_ambiguous_form_and_each_generator_once(monkeypatc
         calls.append((f, n, out))
         return out
 
-    reduced = classgroup.enumerate_reduced
+    reduced = classgroup._reduced_triples
 
     def listed(D):
         for f in reduced(D):
-            taken.append((f.a, f.b, f.c))
+            taken.append(f)
             yield f
 
     monkeypatch.setattr(classgroup, "_pow", spy)
-    monkeypatch.setattr(classgroup, "enumerate_reduced", listed)
+    monkeypatch.setattr(classgroup, "_reduced_triples", listed)
     cases = [(D, h, 5) for D, h in sorted(decided_grid().items())]
     # C49, C9 x C3, C3 x C3, C5 x C5 twice and C25 x C5
     cases += [(D, class_number(D), q) for D in (-1511, -3299, -4027, -11199, -12451, -50783)
@@ -663,6 +663,8 @@ def test_sylow_layers_refuse_an_odd_h_at_an_ambiguous_form(monkeypatch):
     calls = []
     power = classgroup._pow
     monkeypatch.setattr(classgroup, "_pow", lambda *args: calls.append(args) or power(*args))
+    # a form with b = 0 stays in the stream that sylow_layers walks
+    assert next(classgroup._reduced_triples(-296)) == (2, 0, 37)
     with pytest.raises(IdentityCheckError,
                        match=r"BinaryQuadraticForm\(a=2, b=0, c=37\) does not have "
                              r"order dividing h = 5$"):
@@ -955,8 +957,9 @@ def triple(f):
 @pytest.fixture
 def xgcd_calls(monkeypatch):
     """The extended-gcd steps of the engine, in the order taken: _compose
-    takes two for a pair with gcd(a1, a2) > 1 and none for a coprime pair
-    or a square f = g with gcd(a, b) = 1, which take one builtin inverse."""
+    takes two for a pair f != g with gcd(a1, a2) > 1, one for a square f =
+    g with gcd(a, b) > 1, and none for a coprime pair or a square with
+    gcd(a, b) = 1, which take one builtin inverse."""
     from fiverank import classgroup
 
     calls, xgcd = [], classgroup._xgcd
@@ -970,13 +973,15 @@ def xgcd_calls(monkeypatch):
 
 
 def branch_counts(pairs):
-    """(coprime, coprime squares, the rest) among the pairs that neither
-    has a = 1: gcd(a1, a2) = 1; f = g with gcd(a, b) = 1; the pairs left,
-    which alone take extended-gcd steps."""
+    """(coprime, coprime squares, the rest, the squares among the rest)
+    among the pairs that neither has a = 1: gcd(a1, a2) = 1; f = g with
+    gcd(a, b) = 1; the pairs left, which alone take extended-gcd steps,
+    two each but one for a square."""
     both = [(f, g) for f, g in pairs if f.a > 1 and g.a > 1]
     coprime = sum(math.gcd(f.a, g.a) == 1 for f, g in both)
     squares = sum(f == g and math.gcd(f.a, f.b) == 1 for f, g in both)
-    return coprime, squares, len(both) - coprime - squares
+    shared_squares = sum(f == g and math.gcd(f.a, f.b) > 1 for f, g in both)
+    return coprime, squares, len(both) - coprime - squares, shared_squares
 
 
 def test_triple_composition_matches_the_reference_on_every_small_discriminant(xgcd_calls):
@@ -993,9 +998,9 @@ def test_triple_composition_matches_the_reference_on_every_small_discriminant(xg
                     triple(reference_compose(f, g)), (D, f, g)
                 pairs.append((f, g))
     assert len(pairs) > 10_000
-    coprime, squares, shared = branch_counts(pairs)
-    assert coprime > 1000 and squares > 1000 and shared > 1000
-    assert len(xgcd_calls) == 2 * shared
+    coprime, squares, shared, shared_squares = branch_counts(pairs)
+    assert coprime > 1000 and squares > 1000 and shared > 1000 and shared_squares > 100
+    assert len(xgcd_calls) == 2 * shared - shared_squares
 
 
 def test_triple_composition_matches_the_reference_on_random_pairs(xgcd_calls):
@@ -1013,9 +1018,9 @@ def test_triple_composition_matches_the_reference_on_random_pairs(xgcd_calls):
             assert _compose(triple(f), triple(g), D) == \
                 triple(reference_compose(f, g)), (D, f, g)
             pairs.append((f, g))
-    coprime, squares, shared = branch_counts(pairs)
+    coprime, squares, shared, shared_squares = branch_counts(pairs)
     assert coprime > 2000 and shared > 6000
-    assert len(xgcd_calls) == 2 * shared
+    assert len(xgcd_calls) == 2 * shared - shared_squares
 
 
 def parent_compose(f, g, D):
@@ -1044,7 +1049,7 @@ def test_squares_match_the_parent_composition(xgcd_calls):
     # f * f against the parent's _compose on random reduced forms, and on
     # forms moved off them, of random D up to 1e7, fundamental or not (D =
     # D0 t^2): the coprime squares take no extended-gcd step, the squares
-    # with gcd(a, b) > 1 take two, a = 1 takes none
+    # with gcd(a, b) > 1 take one, a = 1 takes none
     from fiverank.classgroup import _compose
 
     rng = random.Random(31)
@@ -1068,7 +1073,7 @@ def test_squares_match_the_parent_composition(xgcd_calls):
             shared += math.gcd(f[0], f[1]) > 1
     assert sum(f[0] == 1 for f, _ in squares) >= len(discs)
     assert coprime > 1000 and shared > 500
-    assert len(xgcd_calls) == 2 * shared
+    assert len(xgcd_calls) == shared
 
 
 def test_form_pow_is_repeated_composition():
@@ -1158,7 +1163,7 @@ def test_triple_composition_checks_its_product(monkeypatch, xgcd_calls):
                     ((2, 2, 8), (4, 2, 4), -60), ((4, 2, 4), (4, 2, 4), -60)):
         with pytest.raises(ValueError, match=f"form of {D}$"):
             classgroup._compose(f, g, D)
-    assert len(xgcd_calls) == 4
+    assert len(xgcd_calls) == 3
     # a reduction that drifts off the discriminant, on every branch: a
     # coprime pair, two coprime squares and a pair sharing a = 2
     reduce = classgroup._reduce
@@ -1168,7 +1173,75 @@ def test_triple_composition_checks_its_product(monkeypatch, xgcd_calls):
                  ((2, 1, 6), (2, -1, 6))):
         with pytest.raises(ValueError, match="form of -47$"):
             classgroup._compose(f, g, -47)
-    assert len(xgcd_calls) == 6
+    assert len(xgcd_calls) == 5
+
+
+# a wrong b3 on each branch of _compose: an inverse negated (a coprime
+# pair) or off by one (a coprime square), a Bezout coefficient off by one
+# (a pair sharing a factor of a, and a square with gcd(a, b) > 1).  The
+# first three made the reduction of the floored (a3, b3, c3) run forever
+WRONG_B3 = """
+import builtins
+from fiverank import classgroup
+
+pow_, xgcd = builtins.pow, classgroup._xgcd
+negated = lambda x, e, m: -pow_(x, e, m) % m
+plus_one = lambda x, e, m: (pow_(x, e, m) + 1) % m
+u_plus_one = lambda a, b: (lambda d, u, v: (d, u + 1, v))(*xgcd(a, b))
+for name, wrong, f, g, D in (
+        ("pow", negated, (121, -101, 126), (114, -55, 118), -50783),
+        ("pow", plus_one, (126, -115, 127), (126, -115, 127), -50783),
+        ("_xgcd", u_plus_one, (114, 55, 118), (116, 111, 136), -50783),
+        ("_xgcd", u_plus_one, (56, 35, 472), (56, 35, 472), -104503)):
+    setattr(classgroup, name, wrong)
+    try:
+        print(classgroup._compose(f, g, D), flush=True)
+    except ValueError as exc:
+        print(type(exc).__name__, exc, flush=True)
+    setattr(classgroup, name, {"pow": pow_, "_xgcd": xgcd}[name])
+"""
+
+
+def test_triple_composition_refuses_a_wrong_b3_before_reducing():
+    # c3 = (b3^2 - D) / 4 a3 must be exact before the reduction runs; in a
+    # subprocess under a timeout, so that a reduction that never ends
+    # fails the test instead of hanging it
+    import subprocess
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", WRONG_B3], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    lines = out.splitlines()
+    assert len(lines) == 4, out
+    for line, D in zip(lines, (-50783, -50783, -50783, -104503)):
+        assert line.startswith("ValueError (") and \
+            line.endswith(f") has no integral c of discriminant {D}"), line
+
+
+def test_decided_grid_composes_no_identity_and_squares_in_one_step(monkeypatch, xgcd_calls):
+    # a spy on _compose over one pass of the oracle grid: no composition
+    # takes the identity (a = 1) as an operand, and each square takes at
+    # most one extended-gcd step
+    from fiverank import classgroup
+
+    composed = []
+    real = classgroup._compose
+
+    def spy(f, g, D):
+        before = len(xgcd_calls)
+        out = real(f, g, D)
+        composed.append((f, g, len(xgcd_calls) - before))
+        return out
+
+    monkeypatch.setattr(classgroup, "_compose", spy)
+    decided = [o for o in oracle_scan(100_000) if o.status != "skip"]
+    assert len(decided) == 82
+    squares = [(f, steps) for f, g, steps in composed if f == g]
+    assert len(composed) > 1000 and len(squares) > 500
+    assert not [(f, g) for f, g, _ in composed if f[0] == 1 or g[0] == 1]
+    assert max(steps for _, steps in squares) == 1
+    assert sum(steps for _, steps in squares) == \
+        sum(math.gcd(f[0], f[1]) > 1 for f, _ in squares) > 100
 
 
 def test_sylow_layers_check_every_composed_triple(monkeypatch):
@@ -1369,7 +1442,7 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
     # domain curve has the same conductor
     from fiverank import classgroup, curves
 
-    calls = {"class_number": 0, "enumerate_reduced": 0, "group_structure": 0,
+    calls = {"class_number": 0, "_reduced_triples": 0, "group_structure": 0,
              "is_semistable": 0, "forms taken": 0}
 
     def counted(module, name):
@@ -1382,15 +1455,15 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
 
     for name in ("class_number", "group_structure"):
         monkeypatch.setattr(classgroup, name, counted(classgroup, name))
-    reduced = classgroup.enumerate_reduced
+    reduced = classgroup._reduced_triples
 
     def taken(D):
-        calls["enumerate_reduced"] += 1
+        calls["_reduced_triples"] += 1
         for f in reduced(D):
             calls["forms taken"] += 1
             yield f
 
-    monkeypatch.setattr(classgroup, "enumerate_reduced", taken)
+    monkeypatch.setattr(classgroup, "_reduced_triples", taken)
     monkeypatch.setattr(curves, "is_semistable", counted(curves, "is_semistable"))
     # a binding imported into classgroup would be counted too
     monkeypatch.setattr(classgroup, "is_semistable", curves.is_semistable,
@@ -1398,7 +1471,7 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
     classgroup._single_curve_setup.cache_clear()
     decided = [o for o in oracle_scan(20) if o.status != "skip"]
     assert len(decided) == 20
-    assert calls["class_number"] == calls["enumerate_reduced"] == len(decided)
+    assert calls["class_number"] == calls["_reduced_triples"] == len(decided)
     assert calls["group_structure"] == 0
     assert calls["forms taken"] < sum(o.class_number for o in decided) // 10
     for u in (F(-3, 2), F(4), F(6, 7), F(-11)):     # the scan needs one u

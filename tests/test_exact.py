@@ -164,11 +164,60 @@ def test_squarefree_part_tries_prime_exponents_only():
     assert squarefree_part(-(1009 ** 9), 1000) == (-1009, True)
 
 
+def test_squarefree_part_matches_the_full_trial_division_path(fresh_prime_table):
+    # once its cofactor is at most bound^2, n is divided only up to the
+    # cube root of the cofactor, and its kernel and flag must be the full
+    # path's: seeded n up to 1e15, p q with p the least prime above the
+    # cube root and q the greatest prime below p^2, p^3, p^2 q and p r s
+    # near the cube root, p^2 and p q for primes p, q around the bound,
+    # and cofactors above bound^2, which are divided up to the bound
+    exact = fresh_prime_table
+    rng = random.Random(20261020)
+    cases = {10 ** 6: [], 1000: []}
+    for bound, ns in cases.items():
+        ns += [rng.choice((1, -1)) * rng.randrange(1, 10 ** rng.randrange(1, 16))
+               for _ in range(300)]
+        ns += [rng.randrange(1, 10 ** 15) for _ in range(100)]
+        for k in (5, 8, 20, 60, 90, 700, 9000):
+            if k ** 3 > bound * bound:
+                continue
+            p = _straddling_primes([k])[1]
+            q = _straddling_primes([p * p])[0]
+            r = _straddling_primes([p])[1]
+            s = _straddling_primes([r])[1]
+            assert p ** 3 > p * q and p ** 3 <= p * r * s
+            ns += [p * q, -12 * p * q, 25 * p * q, p ** 3, -p * p * q, p * r * s]
+        below, above = _straddling_primes([bound])
+        ns += [below, -above, 4 * below, below * below, -above * above, below * above,
+               12 * below * below, above * _straddling_primes([above])[1],
+               above ** 3, -2 * above * above, 7 * below * above * above]
+    cube = fallback = incomplete = 0
+    for bound, ns in cases.items():
+        for n in ns:
+            got = squarefree_part(n, bound)
+            assert got == _reference_squarefree_part(n, bound), (n, bound)
+            cofactor = exact._small_factors(n, bound, True)[1]
+            cube += 1 < cofactor <= bound * bound
+            fallback += cofactor > bound * bound
+            incomplete += not got[1]
+    assert cube > 300 and fallback > 100 and incomplete > 50
+
+
 def test_integer_nth_root():
     assert integer_nth_root(10**18, 3) == 10**6
     assert integer_nth_root(2**401 - 1, 401) == 1
     for n in [0, 1, 5, 63, 64, 65]:
         assert integer_nth_root(n, 2) == math.isqrt(n)
+    # the float root below 2^52 and Newton above, at k^e and its
+    # neighbours, where a float root may land just below k
+    for e in (2, 3, 5, 7, 13):
+        for k in [2, 3, 10, 1000, 65537, 10 ** 6, 10 ** 8, 3 ** 20, 10 ** 20]:
+            for n in (k ** e - 1, k ** e, k ** e + 1):
+                r = integer_nth_root(n, e)
+                assert r ** e <= n < (r + 1) ** e, (n, e)
+    for n in ((1 << 52) - 1, 1 << 52, (1 << 52) + 1):
+        assert integer_nth_root(n, 2) == math.isqrt(n)
+        assert integer_nth_root(n, 4) == math.isqrt(math.isqrt(n))
 
 
 def test_is_square_and_sqrt():
