@@ -436,17 +436,42 @@ def _decimal_divmod(n: int, j: int) -> tuple[int, int]:
     remainder outside [0, P) after them means a broken precondition or
     reciprocal, and raises ArithmeticError rather than loop on or return
     a wrong quotient.
+
+    A short n needs fewer bits of R: m has B - b + 1 bits for
+    B = n.bit_length(), and R's low bits cannot reach the quotient.  So
+    the estimate is q = floor(m floor(R / 2^c) / 2^(b+1-c)) with the cut
+    c = min(2b - B - 9, b) when B <= 2b - 10, a product of two factors of
+    about B - b bits, and the estimate above otherwise.  From above,
+    floor(R / 2^c) <= R / 2^c, so q is at most the full estimate, at
+    most Q.  From below, floor(R / 2^c) > R / 2^c - 1 loses less than
+    m / 2^(b+1-c) < 2^(B-2b+c) <= 2^-9, and n/4^b < 2^(B-2b) <= 2^-10
+    where the cut applies, so m R / 2^(b+1) less that loss exceeds
+    n/P - 1 - 2^-10 - 2^-9 > n/P - 2, and q still falls short of Q by at
+    most two.
+
+    The remainder is n - q P in full, so the check above refuses a wrong
+    reciprocal whatever its bits.  P = 10^e = 5^e 2^e with e = L 2^j for
+    the leaf L = _DECIMAL_LEAF, so q P is the shifted product
+    (q 5^e) 2^e, against a factor 5^e = P >> e some 30 % shorter than P;
+    5^e is read off P on each call, so no second cache can disagree with
+    it.
     """
     P, b, R = _decimal_power(j)
-    q = ((n >> (b - 1)) * R) >> (b + 1)
-    r = n - q * P
+    B = n.bit_length()
+    if B <= 2 * b - 10:
+        cut = min(2 * b - B - 9, b)
+        q = ((n >> (b - 1)) * (R >> cut)) >> (b + 1 - cut)
+    else:
+        q = ((n >> (b - 1)) * R) >> (b + 1)
+    e = _DECIMAL_LEAF << j
+    r = n - ((q * (P >> e)) << e)
     for _ in range(_DECIMAL_CORRECTIONS):
         if r < P:
             break
         q, r = q + 1, r - P
     if not 0 <= r < P:
         raise ArithmeticError(
-            f"quotient by 10^{_DECIMAL_LEAF << j} off by more than {_DECIMAL_CORRECTIONS}")
+            f"quotient by 10^{e} off by more than {_DECIMAL_CORRECTIONS}")
     return q, r
 
 
@@ -457,15 +482,17 @@ def decimal_string(n: int) -> str:
 
     CPython's str() of an int, like its long division, takes time
     quadratic in the length, while its multiplication is Karatsuba,
-    O(b^1.585) on b bits.  A split of a 2b-bit n at P_j (b bits) costs
-    two b-by-b multiplications in _decimal_divmod, for the estimate q and
-    the product q P, plus at most two subtractions, where divmod would
-    pay for a schoolbook division, quadratic in b.  The halves go on
-    down to leaves of _DECIMAL_LEAF digits that str() writes.  Under
-    CPython 3.11 on a 2-vCPU cloud VM, the two products took 0.6 of the
-    division's time at b = 32,000, and the radicand of a certificate
-    near z = 10^1000 (12,000 digits over 9,000) took 1.9 ms, against
-    2.6 ms by divmod and 3.9 ms by str().
+    O(b^1.585) on b bits.  A split of an n of B bits at P_j (b bits)
+    costs two multiplications in _decimal_divmod, for the estimate q, on
+    about B - b bits of R when n is short, and the product q 5^e of
+    q P = (q 5^e) 2^e, plus a shift and at most two subtractions, where
+    divmod would pay for a schoolbook division, quadratic in b.  The
+    halves go on down to leaves of _DECIMAL_LEAF digits that str()
+    writes.  Under CPython 3.11 on a 2-vCPU cloud VM, a split at
+    b = 32,000 took about 0.4 of the division's time, for n of 40,000
+    bits and of 2b bits alike, and the radicand of a certificate near
+    z = 10^1000 (12,000 digits over 9,000) took 1.4-1.5 ms, against
+    2.3-2.4 ms by divmod and 3.4-3.6 ms by str().
 
     The split sizes are fixed, so a few powers of 10 and their
     reciprocals are kept whatever the inputs, and str() meets no more

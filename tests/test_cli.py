@@ -507,6 +507,20 @@ def test_cmd_verify_records_pinned(capsys):
         "cc5dbef93202fc2b540af690f7314ec5d571668e49caf05069cc3f36937a553a"
 
 
+def test_cmd_verify_records_pinned_at_1e4000(capsys):
+    # radicands of about 48,000 digits, whose digits split from
+    # P_7 = 10^38400 down, deeper than any other pin reaches
+    limit = sys.get_int_max_str_digits()
+    try:
+        code = main(["verify", "--batch", "5", "--start", str(10 ** 4000)])
+        out = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "eae2a4d9ea79356346e5570989a209485f8160114d13926818a77ef1bb286969"
+
+
 def test_cmd_verify_pole_error_record(capsys):
     code, records = run_cli(["verify", "--z", "0"], capsys)
     assert code == 1

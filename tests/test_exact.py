@@ -328,6 +328,42 @@ def test_decimal_divmod_estimate_falls_short_by_at_most_two():
         assert short <= {0, 1, 2}, (j, short)
 
 
+def test_decimal_divmod_cut_estimate_falls_short_by_at_most_two():
+    # n of every bit length B from 1 to 2b in strides of at most b/200, with
+    # the lengths where the cut c = min(2b - B - 9, b) switches on (B = 2b - 10)
+    # and off (2b - 9) and where it is capped at b (B <= b - 9), and kP - 1,
+    # kP and kP + P - 1 next to each: the estimate by floor(R / 2^c), or by
+    # R itself where no cut applies, never exceeds the quotient and falls
+    # short by at most two, over 0 <= n < 4^b
+    from fiverank import exact
+
+    rng = random.Random(33)
+    for j in range(7):
+        P, b, R = exact._decimal_power(j)
+        edges = {2 * b - 11, 2 * b - 10, 2 * b - 9, 2 * b, b - 10, b - 9, b - 8, b, b + 1, 1}
+        short, cuts = set(), set()
+        for B in sorted(set(range(1, 2 * b + 1, max(1, b // 200))) | edges):
+            n = 1 << (B - 1) | rng.getrandbits(B - 1)
+            k, s = divmod(n, P)
+            cases = {n: (k, s)}
+            if k:
+                cases.update({k * P - 1: (k - 1, P - 1), k * P: (k, 0),
+                              k * P + P - 1: (k, P - 1)})
+            if B in edges:
+                cases.update({m: divmod(m, P) for m in (1 << (B - 1), (1 << B) - 1)})
+            for m, quotient_remainder in cases.items():
+                if m >> 2 * b:                 # beyond the splits' precondition, n < 4^b
+                    continue
+                length = m.bit_length()
+                cut = min(2 * b - length - 9, b) if length <= 2 * b - 10 else 0
+                cuts.add(cut)
+                q = ((m >> (b - 1)) * (R >> cut)) >> (b + 1 - cut)
+                short.add(quotient_remainder[0] - q)
+                assert exact._decimal_divmod(m, j) == quotient_remainder, (j, length)
+        assert short <= {0, 1, 2}, (j, short)
+        assert {0, 1, b} <= cuts, j
+
+
 def test_decimal_string_refuses_a_wrong_reciprocal(monkeypatch, default_digit_limit):
     # a wrong cached reciprocal raises ArithmeticError after at most
     # _DECIMAL_CORRECTIONS steps: no hang and no wrong digits
