@@ -1,35 +1,36 @@
 """Imaginary quadratic class groups through binary quadratic forms.
 
 Serves as the independent oracle of the package: on small fundamental
-discriminants it recomputes the class number h, by counting the square
-roots of D mod 4a for each leading coefficient a of a reduced form, and
-the 5-rank, from the 5-Sylow subgroup that the reduced forms span under
-Gauss composition, then checks the 5-divisibility that the single-curve
-construction predicts; its irreducibility witness reads each split
-prime's verdict, or the error it raises, from the splitting module's
-residue-class memo, which the certificates share.  The
-facts of a curve parameter u (u = +-1 mod 5, the curve setup and the
-integer coefficients of the quotient cubic with their common scale s)
-are found once per u, and an instance's radicand g_u(n/d) is H / (s d^3),
-H = d^3 s g_u(n/d) by one integer Horner pass.  The setup builds no
-isogeny: the Velu 5-isogeny E -> F of a u is built and certified on the
-first witness lookup that reads it, family.five_isogeny(u) on the memo's
-first miss and _fallback_isogeny(u) on the first precondition fallback,
-so a u that reaches no verdict builds none.  group_structure, behind
-`classgroup --disc`, takes the same route for any D < 0: the counted h,
-then the span of each Sylow subgroup, whose layer counts give the
-invariant factors.  A span walks the bare reduced triples with a > 1
-and b >= 0, raises no ambiguous form to a power at an odd q, and its
-layers come from the q-th powers of the generators that grew it, not
-of every class.  Everything is exact.  The form engine uses only the
-exact-arithmetic substrate and works on bare (a, b, c) triples, the
-identity included, each composed triple checked as BinaryQuadraticForm
-checks a form, which reduce_form, compose and form_pow validate at the
-public boundary.  Powers and spans compose no triple with the identity;
-a coprime product and a square with gcd(a, b) = 1 take one builtin
-inverse each, and any other square one extended-gcd step.  The oracle
-that feeds it builds its instances from the family, isogeny, sieve,
-splitting and curve modules.
+discriminants it recomputes the class number h, the square roots of D
+mod 4a summed over the leading coefficients a of the reduced forms, by
+byte counts over a shared table of omega(a) below sqrt|D|/2 and by
+listing them above, and the 5-rank, from the 5-Sylow subgroup that the
+reduced forms span under Gauss composition, then checks the
+5-divisibility that the single-curve construction predicts; its
+irreducibility witness reads each split prime's verdict, or the error it
+raises, from the splitting module's residue-class memo, which the
+certificates share.  The facts of a curve parameter u (u = +-1 mod 5, the
+curve setup and the integer coefficients of the quotient cubic with
+their common scale s) are found once per u, and an instance's radicand
+g_u(n/d) is H / (s d^3), H = d^3 s g_u(n/d) by one integer Horner
+pass.  The setup builds no isogeny: the Velu 5-isogeny E -> F of a u is
+built and certified on the first witness lookup that reads it,
+family.five_isogeny(u) on the memo's first miss and _fallback_isogeny(u)
+on the first precondition fallback, so a u that reaches no verdict
+builds none.  group_structure, behind `classgroup --disc`, takes the same
+route for any D < 0: the counted h, then the span of each Sylow
+subgroup, whose layer counts give the invariant factors.  A span walks
+the bare reduced triples with a > 1 and b >= 0, raises no ambiguous form
+to a power at an odd q, and its layers come from the q-th powers of the
+generators that grew it, not of every class.  Everything is exact.  The
+form engine uses only the exact-arithmetic substrate and works on bare
+(a, b, c) triples, the identity included, each composed triple checked
+as BinaryQuadraticForm checks a form, which reduce_form, compose and
+form_pow validate at the public boundary.  Powers and spans compose no
+triple with the identity; a coprime product and a square with gcd(a, b)
+= 1 take one builtin inverse each, and any other square one extended-gcd
+step.  The oracle that feeds it builds its instances from the family,
+isogeny, sieve, splitting and curve modules.
 """
 
 from __future__ import annotations
@@ -70,10 +71,14 @@ RADICAND_TRIAL_BOUND = 10**6
 # a count within the default budget reaches the primes up to this bound,
 # and reads square roots modulo each odd one from a table (_root_table)
 ROOT_TABLE_BOUND = math.isqrt(DEFAULT_DISC_BOUND // 3)
-_spf: list[int] = []        # smallest prime factor of each k < len(_spf), for every D
-_spf_primes: list[int] = []  # the primes below len(_spf)
-_spf_rest: list[int] = []    # k with the powers of _spf[k] divided out
+# spf, primes, rest and omega up to a bound, shared by every D (_smallest_prime_factors)
+_factor_tables: tuple[list[int], list[int], list[int], bytearray] = ([], [], [], bytearray())
 _root_tables: dict[int, array] = {}  # odd prime p <= ROOT_TABLE_BOUND -> roots mod p
+# class_number's byte marks (r(a) = 0; a listed) and the translations that write them
+_STRUCK, _LISTED = 255, 254
+_DROP_ONE = bytes(1) + bytes(range(_LISTED - 1)) + bytes([_LISTED, _STRUCK])
+_TO_LISTED = bytes([_LISTED]) * _STRUCK + bytes([_STRUCK])
+_IS_LISTED, _UNSTRUCK = bytes(_LISTED) + b"\1\0", b"\1" * _STRUCK + b"\0"
 
 
 # ---------------------------------------------------------------------------
@@ -269,125 +274,138 @@ def class_number(D: int) -> int:
     Number Theory, 5.3-5.4; Buell, Binary Quadratic Forms, ch. 4).
 
     The reduced forms are the primitive (a, b, c = (b^2 - D)/4a) with
-    a <= sqrt(|D|/3), b in (-a, a], b^2 = D (mod 4a), c >= a, and b >= 0
-    when a = c.  For 4a^2 <= |D|, c >= a, with c = a only at b = 0,
-    which the tie admits, so a adds r(a) = #{b in (-a, a] : b^2 = D
-    mod 4a} without listing a root.  r is a product of local counts, one
-    for each p^k || a: 1 + (D/p) at an odd p that does not divide D, by
-    Euler's criterion; the number of roots mod p^k at an odd p | D; at
-    p = 2, half the number mod 4 * 2^k, since b^2 mod 4a depends on
-    b mod 2a only.  The roots are primitive forms unless a prime p | a
-    has p^2 | D and D/p^2 = 0 or 1 (mod 4).  Such a, and the a with
-    4a^2 > |D|, where c >= a needs b itself, go to _listed_count.  The
-    primes up to sqrt(|D|/3) come from the prime list kept beside the
-    shared smallest-prime-factor table.  Up to ROOT_TABLE_BOUND =
-    isqrt(DEFAULT_DISC_BOUND / 3), as far as any D within that budget
-    reaches, Euler's criterion and the square roots mod p are one read
-    of p's root table (_root_table), shared by every D as the prime list
-    is; above it they take a builtin pow and Tonelli-Shanks.  The a
-    divisible by a prime power with no roots are struck out first, each
-    stretch of multiples zeroed from one buffer, and r(a) = r(a/p^k) *
-    (the count at p^k) for the smallest prime p of a, read from the
-    smallest-prime-factor tables.  The counts at the p^k are a list that
-    reads 2 by default, the count at every power of a split p, so only 2
-    and the primes dividing D write theirs.
-    """
+    a <= amax = sqrt(|D|/3), b in (-a, a], b^2 = D (mod 4a), c >= a, and
+    b >= 0 when a = c.  For a <= top = sqrt(|D|/4), c >= a, with c = a
+    only at b = 0, which the tie admits, so a adds r(a) = #{b in (-a, a]
+    : b^2 = D mod 4a}.  By CRT, r(a) is the product over p^k || a of the
+    roots mod p^k at an odd p, and of half those mod 4 * 2^k at p = 2
+    (b^2 mod 4a depends on b mod 2a only).  That local count is
+      2 at every k for a split p: an odd p with (D/p) = 1 (Hensel), or
+        p = 2 with D = 1 mod 8 (4 roots mod every 2^(k+2) >= 8);
+      0 for an inert p: (D/p) = -1, or p = 2 with D = 5 mod 8;
+      1 at k = 1 and 0 at k >= 2 for a ramified p: an odd p || D (p | b,
+        so p^2 | b^2 - D fails), or 4 | D with D/4 = 2, 3 mod 4 (b = 2b'
+        with b'^2 = D/4 has one root mod 2 and none mod 4).
+    So r(a) = 2^s(a), s(a) the number of split primes of a, unless an
+    inert p or the square of a ramified p divides a, and then r(a) = 0.
+    A prime dividing a, b and c has p^2 | D = b^2 - 4ac with D/p^2 a
+    discriminant: one of the remaining primes, odd p with p^2 | D and
+    p = 2 with D/4 = 0, 1 mod 4.  Their multiples, and the band top < a
+    <= amax, where c >= a needs b itself, go to _listed_count.
+
+    The count below the band reads one byte per a (_log_root_counts):
+    s(a), STRUCK (255) where r(a) = 0, or LISTED (254).  Each entry
+    starts as omega(a), the number of primes of a, at most log2(a) since
+    2^omega(a) <= a: at most 8 below 10^7, and never a mark.  So the
+    a <= top add sum_v 2^v times the number of entries v, exactly, one
+    byte count for each v < bit_length(top)."""
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)               # the largest a with 4a^2 <= |D|
-    spf, primes, rest = _smallest_prime_factors(amax)   # may run past amax
-    roots = {}                              # p^k -> roots of x^2 = D mod p^k
-    local = [2] * (amax + 1)                # p^k -> its factor of r(a), 2 at a split p
-    has_roots = bytearray([0]) + bytearray([1]) * amax
-    # 1: list the roots (the band); 2: list them and test primitivity
-    listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
-    zeros = memoryview(bytes(amax))
+    spf, primes, rest, omega = _smallest_prime_factors(amax)   # may run past amax
+    logs = _log_root_counts(D, amax, primes, omega)
+    low = logs[1:top + 1]
+    count = sum(low.count(v) << v for v in range(top.bit_length()))
+    listed = list(itertools.compress(range(1, top + 1), low.translate(_IS_LISTED)))
+    listed += itertools.compress(range(top + 1, amax + 1), logs[top + 1:].translate(_UNSTRUCK))
+    return count + _listed_count(D, listed, logs, spf, rest)
+
+
+def _log_root_counts(D: int, amax: int, primes: list[int], omega: bytearray) -> bytearray:
+    """Entry a <= amax is log2 r(a), STRUCK or LISTED, as class_number
+    reads them: a copy of omega with, at each prime p <= amax, the
+    multiples of an inert p (one entry when 2p > amax) and of a ramified
+    p^2 struck, one taken from the multiples of a ramified p, and the
+    multiples of the other primes dividing D marked LISTED; a struck
+    entry stays struck, so the order of the primes does not matter.
+    Up to ROOT_TABLE_BOUND = isqrt(DEFAULT_DISC_BOUND / 3), as far as any
+    D within that budget reaches, Euler's criterion is one read of p's
+    root table (_root_table), shared by every D; above it a builtin pow."""
+    logs = omega[:amax + 1]
+    struck = memoryview(bytes([_STRUCK]) * amax)
+    half = amax // 2
     tables = _root_tables
     for p in itertools.islice(primes, bisect.bisect_right(primes, amax)):
         n = D % p
-        if p > 2 and n:
-            # Euler's criterion: a nonzero root in the table, or by pow;
-            # a split p leaves local at its default
-            if p <= ROOT_TABLE_BOUND:
-                square = (tables.get(p) or _root_table(p))[n]
+        if n:                               # split or inert
+            if p == 2:
+                split = D % 8 == 1
+            elif p <= ROOT_TABLE_BOUND:
+                split = (tables.get(p) or _root_table(p))[n]
             else:
-                square = pow(n, (p - 1) // 2, p) == 1
-            if not square:
-                has_roots[p::p] = zeros[:amax // p]
-            continue
-        q = p
-        while q <= amax:
-            n = len(_prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
-            if not n:
-                break
-            local[q] = n // 2 if p == 2 else n
-            q *= p
-        # D/p^2 = D (mod 4) at an odd p
-        if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
-            listed[p::p] = b"\2" * (amax // p)
-        if q <= amax:
-            has_roots[q::q] = zeros[:amax // q]
-    r = [0] * (amax + 1)                   # r(a) for the a not struck out
-    r[1] = count = 1                        # a = 1: the principal form
-    for a in itertools.compress(range(2, amax + 1), has_roots[2:]):
-        b = rest[a]                         # r(a) = r(b) * local[a // b]
-        r[a] = n = r[b] * local[a // b]
-        count += _listed_count(D, a, spf, rest, roots, listed[a] == 2) if listed[a] else n
-    return count
+                split = pow(n, (p - 1) // 2, p) == 1
+            if split:
+                continue
+            if p > half:
+                logs[p] = _STRUCK
+            else:
+                logs[p::p] = struck[:amax // p]
+        elif D // 4 % 4 > 1 if p == 2 else D % (p * p):    # ramified
+            logs[p * p::p * p] = struck[:amax // (p * p)]
+            logs[p::p] = logs[p::p].translate(_DROP_ONE)
+        else:
+            logs[p::p] = logs[p::p].translate(_TO_LISTED)
+    return logs
 
 
-def _listed_count(D: int, a: int, spf: list[int], rest: list[int], roots: dict,
-                  imprimitive: bool) -> int:
-    """The reduced forms with leading coefficient a, each b tested: the
-    roots mod 2a are joined by CRT from those mod 2^(k+1), for 2^k || a,
-    and mod the odd prime powers of a, so each b in (-a, a] comes once.
-    c >= a is b^2 >= 4a^2 + D, tested before c is built; primitivity is
-    tested only where a prime p | a may divide the form (imprimitive)."""
-    n = rest[a] if a % 2 == 0 else a
-    mod = 2 * (a // n)
-    # b^2 mod 2 * mod depends on b mod mod only
-    found = ([D & 1] if mod == 2 else
-             [x for x in _prime_power_roots(D, 2, 2 * mod, roots) if x < mod])
-    while n > 1:
-        m = rest[n]
-        q = n // m
-        inv = pow(mod, -1, q)
-        found = [x + mod * ((s - x) * inv % q)
-                 for x in found for s in _prime_power_roots(D, spf[n], q, roots)]
-        mod *= q
-        n = m
-    bound = 4 * a * a + D
+def _listed_count(D: int, listed: list[int], logs: bytearray, spf: list[int],
+                  rest: list[int]) -> int:
+    """The reduced forms with a leading coefficient in listed, each b
+    tested: the roots mod 2a are joined by CRT from those mod 2^(k+1),
+    for 2^k || a, and mod the odd prime powers of a, so each b in (-a, a]
+    comes once.  c >= a is b^2 >= 4a^2 + D, tested before c is built;
+    primitivity is tested only where a prime p | a may divide the form
+    (logs[a] is LISTED).  One memo of roots mod prime powers serves every a."""
+    roots = {}                              # p^k -> roots of x^2 = D mod p^k
     count = 0
-    for b in found:
-        if b > a:
-            b -= mod
-        bb = b * b
-        if bb < bound or (bb == bound and b < 0):
-            continue
-        if imprimitive and math.gcd(a, b, (bb - D) // (4 * a)) != 1:
-            continue
-        count += 1
+    for a in listed:
+        n = rest[a] if a % 2 == 0 else a
+        mod = 2 * (a // n)
+        # b^2 mod 2 * mod depends on b mod mod only
+        found = ([D & 1] if mod == 2 else
+                 [x for x in _prime_power_roots(D, 2, 2 * mod, roots) if x < mod])
+        while n > 1:
+            m = rest[n]
+            q = n // m
+            inv = pow(mod, -1, q)
+            found = [x + mod * ((s - x) * inv % q)
+                     for x in found for s in _prime_power_roots(D, spf[n], q, roots)]
+            mod *= q
+            n = m
+        bound = 4 * a * a + D
+        imprimitive = logs[a] == _LISTED
+        for b in found:
+            if b > a:
+                b -= mod
+            bb = b * b
+            if bb < bound or (bb == bound and b < 0):
+                continue
+            if imprimitive and math.gcd(a, b, (bb - D) // (4 * a)) != 1:
+                continue
+            count += 1
     return count
 
 
-def _smallest_prime_factors(n: int) -> tuple[list[int], list[int], list[int]]:
-    """The shared smallest-prime-factor table spf, grown by doubling to
-    cover 0..n, the list of the primes in it, and rest: k with the
-    powers of spf[k] divided out."""
-    global _spf, _spf_primes, _spf_rest
-    if len(_spf) <= n:
-        spf = list(range(max(n, 2 * len(_spf)) + 1))
+def _smallest_prime_factors(n: int) -> tuple[list[int], list[int], list[int], bytearray]:
+    """The shared factor tables, grown by doubling to cover 0..n and
+    replaced whole: spf, the smallest prime factor of each k; the list
+    of the primes in it; rest, k with the powers of spf[k] divided out;
+    and omega, the number of distinct primes of k."""
+    global _factor_tables
+    if len(_factor_tables[0]) <= n:
+        spf = list(range(max(n, 2 * len(_factor_tables[0])) + 1))
         for p in range(2, math.isqrt(len(spf)) + 1):
             if spf[p] == p:
                 for k in range(p * p, len(spf), p):
                     if spf[k] == k:
                         spf[k] = p
-        rest = [1] * len(spf)
+        rest, omega = [1] * len(spf), bytearray(len(spf))
         for k in range(2, len(spf)):
             m = k // spf[k]
-            rest[k] = rest[m] if spf[m] == spf[k] else m
-        _spf, _spf_primes, _spf_rest = spf, [p for p in range(2, len(spf)) if spf[p] == p], rest
-    return _spf, _spf_primes, _spf_rest
+            rest[k] = b = rest[m] if spf[m] == spf[k] else m
+            omega[k] = omega[b] + 1
+        _factor_tables = spf, [p for p in range(2, len(spf)) if spf[p] == p], rest, omega
+    return _factor_tables
 
 
 def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:

@@ -16,6 +16,11 @@ Primes of the Form x^2 + ny^2, Theorem 7.24, gives
     h(D) = h(D0) f / [O_K^* : O^*] * prod_{p | f} (1 - chi_D0(p) / p).
 
 Every check raises ArithmeticError, so the module holds under python -O.
+
+reference_class_number is a second reference, the per-a route: it adds
+the root count r(a) of every leading coefficient a one by one, where
+class_number counts the a below sqrt|D|/2 in bytes.  It reads only the
+factor tables of fiverank.classgroup.
 """
 
 import math
@@ -107,3 +112,108 @@ def dirichlet_class_number(D: int) -> int:
     if num % den:
         raise ArithmeticError(f"Cox 7.24 for {D} gives {num}/{den}")
     return num // den
+
+
+def reference_class_number(D):
+    """h(D) as fiverank.classgroup counted it before its root tables and
+    byte counts: r(a) for each a <= sqrt(|D|/3) in turn, a product of
+    local counts along the smallest-prime-factor tables, with Euler's
+    criterion by the builtin pow at every prime, and the b of the listed
+    a tested one by one, their roots by one power at p = 3 mod 4 and
+    Tonelli-Shanks otherwise.  It shares only the factor tables with
+    class_number."""
+    from fiverank import classgroup
+
+    amax = math.isqrt(-D // 3)
+    top = math.isqrt(-D // 4)
+    spf, primes, rest, _ = classgroup._smallest_prime_factors(amax)
+    roots, local = {}, {}
+    has_roots = bytearray([0]) + bytearray([1]) * amax
+    listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
+    for p in (p for p in primes if p <= amax):
+        q = p
+        if p > 2 and D % p:
+            if pow(D % p, (p - 1) // 2, p) == 1:
+                while q <= amax:
+                    local[q] = 2
+                    q *= p
+        else:
+            while q <= amax:
+                n = len(reference_prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
+                if not n:
+                    break
+                local[q] = n // 2 if p == 2 else n
+                q *= p
+            if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
+                listed[p::p] = b"\2" * (amax // p)
+        if q <= amax:
+            has_roots[q::q] = bytes(amax // q)
+    r = [0] * (amax + 1)
+    r[1] = count = 1
+    for a in range(2, amax + 1):
+        if not has_roots[a]:
+            continue
+        b = rest[a]
+        r[a] = n = r[b] * local[a // b]
+        if not listed[a]:
+            count += n
+            continue
+        n = rest[a] if a % 2 == 0 else a
+        mod = 2 * (a // n)
+        found = ([D & 1] if mod == 2 else
+                 [x for x in reference_prime_power_roots(D, 2, 2 * mod, roots) if x < mod])
+        while n > 1:
+            m = rest[n]
+            q = n // m
+            inv = pow(mod, -1, q)
+            found = [x + mod * ((s - x) * inv % q)
+                     for x in found for s in reference_prime_power_roots(D, spf[n], q, roots)]
+            mod *= q
+            n = m
+        for b in found:
+            b = b - mod if b > a else b
+            c, bb = (b * b - D) // (4 * a), b * b
+            if bb < 4 * a * a + D or (bb == 4 * a * a + D and b < 0):
+                continue
+            if listed[a] == 2 and math.gcd(a, b, c) != 1:
+                continue
+            count += 1
+    return count
+
+
+def reference_prime_power_roots(D, p, q, roots):
+    if q not in roots:
+        if q == p:
+            n = D % p
+            roots[q] = [n] if p == 2 or n == 0 else reference_sqrt_mod_prime(D, p)
+        else:
+            low = q // p
+            roots[q] = [x for r in reference_prime_power_roots(D, p, low, roots)
+                        for x in range(r, q, low) if (x * x - D) % q == 0]
+    return roots[q]
+
+
+def reference_sqrt_mod_prime(D, p):
+    n = D % p
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return [r, p - r] if r * r % p == n else []
+    if pow(n, (p - 1) // 2, p) != 1:
+        return []
+    s, odd = 0, p - 1
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(n, odd, p), pow(n, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return [r, p - r]

@@ -34,6 +34,8 @@ from fiverank.errors import (
 from fiverank.exact import is_probable_prime
 from fiverank.family import five_isogeny
 
+from class_number_formula import fundamental_part, reference_class_number
+
 
 def test_form_validation():
     with pytest.raises(ValueError):
@@ -157,19 +159,21 @@ def test_class_number_counts_non_fundamental_and_band_edges():
 def test_class_number_runs_tonelli_shanks_only_for_listed_a(monkeypatch):
     # r(a) needs no square root at an odd p that does not divide D:
     # Euler's criterion gives 1 + (D/p) roots mod every power of p.  Roots
-    # are taken only for the a whose b are listed and tested one by one;
-    # they are read from the root tables up to ROOT_TABLE_BOUND, so
-    # Tonelli-Shanks runs only above it, which -30,000,004 reaches
+    # are taken only for the a whose b are listed and tested one by one,
+    # all in one _listed_count call per D; they are read from the root
+    # tables up to ROOT_TABLE_BOUND, so Tonelli-Shanks runs only above it,
+    # which -30,000,004 reaches
     from fiverank import classgroup
 
     listed_count, sqrt_mod_prime = classgroup._listed_count, classgroup._sqrt_mod_prime
     rooted_somewhere, rooted_above = False, set()
     for D in (-2832, -50783, -129476, -1294756, -30000004):
-        listed, rooted = [], []
+        calls, listed, rooted = [], [], []
 
-        def spy_listed(D, a, *args):
-            listed.append(a)
-            return listed_count(D, a, *args)
+        def spy_listed(D, a_list, *args):
+            calls.append(D)
+            listed.extend(a_list)
+            return listed_count(D, a_list, *args)
 
         def spy_sqrt(D, p):
             rooted.append(p)
@@ -179,12 +183,61 @@ def test_class_number_runs_tonelli_shanks_only_for_listed_a(monkeypatch):
         monkeypatch.setattr(classgroup, "_sqrt_mod_prime", spy_sqrt)
         assert class_number(D) == enumerated_count(D), D
         monkeypatch.undo()
-        assert listed, D
+        assert calls == [D] and listed, D
         assert all(p % 2 and D % p and any(a % p == 0 for a in listed)
                    for p in rooted), D
         rooted_somewhere |= bool(rooted)
         rooted_above.update(p for p in rooted if p > classgroup.ROOT_TABLE_BOUND)
     assert rooted_somewhere and rooted_above
+
+
+def test_byte_table_weights_are_the_local_root_counts():
+    # the lemma behind class_number's byte counts: at every prime p <=
+    # amax whose multiples are not listed, and every p^j <= amax, the
+    # roots of x^2 = D mod p^j (mod 4 * 2^j at p = 2, halved) number 2 at
+    # a split p, 0 at an inert one, and 1 then 0 at a ramified one, as
+    # the entry of p^j in the byte table says
+    from fiverank import classgroup
+
+    discs = [D for D in range(-3, -20001, -1) if D % 4 in (0, 1)]
+    discs += [k * k * D0 for D0 in (-3, -4, -7, -8, -15) for k in range(1, 61)]
+    checked, kinds = 0, set()
+    for D in discs:
+        amax = math.isqrt(-D // 3)
+        spf, primes, rest, omega = classgroup._smallest_prime_factors(amax)
+        logs = classgroup._log_root_counts(D, amax, primes, omega)
+        roots = {}
+        for p in (p for p in primes if p <= amax and logs[p] != classgroup._LISTED):
+            q, weights = p, []
+            while q <= amax:
+                n = len(classgroup._prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
+                v = logs[q]
+                weights.append(0 if v == classgroup._STRUCK else 1 << v)
+                assert (n // 2 if p == 2 else n) == weights[-1], (D, p, q)
+                q *= p
+            checked += len(weights)
+            kinds.add((p == 2, weights[0]))
+    # split, inert and ramified primes, at p = 2 and at odd p
+    assert kinds == {(two, w) for two in (True, False) for w in (2, 0, 1)}
+    assert checked > 100_000
+
+
+def test_class_number_matches_the_per_a_reference_on_log_uniform_discriminants():
+    # 200 seeded D with |D| log-uniform in [3, 1e9], fundamental or not,
+    # with amax on both sides of ROOT_TABLE_BOUND; the CI runs 20,000
+    from fiverank import classgroup
+
+    rng = random.Random(34)
+    discs = []
+    while len(discs) < 200:
+        D = -round(math.exp(rng.uniform(math.log(3), math.log(10**9))))
+        if D % 4 in (0, 1):
+            discs.append(D)
+    assert sum(fundamental_part(D)[1] > 1 for D in discs) >= 20
+    amaxes = [math.isqrt(-D // 3) for D in discs]
+    assert min(amaxes) <= classgroup.ROOT_TABLE_BOUND < max(amaxes)
+    for D in discs:
+        assert class_number(D) == reference_class_number(D), D
 
 
 def test_square_roots_mod_a_prime_match_a_search():
@@ -207,108 +260,6 @@ def test_square_roots_mod_a_prime_match_a_search():
         for n in range(1, p):
             D = n - 4 * p
             assert sorted(classgroup._sqrt_mod_prime(D, p)) == roots.get(n, []), (D, p)
-
-
-def reference_class_number(D):
-    """class_number as it stood before the root tables: Euler's criterion
-    by the builtin pow at every prime, the roots of the listed a by one
-    power at p = 3 mod 4 and Tonelli-Shanks otherwise.  The reference of
-    the tests below."""
-    from fiverank import classgroup
-
-    amax = math.isqrt(-D // 3)
-    top = math.isqrt(-D // 4)
-    spf, primes, rest = classgroup._smallest_prime_factors(amax)
-    roots, local = {}, {}
-    has_roots = bytearray([0]) + bytearray([1]) * amax
-    listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
-    for p in (p for p in primes if p <= amax):
-        q = p
-        if p > 2 and D % p:
-            if pow(D % p, (p - 1) // 2, p) == 1:
-                while q <= amax:
-                    local[q] = 2
-                    q *= p
-        else:
-            while q <= amax:
-                n = len(reference_prime_power_roots(D, p, 4 * q if p == 2 else q, roots))
-                if not n:
-                    break
-                local[q] = n // 2 if p == 2 else n
-                q *= p
-            if D % (p * p) == 0 and (p > 2 or D // 4 % 4 < 2):
-                listed[p::p] = b"\2" * (amax // p)
-        if q <= amax:
-            has_roots[q::q] = bytes(amax // q)
-    r = [0] * (amax + 1)
-    r[1] = count = 1
-    for a in range(2, amax + 1):
-        if not has_roots[a]:
-            continue
-        b = rest[a]
-        r[a] = n = r[b] * local[a // b]
-        if not listed[a]:
-            count += n
-            continue
-        n = rest[a] if a % 2 == 0 else a
-        mod = 2 * (a // n)
-        found = ([D & 1] if mod == 2 else
-                 [x for x in reference_prime_power_roots(D, 2, 2 * mod, roots) if x < mod])
-        while n > 1:
-            m = rest[n]
-            q = n // m
-            inv = pow(mod, -1, q)
-            found = [x + mod * ((s - x) * inv % q)
-                     for x in found for s in reference_prime_power_roots(D, spf[n], q, roots)]
-            mod *= q
-            n = m
-        for b in found:
-            b = b - mod if b > a else b
-            c, bb = (b * b - D) // (4 * a), b * b
-            if bb < 4 * a * a + D or (bb == 4 * a * a + D and b < 0):
-                continue
-            if listed[a] == 2 and math.gcd(a, b, c) != 1:
-                continue
-            count += 1
-    return count
-
-
-def reference_prime_power_roots(D, p, q, roots):
-    if q not in roots:
-        if q == p:
-            n = D % p
-            roots[q] = [n] if p == 2 or n == 0 else reference_sqrt_mod_prime(D, p)
-        else:
-            low = q // p
-            roots[q] = [x for r in reference_prime_power_roots(D, p, low, roots)
-                        for x in range(r, q, low) if (x * x - D) % q == 0]
-    return roots[q]
-
-
-def reference_sqrt_mod_prime(D, p):
-    n = D % p
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-        return [r, p - r] if r * r % p == n else []
-    if pow(n, (p - 1) // 2, p) != 1:
-        return []
-    s, odd = 0, p - 1
-    while odd % 2 == 0:
-        odd //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, t, r = pow(z, odd, p), pow(n, odd, p), pow(n, (odd + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return [r, p - r]
 
 
 def test_root_tables_match_a_search_and_eulers_criterion():
@@ -369,7 +320,8 @@ def test_no_root_table_is_built_at_cold_start():
     # the benchmark's warm-up never counts a class number, so it builds no
     # table: a fresh interpreter through the cold start of oracle-scan
     # (the t = 4 specialization, the sieve data and every scan curve set
-    # up) has none, and its first count builds them
+    # up) has no root table and empty factor tables, omega among them,
+    # and its first count builds them
     import subprocess
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -386,12 +338,12 @@ def test_no_root_table_is_built_at_cold_start():
         "    except FiverankError:\n"
         "        pass\n"
         "print(classgroup._single_curve_setup.cache_info().currsize,"
-        " len(classgroup._root_tables))\n"
+        " len(classgroup._root_tables), sum(map(len, classgroup._factor_tables)))\n"
         "classgroup.class_number(-9910552)\n"
         "print(len(classgroup._root_tables))\n")
     out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout.split()
-    assert out[:2] == [str(len(SCAN_U)), "0"] and int(out[2]) > 200, out
+    assert out[:3] == [str(len(SCAN_U)), "0", "0"] and int(out[3]) > 200, out
 
 
 def test_no_root_table_above_the_bound(monkeypatch):
@@ -1271,19 +1223,40 @@ def test_class_number_does_not_depend_on_the_order_of_calls(monkeypatch):
             discs.append(D)
     fresh = {}
     for D in discs:
-        monkeypatch.setattr(classgroup, "_spf", [])
+        monkeypatch.setattr(classgroup, "_factor_tables", ([], [], [], bytearray()))
         monkeypatch.setattr(classgroup, "_root_tables", {})
         fresh[D] = class_number(D)
     shuffled = rng.sample(discs, len(discs))
     for order in (sorted(discs), sorted(discs, reverse=True), shuffled):
-        monkeypatch.setattr(classgroup, "_spf", [])
+        monkeypatch.setattr(classgroup, "_factor_tables", ([], [], [], bytearray()))
         monkeypatch.setattr(classgroup, "_root_tables", {})
         assert {D: class_number(D) for D in order} == fresh
-    spf = classgroup._spf
-    assert len(spf) > math.isqrt(max(-D for D in discs) // 3)
+    spf, primes, rest, omega = classgroup._factor_tables
+    assert len(spf) == len(rest) == len(omega) > math.isqrt(max(-D for D in discs) // 3)
+    assert primes == [p for p in range(2, len(spf)) if spf[p] == p]
     assert all(spf[k] == min(p for p in range(2, k + 1) if k % p == 0)
                for k in range(2, len(spf), 7))
+    assert all(omega[k] == sum(1 for p in primes if k % p == 0)
+               for k in range(2, len(spf), 7))
     assert fresh[-3] == fresh[-4] == 1 and fresh[-2832] == enumerated_count(-2832)
+
+
+def test_factor_tables_stay_in_step_when_swapped_and_restored(monkeypatch):
+    # the smallest-prime-factor table, the prime list, rest and omega are
+    # one tuple, replaced whole: growing it while it is swapped out and
+    # putting the old one back leaves all four of one length, so a later
+    # count that needs more than either grows them together
+    from fiverank import classgroup
+
+    class_number(-16850634072)
+    monkeypatch.setattr(classgroup, "_factor_tables", ([], [], [], bytearray()))
+    class_number(-10**7)
+    monkeypatch.undo()
+    spf, primes, rest, omega = classgroup._factor_tables
+    assert len(spf) == len(rest) == len(omega) > math.isqrt(16850634072 // 3)
+    assert primes == [p for p in range(2, len(spf)) if spf[p] == p]
+    D = -300000004
+    assert class_number(D) == reference_class_number(D)
 
 
 # ------------------------------------------------------------------ oracle
