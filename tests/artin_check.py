@@ -20,6 +20,13 @@ another extension, so they must fail the check on every instance, by a
 disagreement or by a profile that no cyclic quintic has
 (ProtocolViolationError).
 
+The two passes of 5-rank 2 have a 5-Sylow subgroup (Z/5)^2, and h/5
+powering no longer names one subgroup.  There the statement is weaker:
+N still contains Cl^5, so it maps onto a line of Cl/Cl^5, which the
+h/25-th power identifies with the 5-Sylow subgroup.  The images
+f^(h/25) of the prime forms of the split primes must span exactly one
+subgroup of order 5, and no inert prime's image may lie in it.
+
 Every check raises ArithmeticError, so the module holds under python -O.
 Run as a script, it checks the default grid's passes at the primes below
 its argument (400 by default) and prints the counts.
@@ -29,11 +36,14 @@ import sys
 from dataclasses import dataclass, field
 
 from fiverank.classgroup import (
+    _compose,
+    _identity,
     _oracle_curve,
     _pow,
     _split_prime_verdict,
     _sqrt_mod_prime,
     oracle_scan,
+    sylow_layers,
 )
 from fiverank.errors import ProtocolViolationError, RamifiedPrimeError
 from fiverank.exact import is_probable_prime
@@ -72,20 +82,18 @@ def prime_form(D: int, l: int) -> tuple[int, int, int]:
 
 def in_index_five_subgroup(D: int, h: int, l: int) -> bool:
     """Whether the class of l's prime form lies in N, f^(h/5) = 1."""
-    ident = (1, D % 2, (D % 2 - D) // 4)
+    ident = _identity(D)
     return _pow(prime_form(D, l), h // 5, D, ident) == ident
 
 
-def check_instance(outcome, bound: int, shift: int = 0) -> Tally:
-    """Compare, at every odd prime l < bound split in K = Q(sqrt(D)) with
-    l not dividing D, the verdict of the quintic of the abscissa
-    outcome.x + shift with the Artin map of the prime form of l."""
-    if outcome.status != "pass" or outcome.five_rank != 1:
-        raise ArithmeticError(f"{outcome} is no pass of 5-rank 1")
-    u, x, D, h = outcome.u, outcome.x, outcome.fundamental_d, outcome.class_number
+def _verdicts(outcome, bound: int, shift: int, tally):
+    """(u, x, D, l) and whether l splits in L, by the quintic of the
+    abscissa outcome.x + shift, at every odd prime l < bound split in
+    K = Q(sqrt(D)) with l not dividing D.  The ramified pairs and those
+    whose profile no cyclic quintic has go to tally instead."""
+    u, x, D = outcome.u, outcome.x, outcome.fundamental_d
     F_model = _oracle_curve(u.numerator, u.denominator)[0]
     X = F_model.to_long_x(x + shift)
-    tally = Tally()
     for l in range(3, bound, 2):
         if not is_probable_prime(l) or D % l == 0 or \
                 prime_split_in_K(l, outcome.radicand) != SPLIT:
@@ -99,18 +107,93 @@ def check_instance(outcome, bound: int, shift: int = 0) -> Tally:
         except ProtocolViolationError:
             tally.impossible.append(pair)
             continue
-        if split == in_index_five_subgroup(D, h, l):
+        yield pair, split
+
+
+def check_instance(outcome, bound: int, shift: int = 0) -> Tally:
+    """Compare, at every odd prime l < bound split in K = Q(sqrt(D)) with
+    l not dividing D, the verdict of the quintic of the abscissa
+    outcome.x + shift with the Artin map of the prime form of l."""
+    if outcome.status != "pass" or outcome.five_rank != 1:
+        raise ArithmeticError(f"{outcome} is no pass of 5-rank 1")
+    D, h = outcome.fundamental_d, outcome.class_number
+    tally = Tally()
+    for pair, split in _verdicts(outcome, bound, shift, tally):
+        if split == in_index_five_subgroup(D, h, pair[3]):
             tally.agreed += 1
         else:
             tally.disagreed.append(pair)
     return tally
 
 
+@dataclass
+class PlaneTally:
+    """What one instance of 5-rank 2 gave: the (u, x, D, l) of each pair
+    split and inert in L, of each inert pair whose image lies in the span
+    of the split pairs' images, of each ramified pair left out and of
+    each pair whose profile no cyclic quintic has; and the number of
+    classes in that span."""
+    split: list = field(default_factory=list)
+    inert: list = field(default_factory=list)
+    inside: list = field(default_factory=list)
+    ramified: list = field(default_factory=list)
+    impossible: list = field(default_factory=list)
+    span: int = 1
+
+    def holds(self) -> bool:
+        """The split images span one subgroup of order 5, no inert image
+        lies in it, and every profile is a cyclic quintic's."""
+        return self.span == 5 and not self.inside and not self.impossible
+
+
+def _times(f: tuple, g: tuple, D: int, ident: tuple) -> tuple[int, int, int]:
+    """f g; _compose takes no identity factor."""
+    return g if f == ident else f if g == ident else _compose(f, g, D)
+
+
+def generated_subgroup(images, D: int) -> set:
+    """The subgroup that classes of order dividing 5 generate."""
+    ident = _identity(D)
+    group = {ident}
+    for g in images:
+        power, grown = g, set(group)
+        for _ in range(4):
+            grown |= {_times(c, power, D, ident) for c in group}
+            power = _times(power, g, D, ident)
+        if power != ident:
+            raise ArithmeticError(f"{g} has order other than 1 or 5 in Cl({D})")
+        group = grown
+    return group
+
+
+def check_rank_two(outcome, bound: int, shift: int = 0) -> PlaneTally:
+    """The images f^(h/25) in the 5-Sylow subgroup (Z/5)^2 of the prime
+    forms of every odd prime l < bound split in K with l not dividing D,
+    sorted by the verdict of the quintic of outcome.x + shift: the span
+    of the split primes' images, and the inert primes' images inside it."""
+    D, h = outcome.fundamental_d, outcome.class_number
+    if outcome.status != "pass" or sylow_layers(D, h, 5) != [2]:
+        raise ArithmeticError(f"{outcome} is no pass with 5-Sylow subgroup (Z/5)^2")
+    ident = _identity(D)
+    tally, images = PlaneTally(), {}
+    for pair, split in _verdicts(outcome, bound, shift, tally):
+        (tally.split if split else tally.inert).append(pair)
+        images[pair] = _pow(prime_form(D, pair[3]), h // 25, D, ident)
+    line = generated_subgroup([images[pair] for pair in tally.split], D)
+    tally.span = len(line)
+    tally.inside = [pair for pair in tally.inert if images[pair] in line]
+    return tally
+
+
+def grid_passes(rank: int) -> list:
+    """The default grid's passes of 5-rank rank, in grid order."""
+    return [o for o in oracle_scan(100_000) if o.status == "pass" and o.five_rank == rank]
+
+
 def check_grid(bound: int, shift: int = 0) -> tuple[Tally, list[Tally]]:
     """check_instance on every pass of 5-rank 1 of the default grid: the
     total and the tally of each instance, in grid order."""
-    each = [check_instance(o, bound, shift) for o in oracle_scan(100_000)
-            if o.status == "pass" and o.five_rank == 1]
+    each = [check_instance(o, bound, shift) for o in grid_passes(1)]
     total = Tally()
     for tally in each:
         total.add(tally)
@@ -129,6 +212,21 @@ def main(bound: int) -> None:
     print(f"{len(each)} instances, {total.agreed} pairs agree, "
           f"{len(total.ramified)} ramified pairs left out, l < {bound}; "
           f"x + 1: {sum(len(t.disagreed) for t in control)} disagreements, "
+          f"{sum(len(t.impossible) for t in control)} impossible profiles")
+    planes = [check_rank_two(o, bound) for o in grid_passes(2)]
+    failed = [t for t in planes if not t.holds()]
+    if failed:
+        raise ArithmeticError(f"split images off one line of (Z/5)^2: "
+                              f"{[(t.span, t.inside, t.impossible) for t in failed]}")
+    control = [check_rank_two(o, bound, shift=1) for o in grid_passes(2)]
+    if any(t.holds() for t in control):
+        raise ArithmeticError("an instance of 5-rank 2 passes the check on x + 1")
+    print(f"{len(planes)} instances of 5-rank 2, "
+          f"{sum(len(t.split) for t in planes)} split pairs spanning 5 classes each, "
+          f"{sum(len(t.inert) for t in planes)} inert pairs outside, "
+          f"{sum(len(t.ramified) for t in planes)} ramified pairs left out, "
+          f"l < {bound}; x + 1: spans of {[t.span for t in control]} classes, "
+          f"{sum(len(t.inside) for t in control)} inert pairs inside, "
           f"{sum(len(t.impossible) for t in control)} impossible profiles")
 
 

@@ -21,10 +21,22 @@ reference_class_number is a second reference, the per-a route: it adds
 the root count r(a) of every leading coefficient a one by one, where
 class_number counts the a below sqrt|D|/2 in bytes.  It reads only the
 factor tables of fiverank.classgroup.
+
+check_dirichlet and check_reference hold class_number to the two
+references.  Tier-1 runs them on 36 grid D and 200 log-uniform D; run as
+a script, the module checks every D that the default oracle grid decides
+and 20 seeded random fundamental D off it by Dirichlet's formula, and
+COUNT seeded log-uniform D (200 by default) against the per-a reference:
+
+    python -O tests/class_number_formula.py [COUNT]
 """
 
 import math
+import random
+import sys
 from array import array
+
+from fiverank import classgroup
 
 _spf = array("i")  # smallest prime factor of each k < len(_spf), grown on demand
 
@@ -122,8 +134,6 @@ def reference_class_number(D):
     a tested one by one, their roots by one power at p = 3 mod 4 and
     Tonelli-Shanks otherwise.  It shares only the factor tables with
     class_number."""
-    from fiverank import classgroup
-
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)
     spf, primes, rest, _ = classgroup._smallest_prime_factors(amax)
@@ -217,3 +227,73 @@ def reference_sqrt_mod_prime(D, p):
         s, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return [r, p - r]
+
+
+def decided_grid() -> dict[int, int]:
+    """D -> h for every discriminant the default oracle grid decides."""
+    return {o.fundamental_d: o.class_number
+            for o in classgroup.oracle_scan(100_000) if o.status != "skip"}
+
+
+def random_fundamental(count: int, seed: int, exclude) -> list[int]:
+    """count seeded fundamental D in [-1e7, -1e6], none in exclude or in
+    the pinned class-number range [-10,000,000, -9,996,000], descending."""
+    rng = random.Random(seed)
+    found = set()
+    while len(found) < count:
+        D = -rng.randrange(10**6, 10**7 + 1)
+        if (D % 4 in (0, 1) and fundamental_part(D)[1] == 1
+                and D not in exclude and D > -9996000):
+            found.add(D)
+    return sorted(found, reverse=True)
+
+
+def check_dirichlet(discs, known: dict) -> None:
+    """class_number(D), and known[D] where known has D, against
+    Dirichlet's formula for each D."""
+    for D in discs:
+        h = dirichlet_class_number(D)
+        if classgroup.class_number(D) != h or known.get(D, h) != h:
+            raise ArithmeticError(f"h({D}) = {h} by Dirichlet's formula, "
+                                  f"{classgroup.class_number(D)} counted")
+
+
+def log_uniform_discriminants(count: int, seed: int) -> list[int]:
+    """count seeded D = 0, 1 mod 4 with |D| log-uniform in [3, 1e9],
+    fundamental or not."""
+    rng = random.Random(seed)
+    discs = []
+    while len(discs) < count:
+        D = -round(math.exp(rng.uniform(math.log(3), math.log(10**9))))
+        if D % 4 in (0, 1):
+            discs.append(D)
+    return discs
+
+
+def check_reference(discs) -> None:
+    """class_number against reference_class_number for each D, whose
+    largest a, sqrt(|D|/3), must lie on both sides of ROOT_TABLE_BOUND
+    among them."""
+    sides = {math.isqrt(-D // 3) > classgroup.ROOT_TABLE_BOUND for D in discs}
+    if sides != {False, True}:
+        raise ArithmeticError("the discriminants miss one side of ROOT_TABLE_BOUND")
+    for D in discs:
+        h = classgroup.class_number(D)
+        if h != reference_class_number(D):
+            raise ArithmeticError(f"h({D}) = {h} counted, "
+                                  f"{reference_class_number(D)} by the per-a reference")
+
+
+def main(count: int) -> None:
+    decided = decided_grid()
+    if len(decided) != 72:
+        raise ArithmeticError(f"{len(decided)} decided discriminants, not 72")
+    others = random_fundamental(20, 20261020, decided)
+    check_dirichlet(sorted(decided, reverse=True) + others, decided)
+    check_reference(log_uniform_discriminants(count, 20261020))
+    print(f"Dirichlet's formula on {len(decided)} grid D and {len(others)} random "
+          f"fundamental D; the per-a reference on {count} log-uniform D")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 200)

@@ -1,7 +1,5 @@
 import ast
-import hashlib
 import itertools
-import json
 import math
 import pathlib
 import sys
@@ -34,7 +32,15 @@ from fiverank.errors import (
 from fiverank.exact import is_probable_prime
 from fiverank.family import five_isogeny
 
-from class_number_formula import fundamental_part, reference_class_number
+from class_number_formula import (
+    check_dirichlet,
+    check_reference,
+    decided_grid,
+    fundamental_part,
+    log_uniform_discriminants,
+    reference_class_number,
+)
+from pins import PINS
 
 
 def test_form_validation():
@@ -225,19 +231,9 @@ def test_byte_table_weights_are_the_local_root_counts():
 def test_class_number_matches_the_per_a_reference_on_log_uniform_discriminants():
     # 200 seeded D with |D| log-uniform in [3, 1e9], fundamental or not,
     # with amax on both sides of ROOT_TABLE_BOUND; the CI runs 20,000
-    from fiverank import classgroup
-
-    rng = random.Random(34)
-    discs = []
-    while len(discs) < 200:
-        D = -round(math.exp(rng.uniform(math.log(3), math.log(10**9))))
-        if D % 4 in (0, 1):
-            discs.append(D)
+    discs = log_uniform_discriminants(200, 34)
     assert sum(fundamental_part(D)[1] > 1 for D in discs) >= 20
-    amaxes = [math.isqrt(-D // 3) for D in discs]
-    assert min(amaxes) <= classgroup.ROOT_TABLE_BOUND < max(amaxes)
-    for D in discs:
-        assert class_number(D) == reference_class_number(D), D
+    check_reference(discs)
 
 
 def test_square_roots_mod_a_prime_match_a_search():
@@ -498,12 +494,6 @@ def test_sylow_layers_match_the_full_layer_loop():
     assert {(1,), (1, 1)} <= shapes[7]
 
 
-def decided_grid():
-    """D -> h for every discriminant the default oracle grid decides."""
-    return {o.fundamental_d: o.class_number
-            for o in oracle_scan(100_000) if o.status != "skip"}
-
-
 def test_sylow_layers_match_the_full_layer_loop_on_the_decided_grid():
     # the 5-Sylow layers of every decided grid D, against the loop that
     # powers every reduced form it takes and every class of each span
@@ -757,14 +747,11 @@ def test_class_number_matches_dirichlet_formula_on_the_decided_grid():
     # every discriminant that the default oracle grid decides with
     # |D| <= 1e6 (36 of its 72), against Dirichlet's formula with chi
     # computed multiplicatively along a sieve; the CI runs all 72
-    from class_number_formula import dirichlet_class_number
-
     decided = decided_grid()
     assert len(decided) == 72
     small = sorted((D for D in decided if -D <= 10**6), reverse=True)
     assert len(small) == 36
-    for D in small:
-        assert class_number(D) == decided[D] == dirichlet_class_number(D), D
+    check_dirichlet(small, decided)
 
 
 # the (u, x, l) of the grid's rank-1 passes whose quintic verdict at a
@@ -809,6 +796,33 @@ def test_artin_check_refuses_the_verdicts_of_a_wrong_abscissa():
     assert len(each) == 80
     assert all(t.disagreed or t.impossible for t in each)
     assert len(total.disagreed) > 300 and len(total.impossible) > 1000
+
+
+def test_rank_two_passes_match_the_artin_map_on_one_line():
+    # the grid's two passes of 5-rank 2, 5-Sylow subgroup (Z/5)^2, at every
+    # odd prime l < 400 split in K with l not dividing D: the images
+    # f^(h/25) of the split primes' prime forms span one subgroup of order
+    # 5, and no inert prime's image lies in it.  The CI runs l < 20,000
+    from artin_check import check_rank_two, grid_passes
+
+    passes = grid_passes(2)
+    assert [(str(o.u), str(o.x), o.fundamental_d, o.class_number) for o in passes] == [
+        ("2/3", "23/3", -7284660, 800), ("-3/2", "-34", -17944, 50)]
+    tallies = [check_rank_two(o, 400) for o in passes]
+    assert all(t.holds() for t in tallies)
+    assert [(len(t.split), len(t.inert), t.span, [l for *_, l in t.ramified])
+            for t in tallies] == [(5, 29, 5, []), (4, 36, 5, [5])]
+
+
+def test_rank_two_check_refuses_the_verdicts_of_a_wrong_abscissa():
+    # x + 1: the split images span all 25 classes, inert images fall
+    # inside, and some profiles are no cyclic quintic's
+    from artin_check import check_rank_two, grid_passes
+
+    tallies = [check_rank_two(o, 400, shift=1) for o in grid_passes(2)]
+    assert not any(t.holds() for t in tallies)
+    assert [(t.span, len(t.inside), len(t.impossible)) for t in tallies] == [
+        (25, 15, 13), (25, 18, 18)]
 
 
 def test_class_number_matches_dirichlet_formula_on_random_discriminants():
@@ -1453,39 +1467,9 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
     assert calls["is_semistable"] == 0
 
 
-# one canonical JSON line (sorted keys, no spaces) per u in SCAN_U of what
-# the oracle derives of u: from _single_curve_setup the quotient model, its
-# minimal model, the five-component primes, every reduction and the map
-# onto minimal coordinates, and the isogeny that a verdict reads, built
-# here for every u; the error's class and message where the setup raises.
-# .github/workflows/tests.yml hashes the same lines under python -O.
-SCAN_FACTS_SHA256 = "daf1e27932caa3822a78b710348a3a390f8c33a3ef150cba251a5c42b33aa98b"
-
-
-def _scan_facts_lines():
-    from fiverank.classgroup import _single_curve_setup
-
-    for u in SCAN_U:
-        try:
-            F_model, data = _single_curve_setup.__wrapped__(u)
-            phi = five_isogeny.__wrapped__(u)
-        except FiverankError as exc:
-            line = {"u": str(u), "error": type(exc).__name__, "message": str(exc)}
-        else:
-            line = {"u": str(u), "model": F_model.to_json(),
-                    "minimal": data.minimal.to_json(),
-                    "five_primes": list(data.five_primes),
-                    "reductions": [[r.prime, r.component_count, r.singular_x]
-                                   for r in data.reductions.values()],
-                    "minimal_map": list(data.minimal_map), "phi": phi.to_json()}
-        yield json.dumps(line, sort_keys=True, separators=(",", ":"))
-
-
 def test_scan_parameter_facts_pinned():
-    lines = list(_scan_facts_lines())
-    assert len(lines) == len(SCAN_U)
-    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
-    assert digest.hexdigest() == SCAN_FACTS_SHA256
+    # one pinned line per u (tests/pins.py)
+    assert PINS["scan-facts"].count == len(SCAN_U)
 
 
 def _builds_per_u(built, us):

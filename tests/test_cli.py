@@ -1,5 +1,4 @@
 import concurrent.futures
-import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +9,9 @@ import pytest
 from fiverank.classgroup import DEFAULT_DISC_BOUND, RADICAND_TRIAL_BOUND
 from fiverank.cli import RunConfig, load_config, main, paper_check_records
 from fiverank.sieve import admissible_z
+
+import pins
+from pins import PINS
 
 
 def run_cli(args, capsys):
@@ -255,26 +257,17 @@ def test_cmd_classgroup(capsys):
     assert rec["p_ranks"]["3"] == 1
 
 
-def test_cmd_classgroup_records_pinned(capsys):
-    # SHA-256 and exit code of each classgroup record, recorded while
-    # group_structure still read the invariant factors off a power table
-    # of every reduced form: C5, C2 x C2, C5 x C5, C25 x C5 (h = 250), the
-    # non-fundamental -64 and -2832, and the over-budget error record
-    golden = {
-        "-47": (0, "54689808ccdc57feb29a84c10e11b216049194bd8af35530a736f4db23cdcf84"),
-        "-84": (0, "059017b155f7aabaa6253a61714251d44f003b5a7c92296d98919eb0d9b9acf1"),
-        "-12451": (0, "6486507e874528dbcad2743323efd37e794a4518a52b6cc663ec15630b59da05"),
-        "-50783": (0, "55b6c20f236a166fc0a15d2adac7ff57be328de9b6a731441aa07f108d407f34"),
-        "-64": (0, "83fed74c08f7bc0ae4faec487d10545b8f1432ce772cb8bea430b9339e9213ec"),
-        "-2832": (0, "cf6846bb578dbe28c0d87ed89307148e866b3f02d86bfd372585a0d415326cde"),
-        str(-(10**7 + 7) * 4):
-            (1, "cbb2ca13bb7da6fe726dfc42b362f5f23d95f64df0de390e7fb715c26b2eea60"),
-    }
-    for disc, (expected, digest) in golden.items():
-        code = main(["classgroup", "--disc", disc])
-        out = capsys.readouterr().out
-        assert code == expected, disc
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, disc
+def _exit_codes(name):
+    """The exit codes that the pin's CLI calls must return (tests/pins.py)."""
+    return [code for _, code in PINS[name].calls]
+
+
+def test_cmd_classgroup_records_pinned():
+    # C5, C2 x C2, C5 x C5, C25 x C5 (h = 250), the non-fundamental -64 and
+    # -2832, and the over-budget error record, one line each
+    names = [f"classgroup/{D}" for D in (-47, -84, -12451, -50783, -64, -2832)]
+    assert [(PINS[name].count, _exit_codes(name)) for name in names] == [(1, [0])] * 6
+    assert (PINS["classgroup/over-budget"].count, _exit_codes("classgroup/over-budget")) == (1, [1])
 
 
 def test_cmd_count_zero_prints_nothing(capsys):
@@ -413,112 +406,41 @@ def test_cmd_sieve_byte_identical_across_processes():
     assert runs[0] == runs[1] and runs[0]
 
 
-def test_cmd_sieve_records_pinned(capsys):
-    # SHA-256 of the stdout of the Fraction-arithmetic sieve that preceded
-    # the integer evaluation; any drift in sieve records fails here
-    golden = {
-        (str(10 ** 12), "200"):
-            "d1b7a7e63df309f01c5169a68336ff51eedf718a81e2a7a0c36a2262e556964b",
-        (str(10 ** 100), "20"):
-            "ad4aefa725b96baab07e32b825ea28a619eb3cf8e77e0231fd04c300d220aada",
-    }
-    for (start, count), digest in golden.items():
-        code = main(["sieve", "--start", start, "--count", count, "--sign", "both"])
-        out = capsys.readouterr().out
-        assert code in (0, 1) and len(out.splitlines()) == int(count)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, start
+def test_cmd_sieve_records_pinned():
+    # one report per z; each batch holds a failing z and exits 1
+    assert [(PINS[name].count, _exit_codes(name)) for name in ("sieve/1e12", "sieve/1e100")] \
+        == [(200, [1]), (20, [1])]
 
 
-def test_cmd_sieve_records_pinned_at_1e1000(capsys):
-    # SHA-256 of the stdout recorded while every report still evaluated
-    # x(z) and the radicand form for its sign; at this size the class
-    # route takes the sign from z and evaluates no polynomial
-    code = main(["sieve", "--start", str(10 ** 1000), "--count", "50", "--sign", "both"])
-    out = capsys.readouterr().out
-    assert code in (0, 1) and len(out.splitlines()) == 50
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "5f5f035ffdd849072ba537fabceb9e0ee50260b99c7321c2765ed82755e01b1b"
+def test_cmd_sieve_records_pinned_at_1e1000():
+    assert (PINS["sieve/1e1000"].count, _exit_codes("sieve/1e1000")) == (50, [1])
 
 
-def test_cmd_oracle_records_pinned(capsys):
-    # SHA-256 of the stdout recorded while the oracle still took h and
-    # the 5-rank from full enumeration (group_structure); the counted h
-    # and the 5-Sylow rank must reproduce it, and any drift in oracle
-    # records fails here
-    code = main(["oracle", "--count", "20", "--include-skips"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "3d298d766ebc674714133affaafc534ce8fa3721a7841b97b23a72e1f990390d"
+def test_cmd_oracle_records_pinned():
+    assert _exit_codes("oracle/20") == [0]
 
 
-def test_cmd_oracle_grid_pinned(capsys):
-    # the whole default grid, skips included: 82 verdicts among 6,786
-    # records, hashed while group_structure still gave h and the 5-rank
-    code = main(["oracle", "--count", "100000", "--include-skips"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert len(out.splitlines()) == 6786
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "338fa89c75a697d4f39c3afe13cb1d8b58c90ce05dbc18a77714bdbb9ed9fc17"
+def test_cmd_oracle_grid_pinned():
+    # the whole default grid, skips included: 82 verdicts among 6,786 records
+    assert (PINS["oracle/grid"].count, _exit_codes("oracle/grid")) == (6786, [0])
 
 
-def test_cmd_oracle_grid_pinned_at_a_small_trial_bound(tmp_path, capsys):
-    # trial_bound = 1000 leaves 95 radicands unfactored, so the grid goes
-    # through trial_factor's cofactor tests and squarefree_part's perfect
-    # powers; hashed before trial division read a prime table
-    conf = tmp_path / "fiverank.conf"
-    conf.write_text("trial_bound = 1000\n")
-    code = main(["--config", str(conf), "oracle", "--count", "100000", "--include-skips"])
-    out = capsys.readouterr().out
-    assert code == 0
+def test_cmd_oracle_grid_pinned_at_a_small_trial_bound():
+    # trial_bound = 1000 leaves 95 radicands unfactored
+    out = pins.text(PINS["oracle/grid-trial-bound-1000"])
     assert len(out.splitlines()) == 6786
     assert out.count('"reason":"radicand not factored within bound"') == 95
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "0d3ce011cd41f160377fb113bc3ac73521900baa9fc9033d2be07b0340e9ff1b"
 
 
-def test_cmd_verify_records_pinned(capsys):
-    # SHA-256 and exit codes of the verify stdout; any drift in
-    # certificates fails here
-    limit = sys.get_int_max_str_digits()
-    try:
-        for args, digest in (
-                (["--batch", "50"],
-                 "ee93ccd80e9a132474914a96f2453a8e375f3c28f71ab24cd7024b98c1846e5c"),
-                (["--batch", "5", "--start", str(10 ** 1000)],
-                 "bca5f5f63e0c2b607263773cb5eb5445728a1b3ecccbd019f12b101b4165449e")):
-            code = main(["verify", *args])
-            out = capsys.readouterr().out
-            assert code == 1
-            assert hashlib.sha256(out.encode()).hexdigest() == digest, args
-        # arbitrary and tiny z.  Reporting "not all primes split in K" instead
-        # of a profile violation at inert primes will change this digest on
-        # purpose (ROADMAP item 1)
-        zs = [10 ** 15 + k for k in range(1141, 1147)] + [1, -7, 2, 10 ** 1000 + 7]
-        codes, out = [], ""
-        for z in zs:
-            codes.append(main(["verify", "--z", str(z)]))
-            out += capsys.readouterr().out
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert codes == [1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "cc5dbef93202fc2b540af690f7314ec5d571668e49caf05069cc3f36937a553a"
+def test_cmd_verify_records_pinned():
+    # 50 certificates from the start, five from 10^1000, then ten single z:
+    # every batch and every z but 1 exits 1
+    assert _exit_codes("verify/batch-50") == _exit_codes("verify/1e1000") == [1]
+    assert _exit_codes("verify/z") == [1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
 
 
-def test_cmd_verify_records_pinned_at_1e4000(capsys):
-    # radicands of about 48,000 digits, whose digits split from
-    # P_7 = 10^38400 down, deeper than any other pin reaches
-    limit = sys.get_int_max_str_digits()
-    try:
-        code = main(["verify", "--batch", "5", "--start", str(10 ** 4000)])
-        out = capsys.readouterr().out
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "eae2a4d9ea79356346e5570989a209485f8160114d13926818a77ef1bb286969"
+def test_cmd_verify_records_pinned_at_1e4000():
+    assert _exit_codes("verify/1e4000") == [1]
 
 
 def test_cmd_verify_pole_error_record(capsys):
@@ -528,24 +450,10 @@ def test_cmd_verify_pole_error_record(capsys):
                         "message": "evaluation at pole z=0"}]
 
 
-def test_cmd_paper_check_and_derive_records_pinned(capsys, tmp_path):
-    # SHA-256 of the paper-check and derive stdout and of the derive --emit
-    # file, recorded before the symbolic kernel and abscissa became closed
-    # forms; any drift in these records fails here
-    code = main(["paper-check"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "c79b1c5f8d44ddb4d34fc07519ec93cf909067290ead0059316e461037fc7820"
-    emit = tmp_path / "specialization.json"
-    for args in ([], ["--emit", str(emit)]):
-        code = main(["derive", *args])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "4359386858c81c31c90dcf825d4c658f886b831097ff13d6391fe28348c7f122"
-    assert hashlib.sha256(emit.read_bytes()).hexdigest() == \
-        "cac00b8aef14891da3da99f93f7fbd474482522abb58c325fa8d63156a13a5bb"
+def test_cmd_paper_check_and_derive_records_pinned():
+    # derive --emit writes derive's own stdout, which the pin of its file
+    # checks
+    assert _exit_codes("paper-check") == _exit_codes("derive") == [0]
 
 
 def test_no_assert_statements_in_package():

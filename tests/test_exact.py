@@ -34,6 +34,9 @@ from fiverank.exact import (
     valuation_and_residue,
 )
 
+import decimal_strings
+from decimal_strings import unlimited_str
+
 nonzero_rationals = st.fractions(min_value=-1000, max_value=1000).filter(lambda q: q != 0)
 
 
@@ -259,18 +262,6 @@ def test_is_square_residue_screen_matches_isqrt():
 
 # ----------------------------------------------------------- decimal strings
 
-def _str(n):
-    """str(n) with CPython's int-to-str digit limit lifted for this call only."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(n)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 @pytest.fixture
 def default_digit_limit():
     """CPython's default 4,300-digit int-to-str limit, whatever ran before."""
@@ -286,26 +277,9 @@ def default_digit_limit():
 
 
 def test_decimal_string_equals_str(default_digit_limit):
-    from fiverank import exact
-
-    rng = random.Random(10 ** 9 + 7)
-    ints = [0, 1, -1]
-    for bits in ([rng.randrange(0, 2000) for _ in range(150)]
-                 + [rng.randrange(2000, 200_001) for _ in range(12)] + [200_000]):
-        ints.append(rng.choice((1, -1)) * rng.getrandbits(bits))
-    # 10^k - 1, 10^k and 10^k + 1 at and next to every split size
-    sizes = [exact._DECIMAL_LEAF << j for j in range(8)]
-    for k in {k + dk for k in sizes for dk in (-1, 0, 1)}:
-        ints += [10 ** k - 1, 10 ** k, 10 ** k + 1, -10 ** k]
-    # n in [P^2, 10 P^2) for every split power P = 10^(L 2^j), and the
-    # largest n below 4^b, b = P.bit_length(), that splits at P
-    for size in sizes:
-        k = 2 * size
-        for n in (rng.randrange(10 ** k, 10 ** (k + 1)), 10 ** k + 1, 10 ** (k + 1) - 1,
-                  10 ** (k + 1) + 1, 4 ** (10 ** size).bit_length() - 1):
-            ints += [n, -n]
-    for n in ints:
-        assert decimal_string(n) == _str(n), n.bit_length()
+    # the cases of tests/decimal_strings.py at the benchmark's sizes; the
+    # CI runs them to 10^6 bits and j = 9
+    decimal_strings.check(decimal_strings.decimal_string_cases(10 ** 9 + 7, 200_000, 8))
 
 
 def test_decimal_divmod_estimate_falls_short_by_at_most_two():
@@ -387,7 +361,7 @@ def test_decimal_string_refuses_a_wrong_reciprocal(monkeypatch, default_digit_li
     with pytest.raises(ArithmeticError, match="off by more than 2"):
         exact._decimal_divmod(3 * P + 5, 0)
     monkeypatch.undo()
-    assert decimal_string(n) == _str(n)
+    assert decimal_string(n) == unlimited_str(n)
 
 
 def test_decimal_string_keeps_a_few_powers(default_digit_limit):
@@ -396,15 +370,15 @@ def test_decimal_string_keeps_a_few_powers(default_digit_limit):
     rng = random.Random(200)
     for _ in range(200):
         n = rng.getrandbits(rng.choice((64, 2000, 13_000, 40_000, rng.randrange(200_000))))
-        assert decimal_string(n) == _str(n)
+        assert decimal_string(n) == unlimited_str(n)
     # powers and reciprocals are one cache of a few entries, the reciprocal
     # of each power floor(4^b / P), one bit longer than P
     assert len(exact._DECIMAL_POWERS) <= 10
     for j, (P, b, R) in enumerate(exact._DECIMAL_POWERS):
         assert P == 10 ** (exact._DECIMAL_LEAF << j) and b == P.bit_length()
         assert R == 4 ** b // P and R.bit_length() == b + 1
-    assert str(Ratio(-7 * 10 ** 5000, 3)) == _str(F(-7 * 10 ** 5000, 3))
-    assert str(Ratio(10 ** 5000, 1)) == _str(10 ** 5000)
+    assert str(Ratio(-7 * 10 ** 5000, 3)) == unlimited_str(F(-7 * 10 ** 5000, 3))
+    assert str(Ratio(10 ** 5000, 1)) == unlimited_str(10 ** 5000)
 
 
 def _reference_trial_factor(n, bound):

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import hashlib
 import json
 import random
 import sys
@@ -34,6 +33,8 @@ from fiverank.splitting import (
     splitting_pattern,
     verify_instance,
 )
+
+from pins import ARBITRARY_Z, FALLBACK_Z, OPEN_CLASS_Z, PINS, ROUTE_Z, UNFIXED
 
 
 def test_prime_split_in_K_examples():
@@ -180,12 +181,6 @@ def test_verify_instance_evaluates_x_once(monkeypatch):
         assert cert.sieve_report == sieve.check_z(z), z
 
 
-# z = r mod 29^5 with 11 r = 29: v_29(z) = 1 in a 29-adic class that no
-# depth decides, so check_z takes the direct route far above sign_bound()
-OPEN_CLASS_R = 29 * pow(11, -1, 29 ** 5) % 29 ** 5
-OPEN_CLASS_Z = [b + (OPEN_CLASS_R - b) % 29 ** 5 for b in (10 ** 12, 10 ** 100, 10 ** 1000)]
-
-
 def test_class_route_certificate_looks_up_its_classes_once(monkeypatch):
     # check_z alone chooses the sieve route, so a class-route certificate
     # looks up the p-adic classes of z once, there, and carries no
@@ -301,20 +296,9 @@ def _sample_z(seed):
 # ------------------------------------------------ pattern rows per class
 #
 # Row l of the pattern depends on z only through z mod l wherever the
-# class condition holds (the splitting module docstring).  It fails on
-# these residues: den(z) vanishes mod l, at 0 among others, or
-# f_int(x(z)) does.
+# class condition holds; it fails on the residues of pins.UNFIXED.
 
-UNFIXED = {163: (0, 10, 43, 120, 136), 701: (0, 73, 322, 357, 385, 480, 528),
-           1277: (0, 43, 467)}
 WARM_CLASS_ROW = splitting._class_row
-
-
-# every unfixed residue at 1e12, -1e12, 1e100 and 1e1000: each certificate
-# computes at least one row on z itself
-FALLBACK_Z = [b + (r - b) % l for b in (10 ** 12, -10 ** 12, 10 ** 100, 10 ** 1000)
-              for l, rs in UNFIXED.items() for r in rs]
-FALLBACK_Z_SHA256 = "b4f23282ce370732dcceb93084050853657ac24fb853107ba6f4430b13a5366d"
 
 
 @pytest.fixture
@@ -390,47 +374,25 @@ def test_specialization_isogenies_are_the_memo_curves():
         assert sp.isogenies[j] is family.five_isogeny(sp.u[j])
 
 
-# 300 arbitrary z: 257 records carry a ProtocolViolationError from a test
-# prime inert in K, 31 fail independence, 11 carry a RamifiedPrimeError
-# and 1 an InvalidCertificateError
-ARBITRARY_Z = range(10 ** 15 + 1141, 10 ** 15 + 1441)
-ARBITRARY_Z_SHA256 = "f443887d8fb67c25b1be8b5146eedd43d39e1f4b8599aa1948c681cbe0be9147"
-
-
-def _records_sha256(zs):
-    digest = hashlib.sha256()
-    for z in zs:
-        line = json.dumps(verify_instance(z).to_json(), sort_keys=True, separators=(",", ":"))
-        digest.update((line + "\n").encode())
-    return digest.hexdigest()
-
-
 def test_arbitrary_z_certificates_pinned():
-    # the canonical JSON lines the CLI writes, on a cold memo and on a
-    # warm one (CI hashes the same lines under python -O)
+    # the failure kinds of the pinned lines (tests/pins.py), the same on a
+    # cold memo and on a warm one
     splitting._class_row.cache_clear()
     splitting._class_verdict.cache_clear()
-    assert _records_sha256(ARBITRARY_Z) == ARBITRARY_Z_SHA256
-    assert _records_sha256(ARBITRARY_Z) == ARBITRARY_Z_SHA256
-    kinds = collections.Counter(
-        cert.failures[-1].split(":")[0] for cert in map(verify_instance, ARBITRARY_Z))
+    cold = list(PINS["certificates/arbitrary"].lines())
+    assert list(PINS["certificates/arbitrary"].lines()) == cold
+    kinds = collections.Counter(json.loads(line)["failures"][-1].split(":")[0]
+                                for line in cold)
     assert kinds == {"ProtocolViolationError": 257, "RamifiedPrimeError": 11,
                      "InvalidCertificateError": 1,
                      "splitting pattern does not force independence": 31}
 
 
-# z = +-1 ... +-17 on both sides of sign_bound() = 3, then 11850 and the
-# open 29-adic classes: 10 of the 38 certificates take check_z's direct route
-ROUTE_Z = [z for z in range(-17, 18) if z] + [11850] + OPEN_CLASS_Z
-ROUTE_Z_SHA256 = "b277f1f711304f891a431703328c9a47c48b2142a8f965f35b210a3749c664e9"
-
-
 def test_certificates_across_the_sieve_routes_pinned():
-    # the canonical JSON lines, as for ARBITRARY_Z (CI hashes the same
-    # lines under python -O)
+    # 10 of the pinned certificates (tests/pins.py) take the direct route
     assert sieve.sign_bound() == 3
     assert sum(sieve.check_z(z).evaluation is not None for z in ROUTE_Z) == 10
-    assert _records_sha256(ROUTE_Z) == ROUTE_Z_SHA256
+    assert PINS["certificates/routes"].count == len(ROUTE_Z) == 38
 
 
 def test_certificate_errors_are_computed_once(monkeypatch):
@@ -520,11 +482,9 @@ def test_class_rows_match_the_per_z_rows_on_every_residue():
 
 
 def test_fallback_row_certificates_pinned():
-    # the canonical JSON lines, as for ARBITRARY_Z (CI hashes the same
-    # lines under python -O)
-    assert len(FALLBACK_Z) == 60
+    # each pinned certificate (tests/pins.py) computes a row on z itself
+    assert PINS["certificates/fallback-rows"].count == len(FALLBACK_Z) == 60
     assert all(any(z % l in rs for l, rs in UNFIXED.items()) for z in FALLBACK_Z)
-    assert _records_sha256(FALLBACK_Z) == FALLBACK_Z_SHA256
 
 
 def test_second_pass_reads_long_numbers_only_on_fallback_rows(monkeypatch):
