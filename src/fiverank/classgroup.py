@@ -441,16 +441,13 @@ def _root_table(p: int) -> array:
 
 def _sqrt_mod_prime(D: int, p: int) -> list[int]:
     """The roots of x^2 = D mod an odd prime p that does not divide D: one
-    read of p's root table up to ROOT_TABLE_BOUND; above it, at p = 3
-    mod 4 one power, n^((p+1)/4), checked by squaring, and otherwise
-    Tonelli-Shanks, after Euler's criterion with the builtin pow."""
+    read of p's root table up to ROOT_TABLE_BOUND, and above it
+    Tonelli-Shanks after Euler's criterion with the builtin pow, which at
+    p = 3 mod 4 (s = 1) is the one power r = n^((p+1)/4)."""
     n = D % p
     if p <= ROOT_TABLE_BOUND:
         r = _root_table(p)[n]
         return [r, p - r] if r else []
-    if p % 4 == 3:                          # r = n^((p+1)/4) when n is a square
-        r = pow(n, (p + 1) // 4, p)
-        return [r, p - r] if r * r % p == n else []
     if pow(n, (p - 1) // 2, p) != 1:
         return []
     s, odd = 0, p - 1

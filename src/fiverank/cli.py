@@ -343,19 +343,22 @@ def _merge_config(args) -> RunConfig:
     return replace(load_config(args.config), **overrides).validate()
 
 
-def _lift_int_str_limit() -> None:
+def _lift_int_str_limit() -> int | None:
     # certificates at |z| ~ 1e1000 carry radicands of ~12,000 digits, over
-    # CPython's default 4,300-digit limit on int <-> str conversion
+    # CPython's default 4,300-digit limit on int <-> str conversion; returns
+    # the limit it replaced, None on an interpreter without one
     if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
+        return limit
 
 
 def main(argv=None) -> int:
-    _lift_int_str_limit()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    limit = _lift_int_str_limit()       # a --start may pass the limit too
     fh = sys.stdout
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         with ExitStack() as files:
             # a bad config or an unwritable output path is a usage error,
             # raised before any record is written
@@ -389,6 +392,9 @@ def main(argv=None) -> int:
         if not isinstance(exc, BrokenPipeError):    # a closed reader is no error
             print(f"fiverank: error: {exc}", file=sys.stderr)
         return 1
+    finally:                            # the caller's limit, on every exit
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -948,11 +948,6 @@ def _as_ratfunc(value):
     return NotImplemented
 
 
-def ratfunc_substitute(f: Poly, s: RatFunc) -> RatFunc:
-    """Compose f(s(z)) as a normalized rational function."""
-    return _as_ratfunc(f(s))
-
-
 # ---------------------------------------------------------------------------
 # polynomials over F_p (plain int lists, lowest degree first)
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     IdentityCheckError,
     InvalidKernelError,
 )
-from .exact import Poly, RatFunc, ratfunc_substitute, rational_sqrt
+from .exact import Poly, RatFunc, rational_sqrt
 from .isogeny import (
     IsogenyMap,
     duplication_map,
@@ -253,9 +253,9 @@ class Specialization:
             and 6061 == 11 * 19 * 29 and 9261 == 21 ** 3)
 
         gs = [quotient_model(ui) for ui in self.u]
-        h1_of_x = ratfunc_substitute(gs[0][1], self.x_of_z)
-        h2_of_x = ratfunc_substitute(gs[1][1], self.x_of_z)
-        h3_of_x = ratfunc_substitute(gs[2][1], self.x_of_z)
+        h1_of_x = gs[0][1](self.x_of_z)
+        h2_of_x = gs[1][1](self.x_of_z)
+        h3_of_x = gs[2][1](self.x_of_z)
         out["transfer-v"] = h1_of_x == self.v_of_z * self.v_of_z * h2_of_x
         out["transfer-w"] = h1_of_x == self.w_of_z * self.w_of_z * h3_of_x
 

@@ -253,21 +253,15 @@ PINS = {pin.name: pin for pin in (
 
 def text(pin: Pin) -> str:
     """The text pin hashes: its lines, each ending in a newline."""
-    # main lifts CPython's int-to-str digit limit; put it back
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    try:
-        if pin.lines is not None:
-            return "".join(line + "\n" for line in pin.lines())
-        with tempfile.TemporaryDirectory() as tmp:
-            config = ()
-            if pin.config is not None:
-                config = ("--config", os.path.join(tmp, "fiverank.conf"))
-                with open(config[1], "w", encoding="utf-8") as fh:
-                    fh.write(pin.config)
-            return "".join(_stdout(config + argv, code) for argv, code in pin.calls)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    if pin.lines is not None:
+        return "".join(line + "\n" for line in pin.lines())
+    with tempfile.TemporaryDirectory() as tmp:
+        config = ()
+        if pin.config is not None:
+            config = ("--config", os.path.join(tmp, "fiverank.conf"))
+            with open(config[1], "w", encoding="utf-8") as fh:
+                fh.write(pin.config)
+        return "".join(_stdout(config + argv, code) for argv, code in pin.calls)
 
 
 def compare(pin: Pin, out: str) -> None:

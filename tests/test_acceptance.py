@@ -32,7 +32,7 @@ from fiverank.curves import (
     transform_between,
 )
 from fiverank.errors import DegenerateParameterError
-from fiverank.exact import Poly, RatFunc, rational_sqrt, ratfunc_substitute
+from fiverank.exact import Poly, RatFunc, rational_sqrt
 from fiverank.family import (
     CONSTANTS,
     five_division_kernel,
@@ -249,7 +249,7 @@ def test_criterion_07_sign_dichotomy_as_stated():
     # of both, sign(radicand(z)) = sign(z) because the degree difference is
     # odd; the smallest admissible |z| lies far above that bound.
     sp = specialize()
-    rad = ratfunc_substitute(sp.f_model, sp.x_of_z)
+    rad = sp.f_model(sp.x_of_z)
     num, den = rad.num, rad.den
     assert (num.degree, den.degree) == (12, 9)
     assert num.leading() > 0 and den.leading() > 0

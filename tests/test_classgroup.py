@@ -237,9 +237,9 @@ def test_class_number_matches_the_per_a_reference_on_log_uniform_discriminants()
 
 
 def test_square_roots_mod_a_prime_match_a_search():
-    # up to ROOT_TABLE_BOUND one read of the root table; above it one
-    # power at p = 3 mod 4 and Tonelli-Shanks at p = 1 mod 4 (p = 1889,
-    # 7681 and 12289 have 2-adic depth 5, 9 and 12); [] for a
+    # up to ROOT_TABLE_BOUND one read of the root table; above it
+    # Tonelli-Shanks, at 2-adic depth 1 for p = 1831 and 1847 (3 mod 4)
+    # and 5, 9 and 12 for p = 1889, 7681 and 12289; [] for a
     # non-residue, which class_number itself never asks about
     from fiverank import classgroup
 
@@ -702,6 +702,39 @@ def test_group_structure_counts_n_torsion():
 def test_group_structure_budget():
     with pytest.raises(OutOfBudgetError):
         group_structure(-(10**7 + 7) * 4, disc_bound=10**7)
+
+
+def _cyclic_product_invariants(orders):
+    """The invariant factors d1 | d2 | ... of the product of the cyclic
+    groups of the given orders, by the CRT: C_a x C_b = C_gcd x C_lcm, taken
+    over every pair until each order divides the ones after it."""
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(n for n in d if n > 1)
+
+
+@pytest.mark.parametrize("f, D, h, factors", [
+    ((11, 19, 71), -1_541_371_447, 14_000, (10, 10, 140)),
+    ((11, 19, 59), -1_064_374_927, 12_000, (10, 20, 60)),
+])
+def test_ring_class_groups_of_5_rank_3(f, D, h, factors):
+    # D0 = -7 has h = 1 and units +-1, so the order of conductor f, a
+    # product of distinct odd primes p not dividing 7, has class group the
+    # product of the C_{p - (-7/p)} (Cox, Thm 7.24; Neukirch I 12): each
+    # of these p has 5 | p - (-7/p) and adds 1 to the 5-rank
+    orders = [p - kronecker(-7, p) for p in f]
+    assert D == -7 * math.prod(f) ** 2 and h == math.prod(orders)
+    assert _cyclic_product_invariants(orders) == factors
+    assert class_number(D) == h
+    assert sylow_layers(D, h, 5) == [3]
+    st = group_structure(D, disc_bound=-D)
+    assert st.invariant_factors == factors and st.p_rank(5) == 3
+    # a prediction that leaves out one p fails the comparison
+    for i in range(len(f)):
+        assert _cyclic_product_invariants(orders[:i] + orders[i + 1:]) != st.invariant_factors
 
 
 def test_fundamental_discriminant():
@@ -1421,7 +1454,7 @@ def test_oracle_scan_lets_value_errors_through(monkeypatch):
         list(oracle_scan(1))
 
 
-def test_oracle_scan_computes_each_fact_once(monkeypatch):
+def test_oracle_scan_computes_each_fact_once(monkeypatch, cold_caches):
     # one class number count and one lazy enumeration per decided
     # discriminant, stopped once the 5-Sylow span is full, and no power
     # table; no semistability check in the curve setup: the quotient's
@@ -1455,7 +1488,6 @@ def test_oracle_scan_computes_each_fact_once(monkeypatch):
     # a binding imported into classgroup would be counted too
     monkeypatch.setattr(classgroup, "is_semistable", curves.is_semistable,
                         raising=False)
-    classgroup._single_curve_setup.cache_clear()
     decided = [o for o in oracle_scan(20) if o.status != "skip"]
     assert len(decided) == 20
     assert calls["class_number"] == calls["_reduced_triples"] == len(decided)
@@ -1590,20 +1622,6 @@ def test_oracle_refuses_a_wrong_class_number(monkeypatch):
         small_instance_oracle(F(2, 3), F(1))
 
 
-@pytest.fixture
-def cold_witness_memo():
-    """The residue-class memos emptied before and after the test: a warm
-    memo never reaches a patched frobenius_order_in_L or preimage_quintic,
-    and a verdict computed under a patch must not outlive it."""
-    from fiverank import classgroup, splitting
-
-    splitting._class_row.cache_clear()
-    splitting._class_verdict.cache_clear()
-    yield classgroup
-    splitting._class_row.cache_clear()
-    splitting._class_verdict.cache_clear()
-
-
 def _verdict_or_error(fn, *args):
     try:
         return fn(*args)
@@ -1622,16 +1640,16 @@ def _residue_class_decides(phi, l):
     return N0[-1] // g % l != 0 and any(c // g % l for c in D0)
 
 
-def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo):
+def test_witness_verdicts_per_residue_class_match_each_quintic(cold_caches):
     # on the whole default grid of both verdict-reaching u, at every prime
     # up to WITNESS_BOUND split in K, the memoized verdict is the one the
     # instance's own quintic gives: the same verdict, or the same error
     # class and message.  Costs about 15 s: the quintic side factors
     # every instance's own quintic, as the memo exists to avoid
+    from fiverank import classgroup
     from fiverank.isogeny import preimage_quintic
     from fiverank.splitting import SPLIT, _class_verdict, frobenius_order_in_L, prime_split_in_K
 
-    classgroup = cold_witness_memo
     primes = [l for l in range(3, classgroup.WITNESS_BOUND + 1, 2) if is_probable_prime(l)]
     grid = [F(num, den) for num in range(-classgroup.SCAN_X_RANGE, classgroup.SCAN_X_RANGE + 1)
             for den in (1, 2, 3) if math.gcd(abs(num), den) == 1]
@@ -1683,7 +1701,7 @@ def test_witness_verdicts_per_residue_class_match_each_quintic(cold_witness_memo
     assert _class_verdict.cache_info().hits == 1
 
 
-def test_oracle_witness_search_raises_protocol_violations(monkeypatch, cold_witness_memo):
+def test_oracle_witness_search_raises_protocol_violations(monkeypatch, cold_caches):
     # at a prime split in K only the profiles [1,1,1,1,1] and [5] fit the
     # cyclic preimage extension; anything else is an error, not a skip
     from fiverank import splitting
@@ -1700,15 +1718,14 @@ def test_oracle_witness_search_raises_protocol_violations(monkeypatch, cold_witn
         small_instance_oracle(F(2, 3), F(1))
 
 
-def test_witness_memo_builds_one_quintic_per_erroring_class(monkeypatch, cold_witness_memo):
+def test_witness_memo_builds_one_quintic_per_erroring_class(monkeypatch, cold_caches):
     # a class whose quintic has a repeated factor mod l raises
     # RamifiedPrimeError on every lookup, each time a fresh exception with
     # the same message, from one preimage_quintic call per class; after
     # cache_clear the next lookup is a miss and builds it again
-    from fiverank import splitting
+    from fiverank import classgroup, splitting
     from fiverank.splitting import SPLIT, _class_verdict, prime_split_in_K
 
-    classgroup = cold_witness_memo
     built = []
     real = splitting.preimage_quintic
 

@@ -278,17 +278,42 @@ def test_cmd_count_zero_prints_nothing(capsys):
 
 def test_cmd_verify_huge_z(capsys):
     # the radicand has ~12,000 digits, over CPython's default int->str limit
-    limit = sys.get_int_max_str_digits()
     z = 10 ** 1000 + 7
-    try:
-        code, records = run_cli(["verify", "--z", str(z)], capsys)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    code, records = run_cli(["verify", "--z", str(z)], capsys)
     assert len(records) == 1
     cert = records[0]
     assert cert["record"] == "field-certificate" and cert["z"] == str(z)
     assert len(cert["radicand"]) > 4300
     assert code == (0 if cert["conclusion"] else 1)
+
+
+@pytest.mark.parametrize("limit", [4300, 5000])
+def test_main_puts_back_the_digit_limit(limit, tmp_path, capsys):
+    # main lifts CPython's int-to-str digit limit from parsing to its last
+    # write and puts the caller's limit back on every exit: a success, an
+    # error record, a usage error, an unwritable -o and a --start of 5,001
+    # digits, which only the lifted limit parses and writes
+    huge = "1" + "0" * 5000
+    unwritable = str(tmp_path / "missing" / "out.jsonl")
+    calls = [(["classgroup", "--disc", "-47"], {0}),
+             (["verify", "--z", "0"], {1}),
+             (["sieve", "--count", "many"], {2}),
+             (["-o", unwritable, "sieve", "--count", "1"], {2}),
+             (["sieve", "--start", huge, "--count", "1"], {0, 1})]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for argv, codes in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            assert code in codes and sys.get_int_max_str_digits() == limit, argv
+        record = json.loads(out)
+        assert record["z"].startswith("1") and len(record["z"]) == len(huge)
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_cmd_classgroup_invalid(capsys):
@@ -340,13 +365,12 @@ def test_paper_check_fails_a_certificate_without_pattern(monkeypatch, capsys):
                       for kind in ("splits-in-K", "splitting-pattern", "independence")]
 
 
-def test_cmd_derive_fault_injection(capsys):
+def test_cmd_derive_fault_injection(capsys, cold_caches):
     # corrupting one stored constant must fail the identity suite with the
     # offending identity named and a nonzero exit
     from fiverank import family
     original = family.CONSTANTS["v_mid"]
     family.CONSTANTS["v_mid"] = original + 1
-    family.specialize.cache_clear()
     try:
         code, records = run_cli(["derive"], capsys)
         assert code == 1
@@ -355,7 +379,8 @@ def test_cmd_derive_fault_injection(capsys):
         assert "transfer-v" in summary["failed"]
     finally:
         family.CONSTANTS["v_mid"] = original
-        family.specialize.cache_clear()
+    # the memo holds the corrupted specialization until it misses again
+    family.specialize.cache_clear()
     code, records = run_cli(["derive"], capsys)
     assert code == 0
 

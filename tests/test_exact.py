@@ -26,7 +26,6 @@ from fiverank.exact import (
     pm_sub,
     rational_mod,
     rational_sqrt,
-    ratfunc_substitute,
     splitting_profile,
     squarefree_part,
     trial_factor,
@@ -264,7 +263,9 @@ def test_is_square_residue_screen_matches_isqrt():
 
 @pytest.fixture
 def default_digit_limit():
-    """CPython's default 4,300-digit int-to-str limit, whatever ran before."""
+    """CPython's default 4,300-digit int-to-str limit, set explicitly: a
+    PYTHONINTMAXSTRDIGITS or -X int_max_str_digits override may change
+    the limit a process starts with."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -604,12 +605,13 @@ def test_ratfunc_normalization_and_idempotence():
 
 
 def test_ratfunc_substitute_examples():
+    # a Poly evaluated at a RatFunc is the composed, normalized RatFunc
     x = Poly.x()
     s = RatFunc(x + 1, x)                     # (z+1)/z
-    out = ratfunc_substitute(x * x, s)
+    out = (x * x)(s)
     assert out == RatFunc((x + 1) * (x + 1), x * x)
     c = F(5, 7)
-    assert ratfunc_substitute(x - c, RatFunc(Poly([c]))).is_zero()
+    assert (x - c)(RatFunc(Poly([c]))).is_zero()
 
 
 def test_ratfunc_arithmetic_and_poles():

@@ -406,7 +406,7 @@ def _direct_records(z):
     return tuple(r for data in sieve_data() for r in _extension_records(data, n, d))
 
 
-def test_class_route_matches_the_direct_route(monkeypatch):
+def test_class_route_matches_the_direct_route(monkeypatch, cold_caches):
     from fiverank import sieve
 
     zs = _differential_z()
@@ -417,7 +417,6 @@ def test_class_route_matches_the_direct_route(monkeypatch):
         calls.append(data.index)
         return real(data, n, d)
 
-    sieve._class_entry.cache_clear()
     monkeypatch.setattr(sieve, "_extension_records", spy)
     routes, seen = {"class": 0, "direct": 0}, set()
     for z in zs:

@@ -344,28 +344,19 @@ def test_fast_path_matches_exact_route_on_every_residue_class():
     assert seen == {"split", "inert", "RamifiedPrimeError", "ProtocolViolationError"}
 
 
-def test_residue_precondition_is_a_typed_error(monkeypatch):
+def test_residue_precondition_is_a_typed_error(monkeypatch, cold_caches):
     sp = specialize()
     phi = sp.isogenies[0]
     # scaling the numerator by 163 makes 163 divide lc(N0)
     bad = dataclasses.replace(phi, x_map=RatFunc(163 * phi.x_map.num, phi.x_map.den))
     monkeypatch.setattr(splitting, "five_isogeny",
                         lambda u: bad if u == sp.u[0] else family.five_isogeny(u))
-    # every memo that holds a verdict read from the isogeny
-    splitting._class_row.cache_clear()
-    splitting._class_verdict.cache_clear()
-    splitting._x_map_form.cache_clear()
-    try:
-        z = next(iter(admissible_z(sign="pos")))
-        with pytest.raises(BadReductionError, match="163 divides the leading coefficient"):
-            _pattern(z)
-        cert = verify_instance(z)
-        assert not cert.conclusion
-        assert cert.failures[-1].startswith("BadReductionError: 163 divides")
-    finally:
-        splitting._class_row.cache_clear()
-        splitting._class_verdict.cache_clear()
-        splitting._x_map_form.cache_clear()
+    z = next(iter(admissible_z(sign="pos")))
+    with pytest.raises(BadReductionError, match="163 divides the leading coefficient"):
+        _pattern(z)
+    cert = verify_instance(z)
+    assert not cert.conclusion
+    assert cert.failures[-1].startswith("BadReductionError: 163 divides")
 
 
 def test_specialization_isogenies_are_the_memo_curves():
@@ -374,11 +365,9 @@ def test_specialization_isogenies_are_the_memo_curves():
         assert sp.isogenies[j] is family.five_isogeny(sp.u[j])
 
 
-def test_arbitrary_z_certificates_pinned():
+def test_arbitrary_z_certificates_pinned(cold_caches):
     # the failure kinds of the pinned lines (tests/pins.py), the same on a
     # cold memo and on a warm one
-    splitting._class_row.cache_clear()
-    splitting._class_verdict.cache_clear()
     cold = list(PINS["certificates/arbitrary"].lines())
     assert list(PINS["certificates/arbitrary"].lines()) == cold
     kinds = collections.Counter(json.loads(line)["failures"][-1].split(":")[0]
@@ -395,7 +384,7 @@ def test_certificates_across_the_sieve_routes_pinned():
     assert PINS["certificates/routes"].count == len(ROUTE_Z) == 38
 
 
-def test_certificate_errors_are_computed_once(monkeypatch):
+def test_certificate_errors_are_computed_once(monkeypatch, cold_caches):
     # an erroring residue class is stored as its error's class and
     # message: a second pass over the same z builds no quintic at all
     built = []
@@ -406,8 +395,6 @@ def test_certificate_errors_are_computed_once(monkeypatch):
         return real(phi, X)
 
     monkeypatch.setattr(splitting, "preimage_quintic", spy)
-    splitting._class_row.cache_clear()
-    splitting._class_verdict.cache_clear()
     first = [verify_instance(z).failures for z in ARBITRARY_Z]
     assert built
     built.clear()
