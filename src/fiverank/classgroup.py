@@ -4,7 +4,8 @@ Serves as the independent oracle of the package: on small fundamental
 discriminants it recomputes the class number h, the square roots of D
 mod 4a summed over the leading coefficients a of the reduced forms, by
 byte counts over a shared table of omega(a) below sqrt|D|/2 and by
-listing them above, and the 5-rank, from the 5-Sylow subgroup that the
+listing them above, joined by CRT along a plan of each a that every D
+shares, and the 5-rank, from the 5-Sylow subgroup that the
 reduced forms span under Gauss composition, then checks the
 5-divisibility that the single-curve construction predicts; its
 irreducibility witness reads each split prime's verdict, or the error it
@@ -69,16 +70,21 @@ DEFAULT_DISC_BOUND = 10**7
 # trial-division bound for the oracle radicand's squarefree part
 RADICAND_TRIAL_BOUND = 10**6
 # a count within the default budget reaches the primes up to this bound,
-# and reads square roots modulo each odd one from a table (_root_table)
+# and reads square roots modulo each odd one from a table (_square_roots)
 ROOT_TABLE_BOUND = math.isqrt(DEFAULT_DISC_BOUND // 3)
 # spf, primes, rest and omega up to a bound, shared by every D (_smallest_prime_factors)
 _factor_tables: tuple[list[int], list[int], list[int], bytearray] = ([], [], [], bytearray())
-_root_tables: dict[int, array] = {}  # odd prime p <= ROOT_TABLE_BOUND -> roots mod p
+# (p, p's root table, None at p = 2) for each prime p up to ROOT_TABLE_BOUND that
+# a count has reached, in order, shared by every D (_grow_root_tables)
+_root_tables: list[tuple[int, array | None]] = []
+# a <= ROOT_TABLE_BOUND -> the CRT plan of a (_crt_plan), shared by every D
+_crt_plans: dict[int, tuple] = {}
 # class_number's byte marks (r(a) = 0; a listed) and the translations that write them
 _STRUCK, _LISTED = 255, 254
 _DROP_ONE = bytes(1) + bytes(range(_LISTED - 1)) + bytes([_LISTED, _STRUCK])
 _TO_LISTED = bytes([_LISTED]) * _STRUCK + bytes([_STRUCK])
 _IS_LISTED, _UNSTRUCK = bytes(_LISTED) + b"\1\0", b"\1" * _STRUCK + b"\0"
+_struck_row = memoryview(b"")   # STRUCK bytes that strike a row of logs, grown on demand
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +297,17 @@ def class_number(D: int) -> int:
     A prime dividing a, b and c has p^2 | D = b^2 - 4ac with D/p^2 a
     discriminant: one of the remaining primes, odd p with p^2 | D and
     p = 2 with D/4 = 0, 1 mod 4.  Their multiples, and the band top < a
-    <= amax, where c >= a needs b itself, go to _listed_count.
+    <= amax, where c >= a needs b itself, go to _listed_count, which
+    joins the roots of each along a's CRT plan, a fact of a alone.
 
     The count below the band reads one byte per a (_log_root_counts):
     s(a), STRUCK (255) where r(a) = 0, or LISTED (254).  Each entry
     starts as omega(a), the number of primes of a, at most log2(a) since
     2^omega(a) <= a: at most 8 below 10^7, and never a mark.  So the
     a <= top add sum_v 2^v times the number of entries v, exactly, one
-    byte count for each v < bit_length(top)."""
+    byte count for each v < bit_length(top).  A D that no prime divides
+    to a square (no LISTED entry below the band, every fundamental D)
+    lists only the band."""
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)               # the largest a with 4a^2 <= |D|
@@ -306,7 +315,8 @@ def class_number(D: int) -> int:
     logs = _log_root_counts(D, amax, primes, omega)
     low = logs[1:top + 1]
     count = sum(low.count(v) << v for v in range(top.bit_length()))
-    listed = list(itertools.compress(range(1, top + 1), low.translate(_IS_LISTED)))
+    listed = (list(itertools.compress(range(1, top + 1), low.translate(_IS_LISTED)))
+              if _LISTED in low else [])
     listed += itertools.compress(range(top + 1, amax + 1), logs[top + 1:].translate(_UNSTRUCK))
     return count + _listed_count(D, listed, logs, spf, rest)
 
@@ -318,20 +328,27 @@ def _log_root_counts(D: int, amax: int, primes: list[int], omega: bytearray) -> 
     p^2 struck, one taken from the multiples of a ramified p, and the
     multiples of the other primes dividing D marked LISTED; a struck
     entry stays struck, so the order of the primes does not matter.
-    Up to ROOT_TABLE_BOUND = isqrt(DEFAULT_DISC_BOUND / 3), as far as any
-    D within that budget reaches, Euler's criterion is one read of p's
-    root table (_root_table), shared by every D; above it a builtin pow."""
+    The primes up to ROOT_TABLE_BOUND come with their root tables from
+    one list shared by every D (_grow_root_tables), and the struck slices
+    from one shared row of STRUCK bytes, grown only past that bound.  Up
+    to it, as far as any D within the default budget reaches, Euler's
+    criterion is one read of p's root table; above it a builtin pow."""
+    global _struck_row
     logs = omega[:amax + 1]
-    struck = memoryview(bytes([_STRUCK]) * amax)
+    struck = _struck_row
+    if len(struck) < amax:
+        struck = _struck_row = memoryview(bytes([_STRUCK]) * max(amax, ROOT_TABLE_BOUND))
     half = amax // 2
-    tables = _root_tables
-    for p in itertools.islice(primes, bisect.bisect_right(primes, amax)):
+    tabled = _grow_root_tables(amax, primes)
+    above = primes[tabled:bisect.bisect_right(primes, amax)]
+    for p, table in itertools.chain(itertools.islice(_root_tables, tabled),
+                                    zip(above, itertools.repeat(None))):
         n = D % p
         if n:                               # split or inert
-            if p == 2:
+            if table is not None:
+                split = table[n]
+            elif p == 2:
                 split = D % 8 == 1
-            elif p <= ROOT_TABLE_BOUND:
-                split = (tables.get(p) or _root_table(p))[n]
             else:
                 split = pow(n, (p - 1) // 2, p) == 1
             if split:
@@ -351,32 +368,36 @@ def _log_root_counts(D: int, amax: int, primes: list[int], omega: bytearray) -> 
 def _listed_count(D: int, listed: list[int], logs: bytearray, spf: list[int],
                   rest: list[int]) -> int:
     """The reduced forms with a leading coefficient in listed, each b
-    tested: the roots mod 2a are joined by CRT from those mod 2^(k+1),
-    for 2^k || a, and mod the odd prime powers of a, so each b in (-a, a]
-    comes once.  c >= a is b^2 >= 4a^2 + D, tested before c is built;
-    primitivity is tested only where a prime p | a may divide the form
-    (logs[a] is LISTED).  One memo of roots mod prime powers serves every a."""
+    tested: the roots mod 2a are joined by CRT, along a's plan
+    (_crt_plan), from those mod 2^(k+1), for 2^k || a, and mod the odd
+    prime powers of a, so each b in (-a, a] comes once.  At an odd prime
+    p || a <= ROOT_TABLE_BOUND the roots are (r, p - r) from p's root
+    table, or 0 when p | D; the roots mod a power of 2, mod p^k with k >=
+    2 and for an a above the bound come from _prime_power_roots, one memo
+    of them serving every a.  c >= a is b^2 >= 4a^2 + D, tested before c is
+    built; primitivity is tested only where a prime p | a may divide the
+    form (logs[a] is LISTED)."""
     roots = {}                              # p^k -> roots of x^2 = D mod p^k
+    plans = _crt_plans
     count = 0
     for a in listed:
-        n = rest[a] if a % 2 == 0 else a
-        mod = 2 * (a // n)
-        # b^2 mod 2 * mod depends on b mod mod only
-        found = ([D & 1] if mod == 2 else
-                 [x for x in _prime_power_roots(D, 2, 2 * mod, roots) if x < mod])
-        while n > 1:
-            m = rest[n]
-            q = n // m
-            inv = pow(mod, -1, q)
-            found = [x + mod * ((s - x) * inv % q)
-                     for x in found for s in _prime_power_roots(D, spf[n], q, roots)]
-            mod *= q
-            n = m
+        two, steps = plans.get(a) or _crt_plan(a, spf, rest)
+        # b^2 mod 2 * two depends on b mod two only
+        found = ([D & 1] if two == 2 else
+                 [x for x in _prime_power_roots(D, 2, 2 * two, roots) if x < two])
+        for p, q, mod, inv, table in steps:
+            if table is None:
+                local = _prime_power_roots(D, p, q, roots)
+            else:
+                n = D % p
+                r = table[n]
+                local = (r, p - r) if r else () if n else (0,)
+            found = [x + mod * ((s - x) * inv % q) for x in found for s in local]
         bound = 4 * a * a + D
         imprimitive = logs[a] == _LISTED
         for b in found:
             if b > a:
-                b -= mod
+                b -= 2 * a
             bb = b * b
             if bb < bound or (bb == bound and b < 0):
                 continue
@@ -384,6 +405,29 @@ def _listed_count(D: int, listed: list[int], logs: bytearray, spf: list[int],
                 continue
             count += 1
     return count
+
+
+def _crt_plan(a: int, spf: list[int], rest: list[int]) -> tuple[int, tuple]:
+    """How _listed_count joins the roots mod 2a, a fact of a alone: the
+    modulus 2^(k+1) of the 2-part, 2^k || a, and for each odd prime power
+    q = p^k || a in turn (p, q, the modulus m of the roots joined so far,
+    m^-1 mod q, p's root table when k = 1, else None).  Kept in
+    _crt_plans for a <= ROOT_TABLE_BOUND, so at most 1,825 plans; above
+    it built on every call, with no table."""
+    n = rest[a] if a % 2 == 0 else a
+    mod = two = 2 * (a // n)
+    kept = a <= ROOT_TABLE_BOUND
+    steps = []
+    while n > 1:
+        p, m = spf[n], rest[n]
+        q = n // m
+        steps.append((p, q, mod, pow(mod, -1, q), _root_table(p) if kept and q == p else None))
+        mod *= q
+        n = m
+    plan = two, tuple(steps)
+    if kept:
+        _crt_plans[a] = plan
+    return plan
 
 
 def _smallest_prime_factors(n: int) -> tuple[list[int], list[int], list[int], bytearray]:
@@ -424,18 +468,32 @@ def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
     return roots[q]
 
 
+def _grow_root_tables(n: int, primes: list[int]) -> int:
+    """The number of primes up to min(n, ROOT_TABLE_BOUND), after
+    _root_tables has grown to hold them all, each odd one with its root
+    table (_square_roots); primes must reach that far.  The tables are
+    built the first time a count reaches their prime, and none above the
+    bound, so they never grow with a raised budget: at most the 280 odd
+    primes' tables, 2p bytes each, about 0.47 MB in all."""
+    k = bisect.bisect_right(primes, min(n, ROOT_TABLE_BOUND))
+    tables = _root_tables
+    if len(tables) < k:
+        tables.extend((p, _square_roots(p) if p > 2 else None) for p in primes[len(tables):k])
+    return k
+
+
 def _root_table(p: int) -> array:
-    """The square roots modulo an odd prime p <= ROOT_TABLE_BOUND, built
-    the first time a count reaches p and shared by every D: entry n is
-    the root r of r^2 = n (mod p) with 0 < r <= p/2 when n is a nonzero
-    square, else 0.  Keyed by p alone, the tables take 2p bytes each,
-    about 0.47 MB for all the primes up to the bound."""
-    table = _root_tables.get(p)
-    if table is None:
-        table = array("H", bytes(2 * p))
-        for r in range(1, (p + 1) // 2):
-            table[r * r % p] = r
-        _root_tables[p] = table
+    """The root table of an odd prime p <= ROOT_TABLE_BOUND, read from
+    _root_tables, which first grows to p."""
+    return _root_tables[_grow_root_tables(p, _smallest_prime_factors(p)[1]) - 1][1]
+
+
+def _square_roots(p: int) -> array:
+    """The square roots modulo an odd prime p: entry n is the root r of
+    r^2 = n (mod p) with 0 < r <= p/2 when n is a nonzero square, else 0."""
+    table = array("H", bytes(2 * p))
+    for r in range(1, (p + 1) // 2):
+        table[r * r % p] = r
     return table
 
 

@@ -20,7 +20,8 @@ Every check raises ArithmeticError, so the module holds under python -O.
 reference_class_number is a second reference, the per-a route: it adds
 the root count r(a) of every leading coefficient a one by one, where
 class_number counts the a below sqrt|D|/2 in bytes.  It reads only the
-factor tables of fiverank.classgroup.
+factor tables of fiverank.classgroup, not its CRT plans of a nor its
+shared list of primes and root tables.
 
 check_dirichlet and check_reference hold class_number to the two
 references.  Tier-1 runs them on 36 grid D and 200 log-uniform D; run as
@@ -132,8 +133,10 @@ def reference_class_number(D):
     local counts along the smallest-prime-factor tables, with Euler's
     criterion by the builtin pow at every prime, and the b of the listed
     a tested one by one, their roots by one power at p = 3 mod 4 and
-    Tonelli-Shanks otherwise.  It shares only the factor tables with
-    class_number."""
+    Tonelli-Shanks otherwise, each a's CRT joined afresh.  It shares
+    only the factor tables with class_number: neither the CRT plans of a
+    (classgroup._crt_plans) nor the list of primes with their root tables
+    (classgroup._root_tables) nor the strike row."""
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)
     spf, primes, rest, _ = classgroup._smallest_prime_factors(amax)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -41,6 +42,13 @@ from class_number_formula import (
     reference_class_number,
 )
 from pins import PINS
+from ring_class_groups import (
+    CLASS_NUMBER_ONE,
+    cyclic_invariants,
+    predict,
+    ring_class_groups,
+)
+from ring_class_groups import check as check_ring_class_group
 
 
 def test_form_validation():
@@ -131,6 +139,20 @@ def test_class_number_counts_what_enumeration_lists():
 
 def enumerated_count(D):
     return sum(1 for _ in enumerate_reduced(D))
+
+
+def cold_count_tables(monkeypatch, factor_tables=True):
+    """Empty, for the rest of the test, what class_number shares between
+    discriminants and grows on demand: the prime/root-table list, the
+    CRT plans of a, the strike row and (unless told to keep them) the
+    factor tables."""
+    from fiverank import classgroup
+
+    monkeypatch.setattr(classgroup, "_root_tables", [])
+    monkeypatch.setattr(classgroup, "_crt_plans", {})
+    monkeypatch.setattr(classgroup, "_struck_row", memoryview(b""))
+    if factor_tables:
+        monkeypatch.setattr(classgroup, "_factor_tables", ([], [], [], bytearray()))
 
 
 def test_class_number_counts_non_fundamental_and_band_edges():
@@ -236,6 +258,22 @@ def test_class_number_matches_the_per_a_reference_on_log_uniform_discriminants()
     check_reference(discs)
 
 
+def test_the_per_a_reference_shares_only_the_factor_tables(monkeypatch):
+    # reference_class_number reads no CRT plan, no prime/root-table list
+    # and no strike row of class_number: with those three unreadable it
+    # still counts, on both sides of ROOT_TABLE_BOUND, while class_number
+    # cannot
+    from fiverank import classgroup
+
+    discs = [-2832, -9910552, -7 * (11 * 19) ** 2, -30000004, -1_541_371_447]
+    counted = {D: class_number(D) for D in discs}
+    for name in ("_crt_plans", "_root_tables", "_struck_row"):
+        monkeypatch.setattr(classgroup, name, None)
+    assert {D: reference_class_number(D) for D in discs} == counted
+    with pytest.raises((TypeError, AttributeError)):
+        class_number(-2832)
+
+
 def test_square_roots_mod_a_prime_match_a_search():
     # up to ROOT_TABLE_BOUND one read of the root table; above it
     # Tonelli-Shanks, at 2-adic depth 1 for p = 1831 and 1847 (3 mod 4)
@@ -280,8 +318,9 @@ def test_root_tables_match_a_search_and_eulers_criterion():
             if r:
                 assert r * r % p == n and 0 < 2 * r < p and r == least[n], (p, n)
         assert classgroup._root_table(p) is table
-    assert sorted(classgroup._root_tables) == primes
-    assert sum(len(t) * t.itemsize for t in classgroup._root_tables.values()) < 600_000
+    tables = [t for _, t in classgroup._root_tables if t is not None]
+    assert [p for p, t in classgroup._root_tables if t is not None] == primes
+    assert sum(len(t) * t.itemsize for t in tables) < 600_000
 
 
 def test_class_number_matches_the_pow_and_tonelli_shanks_route(monkeypatch):
@@ -306,7 +345,7 @@ def test_class_number_matches_the_pow_and_tonelli_shanks_route(monkeypatch):
     assert nonfundamental >= 4
     assert all(math.isqrt(-D // 3) > classgroup.ROOT_TABLE_BOUND for D in large)
     for D in small + large:
-        monkeypatch.setattr(classgroup, "_root_tables", {})
+        cold_count_tables(monkeypatch, factor_tables=False)
         cold = class_number(D)
         assert cold == class_number(D) == reference_class_number(D) == \
             enumerated_count(D), D
@@ -316,9 +355,11 @@ def test_no_root_table_is_built_at_cold_start():
     # the benchmark's warm-up never counts a class number, so it builds no
     # table: a fresh interpreter through the cold start of oracle-scan
     # (the t = 4 specialization, the sieve data and every scan curve set
-    # up) has no root table and empty factor tables, omega among them,
-    # and its first count builds them
+    # up) has no root table, no CRT plan, no strike row and empty factor
+    # tables, omega among them, and its first count builds them
     import subprocess
+
+    from fiverank import classgroup
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = (
@@ -334,26 +375,31 @@ def test_no_root_table_is_built_at_cold_start():
         "    except FiverankError:\n"
         "        pass\n"
         "print(classgroup._single_curve_setup.cache_info().currsize,"
-        " len(classgroup._root_tables), sum(map(len, classgroup._factor_tables)))\n"
+        " len(classgroup._root_tables), sum(map(len, classgroup._factor_tables)),"
+        " len(classgroup._crt_plans), len(classgroup._struck_row))\n"
         "classgroup.class_number(-9910552)\n"
-        "print(len(classgroup._root_tables))\n")
+        "print(len(classgroup._root_tables), len(classgroup._crt_plans),"
+        " len(classgroup._struck_row))\n")
     out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout.split()
-    assert out[:3] == [str(len(SCAN_U)), "0", "0"] and int(out[3]) > 200, out
+    assert out[:5] == [str(len(SCAN_U)), "0", "0", "0", "0"], out
+    assert int(out[5]) > 200 and int(out[6]) > 0, out
+    assert out[7] == str(classgroup.ROOT_TABLE_BOUND), out
 
 
 def test_no_root_table_above_the_bound(monkeypatch):
-    # a count beyond the default budget reads tables for the odd primes
-    # up to the bound that do not divide D, and builds none above it
+    # a count beyond the default budget reads a table for each odd prime
+    # up to the bound, divisors of D among them, and builds none above it
     from fiverank import classgroup
 
-    monkeypatch.setattr(classgroup, "_root_tables", {})
+    cold_count_tables(monkeypatch, factor_tables=False)
     D = -30000004
     assert math.isqrt(-D // 3) > 3000 > classgroup.ROOT_TABLE_BOUND
     assert class_number(D) == reference_class_number(D)
-    assert sorted(classgroup._root_tables) == \
-        [p for p in range(3, classgroup.ROOT_TABLE_BOUND + 1, 2)
-         if is_probable_prime(p) and D % p]
+    primes = [p for p in range(2, classgroup.ROOT_TABLE_BOUND + 1) if is_probable_prime(p)]
+    assert [p for p, _ in classgroup._root_tables] == primes
+    assert [p for p, t in classgroup._root_tables if t is not None] == primes[1:]
+    assert any(D % p == 0 for p in primes[1:])
 
 
 def power_table_layers(D, q):
@@ -704,18 +750,6 @@ def test_group_structure_budget():
         group_structure(-(10**7 + 7) * 4, disc_bound=10**7)
 
 
-def _cyclic_product_invariants(orders):
-    """The invariant factors d1 | d2 | ... of the product of the cyclic
-    groups of the given orders, by the CRT: C_a x C_b = C_gcd x C_lcm, taken
-    over every pair until each order divides the ones after it."""
-    d = list(orders)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = math.gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] * d[j] // g
-    return tuple(n for n in d if n > 1)
-
-
 @pytest.mark.parametrize("f, D, h, factors", [
     ((11, 19, 71), -1_541_371_447, 14_000, (10, 10, 140)),
     ((11, 19, 59), -1_064_374_927, 12_000, (10, 20, 60)),
@@ -726,15 +760,37 @@ def test_ring_class_groups_of_5_rank_3(f, D, h, factors):
     # product of the C_{p - (-7/p)} (Cox, Thm 7.24; Neukirch I 12): each
     # of these p has 5 | p - (-7/p) and adds 1 to the 5-rank
     orders = [p - kronecker(-7, p) for p in f]
-    assert D == -7 * math.prod(f) ** 2 and h == math.prod(orders)
-    assert _cyclic_product_invariants(orders) == factors
-    assert class_number(D) == h
-    assert sylow_layers(D, h, 5) == [3]
-    st = group_structure(D, disc_bound=-D)
-    assert st.invariant_factors == factors and st.p_rank(5) == 3
+    case = predict(-7, f)
+    assert (case.D, case.h, case.five_rank) == (D, math.prod(orders), 3) and h == case.h
+    assert cyclic_invariants(orders) == case.invariant_factors == factors
+    assert case.five_layers() == [3]
+    # class_number, sylow_layers at 5 and group_structure
+    check_ring_class_group(case)
     # a prediction that leaves out one p fails the comparison
     for i in range(len(f)):
-        assert _cyclic_product_invariants(orders[:i] + orders[i + 1:]) != st.invariant_factors
+        assert cyclic_invariants(orders[:i] + orders[i + 1:]) != factors
+
+
+def test_ring_class_groups_by_construction():
+    # every D0 < -4 of class number 1 times the square of a conductor of
+    # distinct odd primes, at 5-ranks 0 to 3 and |D| <= 2e9: non-fundamental
+    # D with large square factors, whose band lists the imprimitive
+    # multiples of every p | f, on both sides of ROOT_TABLE_BOUND
+    from fiverank import classgroup
+
+    cases = list(ring_class_groups(2 * 10**9, 3))
+    assert {c.D0 for c in cases} == set(CLASS_NUMBER_ONE)
+    assert {c.five_rank for c in cases} == {0, 1, 2, 3}
+    assert any(math.isqrt(-c.D // 3) > classgroup.ROOT_TABLE_BOUND for c in cases)
+    for case in cases:
+        check_ring_class_group(case)
+        # a prediction that leaves out one p must fail
+        factors = group_structure(case.D, disc_bound=-case.D).invariant_factors
+        for p in case.primes:
+            mutant = predict(case.D0, [q for q in case.primes if q != p])
+            assert mutant.invariant_factors != factors, (case, p)
+            with pytest.raises(ArithmeticError):
+                check_ring_class_group(dataclasses.replace(mutant, D=case.D))
 
 
 def test_fundamental_discriminant():
@@ -1257,9 +1313,12 @@ def test_sylow_layers_check_every_composed_triple(monkeypatch):
 
 
 def test_class_number_does_not_depend_on_the_order_of_calls(monkeypatch):
-    # the smallest-prime-factor table and the root tables are shared by
-    # every D and grow on demand: each count must be the same whatever
-    # tables it finds
+    # the smallest-prime-factor tables, the prime/root-table list, the
+    # strike row and the CRT plans of a are shared by every D and grow on
+    # demand: each count must be the same whatever it finds, cold or warm,
+    # in either order, after a D whose amax passes ROOT_TABLE_BOUND filled
+    # the plans, and after the factor tables were replaced whole under
+    # them, since a plan is a fact of a alone
     from fiverank import classgroup
 
     rng = random.Random(60)
@@ -1270,14 +1329,27 @@ def test_class_number_does_not_depend_on_the_order_of_calls(monkeypatch):
             discs.append(D)
     fresh = {}
     for D in discs:
-        monkeypatch.setattr(classgroup, "_factor_tables", ([], [], [], bytearray()))
-        monkeypatch.setattr(classgroup, "_root_tables", {})
+        cold_count_tables(monkeypatch)
         fresh[D] = class_number(D)
     shuffled = rng.sample(discs, len(discs))
     for order in (sorted(discs), sorted(discs, reverse=True), shuffled):
-        monkeypatch.setattr(classgroup, "_factor_tables", ([], [], [], bytearray()))
-        monkeypatch.setattr(classgroup, "_root_tables", {})
+        cold_count_tables(monkeypatch)
         assert {D: class_number(D) for D in order} == fresh
+        assert {D: class_number(D) for D in reversed(order)} == fresh
+    # -7 (11 19 71)^2: amax = 22,666 and the multiples of 11, 19 and 71
+    # listed on both sides of the bound
+    D = -7 * (11 * 19 * 71) ** 2
+    for order in (sorted(discs), sorted(discs, reverse=True)):
+        cold_count_tables(monkeypatch)
+        assert class_number(D) == 14_000
+        plans = dict(classgroup._crt_plans)
+        assert plans and max(plans) <= classgroup.ROOT_TABLE_BOUND
+        assert {D: class_number(D) for D in order} == fresh
+        monkeypatch.setattr(classgroup, "_factor_tables", ([], [], [], bytearray()))
+        assert {D: class_number(D) for D in reversed(order)} == fresh
+        assert class_number(D) == 14_000
+        spf, _, rest, _ = classgroup._factor_tables
+        assert all(plans[a] == classgroup._crt_plan(a, spf, rest) for a in plans)
     spf, primes, rest, omega = classgroup._factor_tables
     assert len(spf) == len(rest) == len(omega) > math.isqrt(max(-D for D in discs) // 3)
     assert primes == [p for p in range(2, len(spf)) if spf[p] == p]
