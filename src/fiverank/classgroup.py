@@ -3,22 +3,23 @@
 Serves as the independent oracle of the package: on small fundamental
 discriminants it recomputes the class number h, the square roots of D
 mod 4a summed over the leading coefficients a of the reduced forms, by
-byte counts over a shared table of omega(a) below sqrt|D|/2 and by
-listing them above, joined by CRT along a plan of each a that every D
-shares, and the 5-rank, from the 5-Sylow subgroup that the
-reduced forms span under Gauss composition, then checks the
-5-divisibility that the single-curve construction predicts; its
-irreducibility witness reads each split prime's verdict, or the error it
-raises, from the splitting module's residue-class memo, which the
-certificates share.  The facts of a curve parameter u (u = +-1 mod 5, the
-curve setup and the integer coefficients of the quotient cubic with
-their common scale s) are found once per u, and an instance's radicand
-g_u(n/d) is H / (s d^3), H = d^3 s g_u(n/d) by one integer Horner
-pass.  The setup builds no isogeny: the Velu 5-isogeny E -> F of a u is
-built and certified on the first witness lookup that reads it,
-family.five_isogeny(u) on the memo's first miss and _fallback_isogeny(u)
-on the first precondition fallback, so a u that reaches no verdict
-builds none.  group_structure, behind `classgroup --disc`, takes the same
+byte counts over a table of omega(a) below sqrt|D|/2, struck where an a
+can have no primitive form, and by listing them above, joined by CRT
+along a plan of each a; those tables, the plans and the square-root
+tables of the primes are one value that every D shares, built whole and
+replaced whole when a count outgrows it.  It finds the 5-rank from the
+5-Sylow subgroup that the reduced forms span under Gauss composition,
+then checks the 5-divisibility that the single-curve construction
+predicts; its irreducibility witness reads each split prime's verdict,
+or the error it raises, from the splitting module's residue-class memo,
+which the certificates share.  The facts of a curve parameter u (u =
++-1 mod 5, the curve setup and the integer coefficients of the quotient
+cubic with their common scale s) are found once per u, and an
+instance's radicand g_u(n/d) is H / (s d^3), H = d^3 s g_u(n/d) by one
+integer Horner pass.  The setup builds no isogeny: the Velu 5-isogeny E -> F of a u is
+built and certified once, as family.five_isogeny(u), on the first
+witness lookup that reads it, so a u that reaches no verdict builds
+none.  group_structure, behind `classgroup --disc`, takes the same
 route for any D < 0: the counted h, then the span of each Sylow
 subgroup, whose layer counts give the invariant factors.  A span walks
 the bare reduced triples with a > 1 and b >= 0, raises no ambiguous form
@@ -43,7 +44,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     BadReductionError,
@@ -61,8 +62,13 @@ from .exact import (
     squarefree_part,
     valuation_and_residue,
 )
-from .family import five_division_kernel, kubert_curve, quotient_cubic
-from .isogeny import preimage_quintic, velu_onto_model
+from .family import (
+    five_division_kernel,  # noqa: F401  (the traced benchmark wraps this binding)
+    five_isogeny,
+    kubert_curve,
+    quotient_cubic,
+)
+from .isogeny import preimage_quintic
 from .sieve import reduction_data_for_model, singular_avoidance_passes
 from .splitting import INERT, SPLIT, class_verdict, frobenius_order_in_L, prime_split_in_K
 
@@ -72,19 +78,31 @@ RADICAND_TRIAL_BOUND = 10**6
 # a count within the default budget reaches the primes up to this bound,
 # and reads square roots modulo each odd one from a table (_square_roots)
 ROOT_TABLE_BOUND = math.isqrt(DEFAULT_DISC_BOUND // 3)
-# spf, primes, rest and omega up to a bound, shared by every D (_smallest_prime_factors)
-_factor_tables: tuple[list[int], list[int], list[int], bytearray] = ([], [], [], bytearray())
-# (p, p's root table, None at p = 2) for each prime p up to ROOT_TABLE_BOUND that
-# a count has reached, in order, shared by every D (_grow_root_tables)
-_root_tables: list[tuple[int, array | None]] = []
-# a <= ROOT_TABLE_BOUND -> the CRT plan of a (_crt_plan), shared by every D
-_crt_plans: dict[int, tuple] = {}
 # class_number's byte marks (r(a) = 0; a listed) and the translations that write them
 _STRUCK, _LISTED = 255, 254
 _DROP_ONE = bytes(1) + bytes(range(_LISTED - 1)) + bytes([_LISTED, _STRUCK])
 _TO_LISTED = bytes([_LISTED]) * _STRUCK + bytes([_STRUCK])
 _IS_LISTED, _UNSTRUCK = bytes(_LISTED) + b"\1\0", b"\1" * _STRUCK + b"\0"
-_struck_row = memoryview(b"")   # STRUCK bytes that strike a row of logs, grown on demand
+
+
+class _CountTables(NamedTuple):
+    """What class_number shares between discriminants, for 0 <= k < N =
+    len(spf): spf[k], the smallest prime factor of k; the primes below N;
+    rest[k], k with the powers of spf[k] divided out; omega[k], the
+    number of distinct primes of k; roots, p -> p's root table
+    (_square_roots), None at p = 2, for each prime p <= ROOT_TABLE_BOUND
+    in order; plans[a], the CRT plan (_crt_plan) of each 0 < a <=
+    ROOT_TABLE_BOUND; and struck, a row of N STRUCK bytes."""
+    spf: list[int]
+    primes: list[int]
+    rest: list[int]
+    omega: bytearray
+    roots: dict[int, array | None]
+    plans: list[tuple | None]
+    struck: memoryview
+
+
+_tables: _CountTables | None = None     # built by the first count (_count_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +314,13 @@ def class_number(D: int) -> int:
     inert p or the square of a ramified p divides a, and then r(a) = 0.
     A prime dividing a, b and c has p^2 | D = b^2 - 4ac with D/p^2 a
     discriminant: one of the remaining primes, odd p with p^2 | D and
-    p = 2 with D/4 = 0, 1 mod 4.  Their multiples, and the band top < a
-    <= amax, where c >= a needs b itself, go to _listed_count, which
-    joins the roots of each along a's CRT plan, a fact of a alone.
+    p = 2 with D/4 = 0, 1 mod 4.  Such a p with p || a leaves a no
+    primitive form: p | D gives p | b, so p^2 | b^2 - D = 4ac and p | c
+    (at p = 2, b = 2b' and ac = b'^2 - D/4 = 0 mod 4, since b'^2 and
+    D/4 are both 0 or 1 mod 4 and of one parity).  So those a are
+    struck, and only the multiples of p^2, and the band top < a <= amax,
+    where c >= a needs b itself, go to _listed_count, which joins the
+    roots of each along a's CRT plan, a fact of a alone.
 
     The count below the band reads one byte per a (_log_root_counts):
     s(a), STRUCK (255) where r(a) = 0, or LISTED (254).  Each entry
@@ -306,42 +328,67 @@ def class_number(D: int) -> int:
     2^omega(a) <= a: at most 8 below 10^7, and never a mark.  So the
     a <= top add sum_v 2^v times the number of entries v, exactly, one
     byte count for each v < bit_length(top).  A D that no prime divides
-    to a square (no LISTED entry below the band, every fundamental D)
-    lists only the band."""
+    to a square (every fundamental D) lists only the band.  Every table
+    that depends on no D comes from one value, _count_tables(amax)."""
     _check_discriminant(D)
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)               # the largest a with 4a^2 <= |D|
-    spf, primes, rest, omega = _smallest_prime_factors(amax)   # may run past amax
-    logs = _log_root_counts(D, amax, primes, omega)
+    tables = _count_tables(amax)
+    logs = _log_root_counts(D, amax, tables)
     low = logs[1:top + 1]
     count = sum(low.count(v) << v for v in range(top.bit_length()))
     listed = (list(itertools.compress(range(1, top + 1), low.translate(_IS_LISTED)))
               if _LISTED in low else [])
     listed += itertools.compress(range(top + 1, amax + 1), logs[top + 1:].translate(_UNSTRUCK))
-    return count + _listed_count(D, listed, logs, spf, rest)
+    return count + _listed_count(D, listed, logs, tables)
 
 
-def _log_root_counts(D: int, amax: int, primes: list[int], omega: bytearray) -> bytearray:
+def _count_tables(n: int) -> _CountTables:
+    """class_number's shared tables (_CountTables), built whole on the
+    first count to cover 0..max(n, ROOT_TABLE_BOUND), and built whole
+    again, at least twice as large, when a count needs more: the global
+    is only ever replaced, so its parts cannot fall out of step.  No root
+    table or plan exists above the bound, so those never grow with a
+    raised budget: the 280 odd primes' tables, 2p bytes each, take about
+    0.47 MB in all."""
+    global _tables
+    if _tables is None or len(_tables.spf) <= n:
+        spf = list(range(max(n, ROOT_TABLE_BOUND, 2 * len(_tables.spf) if _tables else 0) + 1))
+        for p in range(2, math.isqrt(len(spf)) + 1):
+            if spf[p] == p:
+                for k in range(p * p, len(spf), p):
+                    if spf[k] == k:
+                        spf[k] = p
+        rest, omega = [1] * len(spf), bytearray(len(spf))
+        for k in range(2, len(spf)):
+            m = k // spf[k]
+            rest[k] = b = rest[m] if spf[m] == spf[k] else m
+            omega[k] = omega[b] + 1
+        primes = [p for p in range(2, len(spf)) if spf[p] == p]
+        roots = {p: _square_roots(p) if p > 2 else None
+                 for p in primes[:bisect.bisect_right(primes, ROOT_TABLE_BOUND)]}
+        plans = [None] + [_crt_plan(a, spf, rest, roots) for a in range(1, ROOT_TABLE_BOUND + 1)]
+        _tables = _CountTables(spf, primes, rest, omega, roots, plans,
+                               memoryview(bytes([_STRUCK]) * len(spf)))
+    return _tables
+
+
+def _log_root_counts(D: int, amax: int, tables: _CountTables) -> bytearray:
     """Entry a <= amax is log2 r(a), STRUCK or LISTED, as class_number
     reads them: a copy of omega with, at each prime p <= amax, the
-    multiples of an inert p (one entry when 2p > amax) and of a ramified
-    p^2 struck, one taken from the multiples of a ramified p, and the
-    multiples of the other primes dividing D marked LISTED; a struck
-    entry stays struck, so the order of the primes does not matter.
-    The primes up to ROOT_TABLE_BOUND come with their root tables from
-    one list shared by every D (_grow_root_tables), and the struck slices
-    from one shared row of STRUCK bytes, grown only past that bound.  Up
-    to it, as far as any D within the default budget reaches, Euler's
-    criterion is one read of p's root table; above it a builtin pow."""
-    global _struck_row
-    logs = omega[:amax + 1]
-    struck = _struck_row
-    if len(struck) < amax:
-        struck = _struck_row = memoryview(bytes([_STRUCK]) * max(amax, ROOT_TABLE_BOUND))
+    multiples of an inert p (one entry when 2p > amax), of a ramified p^2
+    and of every other p dividing D struck, one taken from the multiples
+    of a ramified p, and the multiples of p^2 of those other p marked
+    LISTED; a struck entry stays struck, so the order of the primes does
+    not matter.  Up to ROOT_TABLE_BOUND, as far as any D within the
+    default budget reaches, Euler's criterion is one read of p's root
+    table; above it a builtin pow."""
+    logs = tables.omega[:amax + 1]
+    primes, struck = tables.primes, tables.struck
     half = amax // 2
-    tabled = _grow_root_tables(amax, primes)
+    tabled = bisect.bisect_right(primes, min(amax, ROOT_TABLE_BOUND))
     above = primes[tabled:bisect.bisect_right(primes, amax)]
-    for p, table in itertools.chain(itertools.islice(_root_tables, tabled),
+    for p, table in itertools.chain(itertools.islice(tables.roots.items(), tabled),
                                     zip(above, itertools.repeat(None))):
         n = D % p
         if n:                               # split or inert
@@ -361,27 +408,28 @@ def _log_root_counts(D: int, amax: int, primes: list[int], omega: bytearray) -> 
             logs[p * p::p * p] = struck[:amax // (p * p)]
             logs[p::p] = logs[p::p].translate(_DROP_ONE)
         else:
-            logs[p::p] = logs[p::p].translate(_TO_LISTED)
+            squares = logs[p * p::p * p].translate(_TO_LISTED)
+            logs[p::p] = struck[:amax // p]
+            logs[p * p::p * p] = squares
     return logs
 
 
-def _listed_count(D: int, listed: list[int], logs: bytearray, spf: list[int],
-                  rest: list[int]) -> int:
+def _listed_count(D: int, listed: list[int], logs: bytearray, tables: _CountTables) -> int:
     """The reduced forms with a leading coefficient in listed, each b
     tested: the roots mod 2a are joined by CRT, along a's plan
     (_crt_plan), from those mod 2^(k+1), for 2^k || a, and mod the odd
     prime powers of a, so each b in (-a, a] comes once.  At an odd prime
-    p || a <= ROOT_TABLE_BOUND the roots are (r, p - r) from p's root
-    table, or 0 when p | D; the roots mod a power of 2, mod p^k with k >=
-    2 and for an a above the bound come from _prime_power_roots, one memo
-    of them serving every a.  c >= a is b^2 >= 4a^2 + D, tested before c is
-    built; primitivity is tested only where a prime p | a may divide the
-    form (logs[a] is LISTED)."""
+    p || a with p <= ROOT_TABLE_BOUND the roots are (r, p - r) from p's
+    root table, or 0 when p | D; the roots mod a power of 2, mod p^k
+    with k >= 2 and mod a larger p come from _prime_power_roots, one memo
+    of them serving every a.  c >= a is b^2 >= 4a^2 + D, tested before c
+    is built; primitivity is tested only where a prime p | a may divide
+    the form (logs[a] is LISTED)."""
     roots = {}                              # p^k -> roots of x^2 = D mod p^k
-    plans = _crt_plans
+    spf, rest, root_tables, plans = tables.spf, tables.rest, tables.roots, tables.plans
     count = 0
     for a in listed:
-        two, steps = plans.get(a) or _crt_plan(a, spf, rest)
+        two, steps = plans[a] if a <= ROOT_TABLE_BOUND else _crt_plan(a, spf, rest, root_tables)
         # b^2 mod 2 * two depends on b mod two only
         found = ([D & 1] if two == 2 else
                  [x for x in _prime_power_roots(D, 2, 2 * two, roots) if x < two])
@@ -407,49 +455,23 @@ def _listed_count(D: int, listed: list[int], logs: bytearray, spf: list[int],
     return count
 
 
-def _crt_plan(a: int, spf: list[int], rest: list[int]) -> tuple[int, tuple]:
+def _crt_plan(a: int, spf: list[int], rest: list[int], roots: dict) -> tuple[int, tuple]:
     """How _listed_count joins the roots mod 2a, a fact of a alone: the
     modulus 2^(k+1) of the 2-part, 2^k || a, and for each odd prime power
     q = p^k || a in turn (p, q, the modulus m of the roots joined so far,
-    m^-1 mod q, p's root table when k = 1, else None).  Kept in
-    _crt_plans for a <= ROOT_TABLE_BOUND, so at most 1,825 plans; above
-    it built on every call, with no table."""
+    m^-1 mod q, p's root table from roots when k = 1 and p has one, else
+    None).  _count_tables keeps the plans of a <= ROOT_TABLE_BOUND; above
+    it a plan is built on every call."""
     n = rest[a] if a % 2 == 0 else a
     mod = two = 2 * (a // n)
-    kept = a <= ROOT_TABLE_BOUND
     steps = []
     while n > 1:
         p, m = spf[n], rest[n]
         q = n // m
-        steps.append((p, q, mod, pow(mod, -1, q), _root_table(p) if kept and q == p else None))
+        steps.append((p, q, mod, pow(mod, -1, q), roots.get(q)))
         mod *= q
         n = m
-    plan = two, tuple(steps)
-    if kept:
-        _crt_plans[a] = plan
-    return plan
-
-
-def _smallest_prime_factors(n: int) -> tuple[list[int], list[int], list[int], bytearray]:
-    """The shared factor tables, grown by doubling to cover 0..n and
-    replaced whole: spf, the smallest prime factor of each k; the list
-    of the primes in it; rest, k with the powers of spf[k] divided out;
-    and omega, the number of distinct primes of k."""
-    global _factor_tables
-    if len(_factor_tables[0]) <= n:
-        spf = list(range(max(n, 2 * len(_factor_tables[0])) + 1))
-        for p in range(2, math.isqrt(len(spf)) + 1):
-            if spf[p] == p:
-                for k in range(p * p, len(spf), p):
-                    if spf[k] == k:
-                        spf[k] = p
-        rest, omega = [1] * len(spf), bytearray(len(spf))
-        for k in range(2, len(spf)):
-            m = k // spf[k]
-            rest[k] = b = rest[m] if spf[m] == spf[k] else m
-            omega[k] = omega[b] + 1
-        _factor_tables = spf, [p for p in range(2, len(spf)) if spf[p] == p], rest, omega
-    return _factor_tables
+    return two, tuple(steps)
 
 
 def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
@@ -468,26 +490,6 @@ def _prime_power_roots(D: int, p: int, q: int, roots: dict) -> list[int]:
     return roots[q]
 
 
-def _grow_root_tables(n: int, primes: list[int]) -> int:
-    """The number of primes up to min(n, ROOT_TABLE_BOUND), after
-    _root_tables has grown to hold them all, each odd one with its root
-    table (_square_roots); primes must reach that far.  The tables are
-    built the first time a count reaches their prime, and none above the
-    bound, so they never grow with a raised budget: at most the 280 odd
-    primes' tables, 2p bytes each, about 0.47 MB in all."""
-    k = bisect.bisect_right(primes, min(n, ROOT_TABLE_BOUND))
-    tables = _root_tables
-    if len(tables) < k:
-        tables.extend((p, _square_roots(p) if p > 2 else None) for p in primes[len(tables):k])
-    return k
-
-
-def _root_table(p: int) -> array:
-    """The root table of an odd prime p <= ROOT_TABLE_BOUND, read from
-    _root_tables, which first grows to p."""
-    return _root_tables[_grow_root_tables(p, _smallest_prime_factors(p)[1]) - 1][1]
-
-
 def _square_roots(p: int) -> array:
     """The square roots modulo an odd prime p: entry n is the root r of
     r^2 = n (mod p) with 0 < r <= p/2 when n is a nonzero square, else 0."""
@@ -504,7 +506,7 @@ def _sqrt_mod_prime(D: int, p: int) -> list[int]:
     p = 3 mod 4 (s = 1) is the one power r = n^((p+1)/4)."""
     n = D % p
     if p <= ROOT_TABLE_BOUND:
-        r = _root_table(p)[n]
+        r = _count_tables(p).roots[p][n]
         return [r, p - r] if r else []
     if pow(n, (p - 1) // 2, p) != 1:
         return []
@@ -842,28 +844,17 @@ def _irreducibility_witness(u: Fraction, X: Fraction, radicand) -> int | None:
 def _split_prime_verdict(u: Fraction, X: Fraction, l: int) -> str:
     """frobenius_order_in_L at l on the preimage quintic of X on curve u.
 
-    Every verdict reads a certified isogeny E -> F: class_verdict's first
-    miss on u builds family.five_isogeny(u), and the precondition
-    fallback builds _fallback_isogeny(u).  That is also where E is found
-    semistable: F is, since its reduction data built in the curve setup,
-    isogenous curves have the same conductor, and a curve is semistable
-    exactly when its conductor is squarefree.
+    Every verdict reads the one certified isogeny E -> F of u,
+    family.five_isogeny(u): class_verdict's first miss on u builds it,
+    and the precondition fallback reads it from that memo.  That is also
+    where E is found semistable: F is, since its reduction data built in
+    the curve setup, isogenous curves have the same conductor, and a
+    curve is semistable exactly when its conductor is squarefree.
     """
     try:
         return class_verdict(u, l, valuation_and_residue(X.numerator, X.denominator, l)[1])
     except BadReductionError:       # only the residue precondition raises it
-        phi = _fallback_isogeny(u)
-        return frobenius_order_in_L(preimage_quintic(phi, X).primitive_integer(), l)
-
-
-@lru_cache(maxsize=64)
-def _fallback_isogeny(u: Fraction):
-    """The isogeny E -> F at u, by Velu on five_division_kernel(u) onto
-    the quotient cubic's long model, built once per u on the first
-    precondition fallback of _split_prime_verdict; every check of the
-    kernel, the Velu quotient and the isomorphism onto F runs here."""
-    return velu_onto_model(kubert_curve(u).curve(), five_division_kernel(u),
-                           quotient_cubic(u).curve())
+        return frobenius_order_in_L(preimage_quintic(five_isogeny(u), X).primitive_integer(), l)
 
 
 def oracle_scan(count: int, trial_bound: int = RADICAND_TRIAL_BOUND,

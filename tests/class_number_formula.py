@@ -19,9 +19,9 @@ Every check raises ArithmeticError, so the module holds under python -O.
 
 reference_class_number is a second reference, the per-a route: it adds
 the root count r(a) of every leading coefficient a one by one, where
-class_number counts the a below sqrt|D|/2 in bytes.  It reads only the
-factor tables of fiverank.classgroup, not its CRT plans of a nor its
-shared list of primes and root tables.
+class_number counts the a below sqrt|D|/2 in bytes.  It shares no table
+with fiverank.classgroup: its primes and prime powers come from this
+module's own smallest-prime-factor sieve.
 
 check_dirichlet and check_reference hold class_number to the two
 references.  Tier-1 runs them on 36 grid D and 200 log-uniform D; run as
@@ -133,13 +133,17 @@ def reference_class_number(D):
     local counts along the smallest-prime-factor tables, with Euler's
     criterion by the builtin pow at every prime, and the b of the listed
     a tested one by one, their roots by one power at p = 3 mod 4 and
-    Tonelli-Shanks otherwise, each a's CRT joined afresh.  It shares
-    only the factor tables with class_number: neither the CRT plans of a
-    (classgroup._crt_plans) nor the list of primes with their root tables
-    (classgroup._root_tables) nor the strike row."""
+    Tonelli-Shanks otherwise, each a's CRT joined afresh.  It shares no
+    table with class_number: spf is smallest_prime_factors, and rest[k]
+    is k with the powers of spf[k] divided out."""
     amax = math.isqrt(-D // 3)
     top = math.isqrt(-D // 4)
-    spf, primes, rest, _ = classgroup._smallest_prime_factors(amax)
+    spf = smallest_prime_factors(amax)
+    primes = [p for p in range(2, amax + 1) if spf[p] == p]
+    rest = [1] * (amax + 1)
+    for k in range(2, amax + 1):
+        m = k // spf[k]
+        rest[k] = rest[m] if spf[m] == spf[k] else m
     roots, local = {}, {}
     has_roots = bytearray([0]) + bytearray([1]) * amax
     listed = bytearray(top + 1) + bytearray([1]) * (amax - top)
